@@ -16,7 +16,6 @@ from enum import Enum
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DimensionMismatch, InvalidInput
 
@@ -239,6 +238,23 @@ class DiscretePrior:
         return self.points[0].n
 
 
+def _log_weighted_sum_exp(logs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Row-wise ln sum_k w_k exp(logs[:, k]) of an (m, k) matrix.
+
+    Zero-weight columns are dropped before the shift, so a zero-weight
+    candidate with a huge ratio cannot underflow the others.  Each row is
+    shifted by its maximum and exponentiated in place: ``logs`` is
+    overwritten unless a column was dropped.
+    """
+    keep = weights > 0
+    if not np.all(keep):
+        logs, weights = logs[:, keep], weights[keep]
+    shift = np.max(logs, axis=1)
+    logs -= shift[:, None]
+    np.exp(logs, out=logs)
+    return np.log(logs @ weights) + shift
+
+
 def bayes_log_ratio(
     y: Union[Observation, ArrayLike], prior: DiscretePrior
 ) -> float:
@@ -256,7 +272,7 @@ def bayes_log_ratio(
     logs = np.array(
         [log_likelihood_ratio(yv, p) for p in prior.points], dtype=float
     )
-    return float(logsumexp(logs, b=prior.weights))
+    return float(_log_weighted_sum_exp(logs[None, :], prior.weights)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,9 +292,9 @@ class BayesTest:
         Dk = np.array(
             [float(np.sum(np.log1p(p.squared))) for p in self.prior.points]
         )
-        logs = 0.5 * (Y**2) @ W.T - 0.5 * Dk  # (m, k)
-        mix = logsumexp(logs, b=self.prior.weights, axis=1)
-        return mix <= self.level
+        logs = 0.5 * (Y**2) @ W.T  # (m, k)
+        logs -= 0.5 * Dk
+        return _log_weighted_sum_exp(logs, self.prior.weights) <= self.level
 
 
 def bayes_decide(

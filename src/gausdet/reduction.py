@@ -34,6 +34,10 @@ ASYMPTOTIC = "asymptotic"
 
 MAX_PARTITION_SEARCH_N = 8
 
+# Rounding slack of a computed geometric mean, in ulps per group member.
+GEO_MEAN_ULPS = 4
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class ReductionResult:
@@ -104,7 +108,8 @@ class PartitionCertificate:
 
     groups partition the index set; geo_means[j] is the geometric mean of the
     lambda entries in group j.  The certificate is valid when every sigma_i
-    within a group is at most the group's geometric mean; validity implies
+    within a group is at most the group's geometric mean, up to the rounding
+    slack stated in ``lemma2_certificate``; validity implies
     beta(A, lambda) <= beta(A, sigma) for every level A.
     """
 
@@ -133,7 +138,20 @@ def lemma2_certificate(
     lam: IntensityVector,
     groups: Sequence[Sequence[int]],
 ) -> PartitionCertificate:
-    """Build and validate the partition certificate for (sigma, lambda)."""
+    """Build and validate the partition certificate for (sigma, lambda).
+
+    The geometric mean of a group g is computed as exp(mean ln lambda_i),
+    which rounding (ln, the mean, exp) can put up to about
+    |g| eps max(1, |mean ln lambda_i|) relative off its true value, eps
+    the float64 machine epsilon (exp turns the absolute error of the
+    log-mean into a relative one).  So sigma_i counts as at most the
+    geometric mean gm when
+
+        sigma_i <= gm (1 + GEO_MEAN_ULPS |g| eps max(1, |mean ln lambda_i|))
+
+    with GEO_MEAN_ULPS = 4: lambda against itself always gives a valid
+    certificate, while an excess of 1e-9 relative stays invalid.
+    """
     if sigma.n != lam.n:
         raise DimensionMismatch(
             f"sigma has length {sigma.n}, lambda has length {lam.n}"
@@ -144,9 +162,14 @@ def lemma2_certificate(
     for g in groups:
         idx = np.asarray(g, dtype=int)
         vals = lam.values[idx]
-        gm = float(np.exp(np.mean(np.log(vals)))) if np.all(vals > 0) else 0.0
+        if np.all(vals > 0):
+            mean_log = float(np.mean(np.log(vals)))
+            gm = float(np.exp(mean_log))
+            slack = GEO_MEAN_ULPS * idx.size * _EPS * max(1.0, abs(mean_log))
+        else:
+            gm, slack = 0.0, 0.0
         geo_means.append(gm)
-        if np.any(sigma.values[idx] > gm):
+        if np.any(sigma.values[idx] > gm * (1.0 + slack)):
             valid = False
     return PartitionCertificate(
         groups=tuple(tuple(int(i) for i in g) for g in groups),

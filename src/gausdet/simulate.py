@@ -10,6 +10,10 @@ The exact oracle for the weighted chi-square probabilities behind alpha and
 beta is a chi-square mixture series with certified truncation error, with the
 regularized incomplete gamma closed form on equal weights and
 characteristic-function inversion as the wide-spread fallback.
+
+Only the oracle needs scipy (incomplete gamma, quadrature).  It is imported
+inside the oracle functions, on their first call, so that importing this
+module, and the Monte Carlo paths, load numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.special import erf, gammainc, gammaincc
 
 from .errors import DimensionMismatch, InvalidInput
 from .model import BayesTest, GlrtTest, IntensityVector, NpTest
@@ -125,11 +127,15 @@ def estimate_error_probs(
 
 def regularized_gamma_p(a: float, x: float) -> float:
     """Lower regularized incomplete gamma P(a, x)."""
+    from scipy.special import gammainc
+
     return float(gammainc(a, x))
 
 
 def regularized_gamma_q(a: float, x: float) -> float:
     """Upper regularized incomplete gamma Q(a, x)."""
+    from scipy.special import gammaincc
+
     return float(gammaincc(a, x))
 
 
@@ -145,6 +151,8 @@ def _ruben_cdf(w: np.ndarray, x: float) -> Optional[float]:
     Returns None when the weight spread makes convergence too slow;
     callers then fall back to characteristic-function inversion.
     """
+    from scipy.special import gammainc
+
     beta = float(np.min(w))
     r = 1.0 - beta / w  # each in [0, 1)
     q = float(np.max(r))
@@ -175,6 +183,7 @@ def _ruben_cdf(w: np.ndarray, x: float) -> Optional[float]:
 def _imhof_cdf(w: np.ndarray, x: float) -> float:
     """P(sum w_i xi_i^2 <= x) by numerical inversion of the characteristic
     function (Imhof's formula), distinct positive weights."""
+    from scipy.integrate import IntegrationWarning, quad
 
     def integrand(u: float) -> float:
         theta = 0.5 * float(np.sum(np.arctan(w * u))) - 0.5 * x * u
@@ -216,7 +225,7 @@ def weighted_chi2_cdf(weights, x: float) -> float:
     if hi - lo <= 1e-12 * hi:
         return regularized_gamma_p(w.size / 2.0, x / (2.0 * hi))
     if w.size == 1:
-        return float(erf(math.sqrt(x / (2.0 * w[0]))))
+        return math.erf(math.sqrt(x / (2.0 * w[0])))
     ruben = _ruben_cdf(w, x)
     if ruben is not None:
         return ruben
@@ -409,8 +418,8 @@ def example3_experiment(
     )
 
     # Closed-form product predictor for the miss at the one-hot design point.
-    p_signal = float(erf(math.sqrt((d1 + A) / (2.0 * nr2))))
-    p_noise = float(erf(math.sqrt(threshold / 2.0)))
+    p_signal = math.erf(math.sqrt((d1 + A) / (2.0 * nr2)))
+    p_noise = math.erf(math.sqrt(threshold / 2.0))
     predictor = p_signal * p_noise ** (n - 1)
 
     beta_lam = None

@@ -3,15 +3,14 @@
 Standard normal tail sandwich, two-sided estimates on the log chi-square
 tails (lower tail for the miss probability, upper tail for the false alarm),
 the Berry-Esseen normal approximation of alpha with its explicit guarantee,
-and the threshold rule that caps alpha at 6/sqrt(B).
+and the threshold rule that caps alpha at 6/sqrt(B).  Everything here is
+closed form on ``math``: the normal tail is erfc-based, with no scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.special import ndtr
 
 from .errors import InvalidInput, OutOfRegime
 from .model import IntensityVector, signal_statistics
@@ -43,8 +42,8 @@ class TailSandwich:
 
 
 def standard_normal_upper_tail(x: float) -> float:
-    """Q(x) = P(xi >= x) via the complementary error function."""
-    return float(ndtr(-x))
+    """Q(x) = P(xi >= x) = erfc(x / sqrt 2) / 2, accurate far into the tail."""
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def normal_tail_bounds(z: float) -> TailSandwich:

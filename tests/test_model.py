@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import logsumexp
 
 from gausdet import (
     BayesTest,
@@ -27,6 +28,7 @@ from gausdet import (
     signal_statistics,
 )
 from gausdet.errors import DimensionMismatch, InvalidInput
+from gausdet.model import _log_weighted_sum_exp
 
 sigmas = arrays(
     np.float64,
@@ -228,6 +230,37 @@ class TestDiscretePriorAndBayes:
         acc = test.accepts(Y)
         for row, a in zip(Y, acc):
             assert (bayes_decide(row, prior, 0.1) is Hypothesis.H0) == bool(a)
+
+    def test_bayes_test_matches_decide_on_many_rows(self):
+        rng = np.random.default_rng(7)
+        points = tuple(
+            IntensityVector(rng.uniform(0.0, 3.0, 5)) for _ in range(4)
+        )
+        prior = DiscretePrior(points, np.array([0.4, 0.0, 0.25, 0.35]))
+        level = 0.3
+        Y = rng.standard_normal((10_000, 5)) * rng.uniform(0.5, 3.0, 5)
+        acc = BayesTest(prior, level).accepts(Y)
+        assert 0 < np.count_nonzero(acc) < acc.size
+        decided = [bayes_decide(row, prior, level) is Hypothesis.H0 for row in Y]
+        assert np.array_equal(acc, decided)
+
+
+class TestLogWeightedSumExp:
+    def test_matches_scipy_logsumexp(self):
+        rng = np.random.default_rng(3)
+        for m, k in ((1, 1), (5, 3), (200, 17), (1000, 64)):
+            logs = rng.uniform(-1e3, 1e3, (m, k))
+            w = rng.uniform(0.0, 1.0, k)
+            w[rng.random(k) < 0.3] = 0.0
+            w[0] = max(w[0], 0.1)  # at least one support point
+            expected = logsumexp(logs, b=w, axis=1)
+            got = _log_weighted_sum_exp(logs.copy(), w)
+            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+
+    def test_zero_weight_cannot_underflow_the_others(self):
+        logs = np.array([[0.0, 1e3, -1.0]])
+        got = _log_weighted_sum_exp(logs, np.array([0.5, 0.0, 0.5]))
+        assert got[0] == pytest.approx(math.log(0.5 + 0.5 * math.exp(-1.0)))
 
 
 class TestGlrt:

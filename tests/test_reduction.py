@@ -120,6 +120,27 @@ class TestLemma2Certificate:
         assert cert.geo_means[0] == 0.0
         assert not cert.valid
 
+    def test_self_certificate_valid_despite_rounding(self):
+        # exp(mean(ln D)) can round one ulp below D; the flat corner point
+        # certified against itself must still be valid.
+        rng = np.random.default_rng(11)
+        cases = [(5, 1.548219614885789)] + [
+            (int(n), float(D))
+            for n, D in zip(
+                rng.integers(1, 65, 10_000), np.exp(rng.uniform(-7.0, 7.0, 10_000))
+            )
+        ]
+        for n, D in cases:
+            point = IntensityVector(np.full(n, D))
+            assert lemma2_certificate(point, point, [list(range(n))]).valid, (n, D)
+
+    def test_excess_above_rounding_stays_invalid(self):
+        lam = IntensityVector([0.5, 4.0, 1.548219614885789, 2.0, 0.7])
+        gm = math.exp(np.mean(np.log(lam.values)))
+        sigma = IntensityVector(np.full(5, gm * (1.0 + 1e-9)))
+        cert = lemma2_certificate(sigma, lam, [list(range(5))])
+        assert not cert.valid
+
     def test_partition_validation(self):
         sigma = IntensityVector([1.0, 1.0])
         lam = IntensityVector([1.0, 1.0])

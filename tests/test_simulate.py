@@ -11,14 +11,19 @@ from scipy.special import gammainc, ndtr
 from scipy.stats import chi2
 
 from gausdet import (
+    BayesTest,
     Box,
+    DiscretePrior,
     Ellipsoid,
+    FinitePoints,
+    GlrtTest,
     IntensityVector,
     NpTest,
     estimate_error_probs,
     example3_experiment,
     lemma1_check,
     np_test_exact_probs,
+    signal_statistics,
     weighted_chi2_cdf,
 )
 from gausdet.errors import DimensionMismatch, InvalidInput
@@ -314,3 +319,64 @@ class TestExample3:
         b = example3_experiment(30, 1.0, samples=5000, seed=9)
         assert a.alpha.p_hat == b.alpha.p_hat
         assert a.beta_sigma1.p_hat == b.beta_sigma1.p_hat
+
+
+class TestPinnedStreams:
+    """Monte Carlo outputs at fixed seeds, pinned to exact values.
+
+    Any change to the Philox streams, the shard plan or a decision rule's
+    arithmetic that flips a single sample shows here.
+    """
+
+    SIGMA = IntensityVector([0.5, 1.0, 1.5, 2.0])
+    FLAT = tuple(IntensityVector(np.full(6, s)) for s in (0.6, 3.0, 1.2))
+
+    def test_np(self):
+        test = NpTest(self.SIGMA, 0.3)
+        assert estimate_error_probs(test, None, 20_000, 7).p_hat == 0.12655
+        assert estimate_error_probs(test, self.SIGMA, 20_000, 7).p_hat == 0.36585
+
+    def test_np_over_three_shards(self):
+        sigma = IntensityVector(np.linspace(0.2, 1.2, 500))
+        stats = signal_statistics(sigma)
+        test = NpTest(sigma, stats.T - stats.D + stats.B**0.5)
+        assert _shard_rows(500) * 2 < 20_000
+        assert estimate_error_probs(test, None, 20_000, 5).p_hat == 0.16205
+
+    def test_bayes(self):
+        prior = DiscretePrior(self.FLAT, np.array([0.5, 0.0, 0.5]))
+        test = BayesTest(prior, 0.4)
+        assert estimate_error_probs(test, None, 20_000, 3).p_hat == 0.1126
+        assert estimate_error_probs(test, self.FLAT[0], 20_000, 3).p_hat == 0.7331
+        prior2 = DiscretePrior(
+            (
+                IntensityVector(np.linspace(0.1, 2, 6)),
+                IntensityVector(np.linspace(2, 0.1, 6)),
+            ),
+            np.array([0.3, 0.7]),
+        )
+        test2 = BayesTest(prior2, 0.0)
+        assert estimate_error_probs(test2, None, 20_000, 9).p_hat == 0.158
+
+    def test_glrt(self):
+        test = GlrtTest(FinitePoints(self.FLAT), np.array([0.5, 1.0, -0.2]))
+        assert estimate_error_probs(test, None, 20_000, 4).p_hat == 0.19015
+        assert estimate_error_probs(test, self.FLAT[2], 20_000, 4).p_hat == 0.27025
+
+    def test_example3(self):
+        probe = np.zeros(50)
+        probe[[3, 17]] = 5.0
+        rep = example3_experiment(50, 1.0, 5_000, 11, IntensityVector(probe))
+        assert rep.alpha.p_hat == 0.2108
+        assert rep.beta_sigma1.p_hat == 0.2508
+        assert rep.beta_lambda.p_hat == 0.1366
+
+    def test_lemma1(self):
+        box = lemma1_check(
+            Box(np.array([1.0, 0.5, 2.0])), [1, 1, 1], [0.5, 0.2, 1.0], 20_000, 2
+        )
+        assert (box.p_sum.p_hat, box.p_xi.p_hat) == (0.2016, 0.25205)
+        ell = lemma1_check(
+            Ellipsoid(np.array([1.0, 2.0]), 1.5), [1, 0.5], [0.3, 0.3], 20_000, 6
+        )
+        assert (ell.p_sum.p_hat, ell.p_xi.p_hat) == (0.57345, 0.6433)

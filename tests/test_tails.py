@@ -28,6 +28,14 @@ class TestNormalTail:
                 float(ndtr(-z)), rel=1e-14
             )
 
+    def test_q_matches_scipy_into_the_far_tail(self):
+        # Q(37) ~ 6e-300: the erfc form keeps relative accuracy down to
+        # the last normal doubles.
+        for z in np.linspace(-8.0, 37.0, 4501):
+            assert standard_normal_upper_tail(float(z)) == pytest.approx(
+                float(ndtr(-z)), rel=1e-12
+            ), z
+
     @given(st.floats(1e-3, 8.0))
     def test_sandwich_contains_exact(self, z):
         sw = normal_tail_bounds(z)
