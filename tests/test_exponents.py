@@ -1,5 +1,6 @@
 """Unit tests for the Chernoff exponents and large-deviation bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -373,3 +374,99 @@ class TestBoundTransfer:
             bound_transfer(
                 IntensityVector([0.0, 1.0]), IntensityVector([1.0, 1.0]), 0.0
             )
+
+
+class TestPinnedExponents:
+    """The four exponent solves at fixed inputs, pinned to exact values.
+
+    Levels sit below, inside and above the operating window, so every
+    endpoint case and the interior root are covered at n = 1, 7 and 1000.
+    Values are compared through repr, so even the sign of a zero counts:
+    any change to a solver's bracket, iteration or evaluation order shows
+    here.
+    """
+
+    SIGMAS = {
+        1: IntensityVector([0.8]),
+        7: IntensityVector(np.linspace(0.3, 2.1, 7)),
+        1000: IntensityVector(np.linspace(0.2, 1.5, 1000)),
+    }
+    LAMBDA_SCALE = 1.25
+
+    # (n, A, expected); an ExponentSolution is written as its astuple.
+    U0 = [
+        (1, -0.6044523393970826, (1.0, 0.3022261696985413, 0.25, 0, 'at_one')),
+        (1, 0.020425709383405183, (0.3787878787878786, 0.01097127700915769, 0.0, 5, 'interior')),
+        (1, 0.645303758163893, (0.0, 0.0, -0.25, 0, 'at_zero')),
+        (1, 0.7857915630419419, (0.0, 0.0, -0.32024390243902445, 0, 'at_zero')),
+        (7, -3.0338864505875085, (1.0, 1.5169432252937542, 0.25, 0, 'at_one')),
+        (7, 1.9378294551983655, (0.1979542735324886, 0.1842160633398423, 0.0, 8, 'interior')),
+        (7, 6.909545360984239, (0.0, 0.0, -0.25, 0, 'at_zero')),
+        (7, 11.940225754993351, (0.0, 0.0, -2.765340197004556, 0, 'at_zero')),
+        (1000, -166.98708957533552, (1.0, 83.49354478766776, 0.25, 0, 'at_one')),
+        (1000, 67.41200421800937, (0.2905835450037046, 14.91656625904487, 0.0, 6, 'interior')),
+        (1000, 301.81109801135426, (0.0, 0.0, -0.25, 0, 'at_zero')),
+        (1000, 564.9475785288674, (0.0, 0.0, -131.8182402587566, 0, 'at_zero')),
+    ]
+    ALPHA = [
+        (1, -0.6044523393970826, ((0.0, 0.0, -0.25, 0, 'at_zero'), 1.0, 1.3528671696705954)),
+        (1, 0.020425709383405183, ((0.6212121212121214, 0.021184131700860254, 0.0, 5, 'interior'), 0.9790386759149364, 0.9898391194235971)),
+        (1, 0.645303758163893, ((1.0, 0.3226518790819465, 0.24999999999999994, 0, 'at_one'), 0.7242259286843701, 0.7242259286843701)),
+        (1, 0.7857915630419419, ((1.0, 0.39289578152097093, 0.3202439024390244, 0, 'at_one'), 0.6750991017215443, 0.6750991017215443)),
+        (7, -3.0338864505875085, ((0.0, 0.0, -0.25, 0, 'at_zero'), 1.0, 4.558270272208198)),
+        (7, 1.9378294551983655, ((0.8020457264675114, 1.1531307909390245, 0.0, 9, 'interior'), 0.3156469960456787, 0.3794946697881216)),
+        (7, 6.909545360984239, ((1.0, 3.4547726804921193, 0.2499999999999991, 0, 'at_one'), 0.03159448558275783, 0.03159448558275781)),
+        (7, 11.940225754993351, ((1.0, 5.970112877496675, 2.765340197004555, 0, 'at_one'), 0.002553953118887322, 0.00255395311888732)),
+        (1000, -166.98708957533552, ((0.0, 0.0, -0.25, 0, 'at_zero'), 1.0, 1.822996252254179e+36)),
+        (1000, 67.41200421800937, ((0.7094164549962955, 48.62256836804957, 0.0, 6, 'interior'), 7.646925547314872e-22, 2.2996898957402976e-15)),
+        (1000, 301.81109801135426, ((1.0, 150.90554900567713, 0.25, 0, 'at_one'), 2.9010337295156646e-66, 2.9010337295156646e-66)),
+        (1000, 564.9475785288674, ((1.0, 282.4737892644337, 131.8182402587566, 0, 'at_one'), 2.1047089127307367e-123, 2.1047089127307367e-123)),
+    ]
+    MISMATCH = [
+        (1, 0.020425709383405183, ((0.6600378787878787, 0.03775772198083288, 0.0, 5, 'interior'), 0.9629462133327966)),
+        (1, 0.645303758163893, ((0.0, 0.0, -0.1797560975609756, 0, 'at_zero'), 1.0)),
+        (1, 0.7857915630419419, ((0.0, 0.0, -0.25000000000000006, 0, 'at_zero'), 1.0)),
+        (7, 1.9378294551983655, ((0.30553100387551996, 0.5171485760987165, -8.881784197001252e-16, 7, 'interior'), 0.5962181972791438)),
+        (7, 6.909545360984239, ((0.08312281714822217, 0.08329938167507567, -8.881784197001252e-16, 8, 'interior'), 0.9200756521931511)),
+        (7, 11.940225754993351, ((0.0, 0.0, -0.25, 0, 'at_zero'), 1.0)),
+        (1000, 67.41200421800937, ((0.47369804108777125, 45.84173474014639, 0.0, 5, 'interior'), 1.2336374969614808e-20)),
+        (1000, 301.81109801135426, ((0.17205390855986963, 10.12335002298282, 0.0, 7, 'interior'), 4.013145878021019e-05)),
+        (1000, 564.9475785288674, ((0.0, 0.0, -0.25, 0, 'at_zero'), 1.0)),
+    ]
+    LOWER = [
+        (1, 0.020425709383405183, (-1.1557011628585578, -0.01097127700915769, -0.9166695532671911, (0.3787878787878786, 0.01097127700915769, 0.0, 5, 'interior'), 0.3787878787878786, 0.0, 1)),
+        (7, 1.9378294551983655, (-12.45077618039264, -0.1842160633398423, -3.911683987835346, (0.1979542735324886, 0.1842160633398423, 0.0, 8, 'interior'), 0.31801736091161154, 0.0, 3)),
+        (1000, 67.41200421800937, (-203.10775732291876, -14.91656625904487, -75.55636775124222, (0.2905835450037046, 14.91656625904487, 0.0, 6, 'interior'), 0.34236126986443455, -1.1368683772161603e-13, 22)),
+    ]
+
+    def test_cases_covered(self):
+        cases = {row[2][4] for row in self.U0}
+        assert cases == {AT_ZERO, AT_ONE, INTERIOR}
+        assert {row[2][0][4] for row in self.ALPHA} == cases
+        assert {row[2][0][4] for row in self.MISMATCH} == {AT_ZERO, INTERIOR}
+
+    def test_solve_u0(self):
+        for n, A, want in self.U0:
+            got = dataclasses.astuple(solve_u0(self.SIGMAS[n], A))
+            assert repr(got) == repr(want), (n, A)
+
+    def test_alpha_upper_bound(self):
+        for n, A, want in self.ALPHA:
+            sol, chernoff, simple = alpha_upper_bound(self.SIGMAS[n], A)
+            got = (dataclasses.astuple(sol), chernoff, simple)
+            assert repr(got) == repr(want), (n, A)
+
+    def test_beta_mismatch_upper(self):
+        for n, A, want in self.MISMATCH:
+            sigma = self.SIGMAS[n]
+            lam = IntensityVector(self.LAMBDA_SCALE * sigma.values)
+            sol, bound = beta_mismatch_upper(sigma, lam, A)
+            got = (dataclasses.astuple(sol), bound)
+            assert repr(got) == repr(want), (n, A)
+
+    def test_beta_lower_bound(self):
+        for n, A, want in self.LOWER:
+            res = beta_lower_bound(self.SIGMAS[n], A)
+            got = (res.interval.lower, res.interval.upper, res.constructive_lower,
+                   dataclasses.astuple(res.u0), res.u1, res.u1_residual, res.K)
+            assert repr(got) == repr(want), (n, A)
