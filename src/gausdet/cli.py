@@ -72,18 +72,45 @@ def _check_keys(cfg: dict, allowed: set[str], required: set[str]) -> None:
         raise ConfigError(f"missing required field {sorted(missing)[0]!r}")
 
 
-def _sigma_from(cfg: dict, key: str = "sigma") -> IntensityVector:
-    value = cfg[key]
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, float) or _is_int(value)
+
+
+def _number(value, key: str) -> float:
+    """A finite JSON number as a float."""
+    try:
+        if _is_number(value) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ConfigError(f"{key} must be a finite number")
+
+
+def _vector(value, key: str) -> np.ndarray:
+    """A nonempty JSON array of finite numbers as a float array."""
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{key} must be a nonempty array of numbers")
-    return IntensityVector(np.asarray(value, dtype=float))
+    return np.array([_number(v, f"{key}[{i}]") for i, v in enumerate(value)])
+
+
+def _section(cfg: dict, key: str) -> dict:
+    """A nested JSON object."""
+    value = cfg[key]
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object")
+    return value
+
+
+def _sigma_from(cfg: dict, key: str = "sigma") -> IntensityVector:
+    return IntensityVector(_vector(cfg[key], key))
 
 
 def _float_from(cfg: dict, key: str) -> float:
-    value = cfg[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{key} must be a number")
-    return float(value)
+    return _number(cfg[key], key)
 
 
 def _int_from(cfg: dict, key: str, default: Optional[int] = None) -> int:
@@ -92,7 +119,7 @@ def _int_from(cfg: dict, key: str, default: Optional[int] = None) -> int:
             raise ConfigError(f"missing required field {key!r}")
         return default
     value = cfg[key]
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ConfigError(f"{key} must be an integer")
     return value
 
@@ -164,9 +191,9 @@ def _run(handler, config_path, seed, samples, fmt):
         samples = samples if samples is not None else cfg.get("samples",
                                                              DEFAULT_SAMPLES)
         seed = seed if seed is not None else cfg.get("seed", DEFAULT_SEED)
-        if not isinstance(samples, int) or isinstance(samples, bool):
+        if not _is_int(samples):
             raise ConfigError("samples must be an integer")
-        if not isinstance(seed, int) or isinstance(seed, bool):
+        if not _is_int(seed):
             raise ConfigError("seed must be an integer")
         report = handler(cfg, samples, seed)
         click.echo(report.render(fmt))
@@ -216,18 +243,22 @@ def _bounds_beta(cfg, samples, seed) -> Report:
     _check_keys(cfg, {"sigma", "A", "K"}, {"sigma", "A"})
     sigma = _sigma_from(cfg)
     A = _float_from(cfg, "A")
+    K = cfg.get("K")
+    if K is not None and not _is_int(K):
+        raise ConfigError("K must be an integer")
     report = Report("bounds-beta", {"sigma": sigma.values.tolist(), "A": A})
     sol = exponents.solve_u0(sigma, A)
     report.add("u0", sol.argmax, "stationary point of the miss exponent g")
     report.add("g_u0", sol.value, "maximized miss exponent g(u0)")
     report.add("boundary_case", sol.boundary_case,
                "interior, or the endpoint at which the maximum sits")
+    report.add("u0_iterations", sol.iterations,
+               "safeguarded Newton iterations of the u0 solve; 0 at an endpoint")
+    report.add("u0_residual", sol.stationarity_residual,
+               "g'(u0); zero up to the solver tolerance when interior")
     report.add("beta_upper", exponents.beta_upper_bound(sigma, A),
                "Chernoff bound exp(-g(u0))")
     try:
-        K = cfg.get("K")
-        if K is not None and (not isinstance(K, int) or isinstance(K, bool)):
-            raise ConfigError("K must be an integer")
         sandwich = exponents.beta_lower_bound(sigma, A, K=K)
         report.add("ln_beta_lower", sandwich.interval.lower,
                    sandwich.interval.lower_provenance)
@@ -252,6 +283,10 @@ def _bounds_alpha(cfg, samples, seed) -> Report:
     sol, chernoff, simple = exponents.alpha_upper_bound(sigma, A)
     report.add("t0", sol.argmax, "stationary point of the false-alarm exponent f")
     report.add("f_t0", sol.value, "maximized false-alarm exponent f(t0)")
+    report.add("t0_iterations", sol.iterations,
+               "safeguarded Newton iterations of the t0 solve; 0 at an endpoint")
+    report.add("t0_residual", sol.stationarity_residual,
+               "f'(t0); zero up to the solver tolerance when interior")
     report.add("alpha_upper_chernoff", chernoff, "Chernoff bound exp(-f(t0))")
     report.add("alpha_upper_simple", simple, "simple bound exp(-A/2) = exp(-f(1))")
     try:
@@ -288,6 +323,10 @@ def _mismatch(cfg, samples, seed) -> Report:
                "transformed variances sigma^2 (1+lambda^2)/(1+sigma^2)")
     sol, bound = exponents.beta_mismatch_upper(sigma, lam, A)
     report.add("v0", sol.argmax, "stationary point of the mismatch exponent")
+    report.add("v0_iterations", sol.iterations,
+               "safeguarded Newton iterations of the v0 solve; 0 at v0 = 0")
+    report.add("v0_residual", sol.stationarity_residual,
+               "g_nu'(v0); zero up to the solver tolerance when interior")
     report.add("beta_mismatch_upper", bound,
                "Chernoff bound exp(-g_nu(v0)) on the mismatched miss")
     for mode in (exponents.MODE_EXACT_U0, exponents.MODE_U0_EQUALS_1,
@@ -316,8 +355,16 @@ def _points_from(cfg_points, key: str) -> FinitePoints:
     if not isinstance(cfg_points, list) or not cfg_points:
         raise ConfigError(f"{key} must be a nonempty array of arrays")
     return FinitePoints(
-        tuple(IntensityVector(np.asarray(p, dtype=float)) for p in cfg_points)
+        tuple(IntensityVector(_vector(p, f"{key}[{i}]"))
+              for i, p in enumerate(cfg_points))
     )
+
+
+def _groups_from(value, key: str) -> list:
+    if not (isinstance(value, list) and value and all(
+            isinstance(g, list) and all(map(_is_int, g)) for g in value)):
+        raise ConfigError(f"{key} must be a nonempty array of arrays of integers")
+    return value
 
 
 @_register("reduce")
@@ -343,7 +390,7 @@ def _reduce(cfg, samples, seed) -> Report:
                    {str(k): v for k, v in result.witness_map.items()},
                    "removed input index -> dominating kept index")
     elif "product_floor" in cfg:
-        pf = cfg["product_floor"]
+        pf = _section(cfg, "product_floor")
         _check_keys(pf, {"n", "D"}, {"n", "D"})
         red = reduction.canonical_reduction(
             ProductFloor(_int_from(pf, "n"), _float_from(pf, "D"))
@@ -353,7 +400,7 @@ def _reduce(cfg, samples, seed) -> Report:
         report.add("equality_notion", red.equality_notion,
                    "exact: same minimax miss probability at every level")
     elif "sum_floor" in cfg:
-        sf = cfg["sum_floor"]
+        sf = _section(cfg, "sum_floor")
         _check_keys(sf, {"n", "R"}, {"n", "R"})
         red = reduction.canonical_reduction(
             SumFloor(_int_from(sf, "n"), _float_from(sf, "R"))
@@ -363,13 +410,13 @@ def _reduce(cfg, samples, seed) -> Report:
         report.add("equality_notion", red.equality_notion,
                    "asymptotic: equality of logarithmic rates only")
     if "certificate" in cfg:
-        cert_cfg = cfg["certificate"]
+        cert_cfg = _section(cfg, "certificate")
         _check_keys(cert_cfg, {"sigma", "lambda", "groups"},
                     {"sigma", "lambda", "groups"})
         cert = reduction.lemma2_certificate(
             _sigma_from(cert_cfg),
             _sigma_from(cert_cfg, "lambda"),
-            cert_cfg["groups"],
+            _groups_from(cert_cfg["groups"], "certificate.groups"),
         )
         report.add("certificate_valid", cert.valid,
                    "sigma_i <= group geometric mean of lambda, every group")
@@ -394,19 +441,21 @@ def _simulate(cfg, samples, seed) -> Report:
         test = NpTest(_sigma_from(cfg), _float_from(cfg, "A"))
     elif kind == "bayes":
         _check_keys(cfg, {"test", "prior", "level", "true"}, {"prior", "level"})
-        prior_cfg = cfg["prior"]
+        prior_cfg = _section(cfg, "prior")
         _check_keys(prior_cfg, {"points", "weights"}, {"points", "weights"})
         prior = DiscretePrior(
             _points_from(prior_cfg["points"], "prior.points").points,
-            np.asarray(prior_cfg["weights"], dtype=float),
+            _vector(prior_cfg["weights"], "prior.weights"),
         )
         test = BayesTest(prior, _float_from(cfg, "level"))
     elif kind == "glrt":
         _check_keys(cfg, {"test", "candidates", "levels", "true"},
                     {"candidates", "levels"})
+        levels = cfg["levels"]
         test = GlrtTest(
             _points_from(cfg["candidates"], "candidates"),
-            np.asarray(cfg["levels"], dtype=float),
+            _vector(levels, "levels") if isinstance(levels, list)
+            else _number(levels, "levels"),
         )
     else:
         raise ConfigError("test must be one of 'np', 'bayes', 'glrt'")
@@ -417,7 +466,9 @@ def _simulate(cfg, samples, seed) -> Report:
         _mc_outputs(report, "alpha_hat", est,
                     "rejection frequency under pure noise")
     else:
-        true_sigma = IntensityVector(np.asarray(true_spec, dtype=float))
+        if not isinstance(true_spec, list):
+            raise ConfigError("true must be 'H0' or an array of numbers")
+        true_sigma = IntensityVector(_vector(true_spec, "true"))
         est = simulate.estimate_error_probs(test, true_sigma, samples, seed)
         _mc_outputs(report, "beta_hat", est,
                     "acceptance frequency under the given true intensity")
@@ -490,7 +541,7 @@ def _tails(cfg, samples, seed) -> Report:
                    "z exp(-z^2/2)/((z^2+1) sqrt(2 pi))")
         report.add("normal_tail_upper", sw.upper, "exp(-z^2/2)/(z sqrt(2 pi))")
     if "chi2" in cfg:
-        chi = cfg["chi2"]
+        chi = _section(cfg, "chi2")
         _check_keys(chi, {"n", "A", "tail"}, {"n", "A", "tail"})
         n = _int_from(chi, "n")
         A = _float_from(chi, "A")

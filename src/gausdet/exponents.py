@@ -7,12 +7,16 @@ For the ellipsoid test at level A with threshold D + A:
   transformed variances nu_i^2 = s_i^2 (1+l_i^2)/(1+s_i^2)
 * false alarm:             alpha <= exp(-f(t0)),  2f(t) = t(D+A) + sum ln(1-t r_i^2)
 
-u0, v0, t0 solve the stationarity equations; each left side is strictly
-monotone in the unknown, so a bracketed Newton solver converges
-unconditionally.  The module also provides the matching lower-bound sandwich
-on ln(beta) built from a blockwise chi-square construction, and the
-sufficient conditions under which a nearby intensity lambda can replace
-sigma without changing the exponent.
+All of these, and the blockwise u1 of the lower bound, maximize one Chernoff
+function 2g(x) = sum c_i ln(1 + x w_i) - x(D+A), and ``chernoff_root`` is
+the one solve of its stationarity equation, endpoint cases included: u0 has
+w = s^2 on [0, 1], v0 has w = nu^2 on [0, inf), u1 has the block maxima with
+block sizes as counts c, and t0 has w = r^2 on [-1, 0] through x = -t, since
+f(t) = g(-t).  The left side is strictly monotone in x, so a bracketed Newton
+solver converges unconditionally.  The module also provides the matching
+lower-bound sandwich on ln(beta) built from a blockwise chi-square
+construction, and the sufficient conditions under which a nearby intensity
+lambda can replace sigma without changing the exponent.
 """
 
 from __future__ import annotations
@@ -112,7 +116,7 @@ class ConditionCheck:
 
 
 def _weighted_exponent(w2: np.ndarray, threshold: float, x: float):
-    """(g, g') for 2g(x) = sum ln(1 + x w2_i) - x * threshold, x >= 0."""
+    """(g, g') for 2g(x) = sum ln(1 + x w2_i) - x * threshold, 1 + x w2_i > 0."""
     two_g = float(np.sum(np.log1p(x * w2))) - x * threshold
     two_gp = float(np.sum(w2 / (1.0 + x * w2))) - threshold
     return 0.5 * two_g, 0.5 * two_gp
@@ -125,22 +129,58 @@ def g_eval(sigma: IntensityVector, A: float, u: float):
     """
     if u < 0:
         raise InvalidInput("u must be nonnegative")
-    stats = signal_statistics(sigma)
-    return _weighted_exponent(sigma.squared, stats.D + A, u)
+    return _weighted_exponent(sigma.squared, sigma.D + A, u)
 
 
-def _solve_weighted_stationarity(
-    w2: np.ndarray, threshold: float, hi: float
-) -> RootResult:
-    """Root of sum w2/(1+x w2) = threshold on (0, hi); LHS strictly decreasing."""
+def chernoff_root(
+    w: np.ndarray, threshold: float, end: float, counts=1.0
+) -> tuple[RootResult, str]:
+    """Stationary point of 2g(x) = sum c_i ln(1 + x w_i) - x threshold.
+
+    Solves h(x) = sum c_i w_i/(1 + x w_i) - threshold = 0 for x between 0
+    and end; h = 2g' is strictly decreasing wherever every 1 + x w_i > 0.
+    end is 1 (u0), -1 (t0, solved at x = -t) or +inf (v0 and u1: the
+    bracket grows from 1 until h changes sign).  sign(end) h is the slope
+    of 2g moving from 0 toward end: when it is <= 0 at 0 the maximum over
+    the interval sits at x = 0 (AT_ZERO, reported as a zero with the sign
+    of end), when it is >= 0 at a finite end, at x = end (AT_ONE).
+    Returns the root, h there and the solver iterations, with the case.
+    """
+    cw = counts * w
 
     def h(x: float) -> float:
-        return float(np.sum(w2 / (1.0 + x * w2))) - threshold
+        return float(np.sum(cw / (1.0 + x * w))) - threshold
 
     def dh(x: float) -> float:
-        return -float(np.sum((w2 / (1.0 + x * w2)) ** 2))
+        q2 = (w / (1.0 + x * w)) ** 2
+        q2 *= counts
+        return -float(np.sum(q2))
 
-    return solve_bracketed(h, dh, 0.0, hi)
+    side = math.copysign(1.0, end)
+    zero = math.copysign(0.0, end)
+    h0 = h(zero)
+    if side * h0 <= 0.0:
+        return RootResult(zero, h0, 0), AT_ZERO
+    if math.isinf(end):
+        return solve_bracketed(h, dh, 0.0, grow_upper_bracket(h)), INTERIOR
+    h_end = h(end)
+    if side * h_end >= 0.0:
+        return RootResult(end, h_end, 0), AT_ONE
+    lo, hi = sorted((0.0, end))
+    return solve_bracketed(h, dh, lo, hi), INTERIOR
+
+
+def _maximize(w: np.ndarray, threshold: float, end: float) -> ExponentSolution:
+    """Maximize g of ``chernoff_root`` between 0 and end.
+
+    For end = -1, argmax and residual are reported in t = -x, with f(t) = g(-t)
+    and f'(t) = 0.0 - g'(x), which keeps a zero residual +0.0.
+    """
+    res, case = chernoff_root(w, threshold, end)
+    g, gp = _weighted_exponent(w, threshold, res.root)
+    if end < 0:
+        return ExponentSolution(-res.root, g, 0.0 - gp, res.iterations, case)
+    return ExponentSolution(res.root, g, gp, res.iterations, case)
 
 
 def solve_u0(sigma: IntensityVector, A: float) -> ExponentSolution:
@@ -152,19 +192,7 @@ def solve_u0(sigma: IntensityVector, A: float) -> ExponentSolution:
     above the upper edge (g = 0), u0 = 1 for A at or below the lower edge
     (g = -A/2).  Endpoints are reported via boundary_case, never an error.
     """
-    s2 = sigma.squared
-    stats = signal_statistics(sigma)
-    threshold = stats.D + A
-    _, gp0 = _weighted_exponent(s2, threshold, 0.0)
-    if gp0 <= 0:
-        g0, _ = _weighted_exponent(s2, threshold, 0.0)
-        return ExponentSolution(0.0, g0, gp0, 0, AT_ZERO)
-    g1, gp1 = _weighted_exponent(s2, threshold, 1.0)
-    if gp1 >= 0:
-        return ExponentSolution(1.0, g1, gp1, 0, AT_ONE)
-    res = _solve_weighted_stationarity(s2, threshold, 1.0)
-    g, gp = _weighted_exponent(s2, threshold, res.root)
-    return ExponentSolution(res.root, g, gp, res.iterations, INTERIOR)
+    return _maximize(sigma.squared, sigma.D + A, 1.0)
 
 
 def beta_upper_bound(sigma: IntensityVector, A: float) -> float:
@@ -192,62 +220,23 @@ def beta_mismatch_upper(
     mean sum nu_i^2 already sits at or below the threshold the optimum is
     v0 = 0 and the bound is the trivial 1.  Returns (solution, bound).
     """
-    prof = mismatch_profile(sigma, lam)
-    nu2 = prof.nu_squared
-    stats = signal_statistics(sigma)
-    threshold = stats.D + A
-    g0, gp0 = _weighted_exponent(nu2, threshold, 0.0)
-    if gp0 <= 0:
-        sol = ExponentSolution(0.0, g0, gp0, 0, AT_ZERO)
-        return sol, 1.0
-
-    def h(x: float) -> float:
-        return float(np.sum(nu2 / (1.0 + x * nu2))) - threshold
-
-    hi = grow_upper_bracket(h)
-    res = _solve_weighted_stationarity(nu2, threshold, hi)
-    g, gp = _weighted_exponent(nu2, threshold, res.root)
-    sol = ExponentSolution(res.root, g, gp, res.iterations, INTERIOR)
-    return sol, min(1.0, math.exp(-g))
+    nu2 = mismatch_profile(sigma, lam).nu_squared
+    sol = _maximize(nu2, sigma.D + A, math.inf)
+    return sol, min(1.0, math.exp(-sol.value))
 
 
 def alpha_upper_bound(sigma: IntensityVector, A: float):
     """Chernoff bound on the false alarm probability, plus the simple bound.
 
     2f(t) = t(D+A) + sum ln(1 - t r_i^2) with r_i^2 = sigma_i^2/(1+sigma_i^2);
-    the stationarity equation is sum r_i^2/(1-t0 r_i^2) = D+A.  Returns
-    (solution at t0, exp(-f(t0)), exp(-A/2)); both are valid upper bounds
-    on alpha and neither dominates the other for all A.
+    the stationarity equation is sum r_i^2/(1-t0 r_i^2) = D+A.  f(t) is the
+    Chernoff function g(-t) of ``chernoff_root``, solved on x in [-1, 0].
+    Returns (solution at t0, exp(-f(t0)), exp(-A/2)); both are valid upper
+    bounds on alpha and neither dominates the other for all A.
     """
-    r2 = sigma.r_squared
-    stats = signal_statistics(sigma)
-    threshold = stats.D + A
     simple = math.exp(-A / 2.0)
-
-    def f_eval(t: float):
-        two_f = t * threshold + float(np.sum(np.log1p(-t * r2)))
-        two_fp = threshold - float(np.sum(r2 / (1.0 - t * r2)))
-        return 0.5 * two_f, 0.5 * two_fp
-
-    f0, fp0 = f_eval(0.0)
-    if fp0 <= 0:  # threshold <= T: no positive exponent available
-        sol = ExponentSolution(0.0, f0, fp0, 0, AT_ZERO)
-        return sol, 1.0, simple
-    f1, fp1 = f_eval(1.0)
-    if fp1 >= 0:  # threshold >= sum sigma^2: optimum at t = 1, f = A/2
-        sol = ExponentSolution(1.0, f1, fp1, 0, AT_ONE)
-        return sol, min(1.0, math.exp(-f1)), simple
-
-    def h(t: float) -> float:
-        return threshold - float(np.sum(r2 / (1.0 - t * r2)))
-
-    def dh(t: float) -> float:
-        return -float(np.sum((r2 / (1.0 - t * r2)) ** 2))
-
-    res = solve_bracketed(h, dh, 0.0, 1.0)
-    f, fp = f_eval(res.root)
-    sol = ExponentSolution(res.root, f, fp, res.iterations, INTERIOR)
-    return sol, min(1.0, math.exp(-f)), simple
+    sol = _maximize(sigma.r_squared, sigma.D + A, -1.0)
+    return sol, min(1.0, math.exp(-sol.value)), simple
 
 
 MODE_EXACT_U0 = "exact_u0"
@@ -278,8 +267,7 @@ def sufficient_condition_check(
         )
     s2 = sigma.squared
     l2 = lam.squared
-    stats = signal_statistics(sigma)
-    threshold = stats.D + A
+    threshold = sigma.D + A
 
     def log_sum_at(u: float):
         args = 1.0 + u * s2 * (l2 - s2) / ((1.0 + s2) * (1.0 + u * s2))
@@ -369,20 +357,8 @@ def beta_lower_bound(
     b = s2_desc[heads]  # block-leading (largest) variances
     m = sizes.astype(float)
     # Threshold here is the raw ellipsoid radius D + A, split across blocks.
-    threshold = stats.D + A
-
-    def h(u: float) -> float:
-        return float(np.sum(m * b / (1.0 + u * b))) - threshold
-
-    def dh(u: float) -> float:
-        return -float(np.sum(m * (b / (1.0 + u * b)) ** 2))
-
-    if h(0.0) <= 0:
-        u1, u1_res = 0.0, h(0.0)
-    else:
-        hi = grow_upper_bracket(h)
-        res = solve_bracketed(h, dh, 0.0, hi)
-        u1, u1_res = res.root, res.residual
+    res, _ = chernoff_root(b, stats.D + A, math.inf, counts=m)
+    u1, u1_res = res.root, res.residual
 
     # Per-block chi-square lower-tail sandwich at a_k = m_k/(1+u1 b_k) <= m_k.
     a = m / (1.0 + u1 * b)

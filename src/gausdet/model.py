@@ -3,9 +3,16 @@
 Observations are y_i = xi_i (+ s_i under the alternative) with xi_i standard
 normal and s_i zero-mean Gaussian with standard deviation sigma_i.  The
 module holds the intensity-vector type, the scalar statistics D, T, B derived
-from it, and the three decision rules built on the log-likelihood ratio:
-the single-point ellipsoid test, the discrete-prior mixture test, and the
+from it, and the three decision rules built on the log-likelihood ratio
+r(y, sigma) = (1/2) sum sigma_i^2 y_i^2/(1+sigma_i^2) - D(sigma)/2: the
+single-point ellipsoid test, the discrete-prior mixture test, and the
 max-likelihood-ratio (GLRT) test over a finite candidate set.
+
+D(sigma) = sum ln(1+sigma_i^2) is computed only by ``IntensityVector.D``.  The
+rules share one core, ``_QuadraticFormTest``, which builds the weights W (k, n)
+and D_k of its points once and owns ``accepts``; each rule supplies only how it
+combines the forms y^2 . w_k - D_k: a threshold, a weighted log-sum-exp or a
+maximum.  The ``*_decide`` helpers are ``accepts`` on one row.
 """
 
 from __future__ import annotations
@@ -71,6 +78,11 @@ class IntensityVector:
         s2 = self.squared
         return s2 / (1.0 + s2)
 
+    @property
+    def D(self) -> float:
+        """D = sum ln(1+sigma_i^2), the normalizer of the likelihood ratio."""
+        return float(np.sum(np.log1p(self.squared)))
+
     def __eq__(self, other) -> bool:
         return isinstance(other, IntensityVector) and np.array_equal(
             self.values, other.values
@@ -105,13 +117,6 @@ def _obs_values(y: Union[Observation, ArrayLike]) -> np.ndarray:
     return _as_vector(y, "y")
 
 
-def _check_dims(y: np.ndarray, sigma: IntensityVector) -> None:
-    if y.size != sigma.n:
-        raise DimensionMismatch(
-            f"observation has length {y.size}, model has length {sigma.n}"
-        )
-
-
 @dataclass(frozen=True)
 class SignalStatistics:
     """Scalar statistics of an intensity vector.
@@ -137,7 +142,7 @@ class SignalStatistics:
 def signal_statistics(sigma: IntensityVector) -> SignalStatistics:
     """Compute D, T, B, delta, and the operating window for ``sigma``."""
     s2 = sigma.squared
-    D = float(np.sum(np.log1p(s2)))
+    D = sigma.D
     T = float(np.sum(s2 / (1.0 + s2)))
     B = float(2.0 * np.sum((s2 / (1.0 + s2)) ** 2))
     if np.all(s2 > 0):
@@ -156,13 +161,46 @@ def log_likelihood_ratio(
     r = (1/2) sum sigma_i^2 y_i^2 / (1+sigma_i^2) - D(sigma)/2.
     """
     yv = _obs_values(y)
-    _check_dims(yv, sigma)
-    D = float(np.sum(np.log1p(sigma.squared)))
-    return float(0.5 * np.dot(yv**2, sigma.r_squared) - 0.5 * D)
+    if yv.size != sigma.n:
+        raise DimensionMismatch(
+            f"observation has length {yv.size}, model has length {sigma.n}"
+        )
+    return float(0.5 * np.dot(yv**2, sigma.r_squared) - 0.5 * sigma.D)
+
+
+class _QuadraticFormTest:
+    """Decision rule over points sigma_k: 2 r(y, sigma_k) = y^2 . w_k - D_k.
+
+    ``_build`` stacks the weights w_k = sigma_k^2/(1+sigma_k^2) into W (k, n)
+    and D_k = D(sigma_k) once; subclasses map the rows Y (m, n) to the
+    H0-acceptance mask in ``_combine``, squaring Y inside the product so that
+    Y^2 is freed before the larger (m, k) intermediates are made.
+    """
+
+    def _build(self, points: Sequence[IntensityVector]) -> None:
+        object.__setattr__(self, "_W", np.stack([p.r_squared for p in points]))
+        object.__setattr__(self, "_D", np.array([p.D for p in points]))
+
+    @property
+    def n(self) -> int:
+        return self._W.shape[1]
+
+    def accepts(self, Y: np.ndarray) -> np.ndarray:
+        """Vectorized H0-acceptance over rows of Y (shape (m, n))."""
+        Y = np.atleast_2d(np.asarray(Y, dtype=float))
+        if Y.shape[1] != self.n:
+            raise DimensionMismatch(
+                f"rows of Y have length {Y.shape[1]}, test has {self.n}"
+            )
+        return self._combine(Y)
+
+    def _decide(self, y: Union[Observation, ArrayLike]) -> Hypothesis:
+        accepted = bool(self.accepts(_obs_values(y)[None, :])[0])
+        return Hypothesis.H0 if accepted else Hypothesis.H1
 
 
 @dataclass(frozen=True)
-class NpTest:
+class NpTest(_QuadraticFormTest):
     """Single-point ellipsoid test: accept H0 iff sum w_i y_i^2 <= D + A.
 
     The weights are w_i = sigma_i^2/(1+sigma_i^2).  The acceptance region is
@@ -181,28 +219,20 @@ class NpTest:
             )
         lo, hi = stats.window
         object.__setattr__(self, "in_window", lo < self.A < hi)
+        self._build((self.sigma,))
 
     @property
     def threshold(self) -> float:
         """The ellipsoid radius D(sigma) + A."""
-        return float(np.sum(np.log1p(self.sigma.squared))) + self.A
+        return float(self._D[0]) + self.A
 
-    def accepts(self, Y: np.ndarray) -> np.ndarray:
-        """Vectorized H0-acceptance over rows of Y (shape (m, n))."""
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        if Y.shape[1] != self.sigma.n:
-            raise DimensionMismatch(
-                f"rows of Y have length {Y.shape[1]}, model has {self.sigma.n}"
-            )
-        stat = (Y**2) @ self.sigma.r_squared
-        return stat <= self.threshold
+    def _combine(self, Y: np.ndarray) -> np.ndarray:
+        return (Y**2) @ self._W[0] <= self.threshold
 
 
 def np_decide(test: NpTest, y: Union[Observation, ArrayLike]) -> Hypothesis:
     """Decide H0/H1 for a single observation under the ellipsoid test."""
-    yv = _obs_values(y)
-    _check_dims(yv, test.sigma)
-    return Hypothesis.H0 if bool(test.accepts(yv[None, :])[0]) else Hypothesis.H1
+    return test._decide(y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,11 +294,7 @@ def bayes_log_ratio(
     hundreds does not underflow.  With a one-point prior this equals
     ``log_likelihood_ratio`` exactly.
     """
-    yv = _obs_values(y)
-    if yv.size != prior.n:
-        raise DimensionMismatch(
-            f"observation has length {yv.size}, prior has length {prior.n}"
-        )
+    yv = _obs_values(y)  # log_likelihood_ratio checks the length
     logs = np.array(
         [log_likelihood_ratio(yv, p) for p in prior.points], dtype=float
     )
@@ -276,24 +302,18 @@ def bayes_log_ratio(
 
 
 @dataclass(frozen=True, eq=False)
-class BayesTest:
+class BayesTest(_QuadraticFormTest):
     """Mixture test: accept H0 iff the log mixture ratio is <= level."""
 
     prior: DiscretePrior
     level: float
 
-    def accepts(self, Y: np.ndarray) -> np.ndarray:
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        if Y.shape[1] != self.prior.n:
-            raise DimensionMismatch(
-                f"rows of Y have length {Y.shape[1]}, prior has {self.prior.n}"
-            )
-        W = np.stack([p.r_squared for p in self.prior.points])  # (k, n)
-        Dk = np.array(
-            [float(np.sum(np.log1p(p.squared))) for p in self.prior.points]
-        )
-        logs = 0.5 * (Y**2) @ W.T  # (m, k)
-        logs -= 0.5 * Dk
+    def __post_init__(self):
+        self._build(self.prior.points)
+
+    def _combine(self, Y: np.ndarray) -> np.ndarray:
+        logs = 0.5 * (Y**2) @ self._W.T  # (m, k)
+        logs -= 0.5 * self._D
         return _log_weighted_sum_exp(logs, self.prior.weights) <= self.level
 
 
@@ -301,8 +321,7 @@ def bayes_decide(
     y: Union[Observation, ArrayLike], prior: DiscretePrior, level: float
 ) -> Hypothesis:
     """Decide H0/H1 with the mixture test at the given level."""
-    value = bayes_log_ratio(y, prior)
-    return Hypothesis.H0 if value <= level else Hypothesis.H1
+    return BayesTest(prior, level)._decide(y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,7 +411,7 @@ def _levels_array(levels: Union[float, ArrayLike], m: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class GlrtTest:
+class GlrtTest(_QuadraticFormTest):
     """Max-ratio test: accept H0 iff max_k [2 r(y, sigma_k) - A_k] <= 0."""
 
     candidates: FinitePoints
@@ -402,20 +421,11 @@ class GlrtTest:
         levels = _levels_array(self.levels, len(self.candidates))
         levels.setflags(write=False)
         object.__setattr__(self, "levels", levels)
+        self._build(self.candidates.points)
 
-    def accepts(self, Y: np.ndarray) -> np.ndarray:
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        if Y.shape[1] != self.candidates.n:
-            raise DimensionMismatch(
-                f"rows of Y have length {Y.shape[1]}, candidates have "
-                f"{self.candidates.n}"
-            )
-        W = np.stack([p.r_squared for p in self.candidates.points])
-        Dk = np.array(
-            [float(np.sum(np.log1p(p.squared))) for p in self.candidates.points]
-        )
+    def _combine(self, Y: np.ndarray) -> np.ndarray:
         # 2 r(y, sigma_k) - A_k = y^2 . w_k - D_k - A_k
-        stat = (Y**2) @ W.T - Dk - self.levels
+        stat = (Y**2) @ self._W.T - self._D - self.levels
         return np.max(stat, axis=1) <= 0.0
 
 
@@ -429,10 +439,4 @@ def glrt_decide(
     ``levels`` is a per-candidate array or one scalar used for every
     candidate.  Boundary ties decide H0 (closed acceptance region).
     """
-    yv = _obs_values(y)
-    test = GlrtTest(candidates, levels)
-    if yv.size != candidates.n:
-        raise DimensionMismatch(
-            f"observation has length {yv.size}, candidates have {candidates.n}"
-        )
-    return Hypothesis.H0 if bool(test.accepts(yv[None, :])[0]) else Hypothesis.H1
+    return GlrtTest(candidates, levels)._decide(y)

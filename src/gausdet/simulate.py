@@ -69,23 +69,23 @@ def _shard_rows(n: int) -> int:
 
 def _shard_plan(samples: int, n: int):
     rows = _shard_rows(n)
-    shard = 0
-    done = 0
-    while done < samples:
-        take = min(rows, samples - done)
-        yield shard, take
-        shard += 1
-        done += take
+    for shard, done in enumerate(range(0, samples, rows)):
+        yield shard, min(rows, samples - done)
 
 
-def _test_dim(test: Test) -> int:
-    if isinstance(test, NpTest):
-        return test.sigma.n
-    if isinstance(test, BayesTest):
-        return test.prior.n
-    if isinstance(test, GlrtTest):
-        return test.candidates.n
-    raise InvalidInput(f"unsupported test type {type(test).__name__}")
+def _shard_counts(
+    seed: int, samples: int, row_scalars: int, events
+) -> list[int]:
+    """Hit counts per event over the shards of one run, the only shard loop.
+
+    ``events(rng, rows)`` draws a shard's rows from its stream and returns one
+    boolean array per event; row_scalars (normals per row) sets the row counts.
+    """
+    totals = 0
+    for shard, rows in _shard_plan(samples, row_scalars):
+        rng = shard_stream(seed, shard)
+        totals = np.add(totals, [np.count_nonzero(e) for e in events(rng, rows)])
+    return totals.tolist()
 
 
 def estimate_error_probs(
@@ -106,7 +106,7 @@ def estimate_error_probs(
     """
     if samples < MIN_SAMPLES:
         raise InvalidInput(f"samples must be >= {MIN_SAMPLES}")
-    n = _test_dim(test)
+    n = test.n
     scale = None
     if true_sigma is not None:
         if true_sigma.n != n:
@@ -114,14 +114,15 @@ def estimate_error_probs(
                 f"true intensity has length {true_sigma.n}, test has {n}"
             )
         scale = np.sqrt(1.0 + true_sigma.squared)
-    hits = 0
-    for shard, rows in _shard_plan(samples, n):
-        rng = shard_stream(seed, shard)
+
+    def events(rng, rows):
         Y = rng.standard_normal((rows, n))
         if scale is not None:
             Y *= scale
-        acc = test.accepts(Y)
-        hits += int(np.count_nonzero(acc if scale is not None else ~acc))
+        return (test.accepts(Y),)
+
+    (accepted,) = _shard_counts(seed, samples, n, events)
+    hits = accepted if scale is not None else samples - accepted
     return MonteCarloEstimate.from_counts(hits, samples, seed)
 
 
@@ -200,16 +201,10 @@ def _imhof_cdf(w: np.ndarray, x: float) -> float:
     return min(1.0, max(0.0, 0.5 - val / math.pi))
 
 
-def weighted_chi2_cdf(weights, x: float) -> float:
-    """P(sum w_i xi_i^2 <= x) for nonnegative weights, x >= 0.
+def _weighted_chi2(weights, x: float, upper: bool) -> float:
+    """P(sum w_i xi_i^2 > x) if upper, else the cdf of ``weighted_chi2_cdf``.
 
-    Equal weights reduce to the regularized incomplete gamma
-    P(n/2, x/(2w)); one weight reduces to the folded normal CDF.  General
-    weights use the chi-square mixture series (truncation error below
-    1e-13), falling back to characteristic-function inversion when the
-    weight spread makes the series converge too slowly; both paths are
-    cross-validated in the test suite against the closed forms and
-    high-sample Monte Carlo.
+    The closed forms give the upper tail directly (erfc, Q), not as 1 - cdf.
     """
     w = np.atleast_1d(np.asarray(weights, dtype=float))
     if np.any(w < 0):
@@ -218,24 +213,43 @@ def weighted_chi2_cdf(weights, x: float) -> float:
         raise InvalidInput("x must be nonnegative")
     w = w[w > 0]  # zero-weight components contribute nothing
     if w.size == 0:
-        return 1.0  # the sum is identically 0 <= x
+        return 0.0 if upper else 1.0  # the sum is identically 0 <= x
     if x == 0:
-        return 0.0
+        return 1.0 if upper else 0.0
+    if w.size == 1:
+        z = math.sqrt(x / (2.0 * w[0]))
+        return math.erfc(z) if upper else math.erf(z)
     lo, hi = float(np.min(w)), float(np.max(w))
     if hi - lo <= 1e-12 * hi:
-        return regularized_gamma_p(w.size / 2.0, x / (2.0 * hi))
-    if w.size == 1:
-        return math.erf(math.sqrt(x / (2.0 * w[0])))
-    ruben = _ruben_cdf(w, x)
-    if ruben is not None:
-        return ruben
-    return _imhof_cdf(w, x)
+        a, z = w.size / 2.0, x / (2.0 * hi)
+        return regularized_gamma_q(a, z) if upper else regularized_gamma_p(a, z)
+    cdf = _ruben_cdf(w, x)
+    if cdf is None:
+        cdf = _imhof_cdf(w, x)
+    return 1.0 - cdf if upper else cdf
+
+
+def weighted_chi2_cdf(weights, x: float) -> float:
+    """P(sum w_i xi_i^2 <= x) for nonnegative weights, x >= 0.
+
+    One weight reduces to the folded normal CDF; equal weights reduce to the
+    regularized incomplete gamma P(n/2, x/(2w)).  General
+    weights use the chi-square mixture series (truncation error below
+    1e-13), falling back to characteristic-function inversion when the
+    weight spread makes the series converge too slowly; both paths are
+    cross-validated in the test suite against the closed forms and
+    high-sample Monte Carlo.
+    """
+    return _weighted_chi2(weights, x, upper=False)
 
 
 def np_test_exact_probs(test: NpTest):
-    """Exact (alpha, beta) of an ellipsoid test via the weighted chi-square oracle."""
+    """Exact (alpha, beta) of an ellipsoid test via the weighted chi-square oracle.
+
+    alpha is the oracle's upper tail, so a tiny alpha is not rounded to 0.
+    """
     thr = test.threshold
-    alpha = 1.0 - weighted_chi2_cdf(test.sigma.r_squared, thr)
+    alpha = _weighted_chi2(test.sigma.r_squared, thr, upper=True)
     beta = weighted_chi2_cdf(test.sigma.squared, thr)
     return alpha, beta
 
@@ -316,14 +330,13 @@ def lemma1_check(
         raise DimensionMismatch("component SDs must match the region dimension")
     if samples < MIN_SAMPLES:
         raise InvalidInput(f"samples must be >= {MIN_SAMPLES}")
-    hits_sum = 0
-    hits_xi = 0
-    for shard, rows in _shard_plan(samples, 2 * region.dim):
-        rng = shard_stream(seed, shard)
+
+    def events(rng, rows):
         xi = rng.standard_normal((rows, region.dim)) * xi_sd
         eta = rng.standard_normal((rows, region.dim)) * eta_sd
-        hits_xi += int(np.count_nonzero(region.contains(xi)))
-        hits_sum += int(np.count_nonzero(region.contains(xi + eta)))
+        return region.contains(xi + eta), region.contains(xi)
+
+    hits_sum, hits_xi = _shard_counts(seed, samples, 2 * region.dim, events)
     p_sum = MonteCarloEstimate.from_counts(hits_sum, samples, seed)
     p_xi = MonteCarloEstimate.from_counts(hits_xi, samples, seed)
     joint = math.hypot(p_sum.stderr, p_xi.stderr)
@@ -361,12 +374,13 @@ def _max_sq_accept_prob_mc(
     var_scale: np.ndarray, threshold: float, samples: int, seed: int, n: int
 ) -> MonteCarloEstimate:
     """MC frequency of max_i (var_scale_i * xi_i^2) <= threshold."""
-    hits = 0
-    for shard, rows in _shard_plan(samples, n):
-        rng = shard_stream(seed, shard)
+
+    def events(rng, rows):
         Y2 = rng.standard_normal((rows, n)) ** 2
         Y2 *= var_scale
-        hits += int(np.count_nonzero(np.max(Y2, axis=1) <= threshold))
+        return (np.max(Y2, axis=1) <= threshold,)
+
+    (hits,) = _shard_counts(seed, samples, n, events)
     return MonteCarloEstimate.from_counts(hits, samples, seed)
 
 

@@ -59,6 +59,27 @@ class TestConfigHandling:
         assert res.exit_code == 1
         assert "sigma[1] negative" in res.output
 
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("stats", {"sigma": ["a"]}),
+            ("simulate", {"test": "np", "sigma": [1], "A": 0, "true": "H1"}),
+            ("simulate", {"test": "bayes", "level": 0.0,
+                          "prior": {"points": [[1.0]], "weights": "x"}}),
+            ("simulate", {"test": "glrt", "candidates": [[1.0]], "levels": "a"}),
+            ("reduce", {"product_floor": 5}),
+            ("reduce", {"certificate": {"sigma": [1], "lambda": [1], "groups": 5}}),
+            ("reduce", {"certificate": {"sigma": [1], "lambda": [1],
+                                        "groups": [["a"]]}}),
+        ],
+    )
+    def test_malformed_value_rejected(self, runner, command, config):
+        res = run(runner, [command, "--samples", "1000"], config)
+        assert res.exit_code == 1
+        assert res.stderr.startswith("invalid input:")
+        assert "Traceback" not in res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+
     def test_out_of_regime_exit_code(self, runner):
         res = run(
             runner, ["tails"], {"chi2": {"n": 5, "A": 6.0, "tail": "lower"}}
@@ -140,6 +161,32 @@ class TestBounds:
         outs = outputs_by_name(json.loads(res.output))
         assert "beta_mismatch_upper" in outs
         assert "ln_beta_lambda_transfer" in outs
+
+    @pytest.mark.parametrize(
+        "command, config, name",
+        [
+            ("bounds-beta", {"sigma": [1.0] * 10, "A": 1.0}, "u0"),
+            ("bounds-alpha", {"sigma": [1.0] * 20, "A": 4.0}, "t0"),
+            ("mismatch", {"sigma": [1.0, 1.0], "lambda": [1.2, 1.2], "A": -0.8},
+             "v0"),
+        ],
+    )
+    def test_solver_counters_reported(self, runner, command, config, name):
+        res = run(runner, [command], config)
+        assert res.exit_code == 0
+        outs = outputs_by_name(json.loads(res.output))
+        iterations = outs[f"{name}_iterations"]
+        residual = outs[f"{name}_residual"]
+        assert iterations["provenance"] and residual["provenance"]
+        assert isinstance(iterations["value"], int) and iterations["value"] > 0
+        assert abs(residual["value"]) <= 1e-9
+
+    def test_solver_counters_at_an_endpoint(self, runner):
+        res = run(runner, ["bounds-beta"], {"sigma": [1.0, 1.0], "A": 5.0})
+        outs = outputs_by_name(json.loads(res.output))
+        assert outs["boundary_case"]["value"] == "at_zero"
+        assert outs["u0_iterations"]["value"] == 0
+        assert outs["u0_residual"]["value"] < 0.0
 
 
 class TestReduce:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import gammainc, ndtr
+from scipy.special import gammainc, gammaincc, ndtr
 from scipy.stats import chi2
 
 from gausdet import (
@@ -222,6 +222,24 @@ class TestNpTestExactProbs:
         a2, b2 = np_test_exact_probs(NpTest(sigma, A=0.5))
         assert a2 < a1
         assert b2 > b1
+
+    def test_tiny_alpha_on_flat_sigma(self):
+        # Flat sigma = 1, n = 50, A = 60: alpha = Q(25, thr) is about
+        # 4.475e-18, far below the rounding of 1 - cdf.
+        test = NpTest(IntensityVector(np.ones(50)), A=60.0)
+        alpha, _ = np_test_exact_probs(test)
+        want = float(gammaincc(25.0, test.threshold))
+        assert want == pytest.approx(4.475e-18, rel=1e-3, abs=0.0)
+        assert alpha == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    def test_tiny_alpha_with_one_weight(self):
+        # alpha = P(r^2 xi^2 > thr) = Q(1/2, thr / (2 r^2)), far below 1e-16.
+        sigma = IntensityVector([2.0])
+        test = NpTest(sigma, A=80.0)
+        alpha, _ = np_test_exact_probs(test)
+        want = float(gammaincc(0.5, test.threshold / (2.0 * sigma.r_squared[0])))
+        assert 0.0 < want < 1e-20
+        assert alpha == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 class TestRegions:
