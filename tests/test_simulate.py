@@ -398,3 +398,28 @@ class TestPinnedStreams:
             Ellipsoid(np.array([1.0, 2.0]), 1.5), [1, 0.5], [0.3, 0.3], 20_000, 6
         )
         assert (ell.p_sum.p_hat, ell.p_xi.p_hat) == (0.57345, 0.6433)
+
+    def test_example3_over_three_shards(self):
+        n = 2000
+        assert 2 * _shard_rows(n) < 5_000 <= 3 * _shard_rows(n)
+        probe = np.zeros(n)
+        probe[[5, 1234]] = math.sqrt(n / 2.0)
+        rep = example3_experiment(n, 1.0, 5_000, 13, IntensityVector(probe))
+        assert rep.alpha.p_hat == 0.17820000000000003
+        assert rep.beta_sigma1.p_hat == 0.055
+        assert rep.beta_lambda.p_hat == 0.0068
+
+    def test_np_miss_over_three_shards(self):
+        sigma = IntensityVector(np.linspace(0.2, 1.2, 500))
+        lo, hi = signal_statistics(sigma).window
+        test = NpTest(sigma, lo + 0.8 * (hi - lo))
+        assert 2 * _shard_rows(500) < 20_000 <= 3 * _shard_rows(500)
+        assert estimate_error_probs(test, sigma, 20_000, 8).p_hat == 0.12565
+
+    def test_lemma1_over_two_shards(self):
+        assert _shard_rows(2 * 2) < 1_500_000 <= 2 * _shard_rows(2 * 2)
+        box = lemma1_check(
+            Box(np.array([1.0, 0.7])), [1, 1], [0.4, 0.6], 1_500_000, 3
+        )
+        assert box.p_sum.p_hat == 0.2916166666666667
+        assert box.p_xi.p_hat == 0.3522186666666667
