@@ -39,6 +39,11 @@ DEFAULT_SEED = 1
 
 COMMON_KEYS = {"samples", "seed", "format"}
 
+# Caps on a dimension n, documented in docs/formats.md: arrays of n floats
+# stay small, and sum_floor's reduction lists n one-hot vectors of length n.
+MAX_DIM = 10**6
+MAX_ONE_HOT_DIM = 2_000
+
 
 class ConfigError(InvalidInput):
     pass
@@ -113,15 +118,12 @@ def _float_from(cfg: dict, key: str) -> float:
     return _number(cfg[key], key)
 
 
-def _int_from(cfg: dict, key: str, default: Optional[int] = None) -> int:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required field {key!r}")
-        return default
-    value = cfg[key]
-    if not _is_int(value):
-        raise ConfigError(f"{key} must be an integer")
-    return value
+def _dim_from(cfg: dict, key: str, cap: int = MAX_DIM) -> int:
+    """A dimension: a JSON integer in [1, cap]."""
+    n = cfg[key]
+    if not (_is_int(n) and 1 <= n <= cap):
+        raise ConfigError(f"{key} must be an integer in [1, {cap}]")
+    return n
 
 
 class Report:
@@ -267,6 +269,9 @@ def _bounds_beta(cfg, samples, seed) -> Report:
         report.add("ln_beta_constructive_lower", sandwich.constructive_lower,
                    "per-block chi-square lower-tail bound at optimized levels")
         report.add("u1", sandwich.u1, "blockwise stationary point, u1 >= u0")
+        report.add("u1_residual", sandwich.u1_residual,
+                   "sum_k m_k b_k/(1+u1 b_k) - (D + A); zero up to the "
+                   "solver tolerance")
         report.add("K", sandwich.K, "block count")
     except (InvalidInput, OutOfRegime) as exc:
         report.add("ln_beta_sandwich", None, f"not available: {exc}")
@@ -393,7 +398,7 @@ def _reduce(cfg, samples, seed) -> Report:
         pf = _section(cfg, "product_floor")
         _check_keys(pf, {"n", "D"}, {"n", "D"})
         red = reduction.canonical_reduction(
-            ProductFloor(_int_from(pf, "n"), _float_from(pf, "D"))
+            ProductFloor(_dim_from(pf, "n"), _float_from(pf, "D"))
         )
         report.add("reduced", [p.values.tolist() for p in red.points.points],
                    "flat corner point of the product floor")
@@ -403,7 +408,7 @@ def _reduce(cfg, samples, seed) -> Report:
         sf = _section(cfg, "sum_floor")
         _check_keys(sf, {"n", "R"}, {"n", "R"})
         red = reduction.canonical_reduction(
-            SumFloor(_int_from(sf, "n"), _float_from(sf, "R"))
+            SumFloor(_dim_from(sf, "n", MAX_ONE_HOT_DIM), _float_from(sf, "R"))
         )
         report.add("reduced", [p.values.tolist() for p in red.points.points],
                    "one-hot minimizers of D on the sum floor")
@@ -479,7 +484,7 @@ def _simulate(cfg, samples, seed) -> Report:
 def _example1(cfg, samples, seed) -> Report:
     """Product-floor set: exact reduction to its flat corner point."""
     _check_keys(cfg, {"n", "D"}, {"n", "D"})
-    n = _int_from(cfg, "n")
+    n = _dim_from(cfg, "n")
     D = _float_from(cfg, "D")
     red = reduction.canonical_reduction(ProductFloor(n, D))
     point = red.points.points[0]
@@ -500,7 +505,7 @@ def _example1(cfg, samples, seed) -> Report:
 def _example3(cfg, samples, seed) -> Report:
     """Sum-floor set: max-ratio test over one-hot candidates, MC vs caps."""
     _check_keys(cfg, {"n", "R", "lambda"}, {"n", "R"})
-    n = _int_from(cfg, "n")
+    n = _dim_from(cfg, "n")
     R = _float_from(cfg, "R")
     probe = None
     if "lambda" in cfg:
@@ -543,7 +548,7 @@ def _tails(cfg, samples, seed) -> Report:
     if "chi2" in cfg:
         chi = _section(cfg, "chi2")
         _check_keys(chi, {"n", "A", "tail"}, {"n", "A", "tail"})
-        n = _int_from(chi, "n")
+        n = _dim_from(chi, "n")
         A = _float_from(chi, "A")
         if chi["tail"] == "lower":
             sw = tails.chi2_lower_tail_sandwich(A, n)

@@ -18,6 +18,7 @@ maximum.  The ``*_decide`` helpers are ``accepts`` on one row.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence, Union
@@ -125,7 +126,8 @@ class SignalStatistics:
     T = sum sigma_i^2/(1+sigma_i^2)  (mean of the test statistic under noise)
     B = 2 sum sigma_i^4/(1+sigma_i^2)^2  (its variance under noise)
     delta = ln(max sigma_i^2 / min sigma_i^2), defined only when all
-    sigma_i > 0 (None otherwise).
+    sigma_i > 0 (None otherwise); computed as 2 (ln max sigma_i - ln min
+    sigma_i) when a sigma_i^2 or the ratio leaves the normal float range.
 
     window is the open interval (T - D, sum sigma_i^2 - D) of test levels A
     for which both error probabilities decay; the large-deviation machinery
@@ -145,10 +147,15 @@ def signal_statistics(sigma: IntensityVector) -> SignalStatistics:
     D = sigma.D
     T = float(np.sum(s2 / (1.0 + s2)))
     B = float(2.0 * np.sum((s2 / (1.0 + s2)) ** 2))
-    if np.all(s2 > 0):
-        delta = float(np.log(np.max(s2) / np.min(s2)))
-    else:
-        delta = None
+    delta = None
+    if np.all(sigma.values > 0):
+        lo = float(np.min(s2))  # Python floats: an overflow gives inf, no warning
+        ratio = float(np.max(s2)) / lo if lo >= sys.float_info.min else math.inf
+        if ratio < math.inf:
+            delta = float(np.log(ratio))
+        else:  # sigma_i^2 leaves the normal float range; take the logs first
+            v = sigma.values
+            delta = float(2.0 * (np.log(np.max(v)) - np.log(np.min(v))))
     window = (T - D, float(np.sum(s2)) - D)
     return SignalStatistics(D=D, T=T, B=B, delta=delta, window=window)
 
@@ -172,9 +179,10 @@ class _QuadraticFormTest:
     """Decision rule over points sigma_k: 2 r(y, sigma_k) = y^2 . w_k - D_k.
 
     ``_build`` stacks the weights w_k = sigma_k^2/(1+sigma_k^2) into W (k, n)
-    and D_k = D(sigma_k) once; subclasses map the rows Y (m, n) to the
-    H0-acceptance mask in ``_combine``, squaring Y inside the product so that
-    Y^2 is freed before the larger (m, k) intermediates are made.
+    and D_k = D(sigma_k) once; ``accepts`` squares the rows Y (m, n) and
+    subclasses map Y^2 to the H0-acceptance mask in ``_combine``.  Y^2 is
+    passed on as the only reference to it, so ``_combine`` owns it and can
+    free it before the larger (m, k) intermediates are made.
     """
 
     def _build(self, points: Sequence[IntensityVector]) -> None:
@@ -185,14 +193,18 @@ class _QuadraticFormTest:
     def n(self) -> int:
         return self._W.shape[1]
 
-    def accepts(self, Y: np.ndarray) -> np.ndarray:
-        """Vectorized H0-acceptance over rows of Y (shape (m, n))."""
+    def accepts(self, Y: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
+        """Vectorized H0-acceptance over rows of Y (shape (m, n)).
+
+        With overwrite=True a float array Y may be squared in place, which
+        saves one (m, n) array; Y's contents are then undefined.
+        """
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         if Y.shape[1] != self.n:
             raise DimensionMismatch(
                 f"rows of Y have length {Y.shape[1]}, test has {self.n}"
             )
-        return self._combine(Y)
+        return self._combine(np.square(Y, out=Y if overwrite else None))
 
     def _decide(self, y: Union[Observation, ArrayLike]) -> Hypothesis:
         accepted = bool(self.accepts(_obs_values(y)[None, :])[0])
@@ -226,8 +238,8 @@ class NpTest(_QuadraticFormTest):
         """The ellipsoid radius D(sigma) + A."""
         return float(self._D[0]) + self.A
 
-    def _combine(self, Y: np.ndarray) -> np.ndarray:
-        return (Y**2) @ self._W[0] <= self.threshold
+    def _combine(self, Y2: np.ndarray) -> np.ndarray:
+        return Y2 @ self._W[0] <= self.threshold
 
 
 def np_decide(test: NpTest, y: Union[Observation, ArrayLike]) -> Hypothesis:
@@ -311,8 +323,10 @@ class BayesTest(_QuadraticFormTest):
     def __post_init__(self):
         self._build(self.prior.points)
 
-    def _combine(self, Y: np.ndarray) -> np.ndarray:
-        logs = 0.5 * (Y**2) @ self._W.T  # (m, k)
+    def _combine(self, Y2: np.ndarray) -> np.ndarray:
+        Y2 *= 0.5  # Y2 is owned: 0.5 * Y2 @ W.T without a copy of Y2
+        logs = Y2 @ self._W.T  # (m, k)
+        del Y2  # freed before the log-sum-exp's (m, k) intermediates
         logs -= 0.5 * self._D
         return _log_weighted_sum_exp(logs, self.prior.weights) <= self.level
 
@@ -423,9 +437,11 @@ class GlrtTest(_QuadraticFormTest):
         object.__setattr__(self, "levels", levels)
         self._build(self.candidates.points)
 
-    def _combine(self, Y: np.ndarray) -> np.ndarray:
+    def _combine(self, Y2: np.ndarray) -> np.ndarray:
         # 2 r(y, sigma_k) - A_k = y^2 . w_k - D_k - A_k
-        stat = (Y**2) @ self._W.T - self._D - self.levels
+        stat = Y2 @ self._W.T
+        stat -= self._D
+        stat -= self.levels
         return np.max(stat, axis=1) <= 0.0
 
 

@@ -1,10 +1,16 @@
 """Monte Carlo ground truth and exact distribution oracles.
 
 Sampling uses the counter-based Philox generator with one independent stream
-per shard, keyed by (seed, shard index): estimates are bit-identical for a
-fixed (seed, samples, instance) regardless of how shards would be scheduled,
-and shards never overlap.  Shard row counts depend only on the instance
-dimension, so results are reproducible across machines.
+per shard, keyed by (seed, shard index), so shards never overlap and each is
+a pure function of (seed, shard).  Shard row counts depend only on the
+instance dimension.  A run with more than one shard runs them on
+W = min(shards, CPUs this process may use) threads: worker j takes shards
+j, j + W, j + 2W, ... and returns its own hit counts, which are summed.  numpy
+releases the interpreter lock while it draws normals and multiplies matrices,
+so the workers overlap; each holds one shard's arrays at a time, so the peak
+memory is that of W shards.  Counts are bit-identical for a fixed
+(seed, samples, instance) whatever the worker count, so results are
+reproducible across machines.
 
 The exact oracle for the weighted chi-square probabilities behind alpha and
 beta is a chi-square mixture series with certified truncation error, with the
@@ -18,7 +24,9 @@ module, and the Monte Carlo paths, load numpy and the standard library only.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -73,6 +81,23 @@ def _shard_plan(samples: int, n: int):
         yield shard, min(rows, samples - done)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _count_shards(seed: int, plan, events) -> np.ndarray:
+    """Hit counts per event over the shards of ``plan``, one after another."""
+    totals = 0
+    for shard, rows in plan:
+        rng = shard_stream(seed, shard)
+        totals = np.add(totals, [np.count_nonzero(e) for e in events(rng, rows)])
+    return totals
+
+
 def _shard_counts(
     seed: int, samples: int, row_scalars: int, events
 ) -> list[int]:
@@ -80,12 +105,25 @@ def _shard_counts(
 
     ``events(rng, rows)`` draws a shard's rows from its stream and returns one
     boolean array per event; row_scalars (normals per row) sets the row counts.
+    ``events`` may run on several threads at once, so it must not write
+    shared state.  Worker j of W takes shards j, j + W, ... and the workers'
+    totals are summed: counts are integers, so they do not depend on W.
     """
-    totals = 0
-    for shard, rows in _shard_plan(samples, row_scalars):
-        rng = shard_stream(seed, shard)
-        totals = np.add(totals, [np.count_nonzero(e) for e in events(rng, rows)])
-    return totals.tolist()
+    workers = min(-(-samples // _shard_rows(row_scalars)), _cpu_count())
+    if workers <= 1:
+        plan = _shard_plan(samples, row_scalars)
+        return _count_shards(seed, plan, events).tolist()
+    from concurrent.futures import ThreadPoolExecutor
+
+    def strided(j):  # a lazy plan of its own per worker: generators are not shared
+        return itertools.islice(_shard_plan(samples, row_scalars), j, None, workers)
+
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [
+            pool.submit(_count_shards, seed, strided(j), events)
+            for j in range(workers)
+        ]
+        return np.sum([f.result() for f in futures], axis=0).tolist()
 
 
 def estimate_error_probs(
@@ -119,7 +157,7 @@ def estimate_error_probs(
         Y = rng.standard_normal((rows, n))
         if scale is not None:
             Y *= scale
-        return (test.accepts(Y),)
+        return (test.accepts(Y, overwrite=True),)
 
     (accepted,) = _shard_counts(seed, samples, n, events)
     hits = accepted if scale is not None else samples - accepted
@@ -376,7 +414,8 @@ def _max_sq_accept_prob_mc(
     """MC frequency of max_i (var_scale_i * xi_i^2) <= threshold."""
 
     def events(rng, rows):
-        Y2 = rng.standard_normal((rows, n)) ** 2
+        Y2 = rng.standard_normal((rows, n))
+        np.square(Y2, out=Y2)  # in place: one (rows, n) array per worker
         Y2 *= var_scale
         return (np.max(Y2, axis=1) <= threshold,)
 

@@ -80,6 +80,25 @@ class TestConfigHandling:
         assert "Traceback" not in res.output
         assert res.exception is None or isinstance(res.exception, SystemExit)
 
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("reduce", {"sum_floor": {"n": 10**400, "R": 1}}),
+            ("reduce", {"product_floor": {"n": 10**400, "D": 1}}),
+            ("example1", {"n": 10**12, "D": 1}),
+            ("example1", {"n": 0, "D": 1}),
+            ("reduce", {"sum_floor": {"n": 2_001, "R": 1}}),
+            ("example3", {"n": 10**6 + 1, "R": 1}),
+            ("tails", {"chi2": {"n": -3, "A": 1.0, "tail": "lower"}}),
+        ],
+    )
+    def test_dimension_out_of_range_rejected(self, runner, command, config):
+        res = run(runner, [command, "--samples", "1000"], config)
+        assert res.exit_code == 1
+        assert res.stderr.startswith("invalid input: n must be an integer in [1, ")
+        assert "Traceback" not in res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+
     def test_out_of_regime_exit_code(self, runner):
         res = run(
             runner, ["tails"], {"chi2": {"n": 5, "A": 6.0, "tail": "lower"}}
@@ -138,6 +157,19 @@ class TestBounds:
         assert outs["boundary_case"]["value"] == "interior"
         assert outs["ln_beta_lower"]["value"] <= outs["ln_beta_upper"]["value"]
         assert outs["K"]["value"] >= 1
+
+    @pytest.mark.parametrize(
+        "sigma", [[1.0] * 10, [0.3, 0.9, 1.4, 2.2, 5.0], list(np.linspace(0.1, 3, 200))]
+    )
+    def test_u1_residual_reported(self, runner, sigma):
+        stats = signal_statistics(IntensityVector(sigma))
+        A = 0.3 * stats.window[0] + 0.7 * stats.window[1]
+        res = run(runner, ["bounds-beta"], {"sigma": sigma, "A": A})
+        assert res.exit_code == 0
+        outs = outputs_by_name(json.loads(res.output))
+        residual = outs["u1_residual"]
+        assert residual["provenance"]
+        assert abs(residual["value"]) <= 1e-9 * max(1.0, abs(stats.D + A))
 
     def test_bounds_beta_sandwich_unavailable_outside_window(self, runner):
         res = run(runner, ["bounds-beta"], {"sigma": [1.0, 1.0], "A": 5.0})

@@ -76,3 +76,44 @@ def test_cli_never_loads_scipy_and_the_oracle_does():
     # Ruben-series value on unequal weights, as computed before scipy
     # was moved off the import path.
     assert out["value"] == 0.4236140673190503
+
+
+POOL_SCRIPT = """
+import json, sys
+from click.testing import CliRunner
+import gausdet.cli
+from gausdet import IntensityVector, NpTest, estimate_error_probs, simulate
+
+def pool_loaded():
+    return "concurrent.futures" in sys.modules
+
+after_import = pool_loaded()
+cfg = {"test": "np", "sigma": [1.0, 2.0], "A": 0.0, "samples": 1000}
+result = CliRunner().invoke(gausdet.cli.main, ["simulate"], input=json.dumps(cfg))
+code = result.exit_code
+after_single_shard = pool_loaded()
+test = NpTest(IntensityVector([1.0] * 2000), 0.0)
+estimate_error_probs(test, None, 3 * simulate._shard_rows(2000), 1)
+print(json.dumps({"after_import": after_import, "code": code,
+                  "after_single_shard": after_single_shard,
+                  "after_multi_shard": pool_loaded(),
+                  "cpus": simulate._cpu_count()}))
+"""
+
+
+def test_single_shard_calls_never_load_the_thread_pool():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", POOL_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["code"] == 0
+    assert out["after_import"] is False
+    assert out["after_single_shard"] is False
+    # Three shards run on a pool wherever this process may use two CPUs.
+    assert out["after_multi_shard"] is (out["cpus"] > 1)

@@ -96,6 +96,13 @@ class TestSignalStatistics:
         stats = signal_statistics(IntensityVector(np.array([0.0, 1.0])))
         assert stats.delta is None
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("decades", [160, 170])
+    def test_delta_outside_the_float_range_of_sigma_squared(self, decades):
+        # max/min sigma^2 overflows at 1e-160; sigma^2 underflows to 0 at 1e-170.
+        stats = signal_statistics(IntensityVector([10.0**-decades, 1.0]))
+        assert stats.delta == pytest.approx(2 * decades * math.log(10), rel=1e-15)
+
     @given(sigmas)
     def test_ordering_t_le_d_le_sum(self, sigma):
         # x/(1+x) <= ln(1+x) <= x componentwise.

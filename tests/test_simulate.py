@@ -1,6 +1,7 @@
 """Unit tests for Monte Carlo machinery and the exact distribution oracles."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -27,10 +28,12 @@ from gausdet import (
     weighted_chi2_cdf,
 )
 from gausdet.errors import DimensionMismatch, InvalidInput
+from gausdet import simulate
 from gausdet.simulate import (
     MonteCarloEstimate,
     _imhof_cdf,
     _ruben_cdf,
+    _shard_counts,
     _shard_plan,
     _shard_rows,
     shard_stream,
@@ -423,3 +426,39 @@ class TestPinnedStreams:
         )
         assert box.p_sum.p_hat == 0.2916166666666667
         assert box.p_xi.p_hat == 0.3522186666666667
+
+
+class TestShardExecutor:
+    """Shards run on min(shards, CPUs) threads with counts independent of it."""
+
+    @staticmethod
+    def events(rng, rows):
+        Y = rng.standard_normal((rows, 3))
+        return Y[:, 0] > 0.5, np.abs(Y).max(axis=1) < 1.0
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_counts_do_not_depend_on_worker_count(self, monkeypatch, cpus):
+        # Four shards of 1,000 rows and a short fifth: uneven strides.
+        samples = 4 * _shard_rows(4000) + 123
+        serial = [0, 0]
+        for shard, rows in _shard_plan(samples, 4000):
+            for i, e in enumerate(self.events(shard_stream(9, shard), rows)):
+                serial[i] += int(np.count_nonzero(e))
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
+        assert _shard_counts(9, samples, 4000, self.events) == serial
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 3)
+        error = InvalidInput("raised on a worker")
+        threads = set()
+
+        def events(rng, rows):
+            threads.add(threading.get_ident())
+            if rows < _shard_rows(4000):  # the short last shard, on worker 2
+                raise error
+            return (np.zeros(rows, dtype=bool),)
+
+        with pytest.raises(InvalidInput) as info:
+            _shard_counts(1, 2 * _shard_rows(4000) + 10, 4000, events)
+        assert info.value is error
+        assert threading.get_ident() not in threads
