@@ -107,23 +107,32 @@ def _shard_counts(
     boolean array per event; row_scalars (normals per row) sets the row counts.
     ``events`` may run on several threads at once, so it must not write
     shared state.  Worker j of W takes shards j, j + W, ... and the workers'
-    totals are summed: counts are integers, so they do not depend on W.
+    totals are summed: counts are integers, so they do not depend on W.  The
+    first exception raised on a worker, or in the waiting caller (an
+    interrupt), stops every worker after its current shard and propagates.
     """
     workers = min(-(-samples // _shard_rows(row_scalars)), _cpu_count())
     if workers <= 1:
         plan = _shard_plan(samples, row_scalars)
         return _count_shards(seed, plan, events).tolist()
-    from concurrent.futures import ThreadPoolExecutor
+    import threading
+    from concurrent.futures import ThreadPoolExecutor, as_completed
+
+    stop = threading.Event()
 
     def strided(j):  # a lazy plan of its own per worker: generators are not shared
-        return itertools.islice(_shard_plan(samples, row_scalars), j, None, workers)
+        plan = itertools.islice(_shard_plan(samples, row_scalars), j, None, workers)
+        return itertools.takewhile(lambda _: not stop.is_set(), plan)
 
     with ThreadPoolExecutor(workers) as pool:
         futures = [
             pool.submit(_count_shards, seed, strided(j), events)
             for j in range(workers)
         ]
-        return np.sum([f.result() for f in futures], axis=0).tolist()
+        try:
+            return np.sum([f.result() for f in as_completed(futures)], axis=0).tolist()
+        finally:
+            stop.set()
 
 
 def estimate_error_probs(

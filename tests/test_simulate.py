@@ -2,6 +2,7 @@
 
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -462,3 +463,21 @@ class TestShardExecutor:
             _shard_counts(1, 2 * _shard_rows(4000) + 10, 4000, events)
         assert info.value is error
         assert threading.get_ident() not in threads
+
+    def test_a_failed_worker_stops_the_others(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+        calls = []
+        lock = threading.Lock()
+
+        def events(rng, rows):
+            with lock:
+                calls.append(rows)
+                first = len(calls) == 1
+            if first:  # the other worker fails meanwhile
+                time.sleep(0.5)
+                return (np.zeros(rows, dtype=bool),)
+            raise InvalidInput("raised on a worker")
+
+        with pytest.raises(InvalidInput):
+            _shard_counts(1, 10 * _shard_rows(4000), 4000, events)
+        assert len(calls) == 2  # not the sleeping worker's other four shards
