@@ -26,10 +26,10 @@ from gausdet import (
     lemma1_check,
     np_test_exact_probs,
     signal_statistics,
+    simulate,
     weighted_chi2_cdf,
 )
 from gausdet.errors import DimensionMismatch, InvalidInput
-from gausdet import simulate
 from gausdet.simulate import (
     MonteCarloEstimate,
     _imhof_cdf,
