@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -24,6 +25,41 @@ def run(runner, args, config):
 
 def outputs_by_name(payload):
     return {out["name"]: out for out in payload["outputs"]}
+
+
+PINNED = os.path.join(os.path.dirname(__file__), "pinned_reports.json")
+
+
+def _pinned():
+    with open(PINNED, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+class TestPinnedReports:
+    """Full reports, pinned: the JSON minus ``wall_time_s`` and the CSV text.
+
+    One config per subcommand plus the echo quirks: integer ``points`` and
+    ``samples``/``format`` echoed raw by ``reduce``, ``example3`` without
+    ``lambda`` (echoed as null), ``bounds-beta`` with ``K`` and with
+    ``"K": null`` (neither echoes ``K``), ``glrt`` with scalar ``levels`` and
+    ``simulate`` with a ``true`` vector.  JSON is compared after re-dumping,
+    so an integer that turns into a float fails.
+    """
+
+    @pytest.mark.parametrize(
+        "pin", _pinned(),
+        ids=[f"{i}-{pin['command']}" for i, pin in enumerate(_pinned())],
+    )
+    def test_report_unchanged(self, runner, pin):
+        res = run(runner, [pin["command"]], pin["config"])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.stdout)
+        doc.pop("wall_time_s")
+        assert json.dumps(doc, sort_keys=True) == json.dumps(
+            pin["json"], sort_keys=True)
+        res = run(runner, [pin["command"], "--format", "csv"], pin["config"])
+        assert res.exit_code == 0, res.output
+        assert res.stdout == pin["csv"]
 
 
 class TestConfigHandling:
