@@ -1,9 +1,12 @@
 """Command line interface: config ingestion, scenario runners, reporting.
 
-One JSON config format serves files and stdin; every subcommand validates
-its fields strictly (unknown fields are rejected) before dispatch, and emits
-a machine-readable report on stdout as JSON or flattened CSV.  Exit codes:
-0 success, 1 invalid input, 2 out of regime.  See docs/formats.md for the
+One JSON config format serves files and stdin.  Each subcommand has one
+field table, and ``_parse`` checks a config against it: unknown field, then
+missing required field, then each value through its typed reader.  It reads
+the common fields (top level only, checked even where a flag overrides
+them) and every nested section the same way.  Handlers get the parsed values
+and emit a report on stdout as JSON or flattened CSV.  Exit codes: 0
+success, 1 invalid input, 2 out of regime.  See docs/formats.md for the
 bit-exact config and report schemas.
 """
 
@@ -15,7 +18,7 @@ import json
 import math
 import sys
 import time
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import click
 import numpy as np
@@ -36,8 +39,6 @@ from .model import (
 
 DEFAULT_SAMPLES = 100_000
 DEFAULT_SEED = 1
-
-COMMON_KEYS = {"samples", "seed", "format"}
 
 # Caps on a dimension n, documented in docs/formats.md: arrays of n floats
 # stay small, and sum_floor's reduction lists n one-hot vectors of length n.
@@ -68,31 +69,25 @@ def _load_config(config_path: Optional[str]) -> dict:
     return cfg
 
 
-def _check_keys(cfg: dict, allowed: set[str], required: set[str]) -> None:
-    unknown = set(cfg) - allowed - COMMON_KEYS
-    if unknown:
-        raise ConfigError(f"unknown field {sorted(unknown)[0]!r}")
-    missing = required - set(cfg)
-    if missing:
-        raise ConfigError(f"missing required field {sorted(missing)[0]!r}")
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, float) or _is_int(value)
-
-
+# Readers: (JSON value, field name) -> parsed value, or a ConfigError naming it.
 def _number(value, key: str) -> float:
     """A finite JSON number as a float."""
     try:
-        if _is_number(value) and math.isfinite(value):
+        if (isinstance(value, float) or _is_int(value)) and math.isfinite(value):
             return float(value)
     except OverflowError:  # an integer beyond the float range
         pass
     raise ConfigError(f"{key} must be a finite number")
+
+
+def _integer(value, key: str) -> int:
+    if not _is_int(value):
+        raise ConfigError(f"{key} must be an integer")
+    return value
 
 
 def _vector(value, key: str) -> np.ndarray:
@@ -102,28 +97,74 @@ def _vector(value, key: str) -> np.ndarray:
     return np.array([_number(v, f"{key}[{i}]") for i, v in enumerate(value)])
 
 
-def _section(cfg: dict, key: str) -> dict:
-    """A nested JSON object."""
-    value = cfg[key]
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be a JSON object")
+def _sigma(value, key: str) -> IntensityVector:
+    return IntensityVector(_vector(value, key))
+
+
+def _points(value, key: str) -> FinitePoints:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{key} must be a nonempty array of arrays")
+    return FinitePoints(tuple(_sigma(p, f"{key}[{i}]") for i, p in enumerate(value)))
+
+
+def _groups(value, key: str) -> list:
+    if not (isinstance(value, list) and value and all(
+            isinstance(g, list) and all(map(_is_int, g)) for g in value)):
+        raise ConfigError(f"{key} must be a nonempty array of arrays of integers")
     return value
 
 
-def _sigma_from(cfg: dict, key: str = "sigma") -> IntensityVector:
-    return IntensityVector(_vector(cfg[key], key))
-
-
-def _float_from(cfg: dict, key: str) -> float:
-    return _number(cfg[key], key)
-
-
-def _dim_from(cfg: dict, key: str, cap: int = MAX_DIM) -> int:
+def _dim(cap: int = MAX_DIM) -> Callable:
     """A dimension: a JSON integer in [1, cap]."""
-    n = cfg[key]
-    if not (_is_int(n) and 1 <= n <= cap):
-        raise ConfigError(f"{key} must be an integer in [1, {cap}]")
-    return n
+    def read(value, key: str) -> int:
+        if not (_is_int(value) and 1 <= value <= cap):
+            raise ConfigError(f"{key} must be an integer in [1, {cap}]")
+        return value
+    return read
+
+
+def _choice(*options: str) -> Callable:
+    def read(value, key: str) -> str:
+        if not (isinstance(value, str) and value in options):
+            listed = ", ".join(map(repr, options))
+            raise ConfigError(f"{key} must be one of {listed}")
+        return value
+    return read
+
+
+def _parse(cfg: dict, fields: dict) -> dict:
+    """Read cfg against a table that maps each field to its reader, or to
+    (reader, default) when it is optional; a nested section's reader is its
+    own table.  An absent optional field takes its default as it stands.
+    """
+    unknown = sorted(set(cfg) - set(fields))
+    if unknown:
+        raise ConfigError(f"unknown field {unknown[0]!r}")
+    missing = sorted(k for k, spec in fields.items()
+                     if not isinstance(spec, tuple) and k not in cfg)
+    if missing:
+        raise ConfigError(f"missing required field {missing[0]!r}")
+    args = {}
+    for k, spec in fields.items():
+        read, default = spec if isinstance(spec, tuple) else (spec, None)
+        if k not in cfg:
+            args[k] = default
+        elif not isinstance(read, dict):
+            args[k] = read(cfg[k], k)
+        elif isinstance(cfg[k], dict):
+            args[k] = _parse(cfg[k], read)
+        else:
+            raise ConfigError(f"{k} must be a JSON object")
+    return args
+
+
+# Read at the top level of every subcommand, before its own fields; a flag
+# given on the command line overrides the value read.
+COMMON_FIELDS = {
+    "format": (_choice("json", "csv"), "json"),
+    "samples": (_integer, DEFAULT_SAMPLES),
+    "seed": (_integer, DEFAULT_SEED),
+}
 
 
 class Report:
@@ -184,21 +225,14 @@ def _common_options(fn):
     return fn
 
 
-def _run(handler, config_path, seed, samples, fmt):
+def _run(handler, fields, config_path, flags: dict):
     try:
         cfg = _load_config(config_path)
-        fmt = fmt or cfg.get("format", "json")
-        if fmt not in ("json", "csv"):
-            raise ConfigError("format must be 'json' or 'csv'")
-        samples = samples if samples is not None else cfg.get("samples",
-                                                             DEFAULT_SAMPLES)
-        seed = seed if seed is not None else cfg.get("seed", DEFAULT_SEED)
-        if not _is_int(samples):
-            raise ConfigError("samples must be an integer")
-        if not _is_int(seed):
-            raise ConfigError("seed must be an integer")
-        report = handler(cfg, samples, seed)
-        click.echo(report.render(fmt))
+        table = fields if isinstance(fields, dict) else fields(cfg)
+        args = _parse(cfg, {**COMMON_FIELDS, **table})
+        args.update((k, v) for k, v in flags.items() if v is not None)
+        report = handler(args, cfg)
+        click.echo(report.render(args["format"]))
     except OutOfRegime as exc:
         click.echo(f"out of regime: {exc}", err=True)
         sys.exit(2)
@@ -208,24 +242,28 @@ def _run(handler, config_path, seed, samples, fmt):
     sys.exit(0)
 
 
-def _register(name: str):
+FIELDS: dict[str, Any] = {}  # subcommand -> table, or a function of the config
+
+
+def _register(name: str, fields):
     def deco(handler):
         @main.command(name=name, help=handler.__doc__)
         @_common_options
         def _cmd(config_path, seed, samples, fmt):
-            _run(handler, config_path, seed, samples, fmt)
+            _run(handler, fields, config_path,
+                 {"seed": seed, "samples": samples, "format": fmt})
 
         _cmd.__name__ = name.replace("-", "_")
+        FIELDS[name] = fields
         return handler
 
     return deco
 
 
-@_register("stats")
-def _stats(cfg, samples, seed) -> Report:
+@_register("stats", {"sigma": _sigma})
+def _stats(args, cfg) -> Report:
     """Scalar statistics D, T, B, delta and the operating window."""
-    _check_keys(cfg, {"sigma"}, {"sigma"})
-    sigma = _sigma_from(cfg)
+    sigma = args["sigma"]
     stats = signal_statistics(sigma)
     report = Report("stats", {"sigma": sigma.values.tolist()})
     report.add("D", stats.D, "D = sum ln(1+sigma_i^2)")
@@ -239,15 +277,15 @@ def _stats(cfg, samples, seed) -> Report:
     return report
 
 
-@_register("bounds-beta")
-def _bounds_beta(cfg, samples, seed) -> Report:
+def _block_count(value, key: str) -> Optional[int]:
+    """K; null means omitted, as an absent K does."""
+    return None if value is None else _integer(value, key)
+
+
+@_register("bounds-beta", {"sigma": _sigma, "A": _number, "K": (_block_count, None)})
+def _bounds_beta(args, cfg) -> Report:
     """Chernoff upper bound and block-partition sandwich on the miss probability."""
-    _check_keys(cfg, {"sigma", "A", "K"}, {"sigma", "A"})
-    sigma = _sigma_from(cfg)
-    A = _float_from(cfg, "A")
-    K = cfg.get("K")
-    if K is not None and not _is_int(K):
-        raise ConfigError("K must be an integer")
+    sigma, A = args["sigma"], args["A"]
     report = Report("bounds-beta", {"sigma": sigma.values.tolist(), "A": A})
     sol = exponents.solve_u0(sigma, A)
     report.add("u0", sol.argmax, "stationary point of the miss exponent g")
@@ -261,7 +299,7 @@ def _bounds_beta(cfg, samples, seed) -> Report:
     report.add("beta_upper", exponents.beta_upper_bound(sigma, A),
                "Chernoff bound exp(-g(u0))")
     try:
-        sandwich = exponents.beta_lower_bound(sigma, A, K=K)
+        sandwich = exponents.beta_lower_bound(sigma, A, K=args["K"])
         report.add("ln_beta_lower", sandwich.interval.lower,
                    sandwich.interval.lower_provenance)
         report.add("ln_beta_upper", sandwich.interval.upper,
@@ -278,12 +316,10 @@ def _bounds_beta(cfg, samples, seed) -> Report:
     return report
 
 
-@_register("bounds-alpha")
-def _bounds_alpha(cfg, samples, seed) -> Report:
+@_register("bounds-alpha", {"sigma": _sigma, "A": _number})
+def _bounds_alpha(args, cfg) -> Report:
     """Chernoff and normal-approximation bounds on the false alarm probability."""
-    _check_keys(cfg, {"sigma", "A"}, {"sigma", "A"})
-    sigma = _sigma_from(cfg)
-    A = _float_from(cfg, "A")
+    sigma, A = args["sigma"], args["A"]
     report = Report("bounds-alpha", {"sigma": sigma.values.tolist(), "A": A})
     sol, chernoff, simple = exponents.alpha_upper_bound(sigma, A)
     report.add("t0", sol.argmax, "stationary point of the false-alarm exponent f")
@@ -312,17 +348,12 @@ def _bounds_alpha(cfg, samples, seed) -> Report:
     return report
 
 
-@_register("mismatch")
-def _mismatch(cfg, samples, seed) -> Report:
+@_register("mismatch", {"sigma": _sigma, "lambda": _sigma, "A": _number})
+def _mismatch(args, cfg) -> Report:
     """Mismatched miss bound and replaceability condition checks."""
-    _check_keys(cfg, {"sigma", "lambda", "A"}, {"sigma", "lambda", "A"})
-    sigma = _sigma_from(cfg)
-    lam = _sigma_from(cfg, "lambda")
-    A = _float_from(cfg, "A")
-    report = Report(
-        "mismatch",
-        {"sigma": sigma.values.tolist(), "lambda": lam.values.tolist(), "A": A},
-    )
+    sigma, lam, A = args["sigma"], args["lambda"], args["A"]
+    report = Report("mismatch", {"sigma": sigma.values.tolist(),
+                                 "lambda": lam.values.tolist(), "A": A})
     prof = exponents.mismatch_profile(sigma, lam)
     report.add("nu_squared", prof.nu_squared,
                "transformed variances sigma^2 (1+lambda^2)/(1+sigma^2)")
@@ -356,36 +387,23 @@ def _mismatch(cfg, samples, seed) -> Report:
     return report
 
 
-def _points_from(cfg_points, key: str) -> FinitePoints:
-    if not isinstance(cfg_points, list) or not cfg_points:
-        raise ConfigError(f"{key} must be a nonempty array of arrays")
-    return FinitePoints(
-        tuple(IntensityVector(_vector(p, f"{key}[{i}]"))
-              for i, p in enumerate(cfg_points))
-    )
-
-
-def _groups_from(value, key: str) -> list:
-    if not (isinstance(value, list) and value and all(
-            isinstance(g, list) and all(map(_is_int, g)) for g in value)):
-        raise ConfigError(f"{key} must be a nonempty array of arrays of integers")
-    return value
-
-
-@_register("reduce")
-def _reduce(cfg, samples, seed) -> Report:
+@_register("reduce", {
+    "points": (_points, None),
+    "product_floor": ({"n": _dim(), "D": _number}, None),
+    "sum_floor": ({"n": _dim(MAX_ONE_HOT_DIM), "R": _number}, None),
+    "certificate": ({"sigma": _sigma, "lambda": _sigma, "groups": _groups}, None),
+})
+def _reduce(args, cfg) -> Report:
     """Set reduction: Pareto-minimal subset, canonical reductions, certificates."""
-    _check_keys(
-        cfg,
-        {"points", "product_floor", "sum_floor", "certificate"},
-        set(),
-    )
-    sources = [k for k in ("points", "product_floor", "sum_floor") if k in cfg]
+    sources = [k for k in ("points", "product_floor", "sum_floor")
+               if args[k] is not None]
     if len(sources) > 1:
         raise ConfigError("give exactly one of points, product_floor, sum_floor")
-    report = Report("reduce", {k: cfg[k] for k in cfg})
-    if "points" in cfg:
-        result = reduction.reduce_to_minimal(_points_from(cfg["points"], "points"))
+    if not sources and args["certificate"] is None:
+        raise ConfigError("missing required field 'points'")
+    report = Report("reduce", dict(cfg))
+    if args["points"] is not None:
+        result = reduction.reduce_to_minimal(args["points"])
         report.add("reduced",
                    [p.values.tolist() for p in result.reduced.points],
                    "componentwise-minimal subset")
@@ -394,98 +412,86 @@ def _reduce(cfg, samples, seed) -> Report:
         report.add("witness_map",
                    {str(k): v for k, v in result.witness_map.items()},
                    "removed input index -> dominating kept index")
-    elif "product_floor" in cfg:
-        pf = _section(cfg, "product_floor")
-        _check_keys(pf, {"n", "D"}, {"n", "D"})
-        red = reduction.canonical_reduction(
-            ProductFloor(_dim_from(pf, "n"), _float_from(pf, "D"))
-        )
+    elif args["product_floor"] is not None:
+        red = reduction.canonical_reduction(ProductFloor(**args["product_floor"]))
         report.add("reduced", [p.values.tolist() for p in red.points.points],
                    "flat corner point of the product floor")
         report.add("equality_notion", red.equality_notion,
                    "exact: same minimax miss probability at every level")
-    elif "sum_floor" in cfg:
-        sf = _section(cfg, "sum_floor")
-        _check_keys(sf, {"n", "R"}, {"n", "R"})
-        red = reduction.canonical_reduction(
-            SumFloor(_dim_from(sf, "n", MAX_ONE_HOT_DIM), _float_from(sf, "R"))
-        )
+    elif args["sum_floor"] is not None:
+        red = reduction.canonical_reduction(SumFloor(**args["sum_floor"]))
         report.add("reduced", [p.values.tolist() for p in red.points.points],
                    "one-hot minimizers of D on the sum floor")
         report.add("equality_notion", red.equality_notion,
                    "asymptotic: equality of logarithmic rates only")
-    if "certificate" in cfg:
-        cert_cfg = _section(cfg, "certificate")
-        _check_keys(cert_cfg, {"sigma", "lambda", "groups"},
-                    {"sigma", "lambda", "groups"})
-        cert = reduction.lemma2_certificate(
-            _sigma_from(cert_cfg),
-            _sigma_from(cert_cfg, "lambda"),
-            _groups_from(cert_cfg["groups"], "certificate.groups"),
-        )
+    if args["certificate"] is not None:
+        c = args["certificate"]
+        cert = reduction.lemma2_certificate(c["sigma"], c["lambda"], c["groups"])
         report.add("certificate_valid", cert.valid,
                    "sigma_i <= group geometric mean of lambda, every group")
         report.add("certificate_geo_means", list(cert.geo_means),
                    "geometric mean of lambda per group")
-    if not sources and "certificate" not in cfg:
-        raise ConfigError("missing required field 'points'")
     return report
 
 
-@_register("simulate")
-def _simulate(cfg, samples, seed) -> Report:
+def _truth(value, key: str) -> Optional[IntensityVector]:
+    """The sampling law: "H0" (None) or a true intensity vector."""
+    if value == "H0":
+        return None
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be 'H0' or an array of numbers")
+    return _sigma(value, key)
+
+
+def _levels(value, key: str):
+    """One level for every candidate, or an array of one per candidate."""
+    return _vector(value, key) if isinstance(value, list) else _number(value, key)
+
+
+_TEST_KIND = {"test": _choice("np", "bayes", "glrt")}
+# simulate has one table per test kind.
+SIMULATE_FIELDS = {
+    "np": {**_TEST_KIND, "sigma": _sigma, "A": _number, "true": (_truth, None)},
+    "bayes": {**_TEST_KIND, "prior": {"points": _points, "weights": _vector},
+              "level": _number, "true": (_truth, None)},
+    "glrt": {**_TEST_KIND, "candidates": _points, "levels": _levels,
+             "true": (_truth, None)},
+}
+
+
+def _simulate_fields(cfg: dict) -> dict:
+    """The table of the test kind that cfg names."""
+    kind = _parse({k: cfg[k] for k in _TEST_KIND if k in cfg}, _TEST_KIND)
+    return SIMULATE_FIELDS[kind["test"]]
+
+
+@_register("simulate", _simulate_fields)
+def _simulate(args, cfg) -> Report:
     """Monte Carlo error probabilities for an NP, mixture, or max-ratio test."""
-    _check_keys(
-        cfg,
-        {"test", "sigma", "A", "prior", "level", "candidates", "levels", "true"},
-        {"test"},
-    )
-    kind = cfg["test"]
-    if kind == "np":
-        _check_keys(cfg, {"test", "sigma", "A", "true"}, {"sigma", "A"})
-        test = NpTest(_sigma_from(cfg), _float_from(cfg, "A"))
-    elif kind == "bayes":
-        _check_keys(cfg, {"test", "prior", "level", "true"}, {"prior", "level"})
-        prior_cfg = _section(cfg, "prior")
-        _check_keys(prior_cfg, {"points", "weights"}, {"points", "weights"})
-        prior = DiscretePrior(
-            _points_from(prior_cfg["points"], "prior.points").points,
-            _vector(prior_cfg["weights"], "prior.weights"),
-        )
-        test = BayesTest(prior, _float_from(cfg, "level"))
-    elif kind == "glrt":
-        _check_keys(cfg, {"test", "candidates", "levels", "true"},
-                    {"candidates", "levels"})
-        levels = cfg["levels"]
-        test = GlrtTest(
-            _points_from(cfg["candidates"], "candidates"),
-            _vector(levels, "levels") if isinstance(levels, list)
-            else _number(levels, "levels"),
-        )
+    if args["test"] == "np":
+        test = NpTest(args["sigma"], args["A"])
+    elif args["test"] == "bayes":
+        prior = args["prior"]
+        test = BayesTest(DiscretePrior(prior["points"].points, prior["weights"]),
+                         args["level"])
     else:
-        raise ConfigError("test must be one of 'np', 'bayes', 'glrt'")
-    true_spec = cfg.get("true", "H0")
-    report = Report("simulate", {k: cfg[k] for k in cfg})
-    if true_spec == "H0":
-        est = simulate.estimate_error_probs(test, None, samples, seed)
+        test = GlrtTest(args["candidates"], args["levels"])
+    report = Report("simulate", dict(cfg))
+    est = simulate.estimate_error_probs(test, args["true"], args["samples"],
+                                        args["seed"])
+    if args["true"] is None:
         _mc_outputs(report, "alpha_hat", est,
                     "rejection frequency under pure noise")
     else:
-        if not isinstance(true_spec, list):
-            raise ConfigError("true must be 'H0' or an array of numbers")
-        true_sigma = IntensityVector(_vector(true_spec, "true"))
-        est = simulate.estimate_error_probs(test, true_sigma, samples, seed)
         _mc_outputs(report, "beta_hat", est,
                     "acceptance frequency under the given true intensity")
     return report
 
 
-@_register("example1")
-def _example1(cfg, samples, seed) -> Report:
+@_register("example1", {"n": _dim(), "D": _number})
+def _example1(args, cfg) -> Report:
     """Product-floor set: exact reduction to its flat corner point."""
-    _check_keys(cfg, {"n", "D"}, {"n", "D"})
-    n = _dim_from(cfg, "n")
-    D = _float_from(cfg, "D")
+    n, D = args["n"], args["D"]
     red = reduction.canonical_reduction(ProductFloor(n, D))
     point = red.points.points[0]
     report = Report("example1", {"n": n, "D": D})
@@ -493,27 +499,21 @@ def _example1(cfg, samples, seed) -> Report:
                "flat corner point of the product floor")
     report.add("equality_notion", red.equality_notion,
                "exact: same minimax miss probability at every level")
-    cert = reduction.lemma2_certificate(
-        point, point, [list(range(n))]
-    )
+    cert = reduction.lemma2_certificate(point, point, [list(range(n))])
     report.add("self_certificate_valid", cert.valid,
                "one-group geometric-mean certificate at the corner point")
     return report
 
 
-@_register("example3")
-def _example3(cfg, samples, seed) -> Report:
+@_register("example3", {"n": _dim(), "R": _number, "lambda": (_sigma, None)})
+def _example3(args, cfg) -> Report:
     """Sum-floor set: max-ratio test over one-hot candidates, MC vs caps."""
-    _check_keys(cfg, {"n", "R", "lambda"}, {"n", "R"})
-    n = _dim_from(cfg, "n")
-    R = _float_from(cfg, "R")
-    probe = None
-    if "lambda" in cfg:
-        probe = _sigma_from(cfg, "lambda")
+    n, R, probe = args["n"], args["R"], args["lambda"]
     report = Report("example3", {"n": n, "R": R,
                                  "lambda": None if probe is None
                                  else probe.values.tolist()})
-    rep = simulate.example3_experiment(n, R, samples, seed, probe)
+    rep = simulate.example3_experiment(n, R, args["samples"],
+                                       args["seed"], probe)
     report.add("A", rep.A, "common level 2 ln n - ln(1+n R^2)")
     report.add("threshold", rep.threshold,
                "per-coordinate acceptance threshold on y_i^2")
@@ -533,31 +533,27 @@ def _example3(cfg, samples, seed) -> Report:
     return report
 
 
-@_register("tails")
-def _tails(cfg, samples, seed) -> Report:
+@_register("tails", {
+    "z": (_number, None),
+    "chi2": ({"n": _dim(), "A": _number, "tail": _choice("lower", "upper")},
+             None),
+})
+def _tails(args, cfg) -> Report:
     """Gaussian tail sandwich and chi-square log-tail sandwiches."""
-    _check_keys(cfg, {"z", "chi2"}, set())
-    if "z" not in cfg and "chi2" not in cfg:
+    z, chi = args["z"], args["chi2"]
+    if z is None and chi is None:
         raise ConfigError("give z and/or chi2")
-    report = Report("tails", {k: cfg[k] for k in cfg})
-    if "z" in cfg:
-        sw = tails.normal_tail_bounds(_float_from(cfg, "z"))
+    report = Report("tails", dict(cfg))
+    if z is not None:
+        sw = tails.normal_tail_bounds(z)
         report.add("normal_tail_lower", sw.lower,
                    "z exp(-z^2/2)/((z^2+1) sqrt(2 pi))")
         report.add("normal_tail_upper", sw.upper, "exp(-z^2/2)/(z sqrt(2 pi))")
-    if "chi2" in cfg:
-        chi = _section(cfg, "chi2")
-        _check_keys(chi, {"n", "A", "tail"}, {"n", "A", "tail"})
-        n = _dim_from(chi, "n")
-        A = _float_from(chi, "A")
-        if chi["tail"] == "lower":
-            sw = tails.chi2_lower_tail_sandwich(A, n)
-            label = "ln P(chi2_n < A)"
-        elif chi["tail"] == "upper":
-            sw = tails.chi2_upper_tail_sandwich(A, n)
-            label = "ln P(chi2_n > A)"
-        else:
-            raise ConfigError("chi2.tail must be 'lower' or 'upper'")
+    if chi is not None:
+        lower = chi["tail"] == "lower"
+        sw = (tails.chi2_lower_tail_sandwich if lower
+              else tails.chi2_upper_tail_sandwich)(chi["A"], chi["n"])
+        label = f"ln P(chi2_n {'<' if lower else '>'} A)"
         report.add("chi2_log_tail_lower", sw.lower, f"{label} lower bound")
         report.add("chi2_log_tail_upper", sw.upper, f"{label} upper bound")
         report.add("chi2_pivot", sw.center,

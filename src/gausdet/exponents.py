@@ -326,12 +326,11 @@ def beta_lower_bound(
     sandwich per block; the block thresholds are chosen optimally via the
     stationarity equation sum_k m_k b_k/(1+u1 b_k) = D + A.
     """
-    s2 = sigma.squared
-    if np.any(s2 == 0):
-        raise InvalidInput("delta undefined: some sigma_i = 0")
-    n = sigma.n
     stats = signal_statistics(sigma)
     delta = stats.delta
+    if delta is None:
+        raise InvalidInput("delta undefined: some sigma_i = 0")
+    n = sigma.n
     sol = solve_u0(sigma, A)
     if sol.boundary_case != INTERIOR:
         raise OutOfRegime(
@@ -352,7 +351,7 @@ def beta_lower_bound(
     if not 1 <= K <= n:
         raise InvalidInput(f"K must be in [1, {n}]")
     sizes = _block_sizes(n, K)
-    s2_desc = np.sort(s2)[::-1]
+    s2_desc = np.sort(sigma.squared)[::-1]
     heads = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     b = s2_desc[heads]  # block-leading (largest) variances
     m = sizes.astype(float)
@@ -403,15 +402,15 @@ def bound_transfer(
         raise DimensionMismatch(
             f"sigma has length {sigma.n}, lambda has length {lam.n}"
         )
-    if np.any(sigma.squared == 0):
+    delta = signal_statistics(sigma).delta
+    if delta is None:
         raise InvalidInput("delta undefined: some sigma_i = 0")
     sol = solve_u0(sigma, A)
     g_sig = sol.value
     g_lam, _ = g_eval(lam, A, sol.argmax)
     if g_sig > g_lam + 1e-12 * (1.0 + abs(g_sig)):
         return TransferBound(False, None, None)
-    stats = signal_statistics(sigma)
     n = sigma.n
     log_pin = math.log(math.pi * n)
-    raw = -g_sig + math.sqrt(stats.delta * n * log_pin) + log_pin
+    raw = -g_sig + math.sqrt(delta * n * log_pin) + log_pin
     return TransferBound(True, min(0.0, raw), raw)

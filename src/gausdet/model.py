@@ -30,6 +30,8 @@ from .errors import DimensionMismatch, InvalidInput
 ArrayLike = Union[Sequence[float], np.ndarray]
 
 WEIGHT_SUM_TOL = 1e-12
+# The largest sigma_i whose square is a finite float: sqrt(float max).
+_MAX_SIGMA = math.sqrt(sys.float_info.max)
 
 
 class Hypothesis(str, Enum):
@@ -61,6 +63,9 @@ class IntensityVector:
         neg = np.flatnonzero(arr < 0)
         if neg.size:
             raise InvalidInput(f"sigma[{neg[0]}] negative")
+        big = np.flatnonzero(arr > _MAX_SIGMA)
+        if big.size:
+            raise InvalidInput(f"sigma[{big[0]}] too large: its square overflows")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gausdet import IntensityVector, signal_statistics
+from gausdet import IntensityVector, cli, signal_statistics
 from gausdet.cli import main
 
 
@@ -145,6 +145,129 @@ class TestConfigHandling:
     def test_bad_format_rejected(self, runner):
         res = run(runner, ["stats"], {"sigma": [1.0], "format": "xml"})
         assert res.exit_code == 1
+
+
+class TestFieldTables:
+    @pytest.mark.parametrize("key, value", [
+        ("samples", 1000), ("seed", 7), ("format", "x"),
+    ])
+    @pytest.mark.parametrize("command, config, section", [
+        ("reduce", {"product_floor": {"n": 2, "D": 1.5}}, "product_floor"),
+        ("reduce", {"sum_floor": {"n": 2, "R": 1.0}}, "sum_floor"),
+        ("reduce", {"points": [[1.0]], "certificate": {
+            "sigma": [1.0], "lambda": [1.0], "groups": [[0]]}}, "certificate"),
+        ("simulate", {"test": "bayes", "level": 0.0, "samples": 1000, "prior": {
+            "points": [[1.0]], "weights": [1.0]}}, "prior"),
+        ("tails", {"chi2": {"n": 5, "A": 2.0, "tail": "lower"}}, "chi2"),
+    ])
+    def test_nested_section_rejects_common_field(self, runner, command, config,
+                                                 section, key, value):
+        config = json.loads(json.dumps(config))
+        config[section][key] = value
+        res = run(runner, [command], config)
+        assert res.exit_code == 1
+        assert res.stderr == f"invalid input: unknown field {key!r}\n"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("format", "xml", "format must be one of 'json', 'csv'"),
+        ("samples", "x", "samples must be an integer"),
+        ("seed", True, "seed must be an integer"),
+    ])
+    def test_config_value_checked_when_a_flag_overrides_it(
+            self, runner, key, value, message):
+        flags = ["--format", "csv", "--samples", "5", "--seed", "3"]
+        res = run(runner, ["stats", *flags], {"sigma": [1], key: value})
+        assert res.exit_code == 1
+        assert res.stderr == f"invalid input: {message}\n"
+
+    def test_sigma_whose_square_overflows_rejected(self, runner):
+        res = run(runner, ["stats"], {"sigma": [1e200, 1]})
+        assert res.exit_code == 1
+        assert res.stderr.startswith("invalid input: sigma[0] too large")
+
+
+# One valid config per subcommand (per simulate test kind) and per nested
+# section; the sweep below substitutes into these.
+SWEEP_BASES = {
+    "stats": [{"sigma": [1.0, 2.0]}],
+    "bounds-beta": [{"sigma": [1.0] * 8, "A": -1.0, "K": 2}],
+    "bounds-alpha": [{"sigma": [1.0] * 20, "A": 4.0}],
+    "mismatch": [{"sigma": [1.0, 1.0], "lambda": [1.2, 1.2], "A": -0.8}],
+    "reduce": [
+        {"points": [[1, 2], [2, 3]], "certificate": {
+            "sigma": [1.0, 1.0], "lambda": [0.5, 4.0], "groups": [[0, 1]]}},
+        {"product_floor": {"n": 2, "D": 1.5}},
+        {"sum_floor": {"n": 2, "R": 1.0}},
+    ],
+    "simulate": [
+        {"test": "np", "sigma": [1.0, 2.0], "A": 0.0, "true": [1.0, 1.0]},
+        {"test": "bayes", "level": 0.0, "true": "H0", "prior": {
+            "points": [[1.0, 1.0], [2.0, 2.0]], "weights": [0.5, 0.5]}},
+        {"test": "glrt", "candidates": [[1.0, 0.0], [0.0, 1.0]], "levels": 0.5},
+    ],
+    "example1": [{"n": 3, "D": 2.0}],
+    "example3": [{"n": 20, "R": 1.0, "lambda": [1.0] * 20}],
+    "tails": [{"z": 2.0, "chi2": {"n": 10, "A": 5.0, "tail": "lower"}}],
+}
+BIG = 10**400
+MALFORMED = ["x", True, None, [], {}, [["x"]], BIG]
+# Substitutions that are valid: "K": null means omitted, and the integer fields
+# without a cap take any JSON integer (a K outside [1, n] leaves the sandwich
+# unavailable; samples = 10**400 would run for ever).
+VALID = [("K", None), ("K", BIG), ("samples", BIG), ("seed", BIG)]
+
+
+def _paths(table, prefix=()):
+    """Every field of a table, nested ones included, as a key path."""
+    for name, spec in table.items():
+        reader = spec[0] if isinstance(spec, tuple) else spec
+        yield prefix + (name,)
+        if isinstance(reader, dict):
+            yield from _paths(reader, prefix + (name,))
+
+
+def _sweep_cases():
+    for command, fields in cli.FIELDS.items():
+        kinds = cli.SIMULATE_FIELDS if callable(fields) else {"": fields}
+        for kind, table in kinds.items():
+            table = {**cli.COMMON_FIELDS, **table}
+            bases = [b for b in SWEEP_BASES[command]
+                     if set(b) <= set(table) and b.get("test", kind) == kind]
+            label = f"{command}[{kind}]" if kind else command
+            for path in _paths(table):
+                base = next((b for b in bases if _has(b, path[:-1])), None)
+                yield pytest.param(command, base, path,
+                                   id=f"{label}-{'.'.join(path)}")
+
+
+def _has(config, path):
+    for key in path:
+        if not isinstance(config, dict) or key not in config:
+            return False
+        config = config[key]
+    return True
+
+
+class TestMalformedValueSweep:
+    """Every field of every table, substituted with each malformed value."""
+
+    @pytest.mark.parametrize("command, base, path", _sweep_cases())
+    def test_rejected(self, runner, command, base, path):
+        assert base is not None, f"no sweep base config has {path[:-1]}"
+        base = {"samples": 1000, **base}
+        for value in MALFORMED:
+            if (path[-1], value) in VALID:
+                continue
+            config = json.loads(json.dumps(base))
+            section = config
+            for key in path[:-1]:
+                section = section[key]
+            section[path[-1]] = value
+            res = runner.invoke(main, [command], input=json.dumps(config))
+            assert res.exit_code == 1, (config, res.output)
+            assert res.stderr.startswith("invalid input:"), (config, res.stderr)
+            assert "Traceback" not in res.output
+            assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
 class TestStats:

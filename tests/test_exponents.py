@@ -324,6 +324,17 @@ class TestBetaLowerBound:
         with pytest.raises(InvalidInput):
             beta_lower_bound(IntensityVector([0.0, 1.0]), 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_positive_sigma_with_underflowing_square(self):
+        # sigma_1^2 underflows to 0, but every sigma_i > 0, so delta exists.
+        sigma = IntensityVector([1e-170, 1.0, 2.0])
+        res = beta_lower_bound(sigma, mid_window_level(sigma))
+        assert res.K == 3
+        for value in (res.interval.lower, res.interval.upper,
+                      res.constructive_lower, res.u1):
+            assert math.isfinite(value)
+        assert res.interval.lower <= res.interval.upper
+
     def test_out_of_window_rejected(self):
         sigma = IntensityVector(np.full(5, 1.0))
         hi = signal_statistics(sigma).window[1]
@@ -374,6 +385,14 @@ class TestBoundTransfer:
             bound_transfer(
                 IntensityVector([0.0, 1.0]), IntensityVector([1.0, 1.0]), 0.0
             )
+
+    @pytest.mark.filterwarnings("error")
+    def test_positive_sigma_with_underflowing_square(self):
+        sigma = IntensityVector([1e-170, 1.0, 2.0])
+        A = mid_window_level(sigma)
+        res = bound_transfer(sigma, IntensityVector([0.5, 1.5, 2.5]), A)
+        assert res.applicable
+        assert math.isfinite(res.raw) and res.value == min(0.0, res.raw)
 
 
 class TestPinnedExponents:

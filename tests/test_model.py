@@ -1,6 +1,7 @@
 """Unit tests for the model layer: intensity vectors, statistics, tests."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -57,6 +58,14 @@ class TestIntensityVector:
             IntensityVector(np.array([1.0, np.nan]))
         with pytest.raises(InvalidInput):
             IntensityVector(np.array([np.inf]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_sigma_whose_square_is_finite(self):
+        top = math.sqrt(sys.float_info.max)
+        v = IntensityVector([top, 1.0])
+        assert np.all(np.isfinite(v.squared))
+        with pytest.raises(InvalidInput, match=r"sigma\[1\] too large"):
+            IntensityVector([1.0, math.nextafter(top, math.inf)])
 
     def test_immutable(self):
         v = IntensityVector(np.array([1.0, 2.0]))
