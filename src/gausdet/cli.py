@@ -40,10 +40,11 @@ from .model import (
 DEFAULT_SAMPLES = 100_000
 DEFAULT_SEED = 1
 
-# Caps on a dimension n, documented in docs/formats.md: arrays of n floats
-# stay small, and sum_floor's reduction lists n one-hot vectors of length n.
+# Caps, documented in docs/formats.md: arrays of n floats stay small, sum_floor's
+# reduction lists n one-hot vectors of length n, and samples bounds a run's work.
 MAX_DIM = 10**6
 MAX_ONE_HOT_DIM = 2_000
+MAX_SAMPLES = 10**9
 
 
 class ConfigError(InvalidInput):
@@ -123,6 +124,13 @@ def _dim(cap: int = MAX_DIM) -> Callable:
     return read
 
 
+def _samples(value, key: str) -> int:
+    """A JSON integer up to MAX_SAMPLES; the Monte Carlo runs set the floor."""
+    if _integer(value, key) > MAX_SAMPLES:
+        raise ConfigError(f"{key} must be at most {MAX_SAMPLES}")
+    return value
+
+
 def _choice(*options: str) -> Callable:
     def read(value, key: str) -> str:
         if not (isinstance(value, str) and value in options):
@@ -162,7 +170,7 @@ def _parse(cfg: dict, fields: dict) -> dict:
 # given on the command line overrides the value read.
 COMMON_FIELDS = {
     "format": (_choice("json", "csv"), "json"),
-    "samples": (_integer, DEFAULT_SAMPLES),
+    "samples": (_samples, DEFAULT_SAMPLES),
     "seed": (_integer, DEFAULT_SEED),
 }
 
@@ -230,7 +238,8 @@ def _run(handler, fields, config_path, flags: dict):
         cfg = _load_config(config_path)
         table = fields if isinstance(fields, dict) else fields(cfg)
         args = _parse(cfg, {**COMMON_FIELDS, **table})
-        args.update((k, v) for k, v in flags.items() if v is not None)
+        args.update((k, COMMON_FIELDS[k][0](v, k))
+                    for k, v in flags.items() if v is not None)
         report = handler(args, cfg)
         click.echo(report.render(args["format"]))
     except OutOfRegime as exc:
@@ -369,10 +378,16 @@ def _mismatch(args, cfg) -> Report:
                  exponents.MODE_ASYMP1A):
         try:
             check = exponents.sufficient_condition_check(sigma, lam, A, mode)
-            report.add(f"condition_{mode}_lhs", check.lhs,
-                       "exponent perturbation from replacing sigma by lambda")
-            report.add(f"condition_{mode}_ratio", check.ratio,
-                       "perturbation relative to the reference exponent")
+            why = ("a log argument was nonpositive" if check.violated
+                   else "the reference exponent is 0")
+            for key, value, provenance in (
+                    ("lhs", check.lhs,
+                     "exponent perturbation from replacing sigma by lambda"),
+                    ("ratio", check.ratio,
+                     "perturbation relative to the reference exponent")):
+                if math.isnan(value):
+                    value, provenance = None, f"not available: {why}"
+                report.add(f"condition_{mode}_{key}", value, provenance)
             report.add(f"condition_{mode}_violated", check.violated,
                        "true when a log argument was nonpositive")
         except OutOfRegime as exc:

@@ -27,8 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInput, OutOfRegime
-from .model import IntensityVector, signal_statistics
+from .errors import InvalidInput, OutOfRegime
+from .model import IntensityVector, check_same_length, signal_statistics
 from .solvers import RootResult, grow_upper_bracket, solve_bracketed
 
 INTERIOR = "interior"
@@ -203,10 +203,7 @@ def beta_upper_bound(sigma: IntensityVector, A: float) -> float:
 
 def mismatch_profile(sigma: IntensityVector, lam: IntensityVector) -> MismatchProfile:
     """Transformed variances of the designed-for-sigma test under true lambda."""
-    if sigma.n != lam.n:
-        raise DimensionMismatch(
-            f"sigma has length {sigma.n}, lambda has length {lam.n}"
-        )
+    check_same_length(sigma, lam)
     nu2 = sigma.squared * (1.0 + lam.squared) / (1.0 + sigma.squared)
     return MismatchProfile(sigma, lam, nu2)
 
@@ -261,10 +258,7 @@ def sufficient_condition_check(
     A nonpositive log argument (possible when lambda_i << sigma_i) is
     reported via violated=True with lhs = NaN, never an exception.
     """
-    if sigma.n != lam.n:
-        raise DimensionMismatch(
-            f"sigma has length {sigma.n}, lambda has length {lam.n}"
-        )
+    check_same_length(sigma, lam)
     s2 = sigma.squared
     l2 = lam.squared
     threshold = sigma.D + A
@@ -398,10 +392,7 @@ def bound_transfer(
     u0 the maximizer for sigma); then ln beta(A, lambda) <= -g_sigma(u0)
     + sqrt(delta_sigma n ln(pi n)) + ln(pi n).
     """
-    if sigma.n != lam.n:
-        raise DimensionMismatch(
-            f"sigma has length {sigma.n}, lambda has length {lam.n}"
-        )
+    check_same_length(sigma, lam)
     delta = signal_statistics(sigma).delta
     if delta is None:
         raise InvalidInput("delta undefined: some sigma_i = 0")

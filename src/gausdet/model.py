@@ -30,8 +30,8 @@ from .errors import DimensionMismatch, InvalidInput
 ArrayLike = Union[Sequence[float], np.ndarray]
 
 WEIGHT_SUM_TOL = 1e-12
-# The largest sigma_i whose square is a finite float: sqrt(float max).
-_MAX_SIGMA = math.sqrt(sys.float_info.max)
+# sum sigma_i^2, and so each sigma_i^2, must stay at or below it.
+_MAX_FLOAT = sys.float_info.max
 
 
 class Hypothesis(str, Enum):
@@ -60,12 +60,15 @@ class IntensityVector:
 
     def __post_init__(self):
         arr = _as_vector(self.values, "sigma")
-        neg = np.flatnonzero(arr < 0)
-        if neg.size:
-            raise InvalidInput(f"sigma[{neg[0]}] negative")
-        big = np.flatnonzero(arr > _MAX_SIGMA)
-        if big.size:
-            raise InvalidInput(f"sigma[{big[0]}] too large: its square overflows")
+        if np.min(arr) < 0:
+            raise InvalidInput(f"sigma[{np.argmax(arr < 0)}] negative")
+        # sum sigma_i^2 <= n top^2 is finite unless top > sqrt(float max / n);
+        # only then does sum (sigma_i/top)^2, which cannot overflow, decide.
+        top = float(np.max(arr))
+        if top > math.sqrt(_MAX_FLOAT / arr.size) and float(
+                np.sum(np.square(arr / top))) > _MAX_FLOAT / (top * top):
+            raise InvalidInput(
+                f"sigma[{np.argmax(arr)}] too large: the sum of squares overflows")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -99,6 +102,14 @@ class IntensityVector:
 
     def __repr__(self) -> str:
         return f"IntensityVector({self.values.tolist()})"
+
+
+def check_same_length(sigma: IntensityVector, lam: IntensityVector) -> None:
+    """Raise DimensionMismatch unless sigma and lambda have one length."""
+    if sigma.n != lam.n:
+        raise DimensionMismatch(
+            f"sigma has length {sigma.n}, lambda has length {lam.n}"
+        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,13 +17,14 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInput
+from .errors import InvalidInput
 from .model import (
     CandidateSet,
     FinitePoints,
     IntensityVector,
     ProductFloor,
     SumFloor,
+    check_same_length,
 )
 
 DOMINATES = "dominates"
@@ -55,10 +56,7 @@ def dominance_check(sigma: IntensityVector, lam: IntensityVector) -> str:
     Domination implies beta(A, lambda) <= beta(A, sigma) for every level A,
     for both the matched and the designed-for-sigma test.
     """
-    if sigma.n != lam.n:
-        raise DimensionMismatch(
-            f"sigma has length {sigma.n}, lambda has length {lam.n}"
-        )
+    check_same_length(sigma, lam)
     return DOMINATES if bool(np.all(sigma.values <= lam.values)) else INCOMPARABLE
 
 
@@ -152,10 +150,7 @@ def lemma2_certificate(
     with GEO_MEAN_ULPS = 4: lambda against itself always gives a valid
     certificate, while an excess of 1e-9 relative stays invalid.
     """
-    if sigma.n != lam.n:
-        raise DimensionMismatch(
-            f"sigma has length {sigma.n}, lambda has length {lam.n}"
-        )
+    check_same_length(sigma, lam)
     _check_partition(groups, sigma.n)
     geo_means = []
     valid = True

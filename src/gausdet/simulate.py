@@ -10,7 +10,9 @@ releases the interpreter lock while it draws normals and multiplies matrices,
 so the workers overlap; each holds one shard's arrays at a time, so the peak
 memory is that of W shards.  Counts are bit-identical for a fixed
 (seed, samples, instance) whatever the worker count, so results are
-reproducible across machines.
+reproducible across machines.  The estimates of one run (both sides of
+``lemma1_check``; the false alarm and the misses of ``example3_experiment``)
+share its draws: each is unbiased, and they are correlated.
 
 The exact oracle for the weighted chi-square probabilities behind alpha and
 beta is a chi-square mixture series with certified truncation error, with the
@@ -111,6 +113,8 @@ def _shard_counts(
     first exception raised on a worker, or in the waiting caller (an
     interrupt), stops every worker after its current shard and propagates.
     """
+    if samples < MIN_SAMPLES:
+        raise InvalidInput(f"samples must be >= {MIN_SAMPLES}")
     workers = min(-(-samples // _shard_rows(row_scalars)), _cpu_count())
     if workers <= 1:
         plan = _shard_plan(samples, row_scalars)
@@ -151,8 +155,6 @@ def estimate_error_probs(
     lambda different from the test's design point gives the mismatched miss
     probability.
     """
-    if samples < MIN_SAMPLES:
-        raise InvalidInput(f"samples must be >= {MIN_SAMPLES}")
     n = test.n
     scale = None
     if true_sigma is not None:
@@ -375,8 +377,6 @@ def lemma1_check(
     eta_sd = np.atleast_1d(np.asarray(eta_sd, dtype=float))
     if xi_sd.size != region.dim or eta_sd.size != region.dim:
         raise DimensionMismatch("component SDs must match the region dimension")
-    if samples < MIN_SAMPLES:
-        raise InvalidInput(f"samples must be >= {MIN_SAMPLES}")
 
     def events(rng, rows):
         xi = rng.standard_normal((rows, region.dim)) * xi_sd
@@ -417,21 +417,6 @@ class Example3Report:
     log_ratio: Optional[float]
 
 
-def _max_sq_accept_prob_mc(
-    var_scale: np.ndarray, threshold: float, samples: int, seed: int, n: int
-) -> MonteCarloEstimate:
-    """MC frequency of max_i (var_scale_i * xi_i^2) <= threshold."""
-
-    def events(rng, rows):
-        Y2 = rng.standard_normal((rows, n))
-        np.square(Y2, out=Y2)  # in place: one (rows, n) array per worker
-        Y2 *= var_scale
-        return (np.max(Y2, axis=1) <= threshold,)
-
-    (hits,) = _shard_counts(seed, samples, n, events)
-    return MonteCarloEstimate.from_counts(hits, samples, seed)
-
-
 def example3_experiment(
     n: int,
     R: float,
@@ -450,13 +435,15 @@ def example3_experiment(
     the mismatched miss probability and the log-ratio diagnostic; the
     asymptotic equal-exponent claim has no finite-n pass/fail form, so the
     ratio is reported for inspection only.
+
+    The three laws differ only in per-coordinate variance scales, so one
+    run draws samples x n normals and scores every law on the same draws:
+    each estimate is unbiased, and the estimates are correlated.
     """
     if n < 2:
         raise InvalidInput("n must be >= 2")
     if R <= 0:
         raise InvalidInput("R must be positive")
-    if samples < MIN_SAMPLES:
-        raise InvalidInput(f"samples must be >= {MIN_SAMPLES}")
     nr2 = n * R * R
     d1 = math.log1p(nr2)
     A = 2.0 * math.log(n) - d1
@@ -464,19 +451,28 @@ def example3_experiment(
     # statistic exceeds its level iff some y_i^2 exceeds this threshold.
     threshold = (1.0 + nr2) * (d1 + A) / nr2
 
-    ones = np.ones(n)
-    alpha = _max_sq_accept_prob_mc(ones, threshold, samples, seed, n)
-    alpha = MonteCarloEstimate(
-        p_hat=1.0 - alpha.p_hat,
-        stderr=alpha.stderr,
-        samples=samples,
-        seed=seed,
-    )
+    probe_scale = None
+    if probe_lambda is not None:
+        if probe_lambda.n != n:
+            raise DimensionMismatch(
+                f"probe lambda has length {probe_lambda.n}, experiment has {n}"
+            )
+        probe_scale = 1.0 + probe_lambda.squared
 
-    scale1 = np.ones(n)
-    scale1[0] = 1.0 + nr2
-    beta1 = _max_sq_accept_prob_mc(
-        scale1, threshold, samples, (seed + 1) % 2**64, n
+    def events(rng, rows):
+        Y2 = rng.standard_normal((rows, n))
+        np.square(Y2, out=Y2)  # in place: one (rows, n) array per worker
+        rest_ok = np.max(Y2[:, 1:], axis=1) <= threshold
+        rejects = ~(rest_ok & (Y2[:, 0] <= threshold))
+        one_hot_accepts = rest_ok & ((1.0 + nr2) * Y2[:, 0] <= threshold)
+        if probe_scale is None:
+            return rejects, one_hot_accepts
+        Y2 *= probe_scale
+        return rejects, one_hot_accepts, np.max(Y2, axis=1) <= threshold
+
+    hits = _shard_counts(seed, samples, n, events)
+    alpha, beta1, *probe = (
+        MonteCarloEstimate.from_counts(h, samples, seed) for h in hits
     )
 
     # Closed-form product predictor for the miss at the one-hot design point.
@@ -484,19 +480,10 @@ def example3_experiment(
     p_noise = math.erf(math.sqrt(threshold / 2.0))
     predictor = p_signal * p_noise ** (n - 1)
 
-    beta_lam = None
+    beta_lam = probe[0] if probe else None
     log_ratio = None
-    if probe_lambda is not None:
-        if probe_lambda.n != n:
-            raise DimensionMismatch(
-                f"probe lambda has length {probe_lambda.n}, experiment has {n}"
-            )
-        scale_lam = 1.0 + probe_lambda.squared
-        beta_lam = _max_sq_accept_prob_mc(
-            scale_lam, threshold, samples, (seed + 2) % 2**64, n
-        )
-        if 0.0 < beta_lam.p_hat and 0.0 < beta1.p_hat < 1.0:
-            log_ratio = math.log(beta_lam.p_hat) / math.log(beta1.p_hat)
+    if beta_lam is not None and 0.0 < beta_lam.p_hat and 0.0 < beta1.p_hat < 1.0:
+        log_ratio = math.log(beta_lam.p_hat) / math.log(beta1.p_hat)
 
     return Example3Report(
         n=n,

@@ -185,6 +185,25 @@ class TestFieldTables:
         assert res.exit_code == 1
         assert res.stderr.startswith("invalid input: sigma[0] too large")
 
+    def test_sigma_whose_sum_of_squares_overflows_rejected(self, runner):
+        res = run(runner, ["stats"], {"sigma": [1.3e154, 1.3e154]})
+        assert res.exit_code == 1
+        assert res.stderr == (
+            "invalid input: sigma[0] too large: the sum of squares overflows\n")
+
+    @pytest.mark.parametrize("samples", [10**9 + 1, 10**15])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_samples_capped(self, runner, samples, where):
+        cfg = {"test": "np", "sigma": [1.0], "A": 0.0}
+        flags = []
+        if where == "flag":
+            flags = ["--samples", str(samples)]
+        else:
+            cfg["samples"] = samples
+        res = run(runner, ["simulate", *flags], cfg)
+        assert res.exit_code == 1
+        assert res.stderr == "invalid input: samples must be at most 1000000000\n"
+
 
 # One valid config per subcommand (per simulate test kind) and per nested
 # section; the sweep below substitutes into these.
@@ -213,8 +232,8 @@ BIG = 10**400
 MALFORMED = ["x", True, None, [], {}, [["x"]], BIG]
 # Substitutions that are valid: "K": null means omitted, and the integer fields
 # without a cap take any JSON integer (a K outside [1, n] leaves the sandwich
-# unavailable; samples = 10**400 would run for ever).
-VALID = [("K", None), ("K", BIG), ("samples", BIG), ("seed", BIG)]
+# unavailable).
+VALID = [("K", None), ("K", BIG), ("seed", BIG)]
 
 
 def _paths(table, prefix=()):
@@ -352,6 +371,26 @@ class TestBounds:
         outs = outputs_by_name(json.loads(res.output))
         assert "beta_mismatch_upper" in outs
         assert "ln_beta_lambda_transfer" in outs
+
+    @pytest.mark.parametrize("config, why, names", [
+        ({"sigma": [1, 2], "lambda": [1.1, 2.1], "A": 0},
+         "the reference exponent is 0", ["u0_equals_1_ratio"]),
+        ({"sigma": [1e10, 1e10], "lambda": [0, 0], "A": 0},
+         "a log argument was nonpositive",
+         ["exact_u0_lhs", "exact_u0_ratio", "u0_equals_1_lhs", "u0_equals_1_ratio"]),
+    ])
+    def test_mismatch_condition_unavailable_is_null(self, runner, config, why,
+                                                     names):
+        def no_constant(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        res = run(runner, ["mismatch"], config)
+        assert res.exit_code == 0
+        outs = outputs_by_name(json.loads(res.output, parse_constant=no_constant))
+        for name in names:
+            assert outs[f"condition_{name}"] == {
+                "name": f"condition_{name}", "value": None,
+                "provenance": f"not available: {why}"}
 
     @pytest.mark.parametrize(
         "command, config, name",

@@ -67,6 +67,15 @@ class TestIntensityVector:
         with pytest.raises(InvalidInput, match=r"sigma\[1\] too large"):
             IntensityVector([1.0, math.nextafter(top, math.inf)])
 
+    @pytest.mark.filterwarnings("error")
+    def test_sum_of_squares_must_be_finite(self):
+        # Each square is finite; their sum overflows from 1.3e154 on, not at
+        # 9.4e153 (sqrt(float max / 2) is about 9.48e153).
+        with pytest.raises(InvalidInput, match="sum of squares overflows"):
+            IntensityVector([1.3e154, 1.3e154])
+        ok = IntensityVector([9.4e153, 9.4e153, 1.0])
+        assert math.isfinite(signal_statistics(ok).window[1])
+
     def test_immutable(self):
         v = IntensityVector(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):

@@ -336,6 +336,21 @@ class TestExample3:
             math.log(rep.beta_lambda.p_hat) / math.log(rep.beta_sigma1.p_hat)
         )
 
+    def test_zero_probe_misses_exactly_the_accepted_noise_draws(self):
+        # lambda = 0 is pure noise: on shared draws the probe's acceptances
+        # are exactly the draws that the false alarm does not count.
+        rep = example3_experiment(40, 1.0, samples=3000, seed=2,
+                                  probe_lambda=IntensityVector(np.zeros(40)))
+        hits = (rep.alpha.p_hat + rep.beta_lambda.p_hat) * rep.alpha.samples
+        assert hits == rep.alpha.samples
+
+    def test_probe_at_the_design_point_reproduces_its_miss(self):
+        probe = np.zeros(64)
+        probe[0] = math.sqrt(64)  # R sqrt(n), with R = 1: squares to n R^2 exactly
+        rep = example3_experiment(64, 1.0, samples=3000, seed=6,
+                                  probe_lambda=IntensityVector(probe))
+        assert rep.beta_lambda.p_hat == rep.beta_sigma1.p_hat
+
     def test_deterministic_for_seed(self):
         a = example3_experiment(30, 1.0, samples=5000, seed=9)
         b = example3_experiment(30, 1.0, samples=5000, seed=9)
@@ -390,8 +405,8 @@ class TestPinnedStreams:
         probe[[3, 17]] = 5.0
         rep = example3_experiment(50, 1.0, 5_000, 11, IntensityVector(probe))
         assert rep.alpha.p_hat == 0.2108
-        assert rep.beta_sigma1.p_hat == 0.2508
-        assert rep.beta_lambda.p_hat == 0.1366
+        assert rep.beta_sigma1.p_hat == 0.2462
+        assert rep.beta_lambda.p_hat == 0.1466
 
     def test_lemma1(self):
         box = lemma1_check(
@@ -409,9 +424,9 @@ class TestPinnedStreams:
         probe = np.zeros(n)
         probe[[5, 1234]] = math.sqrt(n / 2.0)
         rep = example3_experiment(n, 1.0, 5_000, 13, IntensityVector(probe))
-        assert rep.alpha.p_hat == 0.17820000000000003
-        assert rep.beta_sigma1.p_hat == 0.055
-        assert rep.beta_lambda.p_hat == 0.0068
+        assert rep.alpha.p_hat == 0.1782
+        assert rep.beta_sigma1.p_hat == 0.0524
+        assert rep.beta_lambda.p_hat == 0.0096
 
     def test_np_miss_over_three_shards(self):
         sigma = IntensityVector(np.linspace(0.2, 1.2, 500))
@@ -447,6 +462,27 @@ class TestShardExecutor:
                 serial[i] += int(np.count_nonzero(e))
         monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
         assert _shard_counts(9, samples, 4000, self.events) == serial
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_example3_counts_do_not_depend_on_worker_count(self, monkeypatch, cpus):
+        # Three shards; the reference scores each law on its own copy of the
+        # same draws, as max_i scale_i y_i^2 <= threshold.
+        n, samples, seed = 2000, 5_000, 21
+        probe = np.zeros(n)
+        probe[[7, 99]] = math.sqrt(n / 2.0)
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
+        rep = example3_experiment(n, 1.0, samples, seed, IntensityVector(probe))
+        one_hot = np.ones(n)
+        one_hot[0] = 1.0 + n
+        serial = [0, 0, 0]
+        for shard, rows in _shard_plan(samples, n):
+            Y2 = shard_stream(seed, shard).standard_normal((rows, n)) ** 2
+            serial[0] += int(np.count_nonzero(Y2.max(axis=1) > rep.threshold))
+            for i, scale in ((1, one_hot), (2, 1.0 + probe**2)):
+                accepted = (Y2 * scale).max(axis=1) <= rep.threshold
+                serial[i] += int(np.count_nonzero(accepted))
+        estimates = (rep.alpha, rep.beta_sigma1, rep.beta_lambda)
+        assert [e.p_hat for e in estimates] == [h / samples for h in serial]
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(simulate, "_cpu_count", lambda: 3)
