@@ -4,10 +4,12 @@ One JSON config format serves files and stdin.  Each subcommand has one
 field table, and ``_parse`` checks a config against it: unknown field, then
 missing required field, then each value through its typed reader.  It reads
 the common fields (top level only, checked even where a flag overrides
-them) and every nested section the same way.  Handlers get the parsed values
-and emit a report on stdout as JSON or flattened CSV.  Exit codes: 0
-success, 1 invalid input, 2 out of regime.  See docs/formats.md for the
-bit-exact config and report schemas.
+them) and every nested section the same way.  A flag is read as the JSON
+value it spells, else as a string, by the common field's reader.  ``_run``
+builds every report, with the config as given and the flags over it as its
+``inputs``; handlers get the parsed values and only add outputs, rendered on
+stdout as JSON or flattened CSV.  Exit codes: 0 success, 1 invalid input, 2
+out of regime.  See docs/formats.md for the bit-exact config and report schemas.
 """
 
 from __future__ import annotations
@@ -52,22 +54,30 @@ class ConfigError(InvalidInput):
 
 
 def _load_config(config_path: Optional[str]) -> dict:
-    if config_path is not None:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        source = config_path
-    else:
-        text = sys.stdin.read()
-        source = "<stdin>"
-    if not text.strip():
-        return {}
+    source = "<stdin>" if config_path is None else config_path
     try:
-        cfg = json.loads(text)
+        if config_path is None:
+            text = sys.stdin.read()
+        else:
+            with open(config_path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        cfg = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{source}: line {exc.lineno}: {exc.msg}") from exc
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, huge integer
+        why = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"{source}: {why}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{source}: top level must be a JSON object")
     return cfg
+
+
+def _flag_value(text: str):
+    """The JSON value a flag spells, or the flag as a string if it is not JSON."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
 
 
 def _is_int(value) -> bool:
@@ -222,25 +232,26 @@ def main():
 
 
 def _common_options(fn):
-    fn = click.option("--config", "config_path", type=click.Path(exists=True),
-                      default=None, help="JSON config file (default: stdin).")(fn)
-    fn = click.option("--seed", type=int, default=None,
+    fn = click.option("--config", "config_path", default=None,
+                      help="JSON config file (default: stdin).")(fn)
+    fn = click.option("--seed", default=None,
                       help="RNG seed (overrides config).")(fn)
-    fn = click.option("--samples", type=int, default=None,
+    fn = click.option("--samples", default=None,
                       help="Monte Carlo samples (overrides config).")(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-                      default=None, help="Output format (overrides config).")(fn)
+    fn = click.option("--format", "fmt", default=None,
+                      help="Output format (overrides config).")(fn)
     return fn
 
 
-def _run(handler, fields, config_path, flags: dict):
+def _run(name: str, handler, fields, config_path, flags: dict):
     try:
         cfg = _load_config(config_path)
+        given = {k: _flag_value(v) for k, v in flags.items() if v is not None}
         table = fields if isinstance(fields, dict) else fields(cfg)
         args = _parse(cfg, {**COMMON_FIELDS, **table})
-        args.update((k, COMMON_FIELDS[k][0](v, k))
-                    for k, v in flags.items() if v is not None)
-        report = handler(args, cfg)
+        args.update((k, COMMON_FIELDS[k][0](v, k)) for k, v in given.items())
+        report = Report(name, {**cfg, **given})
+        handler(args, report)
         click.echo(report.render(args["format"]))
     except OutOfRegime as exc:
         click.echo(f"out of regime: {exc}", err=True)
@@ -259,7 +270,7 @@ def _register(name: str, fields):
         @main.command(name=name, help=handler.__doc__)
         @_common_options
         def _cmd(config_path, seed, samples, fmt):
-            _run(handler, fields, config_path,
+            _run(name, handler, fields, config_path,
                  {"seed": seed, "samples": samples, "format": fmt})
 
         _cmd.__name__ = name.replace("-", "_")
@@ -270,11 +281,10 @@ def _register(name: str, fields):
 
 
 @_register("stats", {"sigma": _sigma})
-def _stats(args, cfg) -> Report:
+def _stats(args, report: Report) -> None:
     """Scalar statistics D, T, B, delta and the operating window."""
     sigma = args["sigma"]
     stats = signal_statistics(sigma)
-    report = Report("stats", {"sigma": sigma.values.tolist()})
     report.add("D", stats.D, "D = sum ln(1+sigma_i^2)")
     report.add("T", stats.T, "T = sum sigma_i^2/(1+sigma_i^2)")
     report.add("B", stats.B, "B = 2 sum sigma_i^4/(1+sigma_i^2)^2")
@@ -283,7 +293,6 @@ def _stats(args, cfg) -> Report:
     report.add("window_low", stats.window[0], "operating window lower edge T - D")
     report.add("window_high", stats.window[1],
                "operating window upper edge sum sigma_i^2 - D")
-    return report
 
 
 def _block_count(value, key: str) -> Optional[int]:
@@ -292,10 +301,9 @@ def _block_count(value, key: str) -> Optional[int]:
 
 
 @_register("bounds-beta", {"sigma": _sigma, "A": _number, "K": (_block_count, None)})
-def _bounds_beta(args, cfg) -> Report:
+def _bounds_beta(args, report: Report) -> None:
     """Chernoff upper bound and block-partition sandwich on the miss probability."""
     sigma, A = args["sigma"], args["A"]
-    report = Report("bounds-beta", {"sigma": sigma.values.tolist(), "A": A})
     sol = exponents.solve_u0(sigma, A)
     report.add("u0", sol.argmax, "stationary point of the miss exponent g")
     report.add("g_u0", sol.value, "maximized miss exponent g(u0)")
@@ -322,14 +330,12 @@ def _bounds_beta(args, cfg) -> Report:
         report.add("K", sandwich.K, "block count")
     except (InvalidInput, OutOfRegime) as exc:
         report.add("ln_beta_sandwich", None, f"not available: {exc}")
-    return report
 
 
 @_register("bounds-alpha", {"sigma": _sigma, "A": _number})
-def _bounds_alpha(args, cfg) -> Report:
+def _bounds_alpha(args, report: Report) -> None:
     """Chernoff and normal-approximation bounds on the false alarm probability."""
     sigma, A = args["sigma"], args["A"]
-    report = Report("bounds-alpha", {"sigma": sigma.values.tolist(), "A": A})
     sol, chernoff, simple = exponents.alpha_upper_bound(sigma, A)
     report.add("t0", sol.argmax, "stationary point of the false-alarm exponent f")
     report.add("f_t0", sol.value, "maximized false-alarm exponent f(t0)")
@@ -354,15 +360,12 @@ def _bounds_alpha(args, cfg) -> Report:
         report.add("alpha_cap", cap, "guaranteed cap 6/sqrt(B) for A >= A_star")
     except OutOfRegime as exc:
         report.add("A_star", None, f"not available: {exc}")
-    return report
 
 
 @_register("mismatch", {"sigma": _sigma, "lambda": _sigma, "A": _number})
-def _mismatch(args, cfg) -> Report:
+def _mismatch(args, report: Report) -> None:
     """Mismatched miss bound and replaceability condition checks."""
     sigma, lam, A = args["sigma"], args["lambda"], args["A"]
-    report = Report("mismatch", {"sigma": sigma.values.tolist(),
-                                 "lambda": lam.values.tolist(), "A": A})
     prof = exponents.mismatch_profile(sigma, lam)
     report.add("nu_squared", prof.nu_squared,
                "transformed variances sigma^2 (1+lambda^2)/(1+sigma^2)")
@@ -399,7 +402,6 @@ def _mismatch(args, cfg) -> Report:
     else:
         report.add("ln_beta_lambda_transfer", None,
                    "exponent ordering hypothesis failed; transfer not applicable")
-    return report
 
 
 @_register("reduce", {
@@ -408,7 +410,7 @@ def _mismatch(args, cfg) -> Report:
     "sum_floor": ({"n": _dim(MAX_ONE_HOT_DIM), "R": _number}, None),
     "certificate": ({"sigma": _sigma, "lambda": _sigma, "groups": _groups}, None),
 })
-def _reduce(args, cfg) -> Report:
+def _reduce(args, report: Report) -> None:
     """Set reduction: Pareto-minimal subset, canonical reductions, certificates."""
     sources = [k for k in ("points", "product_floor", "sum_floor")
                if args[k] is not None]
@@ -416,7 +418,6 @@ def _reduce(args, cfg) -> Report:
         raise ConfigError("give exactly one of points, product_floor, sum_floor")
     if not sources and args["certificate"] is None:
         raise ConfigError("missing required field 'points'")
-    report = Report("reduce", dict(cfg))
     if args["points"] is not None:
         result = reduction.reduce_to_minimal(args["points"])
         report.add("reduced",
@@ -446,7 +447,6 @@ def _reduce(args, cfg) -> Report:
                    "sigma_i <= group geometric mean of lambda, every group")
         report.add("certificate_geo_means", list(cert.geo_means),
                    "geometric mean of lambda per group")
-    return report
 
 
 def _truth(value, key: str) -> Optional[IntensityVector]:
@@ -481,7 +481,7 @@ def _simulate_fields(cfg: dict) -> dict:
 
 
 @_register("simulate", _simulate_fields)
-def _simulate(args, cfg) -> Report:
+def _simulate(args, report: Report) -> None:
     """Monte Carlo error probabilities for an NP, mixture, or max-ratio test."""
     if args["test"] == "np":
         test = NpTest(args["sigma"], args["A"])
@@ -491,7 +491,6 @@ def _simulate(args, cfg) -> Report:
                          args["level"])
     else:
         test = GlrtTest(args["candidates"], args["levels"])
-    report = Report("simulate", dict(cfg))
     est = simulate.estimate_error_probs(test, args["true"], args["samples"],
                                         args["seed"])
     if args["true"] is None:
@@ -500,16 +499,14 @@ def _simulate(args, cfg) -> Report:
     else:
         _mc_outputs(report, "beta_hat", est,
                     "acceptance frequency under the given true intensity")
-    return report
 
 
 @_register("example1", {"n": _dim(), "D": _number})
-def _example1(args, cfg) -> Report:
+def _example1(args, report: Report) -> None:
     """Product-floor set: exact reduction to its flat corner point."""
     n, D = args["n"], args["D"]
     red = reduction.canonical_reduction(ProductFloor(n, D))
     point = red.points.points[0]
-    report = Report("example1", {"n": n, "D": D})
     report.add("sigma0", point.values.tolist(),
                "flat corner point of the product floor")
     report.add("equality_notion", red.equality_notion,
@@ -517,16 +514,12 @@ def _example1(args, cfg) -> Report:
     cert = reduction.lemma2_certificate(point, point, [list(range(n))])
     report.add("self_certificate_valid", cert.valid,
                "one-group geometric-mean certificate at the corner point")
-    return report
 
 
 @_register("example3", {"n": _dim(), "R": _number, "lambda": (_sigma, None)})
-def _example3(args, cfg) -> Report:
+def _example3(args, report: Report) -> None:
     """Sum-floor set: max-ratio test over one-hot candidates, MC vs caps."""
     n, R, probe = args["n"], args["R"], args["lambda"]
-    report = Report("example3", {"n": n, "R": R,
-                                 "lambda": None if probe is None
-                                 else probe.values.tolist()})
     rep = simulate.example3_experiment(n, R, args["samples"],
                                        args["seed"], probe)
     report.add("A", rep.A, "common level 2 ln n - ln(1+n R^2)")
@@ -545,7 +538,6 @@ def _example3(args, cfg) -> Report:
                     "acceptance frequency at the probe intensity")
         report.add("log_ratio", rep.log_ratio,
                    "ln beta(lambda) / ln beta(sigma1), diagnostic only")
-    return report
 
 
 @_register("tails", {
@@ -553,12 +545,11 @@ def _example3(args, cfg) -> Report:
     "chi2": ({"n": _dim(), "A": _number, "tail": _choice("lower", "upper")},
              None),
 })
-def _tails(args, cfg) -> Report:
+def _tails(args, report: Report) -> None:
     """Gaussian tail sandwich and chi-square log-tail sandwiches."""
     z, chi = args["z"], args["chi2"]
     if z is None and chi is None:
         raise ConfigError("give z and/or chi2")
-    report = Report("tails", dict(cfg))
     if z is not None:
         sw = tails.normal_tail_bounds(z)
         report.add("normal_tail_lower", sw.lower,
@@ -573,7 +564,6 @@ def _tails(args, cfg) -> Report:
         report.add("chi2_log_tail_upper", sw.upper, f"{label} upper bound")
         report.add("chi2_pivot", sw.center,
                    "exponent pivot -((n/2) ln(n/(eA)) + A/2)")
-    return report
 
 
 if __name__ == "__main__":

@@ -204,7 +204,7 @@ def beta_upper_bound(sigma: IntensityVector, A: float) -> float:
 def mismatch_profile(sigma: IntensityVector, lam: IntensityVector) -> MismatchProfile:
     """Transformed variances of the designed-for-sigma test under true lambda."""
     check_same_length(sigma, lam)
-    nu2 = sigma.squared * (1.0 + lam.squared) / (1.0 + sigma.squared)
+    nu2 = sigma.r_squared * (1.0 + lam.squared)
     return MismatchProfile(sigma, lam, nu2)
 
 
@@ -264,7 +264,7 @@ def sufficient_condition_check(
     threshold = sigma.D + A
 
     def log_sum_at(u: float):
-        args = 1.0 + u * s2 * (l2 - s2) / ((1.0 + s2) * (1.0 + u * s2))
+        args = 1.0 + sigma.r_squared * (u * (l2 - s2) / (1.0 + u * s2))
         if np.any(args <= 0):
             return None
         return float(np.sum(np.log(args)))

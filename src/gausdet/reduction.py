@@ -63,30 +63,21 @@ def dominance_check(sigma: IntensityVector, lam: IntensityVector) -> str:
 def reduce_to_minimal(candidates: FinitePoints) -> ReductionResult:
     """Componentwise-minimal subset of a finite candidate set.
 
-    Exact duplicates collapse to one representative.  Pairwise scan,
-    O(m^2 n); candidate sets here are small.
+    Exact duplicates collapse to their first occurrence.  Each point is
+    compared with all m points in one array operation, O(m^2 n) in all.
     """
     pts = candidates.points
+    P = np.stack([p.values for p in pts])
     m = len(pts)
     kept_in: list[int] = []  # input indices of kept points
     witness: dict[int, int] = {}
     for i in range(m):
-        dominated_by: Optional[int] = None
-        for j in range(m):
-            if i == j:
-                continue
-            if bool(np.all(pts[j].values <= pts[i].values)):
-                if pts[j] == pts[i]:
-                    if j < i:  # duplicate: keep the first occurrence only
-                        dominated_by = j
-                        break
-                else:
-                    dominated_by = j
-                    break
-        if dominated_by is None:
-            kept_in.append(i)
+        below = np.all(P <= P[i], axis=1)
+        below[i:] &= ~np.all(P[i:] == P[i], axis=1)  # a duplicate counts before i
+        if below.any():
+            witness[i] = int(np.argmax(below))  # the first dominating point
         else:
-            witness[i] = dominated_by
+            kept_in.append(i)
     # Re-point witnesses at kept points (follow chains through removed ones).
     pos = {i: k for k, i in enumerate(kept_in)}
     out_witness: dict[int, int] = {}

@@ -5,6 +5,9 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +23,11 @@ def runner():
 
 
 def run(runner, args, config):
-    return runner.invoke(main, args, input=json.dumps(config))
+    res = runner.invoke(main, args, input=json.dumps(config))
+    # CliRunner reports an escaped exception as exit code 1, as for a rejection.
+    assert res.exception is None or isinstance(res.exception, SystemExit), (
+        repr(res.exception))
+    return res
 
 
 def outputs_by_name(payload):
@@ -38,12 +45,12 @@ def _pinned():
 class TestPinnedReports:
     """Full reports, pinned: the JSON minus ``wall_time_s`` and the CSV text.
 
-    One config per subcommand plus the echo quirks: integer ``points`` and
-    ``samples``/``format`` echoed raw by ``reduce``, ``example3`` without
-    ``lambda`` (echoed as null), ``bounds-beta`` with ``K`` and with
-    ``"K": null`` (neither echoes ``K``), ``glrt`` with scalar ``levels`` and
-    ``simulate`` with a ``true`` vector.  JSON is compared after re-dumping,
-    so an integer that turns into a float fails.
+    One config per subcommand plus echo cases: ``inputs`` is the config as
+    given, so integers (``points``, ``A``, ``D``) and the common fields stay
+    as written, ``bounds-beta`` echoes ``K`` and ``"K": null``, and
+    ``example3`` without ``lambda`` echoes none.  Also ``glrt`` with scalar
+    ``levels`` and ``simulate`` with a ``true`` vector.  JSON is compared
+    after re-dumping, so an integer that turns into a float fails.
     """
 
     @pytest.mark.parametrize(
@@ -60,6 +67,18 @@ class TestPinnedReports:
         res = run(runner, [pin["command"], "--format", "csv"], pin["config"])
         assert res.exit_code == 0, res.output
         assert res.stdout == pin["csv"]
+
+    @pytest.mark.parametrize(
+        "pin", _pinned(),
+        ids=[f"{i}-{pin['command']}" for i, pin in enumerate(_pinned())],
+    )
+    def test_inputs_reproduce_the_report(self, runner, pin):
+        res = run(runner, [pin["command"]], pin["json"]["inputs"])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.stdout)
+        doc.pop("wall_time_s")
+        assert json.dumps(doc, sort_keys=True) == json.dumps(
+            pin["json"], sort_keys=True)
 
 
 class TestConfigHandling:
@@ -145,6 +164,59 @@ class TestConfigHandling:
     def test_bad_format_rejected(self, runner):
         res = run(runner, ["stats"], {"sigma": [1.0], "format": "xml"})
         assert res.exit_code == 1
+
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8", "missing"])
+    def test_unreadable_config_rejected(self, runner, tmp_path, kind):
+        path = tmp_path / "cfg.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not utf-8":
+            path.write_bytes(b'{"sigma": [1.0]}\xff')
+        res = run(runner, ["stats", "--config", str(path)], {})
+        assert res.exit_code == 1
+        assert res.stderr.startswith(f"invalid input: {path}: ")
+
+    def test_config_directory_rejected_by_a_fresh_interpreter(self, tmp_path):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        proc = subprocess.run(
+            [sys.executable, "-m", "gausdet.cli", "stats", "--config",
+             str(tmp_path)], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == f"invalid input: {tmp_path}: Is a directory\n"
+
+
+class TestFlags:
+    # Each spelling is malformed for every common field.
+    @pytest.mark.parametrize("text", ["xml", "abc", "1e3", "1.5", "null", "true",
+                                      "[1]"])
+    @pytest.mark.parametrize("key", list(cli.COMMON_FIELDS))
+    def test_malformed_flag_rejected(self, runner, key, text):
+        res = run(runner, ["stats", f"--{key}", text], {"sigma": [1.0]})
+        assert res.exit_code == 1
+        assert res.stderr.startswith(f"invalid input: {key} must be ")
+
+    @pytest.mark.parametrize("flags, want", [
+        (["--samples", "2000"], {"samples": 2000}),
+        (["--format", "json"], {"format": "json"}),
+        (["--format", '"json"'], {"format": "json"}),
+        (["--seed", "-4"], {"seed": -4}),
+    ])
+    def test_flag_read_as_the_json_value_it_spells(self, runner, flags, want):
+        res = run(runner, ["stats", *flags], {"sigma": [1.0]})
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.stdout)["inputs"] == {"sigma": [1.0], **want}
+
+    def test_flags_override_config_and_are_echoed(self, runner):
+        cfg = {"test": "np", "sigma": [1.0], "A": 0.0, "samples": 5000, "seed": 3}
+        res = run(runner, ["simulate", "--samples", "2000", "--seed", "9"], cfg)
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.stdout)
+        assert doc["inputs"] == {**cfg, "samples": 2000, "seed": 9}
+        ref = run(runner, ["simulate"], {**cfg, "samples": 2000, "seed": 9})
+        assert doc["outputs"] == json.loads(ref.stdout)["outputs"]
 
 
 class TestFieldTables:
@@ -391,6 +463,20 @@ class TestBounds:
             assert outs[f"condition_{name}"] == {
                 "name": f"condition_{name}", "value": None,
                 "provenance": f"not available: {why}"}
+
+    @pytest.mark.parametrize("sigma, lam", [
+        ([1e154], [1e154]), ([1e154, 1.0], [1e154, 2.0]),
+    ])
+    def test_mismatch_near_the_float_limit(self, runner, sigma, lam):
+        def no_constant(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run(runner, ["mismatch"], {"sigma": sigma, "lambda": lam, "A": 0})
+        assert res.exit_code == 0, res.output
+        outs = outputs_by_name(json.loads(res.stdout, parse_constant=no_constant))
+        assert 0.0 < outs["beta_mismatch_upper"]["value"] <= 1.0
 
     @pytest.mark.parametrize(
         "command, config, name",

@@ -446,8 +446,8 @@ class TestPinnedExponents:
         (1, 0.645303758163893, ((0.0, 0.0, -0.1797560975609756, 0, 'at_zero'), 1.0)),
         (1, 0.7857915630419419, ((0.0, 0.0, -0.25000000000000006, 0, 'at_zero'), 1.0)),
         (7, 1.9378294551983655, ((0.30553100387551996, 0.5171485760987165, -8.881784197001252e-16, 7, 'interior'), 0.5962181972791438)),
-        (7, 6.909545360984239, ((0.08312281714822217, 0.08329938167507567, -8.881784197001252e-16, 8, 'interior'), 0.9200756521931511)),
-        (7, 11.940225754993351, ((0.0, 0.0, -0.25, 0, 'at_zero'), 1.0)),
+        (7, 6.909545360984239, ((0.08312281714822212, 0.08329938167507567, 0.0, 8, 'interior'), 0.9200756521931511)),
+        (7, 11.940225754993351, ((0.0, 0.0, -0.2500000000000018, 0, 'at_zero'), 1.0)),
         (1000, 67.41200421800937, ((0.47369804108777125, 45.84173474014639, 0.0, 5, 'interior'), 1.2336374969614808e-20)),
         (1000, 301.81109801135426, ((0.17205390855986963, 10.12335002298282, 0.0, 7, 'interior'), 4.013145878021019e-05)),
         (1000, 564.9475785288674, ((0.0, 0.0, -0.25, 0, 'at_zero'), 1.0)),

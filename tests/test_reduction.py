@@ -81,6 +81,32 @@ class TestReduceToMinimal:
             assert np.all(w <= cand.points[removed].values)
         assert len(res.reduced) + res.removed_count == 12
 
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, 2), min_size=n, max_size=n),
+        min_size=1, max_size=40)))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_pairwise_reference(self, rows):
+        # A small grid gives many ties, duplicates and witness chains.
+        m = len(rows)
+        first = {}  # i -> the first j below rows[i]; an equal j only if j < i
+        for i in range(m):
+            for j in range(m):
+                below = all(a <= b for a, b in zip(rows[j], rows[i]))
+                if j != i and below and (j < i or rows[j] != rows[i]):
+                    first[i] = j
+                    break
+        kept = [i for i in range(m) if i not in first]
+        witness = {}
+        for i, j in first.items():
+            while j in first:
+                j = first[j]
+            witness[i] = kept.index(j)
+        res = reduce_to_minimal(finite(*rows))
+        assert [p.values.tolist() for p in res.reduced.points] == [
+            [float(v) for v in rows[i]] for i in kept]
+        assert res.removed_count == m - len(kept)
+        assert res.witness_map == witness
+
     @given(
         st.lists(
             st.lists(st.floats(0.0, 3.0), min_size=2, max_size=2),
