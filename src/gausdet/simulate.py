@@ -15,11 +15,13 @@ reproducible across machines.  The estimates of one run (both sides of
 share its draws: each is unbiased, and they are correlated.
 
 The exact oracle for the weighted chi-square probabilities behind alpha and
-beta is a chi-square mixture series with certified truncation error, with the
-regularized incomplete gamma closed form on equal weights and
-characteristic-function inversion as the wide-spread fallback.
+beta has one path for every weight vector: the chi-square mixture of Ruben
+(1962), whose coefficients come from one inverse FFT of their generating
+function.  Both tails are sums over the same coefficients, with an absolute
+error below 5e-15; a weight spread that needs more than 2^19 terms raises
+OutOfRegime.
 
-Only the oracle needs scipy (incomplete gamma, quadrature).  It is imported
+Only the oracle needs scipy (the incomplete gamma).  It is imported
 inside the oracle functions, on their first call, so that importing this
 module, and the Monte Carlo paths, load numpy and the standard library only.
 """
@@ -29,13 +31,12 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInput
+from .errors import DimensionMismatch, InvalidInput, OutOfRegime
 from .model import BayesTest, GlrtTest, IntensityVector, NpTest
 
 MIN_SAMPLES = 1_000
@@ -175,87 +176,81 @@ def estimate_error_probs(
     return MonteCarloEstimate.from_counts(hits, samples, seed)
 
 
-def regularized_gamma_p(a: float, x: float) -> float:
-    """Lower regularized incomplete gamma P(a, x)."""
-    from scipy.special import gammainc
-
-    return float(gammainc(a, x))
+_MASS_TOL = 1e-16  # mass each of the three truncations below may move
+_MAX_TERMS = 2**19  # 4 MB of coefficients; wider spreads are out of regime
 
 
-def regularized_gamma_q(a: float, x: float) -> float:
-    """Upper regularized incomplete gamma Q(a, x)."""
-    from scipy.special import gammaincc
+def _mixture_coefficients(w: np.ndarray):
+    """(beta, a): sum w_i xi_i^2 equals beta chi2_{n+2K} in law, P(K=k) = a_k.
 
-    return float(gammaincc(a, x))
-
-
-_RUBEN_MAX_TERMS = 20_000
-_RUBEN_TOL = 1e-13
-
-
-def _ruben_cdf(w: np.ndarray, x: float) -> Optional[float]:
-    """P(sum w_i xi_i^2 <= x) as a mixture of chi-square CDFs.
-
-    With beta = min(w) the mixture coefficients are nonnegative and sum
-    to 1, so the truncation error is bounded by the unassigned mass.
-    Returns None when the weight spread makes convergence too slow;
-    callers then fall back to characteristic-function inversion.
+    With beta = min w, p_i = beta/w_i and r_i = 1 - p_i, K has generating
+    function G(z) = prod (p_i / (1 - r_i z))^(1/2) (Ruben 1962), so a_k >= 0
+    and sum a_k = 1.  The term count N is the least power of two >= 64 at
+    which the Chernoff bound G(z) z^-N, minimised over a grid of
+    z in (1, 1/max r), puts at most 1e-16 of K's mass at or past N.  One
+    inverse FFT of G on the N-th roots of unity gives a_k plus the aliased
+    a_(k+N), a_(k+2N), ...: at most 1e-16 in all.  |G(e^(-i theta))|
+    falls on [0, pi], so G is set to zero past the last point where it
+    exceeds 1e-16/N, which moves each a_k by at most 1e-16/N.  Equal
+    weights give r = 0 and a = [1, 0, ...] exactly.
     """
-    from scipy.special import gammainc
+    beta, top = float(np.min(w)), float(np.max(w))
+    p = beta / w
+    r = 1.0 - p
+    # z = 1/(1 - v beta/top) with v in (0, 1) spans (1, 1/max r); there
+    # ln G(z) z^-N = -sum ln(1 - v w_i/top)/2 + (n/2 + N) ln(1 - v beta/top).
+    v = 1.0 - 2.0 ** -np.arange(1.0, 53.0)
+    ln_g = np.array([-0.5 * np.sum(np.log1p(-vk * (w / top))) for vk in v])
+    ln_step = np.log1p(-v * (beta / top))
+    terms = 64
+    while np.min(ln_g + (0.5 * w.size + terms) * ln_step) > math.log(_MASS_TOL):
+        terms *= 2
+        if terms > _MAX_TERMS:
+            raise OutOfRegime(
+                f"weight spread {top / beta:.3g} over {w.size} weights needs "
+                f"more than {_MAX_TERMS} mixture terms"
+            )
 
-    beta = float(np.min(w))
-    r = 1.0 - beta / w  # each in [0, 1)
-    q = float(np.max(r))
-    if q > 0.0 and 30.0 / -math.log(q) > _RUBEN_MAX_TERMS:
-        return None
-    n = w.size
-    a = np.empty(_RUBEN_MAX_TERMS)
-    c = np.empty(_RUBEN_MAX_TERMS + 1)
-    a[0] = math.exp(0.5 * float(np.sum(np.log(beta / w))))
-    mass = a[0]
-    r_pow = r.copy()
-    used = 1
-    for k in range(1, _RUBEN_MAX_TERMS):
-        c[k] = float(np.sum(r_pow))
-        r_pow *= r
-        a[k] = float(np.dot(a[:k], c[k:0:-1])) / (2.0 * k)
-        mass += a[k]
-        used = k + 1
-        if 1.0 - mass <= _RUBEN_TOL:
-            break
-    else:
-        return None
-    k_arr = np.arange(used)
-    terms = a[:used] * gammainc(0.5 * n + k_arr, x / (2.0 * beta))
-    return min(1.0, max(0.0, float(np.sum(terms)) + (1.0 - mass)))
+    def ln_gf(j):
+        """ln G(e^(-i theta_j)), theta_j = 2 pi j / N, for an array of j.
 
+        |1 - r e^(-i theta)|^2 = p^2 + 4 r sin^2(theta/2) and the real part
+        p + 2 r sin^2(theta/2) are formed without cancellation, so no mass
+        is lost when p_i is small.
+        """
+        theta = (2.0 * math.pi / terms) * np.atleast_1d(j)[:, None]
+        s2 = np.sin(0.5 * theta) ** 2
+        modulus = np.log1p(4.0 * r * s2 / p**2).sum(axis=1)
+        phase = np.arctan2(r * np.sin(theta), p + 2.0 * r * s2).sum(axis=1)
+        return -0.25 * modulus - 0.5j * phase
 
-def _imhof_cdf(w: np.ndarray, x: float) -> float:
-    """P(sum w_i xi_i^2 <= x) by numerical inversion of the characteristic
-    function (Imhof's formula), distinct positive weights."""
-    from scipy.integrate import IntegrationWarning, quad
-
-    def integrand(u: float) -> float:
-        theta = 0.5 * float(np.sum(np.arctan(w * u))) - 0.5 * x * u
-        log_rho = 0.25 * float(np.sum(np.log1p((w * u) ** 2)))
-        return math.sin(theta) / (u * math.exp(log_rho))
-
-    # The oscillatory tail keeps the quadrature from its requested
-    # tolerance; accuracy ~1e-4 absolute is expected and documented.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(
-            integrand, 0.0, np.inf, epsabs=1e-12, epsrel=1e-12, limit=1000
-        )
-    return min(1.0, max(0.0, 0.5 - val / math.pi))
+    floor = math.log(_MASS_TOL / terms)
+    kept, past = 1, terms // 2 + 1  # |G| > 1e-16/N before kept, not from past
+    while kept < past:
+        mid = (kept + past) // 2
+        if ln_gf(mid)[0].real > floor:
+            kept = mid + 1
+        else:
+            past = mid
+    g = np.zeros(terms // 2 + 1, dtype=complex)
+    rows = max(1, 2**16 // w.size)  # bounds each (points, weights) array
+    for lo in range(0, kept, rows):
+        hi = min(kept, lo + rows)
+        g[lo:hi] = np.exp(ln_gf(np.arange(lo, hi)))
+    return beta, np.fft.irfft(g, terms)
 
 
 def _weighted_chi2(weights, x: float, upper: bool) -> float:
     """P(sum w_i xi_i^2 > x) if upper, else the cdf of ``weighted_chi2_cdf``.
 
-    The closed forms give the upper tail directly (erfc, Q), not as 1 - cdf.
+    Both tails are sums over the same mixture coefficients a_k, so the upper
+    tail is never formed as 1 - cdf.
     """
+    from scipy.special import gammainc, gammaincc
+
     w = np.atleast_1d(np.asarray(weights, dtype=float))
+    if not (np.all(np.isfinite(w)) and math.isfinite(x)):
+        raise InvalidInput("weights and x must be finite")
     if np.any(w < 0):
         raise InvalidInput("weights must be nonnegative")
     if x < 0:
@@ -263,31 +258,25 @@ def _weighted_chi2(weights, x: float, upper: bool) -> float:
     w = w[w > 0]  # zero-weight components contribute nothing
     if w.size == 0:
         return 0.0 if upper else 1.0  # the sum is identically 0 <= x
-    if x == 0:
-        return 1.0 if upper else 0.0
-    if w.size == 1:
-        z = math.sqrt(x / (2.0 * w[0]))
-        return math.erfc(z) if upper else math.erf(z)
-    lo, hi = float(np.min(w)), float(np.max(w))
-    if hi - lo <= 1e-12 * hi:
-        a, z = w.size / 2.0, x / (2.0 * hi)
-        return regularized_gamma_q(a, z) if upper else regularized_gamma_p(a, z)
-    cdf = _ruben_cdf(w, x)
-    if cdf is None:
-        cdf = _imhof_cdf(w, x)
-    return 1.0 - cdf if upper else cdf
+    beta, a = _mixture_coefficients(w)
+    shapes = 0.5 * w.size + np.arange(a.size)
+    tail = (gammaincc if upper else gammainc)(shapes, x / (2.0 * beta))
+    return min(1.0, max(0.0, float(a @ tail)))
 
 
 def weighted_chi2_cdf(weights, x: float) -> float:
-    """P(sum w_i xi_i^2 <= x) for nonnegative weights, x >= 0.
+    """P(sum w_i xi_i^2 <= x) for finite nonnegative weights and x >= 0.
 
-    One weight reduces to the folded normal CDF; equal weights reduce to the
-    regularized incomplete gamma P(n/2, x/(2w)).  General
-    weights use the chi-square mixture series (truncation error below
-    1e-13), falling back to characteristic-function inversion when the
-    weight spread makes the series converge too slowly; both paths are
-    cross-validated in the test suite against the closed forms and
-    high-sample Monte Carlo.
+    One path for every weight vector: the chi-square mixture
+    sum_k a_k P(n/2 + k, x / (2 min w)) of Ruben (1962), with the a_k from
+    one inverse FFT of their generating function (``_mixture_coefficients``).
+    Equal weights and a single weight give a = [1], the incomplete gamma
+    itself.  The absolute error is below 5e-15: at most 3e-16 from the
+    truncation, aliasing and cutoff of the a_k; the rest is rounding,
+    chiefly scipy's incomplete gamma, which is off by up to 4.3e-15 at shape
+    1/2 near x = w and by less than 1e-15 elsewhere against mpmath.  A spread
+    max w / min w that needs more than 2^19 terms (about 1e4 at n = 1000)
+    raises OutOfRegime; non-finite input raises InvalidInput.
     """
     return _weighted_chi2(weights, x, upper=False)
 

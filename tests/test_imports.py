@@ -52,6 +52,7 @@ for sub, cfg in json.loads(sys.argv[1]):
     codes.append(runner.invoke(gausdet.cli.main, [sub], input=json.dumps(cfg)).exit_code)
 after_cli = scipy_loaded()
 value = float(gausdet.weighted_chi2_cdf([1.0, 2.0, 3.5], 4.0))
+gausdet.weighted_chi2_cdf([10.0 ** (4 * k / 9) for k in range(10)], 4000.0)
 print(json.dumps({"after_import": after_import, "codes": codes,
                   "after_cli": after_cli, "after_oracle": scipy_loaded(),
                   "value": value}))
@@ -73,9 +74,11 @@ def test_cli_never_loads_scipy_and_the_oracle_does():
     assert out["after_import"] == []
     assert out["after_cli"] == []
     assert "scipy.special" in out["after_oracle"]
-    # Ruben-series value on unequal weights, as computed before scipy
-    # was moved off the import path.
-    assert out["value"] == 0.4236140673190503
+    # The oracle needs no quadrature, even at a weight spread of 1e4.
+    assert "scipy.integrate" not in out["after_oracle"]
+    # Chi-square mixture value on unequal weights; mpmath gives
+    # 0.42361406731897220667.
+    assert out["value"] == 0.423614067318972
 
 
 POOL_SCRIPT = """

@@ -29,11 +29,9 @@ from gausdet import (
     simulate,
     weighted_chi2_cdf,
 )
-from gausdet.errors import DimensionMismatch, InvalidInput
+from gausdet.errors import DimensionMismatch, InvalidInput, OutOfRegime
 from gausdet.simulate import (
     MonteCarloEstimate,
-    _imhof_cdf,
-    _ruben_cdf,
     _shard_counts,
     _shard_plan,
     _shard_rows,
@@ -131,50 +129,112 @@ class TestWeightedChi2Cdf:
             weighted_chi2_cdf([2.0], 1.5), rel=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "weights, x",
+        [([1.0, math.nan], 1.0), ([1.0], math.nan), ([1.0, 2.0], math.nan),
+         ([1.0, math.inf], 1.0), ([1.0, 2.0], math.inf)],
+    )
+    def test_non_finite_input_rejected(self, weights, x):
+        with pytest.raises(InvalidInput):
+            weighted_chi2_cdf(weights, x)
+
     def test_equal_weights_match_gamma(self):
-        for n in (1, 2, 5, 10):
-            for x in (0.5, 2.0, 7.0):
-                got = weighted_chi2_cdf(np.full(n, 1.7), x)
-                want = float(gammainc(n / 2.0, x / (2.0 * 1.7)))
-                assert got == pytest.approx(want, rel=1e-12)
+        for w, ns, xs in ((1.7, (1, 2, 5, 10), (0.5, 2.0, 7.0)),
+                          (1.0, (2, 4, 8), (1.0, 4.0, 10.0))):
+            for n in ns:
+                for x in xs:
+                    got = weighted_chi2_cdf(np.full(n, w), x)
+                    want = float(gammainc(n / 2.0, x / (2.0 * w)))
+                    assert got == pytest.approx(want, rel=1e-12)
 
     def test_single_weight_matches_normal(self):
         got = weighted_chi2_cdf([2.5], 3.0)
         want = 2.0 * float(ndtr(math.sqrt(3.0 / 2.5))) - 1.0
         assert got == pytest.approx(want, rel=1e-12)
 
-    def test_ruben_base_case_matches_gamma(self):
-        # Equal weights collapse the mixture to its leading term.
-        for n in (2, 4, 8):
-            for x in (1.0, 4.0, 10.0):
-                got = _ruben_cdf(np.full(n, 1.0), x)
-                want = float(gammainc(n / 2.0, x / 2.0))
-                assert got == pytest.approx(want, abs=1e-12)
+    # Absolute error bound stated in the weighted_chi2_cdf docstring.
+    BOUND = 5e-15
 
-    def test_ruben_agrees_with_imhof(self):
-        rng = np.random.default_rng(31)
-        for _ in range(5):
-            w = rng.uniform(0.3, 3.0, size=4)
-            x = rng.uniform(0.5, 12.0)
-            assert _ruben_cdf(w, x) == pytest.approx(
-                _imhof_cdf(w, x), abs=1e-6
-            )
+    def test_four_weights_match_mpmath(self):
+        # 40-digit mpmath Ruben sums, unassigned mass below 1e-22.
+        cases = [
+            ([2.738563889470123, 0.4827313083764094, 2.1163731980709835,
+              1.575870706143939], 8.290419434796355,
+             0.69770523370184885431, 0.30229476629815114569),
+            ([0.4070767487824595, 0.43826946739542205, 0.7766313759287795,
+              2.942408077978048], 3.9748219143288557,
+             0.59147394013822006403, 0.40852605986177993597),
+            ([1.893750658309162, 2.9563423069456194, 2.203731770132567,
+              0.8670911669985808], 5.380500616874386,
+             0.41306056499991479529, 0.58693943500008520471),
+            ([0.5801057620820431, 1.0691141668655095, 1.116012734061409,
+              0.3521615981560138], 10.18839606192631,
+             0.98328556597409977136, 0.016714434025900228639),
+            ([2.7216463768792956, 1.6975252318415623, 2.0155979976830234,
+              1.907374126419141], 8.10386362794603,
+             0.58148559420443832811, 0.41851440579556167189),
+        ]
+        for weights, x, lower, upper in cases:
+            assert abs(weighted_chi2_cdf(weights, x) - lower) <= self.BOUND
+            got = simulate._weighted_chi2(weights, x, upper=True)
+            assert abs(got - upper) <= self.BOUND
 
     def test_ruben_high_accuracy_two_weights(self):
         # Series vs the regularized gamma at a rational weight ratio where
         # an exact reference is available by symmetry of the two branches.
-        got = _ruben_cdf(np.array([1.0, 1.0 + 1e-9]), 3.0)
+        got = weighted_chi2_cdf(np.array([1.0, 1.0 + 1e-9]), 3.0)
         want = float(gammainc(1.0, 1.5))
         assert got == pytest.approx(want, abs=1e-8)
 
-    def test_imhof_matches_gamma_on_equal_weights(self):
-        # The inversion integral is only the wide-spread fallback; its
-        # slowly decaying oscillatory tail limits it to ~1e-4 at n = 2.
-        for n in (2, 4, 8):
-            for x in (1.0, 4.0, 10.0):
-                got = _imhof_cdf(np.full(n, 1.0), x)
-                want = float(gammainc(n / 2.0, x / 2.0))
-                assert got == pytest.approx(want, abs=1e-4)
+    def test_near_equal_weights_tiny_cdf(self):
+        # The mixture's truncation slack is not returned as the value: the
+        # mpmath reference is 3.3517008578336033e-37.
+        got = weighted_chi2_cdf(np.linspace(1.0, 1.001, 200), 40.0)
+        assert got == pytest.approx(3.3517008578336033e-37, rel=1e-12, abs=0.0)
+
+    def test_spread_1e2_at_the_mean(self):
+        w = np.geomspace(1.0, 1e2, 10)
+        got = weighted_chi2_cdf(w, float(w.sum()))
+        assert abs(got - 0.6138129711722379) <= self.BOUND
+
+    @pytest.mark.parametrize(
+        "n, spread, seed, want",
+        [(100, 1e4, 41, 0.55282), (1000, 1e2, 43, 0.51202)],
+    )
+    def test_wide_spread_at_the_mean(self, n, spread, seed, want):
+        w = np.geomspace(1.0, spread, n)
+        x = float(w.sum())
+        got = weighted_chi2_cdf(w, x)
+        assert got == pytest.approx(want, abs=1e-5)
+        # Monotone bracket: every weight at max w, or at min w.
+        assert float(gammainc(n / 2.0, x / (2.0 * spread))) <= got
+        assert got <= float(gammainc(n / 2.0, x / 2.0))
+        rng, samples, hits = np.random.default_rng(seed), 200_000, 0
+        for _ in range(samples // 2_000):
+            xi = rng.standard_normal((2_000, n))
+            hits += int(np.count_nonzero((xi * xi) @ w <= x))
+        p = hits / samples
+        assert abs(p - got) <= 4.0 * math.sqrt(p * (1.0 - p) / samples)
+
+    def test_too_wide_spread_out_of_regime(self):
+        w = np.geomspace(1.0, 1e4, 1000)
+        with pytest.raises(OutOfRegime):
+            weighted_chi2_cdf(w, float(w.sum()))
+        s2 = w * 3.0 * math.sqrt(1000) / w.sum()
+        with pytest.raises(OutOfRegime):
+            np_test_exact_probs(NpTest(IntensityVector(np.sqrt(s2)), A=0.0))
+
+    @given(
+        st.lists(st.floats(0.0, 3.0), min_size=1, max_size=8),
+        st.floats(0.01, 3.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_tails_sum_to_one(self, log10_weights, x_over_mean):
+        w = 10.0 ** np.array(log10_weights)
+        x = x_over_mean * float(w.sum())
+        lower = weighted_chi2_cdf(w, x)
+        upper = simulate._weighted_chi2(w, x, upper=True)
+        assert abs(lower + upper - 1.0) <= 2.0 * self.BOUND
 
     def test_imhof_matches_convolution_oracle(self):
         # Two weights: F(x) = E[F1((x - w2 Z)/1)] with Z ~ chi2_1.
