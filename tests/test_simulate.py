@@ -139,18 +139,24 @@ class TestWeightedChi2Cdf:
             weighted_chi2_cdf(weights, x)
 
     def test_equal_weights_match_gamma(self):
-        for w, ns, xs in ((1.7, (1, 2, 5, 10), (0.5, 2.0, 7.0)),
-                          (1.0, (2, 4, 8), (1.0, 4.0, 10.0))):
-            for n in ns:
-                for x in xs:
-                    got = weighted_chi2_cdf(np.full(n, w), x)
-                    want = float(gammainc(n / 2.0, x / (2.0 * w)))
-                    assert got == pytest.approx(want, rel=1e-12)
+        for n in (1, 2, 5, 10):
+            for x in (0.5, 2.0, 7.0):
+                got = weighted_chi2_cdf(np.full(n, 1.7), x)
+                want = float(gammainc(n / 2.0, x / (2.0 * 1.7)))
+                assert got == pytest.approx(want, rel=1e-12)
 
     def test_single_weight_matches_normal(self):
         got = weighted_chi2_cdf([2.5], 3.0)
         want = 2.0 * float(ndtr(math.sqrt(3.0 / 2.5))) - 1.0
         assert got == pytest.approx(want, rel=1e-12)
+
+    def test_ruben_base_case_matches_gamma(self):
+        # Equal weights collapse the Ruben mixture to its leading term.
+        for n in (2, 4, 8):
+            for x in (1.0, 4.0, 10.0):
+                got = weighted_chi2_cdf(np.full(n, 1.0), x)
+                want = float(gammainc(n / 2.0, x / 2.0))
+                assert got == pytest.approx(want, rel=1e-12)
 
     # Absolute error bound stated in the weighted_chi2_cdf docstring.
     BOUND = 5e-15
