@@ -2,13 +2,15 @@
 
 Sampling uses the counter-based Philox generator with one independent stream
 per shard, keyed by (seed, shard index), so shards never overlap and each is
-a pure function of (seed, shard).  Shard row counts depend only on the
-instance dimension.  A run with more than one shard runs them on
+a pure function of (seed, shard).  A shard is 2^17 draws (1 MiB of
+float64), 2^17 // n rows of an n-dimensional instance (at least one), so its
+row count depends only on the dimension, and its draws fit in a 2 MiB
+per-core L2 cache.  A run with more than one shard runs them on
 W = min(shards, CPUs this process may use) threads: worker j takes shards
 j, j + W, j + 2W, ... and returns its own hit counts, which are summed.  numpy
 releases the interpreter lock while it draws normals and multiplies matrices,
 so the workers overlap; each holds one shard's arrays at a time, so the peak
-memory is that of W shards.  Counts are bit-identical for a fixed
+memory is that of W such shards.  Counts are bit-identical for a fixed
 (seed, samples, instance) whatever the worker count, so results are
 reproducible across machines.  The estimates of one run (both sides of
 ``lemma1_check``; the false alarm and the misses of ``example3_experiment``)
@@ -40,7 +42,7 @@ from .errors import DimensionMismatch, InvalidInput, OutOfRegime
 from .model import BayesTest, GlrtTest, IntensityVector, NpTest
 
 MIN_SAMPLES = 1_000
-_SHARD_SCALARS = 4_000_000  # draws per shard; fixes shard row counts per n
+_SHARD_SCALARS = 2**17  # draws per shard (1 MiB of float64); fixes rows per n
 
 Test = Union[NpTest, BayesTest, GlrtTest]
 
@@ -246,8 +248,6 @@ def _weighted_chi2(weights, x: float, upper: bool) -> float:
     Both tails are sums over the same mixture coefficients a_k, so the upper
     tail is never formed as 1 - cdf.
     """
-    from scipy.special import gammainc, gammaincc
-
     w = np.atleast_1d(np.asarray(weights, dtype=float))
     if not (np.all(np.isfinite(w)) and math.isfinite(x)):
         raise InvalidInput("weights and x must be finite")
@@ -258,6 +258,11 @@ def _weighted_chi2(weights, x: float, upper: bool) -> float:
     w = w[w > 0]  # zero-weight components contribute nothing
     if w.size == 0:
         return 0.0 if upper else 1.0  # the sum is identically 0 <= x
+    if w.size == 1:  # a = [1]: Q(1/2, y) = erfc(sqrt y), P(1/2, y) = erf(sqrt y)
+        root = math.sqrt(x / (2.0 * float(w[0])))
+        return math.erfc(root) if upper else math.erf(root)
+    from scipy.special import gammainc, gammaincc
+
     beta, a = _mixture_coefficients(w)
     shapes = 0.5 * w.size + np.arange(a.size)
     tail = (gammaincc if upper else gammainc)(shapes, x / (2.0 * beta))
@@ -270,13 +275,14 @@ def weighted_chi2_cdf(weights, x: float) -> float:
     One path for every weight vector: the chi-square mixture
     sum_k a_k P(n/2 + k, x / (2 min w)) of Ruben (1962), with the a_k from
     one inverse FFT of their generating function (``_mixture_coefficients``).
-    Equal weights and a single weight give a = [1], the incomplete gamma
-    itself.  The absolute error is below 5e-15: at most 3e-16 from the
-    truncation, aliasing and cutoff of the a_k; the rest is rounding,
-    chiefly scipy's incomplete gamma, which is off by up to 4.3e-15 at shape
-    1/2 near x = w and by less than 1e-15 elsewhere against mpmath.  A spread
-    max w / min w that needs more than 2^19 terms (about 1e4 at n = 1000)
-    raises OutOfRegime; non-finite input raises InvalidInput.
+    Equal weights give a = [1], the incomplete gamma itself.  A single
+    weight is its shape-1/2 case, erf(sqrt(x / 2w)), taken from ``math.erf``
+    and ``math.erfc``: within 7e-17 of mpmath near x = 2w, where scipy's
+    shape-1/2 incomplete gamma is off by up to 4.1e-15.  The absolute error
+    is below 5e-15: at most 3e-16 from the truncation, aliasing and cutoff
+    of the a_k; the rest is rounding, chiefly scipy's incomplete gamma.  A
+    spread max w / min w that needs more than 2^19 terms (about 1e4 at
+    n = 1000) raises OutOfRegime; non-finite input raises InvalidInput.
     """
     return _weighted_chi2(weights, x, upper=False)
 

@@ -95,8 +95,8 @@ cfg = {"test": "np", "sigma": [1.0, 2.0], "A": 0.0, "samples": 1000}
 result = CliRunner().invoke(gausdet.cli.main, ["simulate"], input=json.dumps(cfg))
 code = result.exit_code
 after_single_shard = pool_loaded()
-test = NpTest(IntensityVector([1.0] * 2000), 0.0)
-estimate_error_probs(test, None, 3 * simulate._shard_rows(2000), 1)
+test = NpTest(IntensityVector([1.0] * 128), 0.0)
+estimate_error_probs(test, None, 3 * simulate._shard_rows(128), 1)
 print(json.dumps({"after_import": after_import, "code": code,
                   "after_single_shard": after_single_shard,
                   "after_multi_shard": pool_loaded(),

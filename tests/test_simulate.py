@@ -3,10 +3,12 @@
 import math
 import threading
 import time
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammainc, gammaincc, ndtr
@@ -64,8 +66,8 @@ class TestSharding:
             shard_stream(2**64, 0)
 
     def test_shard_rows_depend_only_on_dimension(self):
-        assert _shard_rows(1) == 4_000_000
-        assert _shard_rows(10_000) == 400
+        assert _shard_rows(1) == 131_072
+        assert _shard_rows(10_000) == 13
         assert _shard_rows(10**8) == 1
 
     def test_shard_plan_covers_samples(self):
@@ -184,6 +186,19 @@ class TestWeightedChi2Cdf:
             assert abs(weighted_chi2_cdf(weights, x) - lower) <= self.BOUND
             got = simulate._weighted_chi2(weights, x, upper=True)
             assert abs(got - upper) <= self.BOUND
+
+    @pytest.mark.parametrize("weights", [[0.5], [0.0, 0.5, 0.0]])
+    @pytest.mark.parametrize("y", [0.5, 0.98, 1.0, 1.3])
+    def test_single_weight_matches_mpmath(self, weights, y):
+        # One weight w at x is erf(sqrt(x / 2w)); w = 1/2 makes x / 2w = y
+        # exact.  scipy's shape-1/2 incomplete gamma is off by up to 4.1e-15
+        # near y = 1.
+        got_lower = weighted_chi2_cdf(weights, y)
+        got_upper = simulate._weighted_chi2(weights, y, upper=True)
+        with mpmath.workdps(40):  # errors taken against the unrounded values
+            root = mpmath.sqrt(mpmath.mpf(y))
+            assert abs(got_lower - mpmath.erf(root)) <= 1e-16
+            assert abs(got_upper - mpmath.erfc(root)) <= 1e-16
 
     def test_ruben_high_accuracy_two_weights(self):
         # Series vs the regularized gamma at a rational weight ratio where
@@ -440,11 +455,11 @@ class TestPinnedStreams:
         assert estimate_error_probs(test, self.SIGMA, 20_000, 7).p_hat == 0.36585
 
     def test_np_over_three_shards(self):
-        sigma = IntensityVector(np.linspace(0.2, 1.2, 500))
+        sigma = IntensityVector(np.linspace(0.2, 1.2, 256))
         stats = signal_statistics(sigma)
         test = NpTest(sigma, stats.T - stats.D + stats.B**0.5)
-        assert _shard_rows(500) * 2 < 20_000
-        assert estimate_error_probs(test, None, 20_000, 5).p_hat == 0.16205
+        assert 2 * _shard_rows(256) < 1_500 <= 3 * _shard_rows(256)
+        assert estimate_error_probs(test, None, 1_500, 5).p_hat == 0.15333333333333332
 
     def test_bayes(self):
         prior = DiscretePrior(self.FLAT, np.array([0.5, 0.0, 0.5]))
@@ -469,10 +484,11 @@ class TestPinnedStreams:
     def test_example3(self):
         probe = np.zeros(50)
         probe[[3, 17]] = 5.0
-        rep = example3_experiment(50, 1.0, 5_000, 11, IntensityVector(probe))
-        assert rep.alpha.p_hat == 0.2108
-        assert rep.beta_sigma1.p_hat == 0.2462
-        assert rep.beta_lambda.p_hat == 0.1466
+        assert 2_500 <= _shard_rows(50)  # one shard
+        rep = example3_experiment(50, 1.0, 2_500, 11, IntensityVector(probe))
+        assert rep.alpha.p_hat == 0.218
+        assert rep.beta_sigma1.p_hat == 0.2404
+        assert rep.beta_lambda.p_hat == 0.1448
 
     def test_lemma1(self):
         box = lemma1_check(
@@ -485,29 +501,29 @@ class TestPinnedStreams:
         assert (ell.p_sum.p_hat, ell.p_xi.p_hat) == (0.57345, 0.6433)
 
     def test_example3_over_three_shards(self):
-        n = 2000
-        assert 2 * _shard_rows(n) < 5_000 <= 3 * _shard_rows(n)
+        n = 256
+        assert 2 * _shard_rows(n) < 1_500 <= 3 * _shard_rows(n)
         probe = np.zeros(n)
-        probe[[5, 1234]] = math.sqrt(n / 2.0)
-        rep = example3_experiment(n, 1.0, 5_000, 13, IntensityVector(probe))
-        assert rep.alpha.p_hat == 0.1782
-        assert rep.beta_sigma1.p_hat == 0.0524
-        assert rep.beta_lambda.p_hat == 0.0096
+        probe[[5, 234]] = math.sqrt(n / 2.0)
+        rep = example3_experiment(n, 1.0, 1_500, 13, IntensityVector(probe))
+        assert rep.alpha.p_hat == 0.18133333333333335
+        assert rep.beta_sigma1.p_hat == 0.13066666666666665
+        assert rep.beta_lambda.p_hat == 0.046
 
     def test_np_miss_over_three_shards(self):
-        sigma = IntensityVector(np.linspace(0.2, 1.2, 500))
+        sigma = IntensityVector(np.linspace(0.2, 1.2, 256))
         lo, hi = signal_statistics(sigma).window
         test = NpTest(sigma, lo + 0.8 * (hi - lo))
-        assert 2 * _shard_rows(500) < 20_000 <= 3 * _shard_rows(500)
-        assert estimate_error_probs(test, sigma, 20_000, 8).p_hat == 0.12565
+        assert 2 * _shard_rows(256) < 1_500 <= 3 * _shard_rows(256)
+        assert estimate_error_probs(test, sigma, 1_500, 8).p_hat == 0.198
 
     def test_lemma1_over_two_shards(self):
-        assert _shard_rows(2 * 2) < 1_500_000 <= 2 * _shard_rows(2 * 2)
+        assert _shard_rows(2 * 2) < 60_000 <= 2 * _shard_rows(2 * 2)
         box = lemma1_check(
-            Box(np.array([1.0, 0.7])), [1, 1], [0.4, 0.6], 1_500_000, 3
+            Box(np.array([1.0, 0.7])), [1, 1], [0.4, 0.6], 60_000, 3
         )
-        assert box.p_sum.p_hat == 0.2916166666666667
-        assert box.p_xi.p_hat == 0.3522186666666667
+        assert box.p_sum.p_hat == 0.29256666666666664
+        assert box.p_xi.p_hat == 0.35301666666666665
 
 
 class TestShardExecutor:
@@ -518,21 +534,61 @@ class TestShardExecutor:
         Y = rng.standard_normal((rows, 3))
         return Y[:, 0] > 0.5, np.abs(Y).max(axis=1) < 1.0
 
+    @classmethod
+    def serial(cls, seed, samples, row_scalars):
+        """The reference: per-shard counts summed one shard after another."""
+        totals = [0, 0]
+        for shard, rows in _shard_plan(samples, row_scalars):
+            for i, e in enumerate(cls.events(shard_stream(seed, shard), rows)):
+                totals[i] += int(np.count_nonzero(e))
+        return totals
+
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_counts_do_not_depend_on_worker_count(self, monkeypatch, cpus):
-        # Four shards of 1,000 rows and a short fifth: uneven strides.
-        samples = 4 * _shard_rows(4000) + 123
-        serial = [0, 0]
-        for shard, rows in _shard_plan(samples, 4000):
-            for i, e in enumerate(self.events(shard_stream(9, shard), rows)):
-                serial[i] += int(np.count_nonzero(e))
+        # Four shards of 1,024 rows and a short fifth: uneven strides.
+        samples = 4 * _shard_rows(128) + 123
+        serial = self.serial(9, samples, 128)
         monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
-        assert _shard_counts(9, samples, 4000, self.events) == serial
+        assert _shard_counts(9, samples, 128, self.events) == serial
+
+    @given(
+        samples=st.integers(1_000, 3_000),
+        row_scalars=st.integers(1, 2**18),
+        cpus=st.sampled_from([1, 2, 3, 8]),
+    )
+    @example(samples=3_000, row_scalars=2**18, cpus=8)  # one-row shards
+    @example(samples=2 * 1_024 + 1, row_scalars=128, cpus=2)  # a one-row last shard
+    @settings(max_examples=25, deadline=None)
+    def test_counts_equal_the_serial_shard_sum(self, samples, row_scalars, cpus):
+        serial = self.serial(4, samples, row_scalars)
+        with mock.patch.object(simulate, "_cpu_count", lambda: cpus):
+            assert _shard_counts(4, samples, row_scalars, self.events) == serial
+
+    def test_glrt_at_n16_spans_25_shards_at_any_worker_count(self, monkeypatch):
+        # The mc-stat GLRT shape: 200k samples at n = 16 is 25 shards.
+        rng = np.random.default_rng(5)
+        points = FinitePoints(
+            tuple(IntensityVector(rng.uniform(0.0, 1.5, 16)) for _ in range(8))
+        )
+        test = GlrtTest(points, rng.uniform(5.0, 7.0, 8))
+        shards = []
+
+        def stream(seed, shard):
+            shards.append(shard)
+            return shard_stream(seed, shard)
+
+        monkeypatch.setattr(simulate, "shard_stream", stream)
+        p_hats = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
+            p_hats.append(estimate_error_probs(test, None, 200_000, 3).p_hat)
+        assert sorted(shards) == sorted(2 * list(range(25)))
+        assert p_hats[0] == p_hats[1]
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_example3_counts_do_not_depend_on_worker_count(self, monkeypatch, cpus):
-        # Three shards; the reference scores each law on its own copy of the
-        # same draws, as max_i scale_i y_i^2 <= threshold.
+        # 77 shards of 65 rows; the reference scores each law on its own copy
+        # of the same draws, as max_i scale_i y_i^2 <= threshold.
         n, samples, seed = 2000, 5_000, 21
         probe = np.zeros(n)
         probe[[7, 99]] = math.sqrt(n / 2.0)
@@ -557,12 +613,12 @@ class TestShardExecutor:
 
         def events(rng, rows):
             threads.add(threading.get_ident())
-            if rows < _shard_rows(4000):  # the short last shard, on worker 2
+            if rows < _shard_rows(128):  # the short last shard, on worker 2
                 raise error
             return (np.zeros(rows, dtype=bool),)
 
         with pytest.raises(InvalidInput) as info:
-            _shard_counts(1, 2 * _shard_rows(4000) + 10, 4000, events)
+            _shard_counts(1, 2 * _shard_rows(128) + 10, 128, events)
         assert info.value is error
         assert threading.get_ident() not in threads
 
@@ -581,5 +637,5 @@ class TestShardExecutor:
             raise InvalidInput("raised on a worker")
 
         with pytest.raises(InvalidInput):
-            _shard_counts(1, 10 * _shard_rows(4000), 4000, events)
+            _shard_counts(1, 10 * _shard_rows(128), 128, events)
         assert len(calls) == 2  # not the sleeping worker's other four shards
