@@ -13,7 +13,6 @@ Library layout:
 from .errors import DimensionMismatch, GausdetError, InvalidInput, OutOfRegime
 from .exponents import (
     BetaLowerBound,
-    BoundInterval,
     ConditionCheck,
     ExponentSolution,
     MismatchProfile,
@@ -79,4 +78,5 @@ from .tails import (
     standard_normal_upper_tail,
 )
 
+BoundInterval = TailSandwich  # the former name of the ln(beta) sandwich
 __version__ = "0.1.0"

@@ -318,9 +318,9 @@ def _bounds_beta(args, report: Report) -> None:
     try:
         sandwich = exponents.beta_lower_bound(sigma, A, K=args["K"])
         report.add("ln_beta_lower", sandwich.interval.lower,
-                   sandwich.interval.lower_provenance)
+                   "block chi-square construction, optimized K")
         report.add("ln_beta_upper", sandwich.interval.upper,
-                   sandwich.interval.upper_provenance)
+                   "Chernoff bound exp(-g(u0))")
         report.add("ln_beta_constructive_lower", sandwich.constructive_lower,
                    "per-block chi-square lower-tail bound at optimized levels")
         report.add("u1", sandwich.u1, "blockwise stationary point, u1 >= u0")

@@ -28,8 +28,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInput, OutOfRegime
-from .model import IntensityVector, check_same_length, signal_statistics
+from .model import IntensityVector, _as_number, check_same_length, signal_statistics
 from .solvers import RootResult, grow_upper_bracket, solve_bracketed
+from .tails import TailSandwich
 
 INTERIOR = "interior"
 AT_ZERO = "at_zero"
@@ -62,35 +63,17 @@ class MismatchProfile:
 
 
 @dataclass(frozen=True)
-class BoundInterval:
-    """A lower/upper sandwich on a log-probability."""
-
-    lower: float
-    upper: float
-    lower_provenance: str
-    upper_provenance: str
-
-    def __post_init__(self):
-        if not self.lower <= self.upper:
-            raise InvalidInput(
-                f"interval lower {self.lower:.6g} exceeds upper {self.upper:.6g}"
-            )
-
-    def contains(self, x: float) -> bool:
-        return self.lower <= x <= self.upper
-
-
-@dataclass(frozen=True)
 class BetaLowerBound:
     """Sandwich on ln(beta) plus the blockwise construction behind it.
 
     interval is the headline sandwich [-g(u0) - sqrt(delta n ln(pi n))
-    - ln(pi n), -g(u0)].  constructive_lower is the bound actually computed
-    from the K-block partition (also a valid lower bound on ln beta).
+    - ln(pi n), -g(u0)], a ``tails.TailSandwich`` with center NaN.
+    constructive_lower is the bound actually computed from the K-block
+    partition (also a valid lower bound on ln beta).
     u1 solves the blockwise stationarity equation; u1 >= u0 always.
     """
 
-    interval: BoundInterval
+    interval: TailSandwich
     constructive_lower: float
     u0: ExponentSolution
     u1: float
@@ -259,6 +242,7 @@ def sufficient_condition_check(
     reported via violated=True with lhs = NaN, never an exception.
     """
     check_same_length(sigma, lam)
+    A = _as_number(A, "A")
     s2 = sigma.squared
     l2 = lam.squared
     threshold = sigma.D + A
@@ -333,12 +317,7 @@ def beta_lower_bound(
     upper = -sol.value
     log_pin = math.log(math.pi * n)
     lower = upper - math.sqrt(delta * n * log_pin) - log_pin
-    interval = BoundInterval(
-        lower=lower,
-        upper=upper,
-        lower_provenance="block chi-square construction, optimized K",
-        upper_provenance="Chernoff bound exp(-g(u0))",
-    )
+    interval = TailSandwich(lower=lower, upper=upper)
 
     if K is None:
         K = default_block_count(n, delta)

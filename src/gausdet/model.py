@@ -8,6 +8,10 @@ r(y, sigma) = (1/2) sum sigma_i^2 y_i^2/(1+sigma_i^2) - D(sigma)/2: the
 single-point ellipsoid test, the discrete-prior mixture test, and the
 max-likelihood-ratio (GLRT) test over a finite candidate set.
 
+Every input array is read by ``_as_vector`` (nonempty, 1-D, finite) and a
+test's level by ``_as_number`` (finite); a point set is checked only by
+``FinitePoints`` (nonempty, one dimension), which ``DiscretePrior`` uses.
+
 D(sigma) = sum ln(1+sigma_i^2) is computed only by ``IntensityVector.D``.  The
 rules share one core, ``_QuadraticFormTest``, which builds the weights W (k, n)
 and D_k of its points once and owns ``accepts``; each rule supplies only how it
@@ -46,6 +50,16 @@ def _as_vector(values: ArrayLike, name: str = "values") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InvalidInput(f"{name} contains non-finite entries")
     return arr
+
+
+def _as_number(value, name: str) -> float:
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInput(f"{name} must be a real number") from None
+    if not math.isfinite(x):
+        raise InvalidInput(f"{name} must be finite, got {x}")
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,6 +254,7 @@ class NpTest(_QuadraticFormTest):
     in_window: bool = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "A", _as_number(self.A, "A"))
         stats = signal_statistics(self.sigma)
         if stats.D + self.A < 0:
             raise InvalidInput(
@@ -265,15 +280,13 @@ def np_decide(test: NpTest, y: Union[Observation, ArrayLike]) -> Hypothesis:
 
 @dataclass(frozen=True, eq=False)
 class DiscretePrior:
-    """Finite-support prior over intensity vectors."""
+    """Finite-support prior over intensity vectors; the support is a FinitePoints."""
 
     points: tuple[IntensityVector, ...]
     weights: np.ndarray
 
     def __post_init__(self):
-        points = tuple(self.points)
-        if not points:
-            raise InvalidInput("prior must have at least one support point")
+        points = FinitePoints(self.points).points
         w = _as_vector(self.weights, "weights")
         if w.size != len(points):
             raise DimensionMismatch("one weight per support point required")
@@ -283,10 +296,6 @@ class DiscretePrior:
             raise InvalidInput(
                 f"weights sum to {float(np.sum(w)):.17g}, not 1 within {WEIGHT_SUM_TOL}"
             )
-        n = points[0].n
-        for p in points:
-            if p.n != n:
-                raise DimensionMismatch("prior support points have mixed lengths")
         w.setflags(write=False)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", w)
@@ -337,6 +346,7 @@ class BayesTest(_QuadraticFormTest):
     level: float
 
     def __post_init__(self):
+        object.__setattr__(self, "level", _as_number(self.level, "level"))
         self._build(self.prior.points)
 
     def _combine(self, Y2: np.ndarray) -> np.ndarray:
@@ -356,18 +366,18 @@ def bayes_decide(
 
 @dataclass(frozen=True, eq=False)
 class FinitePoints:
-    """A finite candidate set of intensity vectors sharing one dimension."""
+    """A finite set of intensity vectors sharing one dimension."""
 
     points: tuple[IntensityVector, ...]
 
     def __post_init__(self):
         points = tuple(self.points)
         if not points:
-            raise InvalidInput("candidate set must be nonempty")
+            raise InvalidInput("points must be nonempty")
         n = points[0].n
         for p in points:
             if p.n != n:
-                raise DimensionMismatch("candidate points have mixed lengths")
+                raise DimensionMismatch("points have mixed lengths")
         object.__setattr__(self, "points", points)
 
     @property
@@ -432,10 +442,10 @@ CandidateSet = Union[FinitePoints, ProductFloor, SumFloor]
 
 
 def _levels_array(levels: Union[float, ArrayLike], m: int) -> np.ndarray:
-    arr = np.asarray(levels, dtype=float)
-    if arr.ndim == 0:
-        return np.full(m, float(arr))
-    if arr.ndim != 1 or arr.size != m:
+    arr = _as_vector(levels, "levels")
+    if np.ndim(levels) == 0:
+        return np.full(m, arr[0])
+    if arr.size != m:
         raise DimensionMismatch("one level per candidate required")
     return arr
 

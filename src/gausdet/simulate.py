@@ -39,7 +39,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, OutOfRegime
-from .model import BayesTest, GlrtTest, IntensityVector, NpTest
+from .model import BayesTest, GlrtTest, IntensityVector, NpTest, _as_number, _as_vector
 
 MIN_SAMPLES = 1_000
 _SHARD_SCALARS = 2**17  # draws per shard (1 MiB of float64); fixes rows per n
@@ -248,9 +248,7 @@ def _weighted_chi2(weights, x: float, upper: bool) -> float:
     Both tails are sums over the same mixture coefficients a_k, so the upper
     tail is never formed as 1 - cdf.
     """
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
-    if not (np.all(np.isfinite(w)) and math.isfinite(x)):
-        raise InvalidInput("weights and x must be finite")
+    w, x = _as_vector(weights, "weights"), _as_number(x, "x")
     if np.any(w < 0):
         raise InvalidInput("weights must be nonnegative")
     if x < 0:
@@ -305,7 +303,7 @@ class Box:
     half_widths: np.ndarray
 
     def __post_init__(self):
-        hw = np.atleast_1d(np.asarray(self.half_widths, dtype=float))
+        hw = _as_vector(self.half_widths, "half_widths")
         if np.any(hw <= 0):
             raise InvalidInput("half widths must be positive")
         hw.setflags(write=False)
@@ -327,7 +325,8 @@ class Ellipsoid:
     c: float
 
     def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        w = _as_vector(self.weights, "weights")
+        object.__setattr__(self, "c", _as_number(self.c, "c"))
         if np.any(w < 0) or self.c < 0:
             raise InvalidInput("weights and radius must be nonnegative")
         w.setflags(write=False)
@@ -368,8 +367,10 @@ def lemma1_check(
     estimated on the same xi draws (paired), and the verdict allows three
     combined standard errors of slack.
     """
-    xi_sd = np.atleast_1d(np.asarray(xi_sd, dtype=float))
-    eta_sd = np.atleast_1d(np.asarray(eta_sd, dtype=float))
+    xi_sd = _as_vector(xi_sd, "xi_sd")
+    eta_sd = _as_vector(eta_sd, "eta_sd")
+    if np.any(xi_sd < 0) or np.any(eta_sd < 0):
+        raise InvalidInput("component SDs must be nonnegative")
     if xi_sd.size != region.dim or eta_sd.size != region.dim:
         raise DimensionMismatch("component SDs must match the region dimension")
 
@@ -437,6 +438,7 @@ def example3_experiment(
     """
     if n < 2:
         raise InvalidInput("n must be >= 2")
+    R = _as_number(R, "R")
     if R <= 0:
         raise InvalidInput("R must be positive")
     nr2 = n * R * R

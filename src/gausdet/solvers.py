@@ -3,14 +3,16 @@
 Bracketed bisection with safeguarded Newton acceleration: a Newton step is
 taken only when it stays inside the current sign-change bracket, otherwise
 the step falls back to bisection.  Monotonicity of the target functions
-makes the bracket shrink to the unique root unconditionally.
+makes the bracket shrink to the unique root unconditionally, to a width of
+DEFAULT_TOL = 1e-12 or for at most MAX_ITER = 200 steps.  An upper bracket
+on [0, inf) grows from 1 by factors of 4, at most MAX_ITER times.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import InvalidInput
 
@@ -27,17 +29,11 @@ class RootResult:
 
 def solve_bracketed(
     f: Callable[[float], float],
-    df: Optional[Callable[[float], float]],
+    df: Callable[[float], float],
     lo: float,
     hi: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = MAX_ITER,
 ) -> RootResult:
-    """Root of f on [lo, hi]; f(lo) and f(hi) must differ in sign.
-
-    tol is an absolute tolerance on the root location.  df may be None, in
-    which case plain bisection is used.
-    """
+    """Root of f on [lo, hi]; f(lo) and f(hi) must differ in sign."""
     if not lo < hi:
         raise InvalidInput(f"empty bracket [{lo}, {hi}]")
     flo = f(lo)
@@ -53,41 +49,32 @@ def solve_bracketed(
 
     x = 0.5 * (lo + hi)
     fx = f(x)
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         if fx == 0.0:
             break
         if math.copysign(1.0, fx) == math.copysign(1.0, flo):
             lo, flo = x, fx
         else:
-            hi, fhi = x, fx
-        if hi - lo <= tol:
+            hi = x
+        if hi - lo <= DEFAULT_TOL:
             break
-        step = None
-        if df is not None:
-            d = df(x)
-            if d != 0.0 and math.isfinite(d):
-                cand = x - fx / d
-                if lo < cand < hi:
-                    step = cand
-        x = step if step is not None else 0.5 * (lo + hi)
+        d = df(x)
+        cand = x - fx / d if d != 0.0 and math.isfinite(d) else math.nan
+        x = cand if lo < cand < hi else 0.5 * (lo + hi)
         fx = f(x)
     return RootResult(x, fx, iterations)
 
 
-def grow_upper_bracket(
-    f: Callable[[float], float], start: float = 1.0, factor: float = 4.0,
-    max_grow: int = 200,
-) -> float:
-    """Smallest start*factor^k at which f changes sign relative to f(0+).
+def grow_upper_bracket(f: Callable[[float], float]) -> float:
+    """Smallest 4^k, k >= 0, at which f changes sign relative to f(0+).
 
     Used for roots on [0, inf): f must be positive at 0 and eventually
     negative (or vice versa).
     """
     sign0 = math.copysign(1.0, f(0.0))
-    hi = start
-    for _ in range(max_grow):
+    hi = 1.0
+    for _ in range(MAX_ITER):
         if math.copysign(1.0, f(hi)) != sign0:
             return hi
-        hi *= factor
+        hi *= 4.0
     raise InvalidInput("could not bracket root: no sign change found")

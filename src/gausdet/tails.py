@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidInput, OutOfRegime
-from .model import IntensityVector, signal_statistics
+from .model import IntensityVector, _as_number, signal_statistics
 
 # The radicand B(ln B - ln ln B) needs B > e; enforced with a little margin.
 MIN_B_FOR_THRESHOLD = 3.0
@@ -23,13 +23,14 @@ MIN_B_FOR_THRESHOLD = 3.0
 class TailSandwich:
     """Lower/upper bounds on a (log-)tail probability.
 
-    center is the exponent pivot -((n/2) ln(n/(eA)) + A/2) for the
-    chi-square sandwiches and NaN for the raw Gaussian tail pair.
+    Also the ln(beta) sandwich of ``exponents.beta_lower_bound``.  center is
+    the exponent pivot -((n/2) ln(n/(eA)) + A/2) for the chi-square
+    sandwiches and NaN for the others.
     """
 
     lower: float
     upper: float
-    center: float
+    center: float = math.nan
 
     def __post_init__(self):
         if not self.lower <= self.upper:
@@ -55,9 +56,7 @@ def normal_tail_bounds(z: float) -> TailSandwich:
     if z <= 0:
         raise InvalidInput("z must be positive")
     core = math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)
-    return TailSandwich(
-        lower=z * core / (z * z + 1.0), upper=core / z, center=math.nan
-    )
+    return TailSandwich(lower=z * core / (z * z + 1.0), upper=core / z)
 
 
 def _chi2_pivot(A: float, n: int) -> float:
@@ -109,7 +108,7 @@ def berry_esseen_alpha(sigma: IntensityVector, A: float):
     Requires z = D + A - T > 0.
     """
     stats = signal_statistics(sigma)
-    z = stats.D + A - stats.T
+    z = stats.D + _as_number(A, "A") - stats.T
     if z <= 0:
         raise OutOfRegime(f"requires D + A - T > 0, got {z:.6g}")
     if stats.B == 0:

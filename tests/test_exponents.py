@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gausdet import (
+    BoundInterval,
     IntensityVector,
     NpTest,
+    TailSandwich,
     alpha_upper_bound,
     beta_lower_bound,
     beta_mismatch_upper,
@@ -270,6 +272,12 @@ class TestSufficientConditions:
         check = sufficient_condition_check(sigma, sigma, A, MODE_ASYMP1A)
         assert check.lhs <= 1e-12
 
+    @pytest.mark.parametrize("mode", [MODE_EXACT_U0, MODE_U0_EQUALS_1, MODE_ASYMP1A])
+    def test_non_finite_level_rejected(self, mode):
+        sigma = IntensityVector([1.0, 1.0])
+        with pytest.raises(InvalidInput, match="A must be finite"):
+            sufficient_condition_check(sigma, sigma, math.nan, mode)
+
     def test_unknown_mode(self):
         with pytest.raises(InvalidInput):
             sufficient_condition_check(
@@ -295,6 +303,13 @@ class TestBetaLowerBound:
             -res.u0.value - math.log(math.pi * n), rel=1e-12
         )
         assert res.u1 == pytest.approx(res.u0.argmax, abs=1e-9)
+
+    def test_interval_is_a_tail_sandwich(self):
+        sigma = IntensityVector([0.8, 1.0, 1.3])
+        res = beta_lower_bound(sigma, mid_window_level(sigma))
+        assert type(res.interval) is TailSandwich
+        assert math.isnan(res.interval.center)
+        assert BoundInterval is TailSandwich
 
     def test_u1_at_least_u0(self):
         rng = np.random.default_rng(13)

@@ -115,6 +115,30 @@ class TestEstimateErrorProbs:
         assert strong.p_hat <= weak.p_hat
 
 
+_FLAT2 = IntensityVector([1.0, 1.0])
+_PRIOR2 = DiscretePrior((_FLAT2, IntensityVector([2.0, 2.0])), np.array([0.5, 0.5]))
+_ONE_HOT2 = FinitePoints((IntensityVector([1.0, 0.0]), IntensityVector([0.0, 1.0])))
+
+
+class TestNonFiniteLevels:
+    """A non-finite level or parameter raises, naming it, before any draw."""
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda: NpTest(_FLAT2, math.nan), "A"),
+        (lambda: BayesTest(_PRIOR2, math.nan), "level"),
+        (lambda: GlrtTest(_ONE_HOT2, math.nan), "levels"),
+        (lambda: GlrtTest(_ONE_HOT2, [0.0, math.nan]), "levels"),
+    ], ids=["np", "bayes", "glrt-scalar", "glrt-vector"])
+    def test_test_level_rejected(self, make, name):
+        with pytest.raises(InvalidInput, match=name):
+            estimate_error_probs(make(), samples=2000)
+
+    @pytest.mark.parametrize("R", [math.nan, math.inf])
+    def test_example3_radius_rejected(self, R):
+        with pytest.raises(InvalidInput, match="R must be finite"):
+            example3_experiment(10, R, samples=2000)
+
+
 class TestWeightedChi2Cdf:
     def test_input_validation(self):
         with pytest.raises(InvalidInput):
@@ -139,6 +163,11 @@ class TestWeightedChi2Cdf:
     def test_non_finite_input_rejected(self, weights, x):
         with pytest.raises(InvalidInput):
             weighted_chi2_cdf(weights, x)
+
+    @pytest.mark.parametrize("weights", [[], [[1.0, 2.0]]], ids=["empty", "2d"])
+    def test_empty_or_2d_weights_rejected(self, weights):
+        with pytest.raises(InvalidInput, match="weights must be a nonempty 1-D"):
+            weighted_chi2_cdf(weights, 1.0)
 
     def test_equal_weights_match_gamma(self):
         for n in (1, 2, 5, 10):
@@ -343,6 +372,21 @@ class TestRegions:
         np.testing.assert_array_equal(got, [True, True, False])
 
 
+    @pytest.mark.parametrize("make, name", [
+        (lambda: Box(np.array([math.nan, 1.0])), "half_widths"),
+        (lambda: Box(np.ones((2, 2))), "half_widths"),
+        (lambda: Box(np.array([])), "half_widths"),
+        (lambda: Ellipsoid(np.ones(2), math.nan), "c"),
+        (lambda: Ellipsoid(np.ones(2), math.inf), "c"),
+        (lambda: Ellipsoid(np.array([1.0, math.inf]), 1.0), "weights"),
+        (lambda: Ellipsoid(np.ones((2, 2)), 1.0), "weights"),
+    ], ids=["box-nan", "box-2d", "box-empty", "ellipsoid-c-nan", "ellipsoid-c-inf",
+            "ellipsoid-weights-inf", "ellipsoid-2d"])
+    def test_non_finite_empty_or_2d_rejected(self, make, name):
+        with pytest.raises(InvalidInput, match=name):
+            make()
+
+
 class TestLemma1Check:
     def test_holds_on_box(self):
         res = lemma1_check(
@@ -365,6 +409,17 @@ class TestLemma1Check:
             lemma1_check(Box(np.ones(2)), np.ones(3), np.ones(2), samples=2000)
         with pytest.raises(InvalidInput):
             lemma1_check(Box(np.ones(2)), np.ones(2), np.ones(2), samples=10)
+
+    @pytest.mark.parametrize("xi_sd, eta_sd, match", [
+        ([math.nan, 1.0], [1.0, 1.0], "xi_sd"),
+        ([1.0, 1.0], [1.0, math.inf], "eta_sd"),
+        (np.ones((1, 2)), [1.0, 1.0], "xi_sd"),
+        ([-1.0, 1.0], [1.0, 1.0], "nonnegative"),
+        ([1.0, 1.0], [1.0, -0.5], "nonnegative"),
+    ], ids=["xi-nan", "eta-inf", "xi-2d", "xi-negative", "eta-negative"])
+    def test_bad_sds_rejected(self, xi_sd, eta_sd, match):
+        with pytest.raises(InvalidInput, match=match):
+            lemma1_check(Box(np.ones(2)), xi_sd, eta_sd, samples=2000)
 
 
 class TestExample3:

@@ -15,24 +15,19 @@ def test_sqrt_two():
     assert res.iterations >= 1
 
 
-def test_without_derivative_falls_back_to_bisection():
-    res = solve_bracketed(lambda x: x * x - 2.0, None, 0.0, 2.0)
-    assert res.root == pytest.approx(math.sqrt(2.0), abs=1e-11)
-
-
 def test_endpoint_roots_exact():
     assert solve_bracketed(lambda x: x, lambda x: 1.0, 0.0, 1.0).root == 0.0
-    assert solve_bracketed(lambda x: x - 1.0, None, 0.0, 1.0).root == 1.0
+    assert solve_bracketed(lambda x: x - 1.0, lambda x: 1.0, 0.0, 1.0).root == 1.0
 
 
 def test_no_sign_change_rejected():
     with pytest.raises(InvalidInput, match="no sign change"):
-        solve_bracketed(lambda x: x * x + 1.0, None, 0.0, 1.0)
+        solve_bracketed(lambda x: x * x + 1.0, lambda x: 1.0, 0.0, 1.0)
 
 
 def test_empty_bracket_rejected():
     with pytest.raises(InvalidInput, match="empty bracket"):
-        solve_bracketed(lambda x: x, None, 1.0, 1.0)
+        solve_bracketed(lambda x: x, lambda x: 1.0, 1.0, 1.0)
 
 
 def test_steep_function_converges():
@@ -44,7 +39,7 @@ def test_steep_function_converges():
 
 
 def test_grow_upper_bracket():
-    hi = grow_upper_bracket(lambda x: 10.0 - x, start=1.0, factor=4.0)
+    hi = grow_upper_bracket(lambda x: 10.0 - x)
     assert hi >= 10.0
     with pytest.raises(InvalidInput):
         grow_upper_bracket(lambda x: 1.0 + x)

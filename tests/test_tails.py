@@ -105,6 +105,11 @@ class TestBerryEsseen:
         with pytest.raises(OutOfRegime):
             berry_esseen_alpha(sigma, stats.T - stats.D)  # z = 0
 
+    @pytest.mark.parametrize("A", [math.nan, math.inf, -math.inf])
+    def test_non_finite_level_rejected(self, A):
+        with pytest.raises(InvalidInput, match="A must be finite"):
+            berry_esseen_alpha(IntensityVector(np.ones(10)), A)
+
 
 class TestProp4Threshold:
     def test_closed_form(self):
