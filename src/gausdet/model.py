@@ -16,7 +16,10 @@ D(sigma) = sum ln(1+sigma_i^2) is computed only by ``IntensityVector.D``.  The
 rules share one core, ``_QuadraticFormTest``, which builds the weights W (k, n)
 and D_k of its points once and owns ``accepts``; each rule supplies only how it
 combines the forms y^2 . w_k - D_k: a threshold, a weighted log-sum-exp or a
-maximum.  The ``*_decide`` helpers are ``accepts`` on one row.
+maximum.  The combine step takes the weight matrix as an argument, so the
+Monte Carlo estimator can score sums of y_i^2 over blocks of coordinates
+against the matching (k, blocks) columns.  The ``*_decide`` helpers are
+``accepts`` on one row.
 """
 
 from __future__ import annotations
@@ -44,7 +47,11 @@ class Hypothesis(str, Enum):
 
 
 def _as_vector(values: ArrayLike, name: str = "values") -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(values, dtype=float))
+    """A float64 copy of ``values``: freezing it leaves the caller's array writable."""
+    try:
+        arr = np.atleast_1d(np.array(values, dtype=float))
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInput(f"{name} must be a 1-D array of real numbers") from None
     if arr.ndim != 1 or arr.size < 1:
         raise InvalidInput(f"{name} must be a nonempty 1-D array")
     if not np.all(np.isfinite(arr)):
@@ -210,9 +217,12 @@ class _QuadraticFormTest:
 
     ``_build`` stacks the weights w_k = sigma_k^2/(1+sigma_k^2) into W (k, n)
     and D_k = D(sigma_k) once; ``accepts`` squares the rows Y (m, n) and
-    subclasses map Y^2 to the H0-acceptance mask in ``_combine``.  Y^2 is
-    passed on as the only reference to it, so ``_combine`` owns it and can
-    free it before the larger (m, k) intermediates are made.
+    subclasses map Y^2 and the weights W to the H0-acceptance mask in
+    ``_combine(Y2, W)``.  Y^2 is passed on as the only reference to it, so
+    ``_combine`` owns it and can free it before the larger (m, k)
+    intermediates are made.  W may be any (k, c) matrix whose column j is
+    the weight column shared by the coordinates whose y_i^2 sum to column j
+    of Y^2.
     """
 
     def _build(self, points: Sequence[IntensityVector]) -> None:
@@ -234,7 +244,7 @@ class _QuadraticFormTest:
             raise DimensionMismatch(
                 f"rows of Y have length {Y.shape[1]}, test has {self.n}"
             )
-        return self._combine(np.square(Y, out=Y if overwrite else None))
+        return self._combine(np.square(Y, out=Y if overwrite else None), self._W)
 
     def _decide(self, y: Union[Observation, ArrayLike]) -> Hypothesis:
         accepted = bool(self.accepts(_obs_values(y)[None, :])[0])
@@ -269,8 +279,8 @@ class NpTest(_QuadraticFormTest):
         """The ellipsoid radius D(sigma) + A."""
         return float(self._D[0]) + self.A
 
-    def _combine(self, Y2: np.ndarray) -> np.ndarray:
-        return Y2 @ self._W[0] <= self.threshold
+    def _combine(self, Y2: np.ndarray, W: np.ndarray) -> np.ndarray:
+        return Y2 @ W[0] <= self.threshold
 
 
 def np_decide(test: NpTest, y: Union[Observation, ArrayLike]) -> Hypothesis:
@@ -349,9 +359,9 @@ class BayesTest(_QuadraticFormTest):
         object.__setattr__(self, "level", _as_number(self.level, "level"))
         self._build(self.prior.points)
 
-    def _combine(self, Y2: np.ndarray) -> np.ndarray:
+    def _combine(self, Y2: np.ndarray, W: np.ndarray) -> np.ndarray:
         Y2 *= 0.5  # Y2 is owned: 0.5 * Y2 @ W.T without a copy of Y2
-        logs = Y2 @ self._W.T  # (m, k)
+        logs = Y2 @ W.T  # (m, k)
         del Y2  # freed before the log-sum-exp's (m, k) intermediates
         logs -= 0.5 * self._D
         return _log_weighted_sum_exp(logs, self.prior.weights) <= self.level
@@ -463,9 +473,9 @@ class GlrtTest(_QuadraticFormTest):
         object.__setattr__(self, "levels", levels)
         self._build(self.candidates.points)
 
-    def _combine(self, Y2: np.ndarray) -> np.ndarray:
+    def _combine(self, Y2: np.ndarray, W: np.ndarray) -> np.ndarray:
         # 2 r(y, sigma_k) - A_k = y^2 . w_k - D_k - A_k
-        stat = Y2 @ self._W.T
+        stat = Y2 @ W.T
         stat -= self._D
         stat -= self.levels
         return np.max(stat, axis=1) <= 0.0

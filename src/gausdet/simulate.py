@@ -2,19 +2,23 @@
 
 Sampling uses the counter-based Philox generator with one independent stream
 per shard, keyed by (seed, shard index), so shards never overlap and each is
-a pure function of (seed, shard).  A shard is 2^17 draws (1 MiB of
-float64), 2^17 // n rows of an n-dimensional instance (at least one), so its
-row count depends only on the dimension, and its draws fit in a 2 MiB
-per-core L2 cache.  A run with more than one shard runs them on
-W = min(shards, CPUs this process may use) threads: worker j takes shards
-j, j + W, j + 2W, ... and returns its own hit counts, which are summed.  numpy
-releases the interpreter lock while it draws normals and multiplies matrices,
-so the workers overlap; each holds one shard's arrays at a time, so the peak
-memory is that of W such shards.  Counts are bit-identical for a fixed
-(seed, samples, instance) whatever the worker count, so results are
-reproducible across machines.  The estimates of one run (both sides of
-``lemma1_check``; the false alarm and the misses of ``example3_experiment``)
-share its draws: each is unbiased, and they are correlated.
+a pure function of (seed, shard).  A shard is 2^17 draws (1 MiB of float64),
+2^17 // c rows of c draws each (at least one row), so its row count depends
+only on the instance, and its draws fit in a 2 MiB per-core L2 cache.  c is
+the dimension n for ``example3_experiment``, 2 x dim for ``lemma1_check``,
+and for ``estimate_error_probs`` the number of drawn columns: coordinates
+that share a weight column and a variance are drawn as one chi-square per
+row, and coordinates of zero weight are not drawn.  A run with more than one
+shard runs them on W = min(shards, CPUs this process may use) threads:
+worker j takes shards j, j + W, j + 2W, ... and returns its own hit counts,
+which are summed.  numpy releases the interpreter lock while it draws and
+multiplies matrices, so the workers overlap; each holds one shard's arrays
+at a time, so the peak memory is that of W such shards.  Counts are
+bit-identical for a fixed (seed, samples, instance) whatever the worker
+count, so results are reproducible across machines.  The estimates of one
+run (both sides of ``lemma1_check``; the false alarm and the misses of
+``example3_experiment``) share its draws: each is unbiased, and they are
+correlated.
 
 The exact oracle for the weighted chi-square probabilities behind alpha and
 beta has one path for every weight vector: the chi-square mixture of Ruben
@@ -42,7 +46,7 @@ from .errors import DimensionMismatch, InvalidInput, OutOfRegime
 from .model import BayesTest, GlrtTest, IntensityVector, NpTest, _as_number, _as_vector
 
 MIN_SAMPLES = 1_000
-_SHARD_SCALARS = 2**17  # draws per shard (1 MiB of float64); fixes rows per n
+_SHARD_SCALARS = 2**17  # draws per shard (1 MiB of float64); fixes rows per c
 
 Test = Union[NpTest, BayesTest, GlrtTest]
 
@@ -109,7 +113,7 @@ def _shard_counts(
     """Hit counts per event over the shards of one run, the only shard loop.
 
     ``events(rng, rows)`` draws a shard's rows from its stream and returns one
-    boolean array per event; row_scalars (normals per row) sets the row counts.
+    boolean array per event; row_scalars (draws per row) sets the row counts.
     ``events`` may run on several threads at once, so it must not write
     shared state.  Worker j of W takes shards j, j + W, ... and the workers'
     totals are summed: counts are integers, so they do not depend on W.  The
@@ -142,6 +146,30 @@ def _shard_counts(
             stop.set()
 
 
+def _blocks(W: np.ndarray, variance: np.ndarray):
+    """(singles, firsts, sizes): the coordinates grouped by (W[:, i], variance_i).
+
+    Coordinates sharing a weight column and a variance are exchangeable: the
+    statistic sees only the sum of their y_i^2, variance * chi2_m in law.
+    ``singles`` are the coordinates in blocks of one, in order; ``firsts``
+    and ``sizes`` give the first coordinate and size of each block of two or
+    more, in order of that coordinate.  Coordinates whose weights are all
+    zero never move the statistic and are in no block.  Two columns can
+    match only if W's first row repeats a value, so a 1-D sort of that row
+    settles the common all-distinct case without grouping the columns.
+    """
+    kept = np.flatnonzero(W.any(axis=0))
+    row = np.sort(W[0, kept])
+    none = np.empty(0, dtype=int)
+    if np.all(row[1:] != row[:-1]):
+        return kept, none, none
+    key = np.vstack([W[:, kept], variance[kept]])
+    _, first, sizes = np.unique(key, axis=1, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    first, sizes = kept[first[order]], sizes[order]
+    return first[sizes == 1], first[sizes > 1], sizes[sizes > 1]
+
+
 def estimate_error_probs(
     test: Test,
     true_sigma: Optional[IntensityVector] = None,
@@ -157,24 +185,44 @@ def estimate_error_probs(
     the estimate is the miss probability (acceptance frequency); passing a
     lambda different from the test's design point gives the mismatched miss
     probability.
+
+    The test scores a row only through sum_i w_ki y_i^2, so coordinates
+    sharing a weight column and a variance 1+lambda_i^2 are drawn together:
+    one (1+lambda^2) chi2_m per row for a block of m >= 2 (``_blocks``),
+    after one standard_normal call for the coordinates in blocks of one.
+    Coordinates of zero weight are not drawn.  A row holds one draw per
+    drawn column, so a shard holds 2^17 // (drawn columns) rows (at least
+    one).  When every coordinate is a block of one with nonzero weight, the
+    rows are scored by ``test.accepts`` and the draws and the arithmetic are
+    those of one normal per coordinate.
     """
     n = test.n
-    scale = None
+    variance = np.ones(n)
     if true_sigma is not None:
         if true_sigma.n != n:
             raise DimensionMismatch(
                 f"true intensity has length {true_sigma.n}, test has {n}"
             )
-        scale = np.sqrt(1.0 + true_sigma.squared)
+        variance = 1.0 + true_sigma.squared
+    singles, firsts, sizes = _blocks(test._W, variance)
+    unblocked = singles.size == n  # one normal per coordinate
+    W = test._W if unblocked else test._W[:, np.concatenate([singles, firsts])]
+    scale = None if true_sigma is None else np.sqrt(variance[singles])
+    block_variance = variance[firsts]
 
     def events(rng, rows):
-        Y = rng.standard_normal((rows, n))
+        Y = rng.standard_normal((rows, singles.size))
         if scale is not None:
             Y *= scale
-        return (test.accepts(Y, overwrite=True),)
+        if unblocked:
+            return (test.accepts(Y, overwrite=True),)
+        Y2 = np.column_stack([np.square(Y, out=Y)] + [
+            rng.chisquare(m, rows) * v for m, v in zip(sizes, block_variance)
+        ])
+        return (test._combine(Y2, W),)
 
-    (accepted,) = _shard_counts(seed, samples, n, events)
-    hits = accepted if scale is not None else samples - accepted
+    (accepted,) = _shard_counts(seed, samples, max(1, W.shape[1]), events)
+    hits = accepted if true_sigma is not None else samples - accepted
     return MonteCarloEstimate.from_counts(hits, samples, seed)
 
 

@@ -85,6 +85,7 @@ POOL_SCRIPT = """
 import json, sys
 from click.testing import CliRunner
 import gausdet.cli
+import numpy as np
 from gausdet import IntensityVector, NpTest, estimate_error_probs, simulate
 
 def pool_loaded():
@@ -95,7 +96,7 @@ cfg = {"test": "np", "sigma": [1.0, 2.0], "A": 0.0, "samples": 1000}
 result = CliRunner().invoke(gausdet.cli.main, ["simulate"], input=json.dumps(cfg))
 code = result.exit_code
 after_single_shard = pool_loaded()
-test = NpTest(IntensityVector([1.0] * 128), 0.0)
+test = NpTest(IntensityVector(np.linspace(0.5, 1.5, 128)), 0.0)
 estimate_error_probs(test, None, 3 * simulate._shard_rows(128), 1)
 print(json.dumps({"after_import": after_import, "code": code,
                   "after_single_shard": after_single_shard,

@@ -81,6 +81,20 @@ class TestIntensityVector:
         with pytest.raises(ValueError):
             v.values[0] = 3.0
 
+    def test_callers_array_stays_writable(self):
+        a = np.ones(3)
+        v = IntensityVector(a)
+        a[0] = 2.0
+        assert v.values[0] == 1.0 and not v.values.flags.writeable
+        levels = np.array([0.5, 1.0])
+        GlrtTest(FinitePoints((v, v)), levels)
+        levels[0] = 3.0
+
+    @pytest.mark.parametrize("values", [["a"], [[1, 2], [3]], [10**400], [None]])
+    def test_unconvertible_values_raise_invalid_input(self, values):
+        with pytest.raises(InvalidInput, match="sigma"):
+            IntensityVector(values)
+
     def test_accepts_list(self):
         v = IntensityVector([1, 2, 3])
         assert v.n == 3

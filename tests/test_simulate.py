@@ -115,6 +115,177 @@ class TestEstimateErrorProbs:
         assert strong.p_hat <= weak.p_hat
 
 
+def _unblocked(test, true_sigma, samples, seed):
+    """The estimator without blocks: one normal per coordinate, then ``accepts``."""
+    scale = None if true_sigma is None else np.sqrt(1.0 + true_sigma.squared)
+
+    def events(rng, rows):
+        Y = rng.standard_normal((rows, test.n))
+        if scale is not None:
+            Y *= scale
+        return (test.accepts(Y, overwrite=True),)
+
+    (accepted,) = _shard_counts(seed, samples, test.n, events)
+    hits = accepted if true_sigma is not None else samples - accepted
+    return MonteCarloEstimate.from_counts(hits, samples, seed)
+
+
+class _DrawSpy:
+    """Wraps each shard's stream and records its draw calls."""
+
+    def __init__(self):
+        self.normals, self.chisquares = [], []
+
+    def stream(self, seed, shard):
+        rng, spy = shard_stream(seed, shard), self
+
+        class Spied:
+            def standard_normal(self, size):
+                spy.normals.append(size)  # list.append is atomic across threads
+                return rng.standard_normal(size)
+
+            def chisquare(self, df, size):
+                spy.chisquares.append((int(df), size))
+                return rng.chisquare(df, size)
+
+        return Spied()
+
+
+class TestBlockedDraws:
+    """Coordinates sharing weights and variance are drawn as one chi-square."""
+
+    @staticmethod
+    def within(est, want, k=4.0):
+        return abs(est.p_hat - want) <= k * max(est.stderr, 1.0 / est.samples)
+
+    def test_flat_sigma_matches_incomplete_gamma(self, monkeypatch):
+        n, s = 200, 0.3
+        sigma = IntensityVector(np.full(n, s))
+        lo, hi = signal_statistics(sigma).window
+        test = NpTest(sigma, 0.5 * (lo + hi))
+        w, thr = s * s / (1.0 + s * s), test.threshold
+        spy = _DrawSpy()
+        monkeypatch.setattr(simulate, "shard_stream", spy.stream)
+        est_a = estimate_error_probs(test, None, 100_000, 1)
+        est_b = estimate_error_probs(test, sigma, 100_000, 2)
+        assert self.within(est_a, float(gammaincc(n / 2, thr / (2.0 * w))))
+        # Under sigma the statistic is w (1 + s^2) chi2_n = s^2 chi2_n.
+        assert self.within(est_b, float(gammainc(n / 2, thr / (2.0 * s * s))))
+        # One block: one shard of 2^17 rows, no normals, one chi2_200 each.
+        assert spy.normals == [(100_000, 0)] * 2
+        assert spy.chisquares == [(n, 100_000)] * 2
+
+    def test_two_level_sigma_matches_oracle(self):
+        sigma = IntensityVector(np.tile([0.5, 1.5], 25))
+        lo, hi = signal_statistics(sigma).window
+        test = NpTest(sigma, lo + 0.6 * (hi - lo))
+        assert [b.tolist() for b in simulate._blocks(test._W, np.ones(50))] == [
+            [], [0, 1], [25, 25]]
+        alpha, beta = np_test_exact_probs(test)
+        assert self.within(estimate_error_probs(test, None, 100_000, 3), alpha)
+        assert self.within(estimate_error_probs(test, sigma, 100_000, 4), beta)
+
+    def test_one_hot_zero_block_is_not_drawn(self, monkeypatch):
+        values = np.zeros(40)
+        values[7] = 2.0
+        sigma = IntensityVector(values)
+        test = NpTest(sigma, 0.5)
+        alpha, beta = np_test_exact_probs(test)
+        spy = _DrawSpy()
+        monkeypatch.setattr(simulate, "shard_stream", spy.stream)
+        assert self.within(estimate_error_probs(test, None, 50_000, 5), alpha)
+        assert self.within(estimate_error_probs(test, sigma, 50_000, 6), beta)
+        assert spy.normals == [(50_000, 1)] * 2 and spy.chisquares == []
+
+    def test_flat_test_under_non_flat_lambda_splits_the_block(self):
+        sigma = IntensityVector(np.full(40, 0.8))
+        lam = IntensityVector(np.repeat([0.5, 1.5], 20))
+        test = NpTest(sigma, 0.3)
+        variance = 1.0 + lam.squared
+        assert [b.tolist() for b in simulate._blocks(test._W, variance)] == [
+            [], [0, 20], [20, 20]]
+        want = weighted_chi2_cdf(sigma.r_squared * variance, test.threshold)
+        assert self.within(estimate_error_probs(test, lam, 100_000, 7), want)
+
+    @pytest.mark.parametrize("kind", ["bayes", "glrt"])
+    def test_flat_candidates_agree_with_unblocked_draws(self, kind):
+        flat = tuple(IntensityVector(np.full(6, s)) for s in (0.6, 3.0, 1.2))
+        if kind == "bayes":
+            test = BayesTest(DiscretePrior(flat, np.array([0.5, 0.0, 0.5])), 0.4)
+        else:
+            test = GlrtTest(FinitePoints(flat), np.array([0.5, 1.0, -0.2]))
+        for true_sigma, seed in ((None, 11), (flat[2], 12)):
+            got = estimate_error_probs(test, true_sigma, 40_000, seed)
+            ref = _unblocked(test, true_sigma, 40_000, seed + 100)
+            assert abs(got.p_hat - ref.p_hat) <= 4.0 * math.hypot(
+                got.stderr, ref.stderr)
+
+    def test_distinct_sigma_draws_are_those_of_one_normal_per_coordinate(self):
+        rng = np.random.default_rng(8)
+        sigma = IntensityVector(rng.uniform(0.2, 1.5, 300))
+        lam = IntensityVector(rng.uniform(0.2, 1.5, 300))
+        points = FinitePoints(
+            tuple(IntensityVector(rng.uniform(0.0, 1.5, 16)) for _ in range(5)))
+        prior = DiscretePrior(points.points, np.full(5, 0.2))
+        cases = [(NpTest(sigma, 0.0), None), (NpTest(sigma, 0.0), lam),
+                 (GlrtTest(points, 3.0), None), (BayesTest(prior, 0.5), None)]
+        for test, true_sigma in cases:
+            got = estimate_error_probs(test, true_sigma, 3_000, 9)
+            assert got == _unblocked(test, true_sigma, 3_000, 9)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_multi_shard_counts_do_not_depend_on_worker_count(
+            self, monkeypatch, cpus):
+        # 256 singletons and a block of 100: 257 drawn columns, so 510 rows
+        # per shard and three shards; flat sigma at n = 8: three shards of 2^17.
+        mixed = IntensityVector(
+            np.concatenate([np.linspace(0.5, 1.5, 256), np.full(100, 2.5)]))
+        flat = IntensityVector(np.full(8, 0.7))
+        runs = [(NpTest(mixed, 0.0), mixed, 1_500), (NpTest(flat, 0.0), None,
+                                                     2 * 2**17 + 5)]
+        assert 2 * _shard_rows(257) < 1_500 <= 3 * _shard_rows(257)
+        got = []
+        for cpu_count in (1, cpus):
+            monkeypatch.setattr(simulate, "_cpu_count", lambda: cpu_count)
+            got.append([estimate_error_probs(t, lam, m, 3).p_hat
+                        for t, lam, m in runs])
+        assert got[0] == got[1]
+
+    def test_all_zero_weights_draw_nothing(self, monkeypatch):
+        spy = _DrawSpy()
+        monkeypatch.setattr(simulate, "shard_stream", spy.stream)
+        zero = IntensityVector(np.zeros(5))
+        test = NpTest(zero, 0.5)  # accepts every row: y^2 . 0 = 0 <= 0.5
+        assert estimate_error_probs(test, None, 2_000, 1).p_hat == 0.0
+        assert estimate_error_probs(test, IntensityVector(np.ones(5)), 2_000,
+                                    1).p_hat == 1.0
+        glrt = GlrtTest(FinitePoints((zero, zero)), np.array([-0.1, 0.3]))
+        assert estimate_error_probs(glrt, None, 2_000, 1).p_hat == 1.0
+        assert spy.normals == [(2_000, 0)] * 3 and spy.chisquares == []
+
+    def test_distinct_sigma_at_n_1e5_skips_grouping(self, monkeypatch):
+        # The 1-D sort settles distinct sigma without np.unique, at under 1%
+        # of the cost of an estimate of 1,000 samples.
+        n = 100_000
+        sigma = IntensityVector(np.linspace(0.5, 1.5, n))
+        test, variance = NpTest(sigma, 0.0), np.ones(n)
+
+        def no_unique(*args, **kwargs):
+            raise AssertionError("np.unique called on distinct sigma")
+
+        monkeypatch.setattr(np, "unique", no_unique)
+        start = time.perf_counter()
+        estimate_error_probs(test, None, 1_000, 1)
+        estimate_s = time.perf_counter() - start
+        plan_s = []
+        for _ in range(3):
+            start = time.perf_counter()
+            singles, firsts, _ = simulate._blocks(test._W, variance)
+            plan_s.append(time.perf_counter() - start)
+        assert singles.size == n and firsts.size == 0
+        assert min(plan_s) <= 0.01 * estimate_s
+
+
 _FLAT2 = IntensityVector([1.0, 1.0])
 _PRIOR2 = DiscretePrior((_FLAT2, IntensityVector([2.0, 2.0])), np.array([0.5, 0.5]))
 _ONE_HOT2 = FinitePoints((IntensityVector([1.0, 0.0]), IntensityVector([0.0, 1.0])))
@@ -519,8 +690,8 @@ class TestPinnedStreams:
     def test_bayes(self):
         prior = DiscretePrior(self.FLAT, np.array([0.5, 0.0, 0.5]))
         test = BayesTest(prior, 0.4)
-        assert estimate_error_probs(test, None, 20_000, 3).p_hat == 0.1126
-        assert estimate_error_probs(test, self.FLAT[0], 20_000, 3).p_hat == 0.7331
+        assert estimate_error_probs(test, None, 20_000, 3).p_hat == 0.1133
+        assert estimate_error_probs(test, self.FLAT[0], 20_000, 3).p_hat == 0.7325
         prior2 = DiscretePrior(
             (
                 IntensityVector(np.linspace(0.1, 2, 6)),
@@ -533,8 +704,8 @@ class TestPinnedStreams:
 
     def test_glrt(self):
         test = GlrtTest(FinitePoints(self.FLAT), np.array([0.5, 1.0, -0.2]))
-        assert estimate_error_probs(test, None, 20_000, 4).p_hat == 0.19015
-        assert estimate_error_probs(test, self.FLAT[2], 20_000, 4).p_hat == 0.27025
+        assert estimate_error_probs(test, None, 20_000, 4).p_hat == 0.18765
+        assert estimate_error_probs(test, self.FLAT[2], 20_000, 4).p_hat == 0.2653
 
     def test_example3(self):
         probe = np.zeros(50)
