@@ -16,9 +16,9 @@ D(sigma) = sum ln(1+sigma_i^2) is computed only by ``IntensityVector.D``.  The
 rules share one core, ``_QuadraticFormTest``, which builds the weights W (k, n)
 and D_k of its points once and owns ``accepts``; each rule supplies only how it
 combines the forms y^2 . w_k - D_k: a threshold, a weighted log-sum-exp or a
-maximum.  The combine step takes the weight matrix as an argument, so the
-Monte Carlo estimator can score sums of y_i^2 over blocks of coordinates
-against the matching (k, blocks) columns.  The ``*_decide`` helpers are
+maximum.  ``accepts`` also scores sums of y_i^2 over blocks of coordinates
+against the blocks' (k, blocks) weight columns, which is how the Monte Carlo
+estimator scores its blocked draws.  The ``*_decide`` helpers are
 ``accepts`` on one row.
 """
 
@@ -220,9 +220,8 @@ class _QuadraticFormTest:
     subclasses map Y^2 and the weights W to the H0-acceptance mask in
     ``_combine(Y2, W)``.  Y^2 is passed on as the only reference to it, so
     ``_combine`` owns it and can free it before the larger (m, k)
-    intermediates are made.  W may be any (k, c) matrix whose column j is
-    the weight column shared by the coordinates whose y_i^2 sum to column j
-    of Y^2.
+    intermediates are made.  W is ``_W``, or the (k, c) weight columns of
+    blocks of coordinates when Y^2 holds the blocks' sums of y_i^2.
     """
 
     def _build(self, points: Sequence[IntensityVector]) -> None:
@@ -233,18 +232,33 @@ class _QuadraticFormTest:
     def n(self) -> int:
         return self._W.shape[1]
 
-    def accepts(self, Y: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
+    def accepts(
+        self,
+        Y: np.ndarray,
+        *,
+        overwrite: bool = False,
+        weights: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Vectorized H0-acceptance over rows of Y (shape (m, n)).
 
         With overwrite=True a float array Y may be squared in place, which
         saves one (m, n) array; Y's contents are then undefined.
+
+        With ``weights``, a (k, c) matrix, Y (m, c) holds sums of squares and
+        is not squared again: its column j is the sum of y_i^2 over a block
+        of coordinates that all have the weight column weights[:, j].
         """
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        if Y.shape[1] != self.n:
+        W = self._W if weights is None else weights
+        if Y.shape[1] != W.shape[1]:
             raise DimensionMismatch(
-                f"rows of Y have length {Y.shape[1]}, test has {self.n}"
+                f"rows of Y have length {Y.shape[1]}, expected {W.shape[1]}"
             )
-        return self._combine(np.square(Y, out=Y if overwrite else None), self._W)
+        if weights is None:
+            Y2 = np.square(Y, out=Y if overwrite else None)
+        else:
+            Y2 = Y if overwrite else Y.copy()
+        return self._combine(Y2, W)
 
     def _decide(self, y: Union[Observation, ArrayLike]) -> Hypothesis:
         accepted = bool(self.accepts(_obs_values(y)[None, :])[0])

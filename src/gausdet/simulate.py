@@ -2,13 +2,15 @@
 
 Sampling uses the counter-based Philox generator with one independent stream
 per shard, keyed by (seed, shard index), so shards never overlap and each is
-a pure function of (seed, shard).  A shard is 2^17 draws (1 MiB of float64),
-2^17 // c rows of c draws each (at least one row), so its row count depends
-only on the instance, and its draws fit in a 2 MiB per-core L2 cache.  c is
+a pure function of (seed, shard).  A shard is 2^17 // c rows of at most c
+draws each (at least one row; at most 2^17 draws, 1 MiB of float64), so its
+row count depends only on the instance, and its draws fit in a 2 MiB
+per-core L2 cache.  c is
 the dimension n for ``example3_experiment``, 2 x dim for ``lemma1_check``,
-and for ``estimate_error_probs`` the number of drawn columns: coordinates
-that share a weight column and a variance are drawn as one chi-square per
-row, and coordinates of zero weight are not drawn.  A run with more than one
+and for ``estimate_error_probs`` the larger of the number of drawn columns
+and min(k, n) for a test of k points: coordinates that share a weight
+column and a variance are drawn as one chi-square per row, and
+coordinates of zero weight are not drawn.  A run with more than one
 shard runs them on W = min(shards, CPUs this process may use) threads:
 worker j takes shards j, j + W, j + 2W, ... and returns its own hit counts,
 which are summed.  numpy releases the interpreter lock while it draws and
@@ -190,11 +192,14 @@ def estimate_error_probs(
     sharing a weight column and a variance 1+lambda_i^2 are drawn together:
     one (1+lambda^2) chi2_m per row for a block of m >= 2 (``_blocks``),
     after one standard_normal call for the coordinates in blocks of one.
-    Coordinates of zero weight are not drawn.  A row holds one draw per
-    drawn column, so a shard holds 2^17 // (drawn columns) rows (at least
-    one).  When every coordinate is a block of one with nonzero weight, the
-    rows are scored by ``test.accepts`` and the draws and the arithmetic are
-    those of one normal per coordinate.
+    Coordinates of zero weight are not drawn.  ``test.accepts`` scores the
+    squares and block sums against their weight columns.  A shard holds
+    2^17 // c rows (at least one), c the larger of the drawn columns and
+    min(k, n) for a test of k points: its draws and its (rows, k) scores
+    fit in 2^17 floats each, except that it keeps the 2^17 // n rows of one
+    normal per coordinate when k > n.  When every coordinate is a block of
+    one with nonzero weight, the rows per shard, the draws and the
+    arithmetic are those of one normal per coordinate.
     """
     n = test.n
     variance = np.ones(n)
@@ -205,8 +210,8 @@ def estimate_error_probs(
             )
         variance = 1.0 + true_sigma.squared
     singles, firsts, sizes = _blocks(test._W, variance)
-    unblocked = singles.size == n  # one normal per coordinate
-    W = test._W if unblocked else test._W[:, np.concatenate([singles, firsts])]
+    drawn = np.concatenate([singles, firsts])
+    W = test._W if drawn.size == n else test._W[:, drawn]
     scale = None if true_sigma is None else np.sqrt(variance[singles])
     block_variance = variance[firsts]
 
@@ -214,14 +219,17 @@ def estimate_error_probs(
         Y = rng.standard_normal((rows, singles.size))
         if scale is not None:
             Y *= scale
-        if unblocked:
-            return (test.accepts(Y, overwrite=True),)
-        Y2 = np.column_stack([np.square(Y, out=Y)] + [
-            rng.chisquare(m, rows) * v for m, v in zip(sizes, block_variance)
-        ])
-        return (test._combine(Y2, W),)
+        Y2 = np.square(Y, out=Y)
+        if sizes.size:
+            Y2 = np.column_stack([Y2] + [
+                rng.chisquare(m, rows) * v for m, v in zip(sizes, block_variance)
+            ])
+        return (test.accepts(Y2, overwrite=True, weights=W),)
 
-    (accepted,) = _shard_counts(seed, samples, max(1, W.shape[1]), events)
+    # Each (rows, drawn) and (rows, k) array of a shard stays within 2^17
+    # floats, but a shard never holds fewer rows than 2^17 // n.
+    row_scalars = max(1, drawn.size, min(W.shape[0], n))
+    (accepted,) = _shard_counts(seed, samples, row_scalars, events)
     hits = accepted if true_sigma is not None else samples - accepted
     return MonteCarloEstimate.from_counts(hits, samples, seed)
 

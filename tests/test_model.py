@@ -209,6 +209,27 @@ class TestNpTest:
         with pytest.raises(DimensionMismatch):
             test.accepts(np.zeros((3, 5)))
 
+    def test_accepts_block_sums_against_their_weight_columns(self):
+        # Coordinates 0-2 and 3-4 share their weight columns in every point,
+        # so the two block sums of y^2 score as the five coordinates do.
+        rng = np.random.default_rng(1)
+        points = (IntensityVector([1.0, 1.0, 1.0, 0.5, 0.5]),
+                  IntensityVector([2.0, 2.0, 2.0, 0.0, 0.0]))
+        tests = [NpTest(points[0], A=0.2),
+                 BayesTest(DiscretePrior(points, np.array([0.3, 0.7])), 0.1),
+                 GlrtTest(FinitePoints(points), np.array([0.4, -0.3]))]
+        Y = rng.standard_normal((400, 5))
+        sums = np.column_stack([(Y[:, :3] ** 2).sum(1), (Y[:, 3:] ** 2).sum(1)])
+        for test in tests:
+            weights = test._W[:, [0, 3]]
+            kept = sums.copy()
+            acc = test.accepts(sums, weights=weights)
+            np.testing.assert_array_equal(acc, test.accepts(Y))
+            np.testing.assert_array_equal(sums, kept)  # not scaled in place
+            assert 0 < acc.sum() < 400
+            with pytest.raises(DimensionMismatch):
+                test.accepts(Y, weights=weights)
+
 
 class TestDiscretePriorAndBayes:
     def test_weight_validation(self):

@@ -251,6 +251,32 @@ class TestBlockedDraws:
                         for t, lam, m in runs])
         assert got[0] == got[1]
 
+    @pytest.mark.parametrize("kind", ["bayes", "glrt"])
+    @pytest.mark.parametrize("n, k, rows", [(1_000, 512, 256), (16, 64, 8_192)])
+    def test_flat_candidates_size_shards_by_their_count(
+            self, monkeypatch, kind, n, k, rows):
+        # k flat candidates are one drawn column; a shard holds 2^17 // k
+        # rows, so its (rows, k) scores are 2^17 floats, but never fewer
+        # than the 2^17 // n rows of one normal per coordinate.
+        flat = tuple(IntensityVector(np.full(n, s))
+                     for s in np.linspace(0.1, 2.0, k))
+        if kind == "bayes":
+            test = BayesTest(DiscretePrior(flat, np.full(k, 1.0 / k)), 0.4)
+        else:
+            test = GlrtTest(FinitePoints(flat), np.linspace(0.5, 3.0, k))
+        seen, accepts = [], type(test).accepts
+
+        def spy(self, Y, **kwargs):
+            seen.append(len(Y))
+            return accepts(self, Y, **kwargs)
+
+        monkeypatch.setattr(type(test), "accepts", spy)
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 1)
+        samples = max(simulate.MIN_SAMPLES, 2 * rows + 7)
+        estimate_error_probs(test, None, samples, 1)
+        assert seen[0] == rows == _shard_rows(max(1, min(k, n)))
+        assert sum(seen) == samples and max(seen) == rows
+
     def test_all_zero_weights_draw_nothing(self, monkeypatch):
         spy = _DrawSpy()
         monkeypatch.setattr(simulate, "shard_stream", spy.stream)
