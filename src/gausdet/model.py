@@ -8,8 +8,9 @@ r(y, sigma) = (1/2) sum sigma_i^2 y_i^2/(1+sigma_i^2) - D(sigma)/2: the
 single-point ellipsoid test, the discrete-prior mixture test, and the
 max-likelihood-ratio (GLRT) test over a finite candidate set.
 
-Every input array is read by ``_as_vector`` (nonempty, 1-D, finite) and a
-test's level by ``_as_number`` (finite); a point set is checked only by
+Every input array is read by ``_as_vector`` (nonempty, 1-D, finite), a
+test's level by ``_as_number`` (finite) and a Monte Carlo run's sample
+count, seed and dimension by ``_as_integer``; a point set is checked only by
 ``FinitePoints`` (nonempty, one dimension), which ``DiscretePrior`` uses.
 
 D(sigma) = sum ln(1+sigma_i^2) is computed only by ``IntensityVector.D``.  The
@@ -25,6 +26,7 @@ estimator scores its blocked draws.  The ``*_decide`` helpers are
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -67,6 +69,14 @@ def _as_number(value, name: str) -> float:
     if not math.isfinite(x):
         raise InvalidInput(f"{name} must be finite, got {x}")
     return x
+
+
+def _as_integer(value, name: str) -> int:
+    """A Python int; a float, even 1000.0, is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{name} must be an integer") from None
 
 
 @dataclass(frozen=True, eq=False)

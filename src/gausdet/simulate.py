@@ -5,12 +5,16 @@ per shard, keyed by (seed, shard index), so shards never overlap and each is
 a pure function of (seed, shard).  A shard is 2^17 // c rows of at most c
 draws each (at least one row; at most 2^17 draws, 1 MiB of float64), so its
 row count depends only on the instance, and its draws fit in a 2 MiB
-per-core L2 cache.  c is
-the dimension n for ``example3_experiment``, 2 x dim for ``lemma1_check``,
-and for ``estimate_error_probs`` the larger of the number of drawn columns
-and min(k, n) for a test of k points: coordinates that share a weight
-column and a variance are drawn as one chi-square per row, and
-coordinates of zero weight are not drawn.  A run with more than one
+per-core L2 cache.  c is 2 x dim for ``lemma1_check``, the number of drawn
+columns for ``example3_experiment``, and for ``estimate_error_probs`` the
+larger of the number of drawn columns and min(k, n) for a test of k points.
+Both group exchangeable coordinates into blocks (``_blocks``) and draw a
+block of m >= 2 as one column: ``estimate_error_probs`` draws one
+chi-square per row for coordinates that share a weight column and a
+variance, and none for coordinates of zero weight; ``example3_experiment``
+draws one uniform per row for coordinates that share their variance scale
+under every law, and scores it against the law of their maximum.  A
+coordinate in a block of one is one normal.  A run with more than one
 shard runs them on W = min(shards, CPUs this process may use) threads:
 worker j takes shards j, j + W, j + 2W, ... and returns its own hit counts,
 which are summed.  numpy releases the interpreter lock while it draws and
@@ -45,7 +49,15 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, OutOfRegime
-from .model import BayesTest, GlrtTest, IntensityVector, NpTest, _as_number, _as_vector
+from .model import (
+    BayesTest,
+    GlrtTest,
+    IntensityVector,
+    NpTest,
+    _as_integer,
+    _as_number,
+    _as_vector,
+)
 
 MIN_SAMPLES = 1_000
 _SHARD_SCALARS = 2**17  # draws per shard (1 MiB of float64); fixes rows per c
@@ -151,14 +163,16 @@ def _shard_counts(
 def _blocks(W: np.ndarray, variance: np.ndarray):
     """(singles, firsts, sizes): the coordinates grouped by (W[:, i], variance_i).
 
-    Coordinates sharing a weight column and a variance are exchangeable: the
-    statistic sees only the sum of their y_i^2, variance * chi2_m in law.
-    ``singles`` are the coordinates in blocks of one, in order; ``firsts``
-    and ``sizes`` give the first coordinate and size of each block of two or
-    more, in order of that coordinate.  Coordinates whose weights are all
-    zero never move the statistic and are in no block.  Two columns can
-    match only if W's first row repeats a value, so a 1-D sort of that row
-    settles the common all-distinct case without grouping the columns.
+    Coordinates sharing a column of W and a variance are exchangeable: the
+    NP, Bayes and GLRT statistics see only the sum of their y_i^2, and
+    example3's laws only their maximum.  ``singles`` are the coordinates in
+    blocks of one, in order; ``firsts`` and ``sizes`` give the first
+    coordinate and size of each block of two or more, in order of that
+    coordinate.  Coordinates whose column of W is all zero are in no
+    block.  Two columns can match only if W's first row repeats a value,
+    so a 1-D sort of that row settles the common all-distinct case without
+    grouping the columns; otherwise one stable lexicographic sort of the
+    columns puts each block's coordinates side by side, first one first.
     """
     kept = np.flatnonzero(W.any(axis=0))
     row = np.sort(W[0, kept])
@@ -166,9 +180,13 @@ def _blocks(W: np.ndarray, variance: np.ndarray):
     if np.all(row[1:] != row[:-1]):
         return kept, none, none
     key = np.vstack([W[:, kept], variance[kept]])
-    _, first, sizes = np.unique(key, axis=1, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    first, sizes = kept[first[order]], sizes[order]
+    order = np.lexsort(key[::-1])  # by W[0], ties by W[1], ..., then variance
+    key = key[:, order]
+    starts = np.flatnonzero(np.r_[True, np.any(key[:, 1:] != key[:, :-1], axis=0)])
+    sizes = np.diff(np.r_[starts, order.size])
+    first = order[starts]
+    by_first = np.argsort(first)
+    first, sizes = kept[first[by_first]], sizes[by_first]
     return first[sizes == 1], first[sizes > 1], sizes[sizes > 1]
 
 
@@ -201,6 +219,7 @@ def estimate_error_probs(
     one with nonzero weight, the rows per shard, the draws and the
     arithmetic are those of one normal per coordinate.
     """
+    samples, seed = _as_integer(samples, "samples"), _as_integer(seed, "seed")
     n = test.n
     variance = np.ones(n)
     if true_sigma is not None:
@@ -423,6 +442,7 @@ def lemma1_check(
     estimated on the same xi draws (paired), and the verdict allows three
     combined standard errors of slack.
     """
+    samples, seed = _as_integer(samples, "samples"), _as_integer(seed, "seed")
     xi_sd = _as_vector(xi_sd, "xi_sd")
     eta_sd = _as_vector(eta_sd, "eta_sd")
     if np.any(xi_sd < 0) or np.any(eta_sd < 0):
@@ -488,10 +508,23 @@ def example3_experiment(
     asymptotic equal-exponent claim has no finite-n pass/fail form, so the
     ratio is reported for inspection only.
 
-    The three laws differ only in per-coordinate variance scales, so one
-    run draws samples x n normals and scores every law on the same draws:
-    each estimate is unbiased, and the estimates are correlated.
+    Each law accepts iff max_i scale_i y_i^2 <= threshold, with its own
+    scale per coordinate: 1 under noise, 1 + n R^2 at coordinate 0 at the
+    design point, 1 + lambda_i^2 under the probe.  Coordinates that share a
+    column of scales (``_blocks``) enter every law only through the
+    maximum M of their m iid y_i^2, and P(M <= c) = F(c)^m with
+    F(c) = erf(sqrt(c/2)).  So one run draws, per row, one normal for each
+    coordinate in a block of one (in one call, first) and one uniform U for
+    each block of m >= 2, which law L scores as U < F(threshold / scale)^m.
+    Every law is scored on the same draws, and a block's one U serves all
+    of them (the monotone coupling, so the joint law of the three events is
+    exact): each estimate is unbiased, and they are correlated.  A shard
+    holds 2^17 // c rows, c the drawn columns.  With an all-distinct probe
+    every coordinate is a block of one, and the run draws one normal per
+    coordinate, as it did before blocks.
     """
+    n = _as_integer(n, "n")
+    samples, seed = _as_integer(samples, "samples"), _as_integer(seed, "seed")
     if n < 2:
         raise InvalidInput("n must be >= 2")
     R = _as_number(R, "R")
@@ -502,28 +535,38 @@ def example3_experiment(
     A = 2.0 * math.log(n) - d1
     # With one-hot candidates at R*sqrt(n) and a common level, the max-ratio
     # statistic exceeds its level iff some y_i^2 exceeds this threshold.
-    threshold = (1.0 + nr2) * (d1 + A) / nr2
+    threshold = (1.0 + nr2) * (d1 + A) / nr2 if nr2 > 0.0 else math.inf
+    if not math.isfinite(A + threshold):
+        raise OutOfRegime(f"n R^2 = {nr2:.3g} leaves no finite threshold")
 
-    probe_scale = None
+    scales = np.ones((2 if probe_lambda is None else 3, n))
+    scales[1, 0] += nr2
     if probe_lambda is not None:
         if probe_lambda.n != n:
             raise DimensionMismatch(
                 f"probe lambda has length {probe_lambda.n}, experiment has {n}"
             )
-        probe_scale = 1.0 + probe_lambda.squared
+        scales[2] += probe_lambda.squared
+    # The probe's row first: _blocks settles an all-distinct probe by its
+    # 1-D sort of that row.
+    singles, firsts, sizes = _blocks(scales[::-1], np.ones(n))
+    single_scales = scales[:, singles]
+    block_p = np.array([
+        [math.exp(m * math.log1p(-math.erfc(math.sqrt(0.5 * threshold / scale))))
+         for m, scale in zip(sizes, law[firsts])]
+        for law in scales
+    ])[:, :, None]
 
     def events(rng, rows):
-        Y2 = rng.standard_normal((rows, n))
-        np.square(Y2, out=Y2)  # in place: one (rows, n) array per worker
-        rest_ok = np.max(Y2[:, 1:], axis=1) <= threshold
-        rejects = ~(rest_ok & (Y2[:, 0] <= threshold))
-        one_hot_accepts = rest_ok & ((1.0 + nr2) * Y2[:, 0] <= threshold)
-        if probe_scale is None:
-            return rejects, one_hot_accepts
-        Y2 *= probe_scale
-        return rejects, one_hot_accepts, np.max(Y2, axis=1) <= threshold
+        Y2 = np.square(rng.standard_normal((rows, singles.size)))
+        U = rng.random((firsts.size, rows))  # row j: block j's uniforms
+        accepts = [
+            np.all(Y2 * scale <= threshold, axis=1) & np.all(U < p, axis=0)
+            for scale, p in zip(single_scales, block_p)
+        ]
+        return (~accepts[0], *accepts[1:])
 
-    hits = _shard_counts(seed, samples, n, events)
+    hits = _shard_counts(seed, samples, singles.size + firsts.size, events)
     alpha, beta1, *probe = (
         MonteCarloEstimate.from_counts(h, samples, seed) for h in hits
     )

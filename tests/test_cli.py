@@ -640,6 +640,14 @@ class TestExamples:
         assert "beta_hat_lambda" in outs
         assert "log_ratio" in outs
 
+    @pytest.mark.parametrize("R", [1e-200, 1e200])
+    def test_example3_radius_out_of_float_range(self, runner, R):
+        # n R^2 underflows to 0 or overflows: out of regime, no traceback
+        # and no non-finite number in a report.
+        res = run(runner, ["example3"], {"n": 10, "R": R, "samples": 1000})
+        assert res.exit_code == 2
+        assert res.output.startswith("out of regime: n R^2")
+
 
 class TestTails:
     def test_normal_only(self, runner):

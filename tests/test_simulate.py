@@ -134,7 +134,7 @@ class _DrawSpy:
     """Wraps each shard's stream and records its draw calls."""
 
     def __init__(self):
-        self.normals, self.chisquares = [], []
+        self.normals, self.chisquares, self.uniforms = [], [], []
 
     def stream(self, seed, shard):
         rng, spy = shard_stream(seed, shard), self
@@ -147,6 +147,10 @@ class _DrawSpy:
             def chisquare(self, df, size):
                 spy.chisquares.append((int(df), size))
                 return rng.chisquare(df, size)
+
+            def random(self, size):
+                spy.uniforms.append(size)
+                return rng.random(size)
 
         return Spied()
 
@@ -690,6 +694,128 @@ class TestExample3:
         assert a.alpha.p_hat == b.alpha.p_hat
         assert a.beta_sigma1.p_hat == b.beta_sigma1.p_hat
 
+    @staticmethod
+    def probe(kind, n):
+        """Probes with sum lambda_i^2 = n R^2 at R = 1, and two others."""
+        if kind == "none":
+            return None
+        values = np.zeros(n)
+        if kind == "two-hot":
+            values[[3, 17]] = math.sqrt(n / 2.0)
+        elif kind == "flat":
+            values[:] = 1.0
+        elif kind == "distinct":
+            values = np.linspace(0.1, 2.0, n)
+        return IntensityVector(values)
+
+    @staticmethod
+    def product_law(rep, probe):
+        """(alpha, one-hot miss, probe miss): every law accepts iff each
+        scale_i y_i^2 <= threshold, with independent coordinates."""
+        n, thr = rep.n, rep.threshold
+
+        def accept(scale):
+            return float(np.exp(np.sum(np.log(chi2.cdf(thr / scale, 1)))))
+
+        one_hot = np.ones(n)
+        one_hot[0] += n * rep.R**2
+        want = [1.0 - accept(np.ones(n)), accept(one_hot)]
+        if probe is not None:
+            want.append(accept(1.0 + probe.squared))
+        return want
+
+    @pytest.mark.parametrize("n, kind", [
+        (50, "none"), (50, "zero"), (50, "two-hot"), (50, "flat"),
+        (50, "distinct"), (10_000, "none"), (10_000, "zero"),
+        (10_000, "two-hot"), (10_000, "flat"),
+    ])
+    def test_estimates_match_the_product_law(self, n, kind):
+        # The flat probe's miss at n = 1e4 is about 3e-11: 1e5 samples
+        # see none, within 4 standard errors of the exact value.
+        samples, probe = 100_000, self.probe(kind, n)
+        rep = example3_experiment(n, 1.0, samples, 31, probe)
+        got = [rep.alpha, rep.beta_sigma1] + ([rep.beta_lambda] if probe else [])
+        for est, p in zip(got, self.product_law(rep, probe)):
+            assert abs(est.p_hat - p) <= 4.0 * math.sqrt(p * (1.0 - p) / samples)
+
+    @pytest.mark.parametrize("kind", ["none", "two-hot", "flat", "distinct"])
+    def test_matches_one_normal_per_coordinate(self, kind):
+        # An independent reference: PCG64 normals, one per coordinate per
+        # row, each law scored as max_i scale_i y_i^2 <= threshold.
+        n, samples = 50, 100_000
+        probe = self.probe(kind, n)
+        rep = example3_experiment(n, 1.0, samples, 41, probe)
+        scales = [np.ones(n), np.ones(n)]
+        scales[1][0] += n
+        if probe is not None:
+            scales.append(1.0 + probe.squared)
+        hits = np.zeros(len(scales), dtype=int)
+        rng = np.random.default_rng(41)
+        for _ in range(samples // 10_000):
+            Y2 = rng.standard_normal((10_000, n)) ** 2
+            hits += [np.count_nonzero((Y2 * s).max(axis=1) <= rep.threshold)
+                     for s in scales]
+        hits[0] = samples - hits[0]
+        got = [rep.alpha, rep.beta_sigma1] + ([rep.beta_lambda] if probe else [])
+        for est, h in zip(got, hits):
+            ref = MonteCarloEstimate.from_counts(int(h), samples, 41)
+            assert abs(est.p_hat - ref.p_hat) <= 4.0 * math.hypot(
+                est.stderr, ref.stderr)
+
+    @pytest.mark.parametrize("kind, normals, uniforms", [
+        ("none", 1, 1), ("zero", 1, 1), ("two-hot", 1, 2), ("flat", 1, 1),
+        ("distinct", 10_000, 0),
+    ])
+    def test_blocks_draw_one_uniform_per_row(
+            self, monkeypatch, kind, normals, uniforms):
+        # Coordinate 0 is always a block of one; a block of m >= 2 shares
+        # one uniform per row.  With no blocks a row is n normals, as
+        # before, and a shard 2^17 // n rows.
+        n, samples = 10_000, 1_000
+        spy = _DrawSpy()
+        monkeypatch.setattr(simulate, "shard_stream", spy.stream)
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 1)
+        example3_experiment(n, 1.0, samples, 1, self.probe(kind, n))
+        rows = min(samples, _shard_rows(normals + uniforms))
+        assert spy.normals[0] == (rows, normals)
+        assert spy.uniforms[0] == (uniforms, rows)
+        assert sum(size[0] for size in spy.normals) == samples
+
+    @pytest.mark.parametrize("R", [1e-200, 1e-160, 1e200])
+    def test_radius_out_of_float_range(self, R):
+        # n R^2 underflows to 0, or to a subnormal that leaves the threshold
+        # infinite, or overflows.
+        with pytest.raises(OutOfRegime, match="n R\\^2"):
+            example3_experiment(10, R, samples=2000)
+
+
+class TestIntegerArguments:
+    """samples, seed and example3's n must be integers, not floats."""
+
+    RUNS = {
+        "np": lambda **kw: estimate_error_probs(NpTest(_FLAT2, 0.3), **kw),
+        "lemma1": lambda **kw: lemma1_check(Box(np.ones(2)), [1, 1], [1, 1], **kw),
+        "example3": lambda **kw: example3_experiment(10, 1.0, **kw),
+    }
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    @pytest.mark.parametrize("given, name", [
+        ({"samples": 2000.0}, "samples"), ({"samples": "2000"}, "samples"),
+        ({"seed": 1.5}, "seed"), ({"seed": 1.0}, "seed"),
+    ])
+    def test_non_integers_rejected(self, run, given, name):
+        with pytest.raises(InvalidInput, match=f"{name} must be an integer"):
+            self.RUNS[run](**{"samples": 2000, "seed": 1, **given})
+
+    def test_example3_dimension_must_be_an_integer(self):
+        with pytest.raises(InvalidInput, match="n must be an integer"):
+            example3_experiment(100.0, 1.0, samples=2000)
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_numpy_integers_accepted(self, run):
+        want = self.RUNS[run](samples=2000, seed=3)
+        assert self.RUNS[run](samples=np.int64(2000), seed=np.uint64(3)) == want
+
 
 class TestPinnedStreams:
     """Monte Carlo outputs at fixed seeds, pinned to exact values.
@@ -736,11 +862,26 @@ class TestPinnedStreams:
     def test_example3(self):
         probe = np.zeros(50)
         probe[[3, 17]] = 5.0
-        assert 2_500 <= _shard_rows(50)  # one shard
+        assert 2_500 <= _shard_rows(3)  # one shard of 1 normal and 2 uniforms
         rep = example3_experiment(50, 1.0, 2_500, 11, IntensityVector(probe))
-        assert rep.alpha.p_hat == 0.218
-        assert rep.beta_sigma1.p_hat == 0.2404
-        assert rep.beta_lambda.p_hat == 0.1448
+        assert rep.alpha.p_hat == 0.21
+        assert rep.beta_sigma1.p_hat == 0.2492
+        assert rep.beta_lambda.p_hat == 0.1488
+
+    @pytest.mark.parametrize("n, top, samples, seed, want", [
+        (50, 2.0, 2_500, 11, (0.218, 0.2404, 0.0224)),
+        (256, 1.0, 1_500, 13, (0.18133333333333335, 0.13066666666666665,
+                               0.2693333333333333)),
+    ])
+    def test_example3_all_distinct_probe_keeps_its_stream(
+            self, n, top, samples, seed, want):
+        # No two coordinates share their scales, so there are no blocks: one
+        # normal per coordinate, 2^17 // n rows per shard (three shards at
+        # n = 256), the values pinned before blocks.
+        probe = IntensityVector(np.linspace(0.1, top, n))
+        rep = example3_experiment(n, 1.0, samples, seed, probe)
+        got = (rep.alpha.p_hat, rep.beta_sigma1.p_hat, rep.beta_lambda.p_hat)
+        assert got == want
 
     def test_lemma1(self):
         box = lemma1_check(
@@ -753,14 +894,16 @@ class TestPinnedStreams:
         assert (ell.p_sum.p_hat, ell.p_xi.p_hat) == (0.57345, 0.6433)
 
     def test_example3_over_three_shards(self):
+        # Coordinate 0 is drawn as a normal; the hot pair and the other 253
+        # coordinates are two blocks, one uniform each: three columns.
         n = 256
-        assert 2 * _shard_rows(n) < 1_500 <= 3 * _shard_rows(n)
+        assert 2 * _shard_rows(3) < 100_000 <= 3 * _shard_rows(3)
         probe = np.zeros(n)
         probe[[5, 234]] = math.sqrt(n / 2.0)
-        rep = example3_experiment(n, 1.0, 1_500, 13, IntensityVector(probe))
-        assert rep.alpha.p_hat == 0.18133333333333335
-        assert rep.beta_sigma1.p_hat == 0.13066666666666665
-        assert rep.beta_lambda.p_hat == 0.046
+        rep = example3_experiment(n, 1.0, 100_000, 13, IntensityVector(probe))
+        assert rep.alpha.p_hat == 0.19394
+        assert rep.beta_sigma1.p_hat == 0.13498
+        assert rep.beta_lambda.p_hat == 0.04352
 
     def test_np_miss_over_three_shards(self):
         sigma = IntensityVector(np.linspace(0.2, 1.2, 256))
@@ -839,22 +982,36 @@ class TestShardExecutor:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_example3_counts_do_not_depend_on_worker_count(self, monkeypatch, cpus):
-        # 77 shards of 65 rows; the reference scores each law on its own copy
-        # of the same draws, as max_i scale_i y_i^2 <= threshold.
-        n, samples, seed = 2000, 5_000, 21
+        # Coordinates 0, 7 and 99 are blocks of one, drawn as normals; the
+        # pair (300, 301) and the other 1,995 coordinates are blocks, one
+        # uniform each: five columns, 26,214 rows per shard, three shards.
+        # The reference draws each shard in that order and scores each law
+        # as max_i scale_i y_i^2 <= threshold on the normals and U < F(c)^m
+        # on each block's uniforms, F(c) = P(chi2_1 <= c).
+        n, samples, seed = 2000, 60_000, 21
         probe = np.zeros(n)
-        probe[[7, 99]] = math.sqrt(n / 2.0)
+        probe[7], probe[99] = math.sqrt(n / 2.0), math.sqrt(n / 3.0)
+        probe[[300, 301]] = 1.0
+        assert 2 * _shard_rows(5) < samples <= 3 * _shard_rows(5)
         monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
         rep = example3_experiment(n, 1.0, samples, seed, IntensityVector(probe))
-        one_hot = np.ones(n)
-        one_hot[0] = 1.0 + n
+        thr = rep.threshold
+        rest, pair = float(chi2.cdf(thr, 1)) ** 1995, float(chi2.cdf(thr, 1)) ** 2
+        laws = [  # (scales at 0, 7 and 99; P(block max <= threshold))
+            (np.ones(3), (rest, pair)),
+            (np.array([1.0 + n, 1.0, 1.0]), (rest, pair)),
+            (1.0 + probe[[0, 7, 99]] ** 2,
+             (rest, float(chi2.cdf(thr / 2.0, 1)) ** 2)),
+        ]
         serial = [0, 0, 0]
-        for shard, rows in _shard_plan(samples, n):
-            Y2 = shard_stream(seed, shard).standard_normal((rows, n)) ** 2
-            serial[0] += int(np.count_nonzero(Y2.max(axis=1) > rep.threshold))
-            for i, scale in ((1, one_hot), (2, 1.0 + probe**2)):
-                accepted = (Y2 * scale).max(axis=1) <= rep.threshold
-                serial[i] += int(np.count_nonzero(accepted))
+        for shard, rows in _shard_plan(samples, 5):
+            rng = shard_stream(seed, shard)
+            Y2 = rng.standard_normal((rows, 3)) ** 2
+            U = rng.random((2, rows))
+            for i, (scale, p) in enumerate(laws):
+                accepted = ((Y2 * scale).max(axis=1) <= thr) & (U[0] < p[0]) & (
+                    U[1] < p[1])
+                serial[i] += int(np.count_nonzero(accepted if i else ~accepted))
         estimates = (rep.alpha, rep.beta_sigma1, rep.beta_lambda)
         assert [e.p_hat for e in estimates] == [h / samples for h in serial]
 
