@@ -171,18 +171,27 @@ def _blocks(W: np.ndarray, variance: np.ndarray):
     coordinate.  Coordinates whose column of W is all zero are in no
     block.  Two columns can match only if W's first row repeats a value,
     so a 1-D sort of that row settles the common all-distinct case without
-    grouping the columns; otherwise one stable lexicographic sort of the
-    columns puts each block's coordinates side by side, first one first.
+    grouping the columns; otherwise one stable lexicographic sort, with
+    W's rows and the variance as separate keys, puts each block's
+    coordinates side by side, first one first.  No (k + 1, n) copy of the
+    columns is made: at example3's n = 1e4 such a copy is above glibc's
+    mmap threshold, so each call would fault fresh pages in, at more cost
+    than the draws.
     """
     kept = np.flatnonzero(W.any(axis=0))
-    row = np.sort(W[0, kept])
+    cols = slice(None) if kept.size == W.shape[1] else kept
+    row = np.sort(W[0, cols])
     none = np.empty(0, dtype=int)
     if np.all(row[1:] != row[:-1]):
         return kept, none, none
-    key = np.vstack([W[:, kept], variance[kept]])
-    order = np.lexsort(key[::-1])  # by W[0], ties by W[1], ..., then variance
-    key = key[:, order]
-    starts = np.flatnonzero(np.r_[True, np.any(key[:, 1:] != key[:, :-1], axis=0)])
+    keys = [variance[cols], *(W[i, cols] for i in range(W.shape[0] - 1, -1, -1))]
+    order = np.lexsort(keys)  # by W[0], ties by W[1], ..., then variance
+    new = np.zeros(order.size, dtype=bool)
+    new[0] = True
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    starts = np.flatnonzero(new)
     sizes = np.diff(np.r_[starts, order.size])
     first = order[starts]
     by_first = np.argsort(first)
