@@ -2,14 +2,17 @@
 
 One JSON config format serves files and stdin.  Each subcommand has one
 field table, and ``_parse`` checks a config against it: unknown field, then
-missing required field, then each value through its typed reader.  It reads
-the common fields (top level only, checked even where a flag overrides
-them) and every nested section the same way.  A flag is read as the JSON
-value it spells, else as a string, by the common field's reader.  ``_run``
-builds every report, with the config as given and the flags over it as its
-``inputs``; handlers get the parsed values and only add outputs, rendered on
-stdout as JSON or flattened CSV.  Exit codes: 0 success, 1 invalid input, 2
-out of regime.  See docs/formats.md for the bit-exact config and report schemas.
+missing required field, then each value through its typed reader.  A number
+or an integer is read by the model's ``_as_number`` or ``_as_integer``, the
+library's own readers; the readers here add only JSON shapes, caps and
+choices.  It reads the common fields (top level only, checked even where a
+flag overrides them) and every nested section the same way.  A flag is read
+as the JSON value it spells, else as a string, by the common field's reader.
+``_run`` builds every report, with the config as given and the flags over
+it as its ``inputs``; handlers get the parsed values and only add outputs,
+rendered on stdout as JSON or flattened CSV.  Exit codes: 0 success, 1
+invalid input, 2 out of regime.  See docs/formats.md for the bit-exact
+config and report schemas.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from .model import (
     NpTest,
     ProductFloor,
     SumFloor,
+    _as_integer,
+    _as_number,
     signal_statistics,
 )
 
@@ -49,10 +54,6 @@ MAX_ONE_HOT_DIM = 2_000
 MAX_SAMPLES = 10**9
 
 
-class ConfigError(InvalidInput):
-    pass
-
-
 def _load_config(config_path: Optional[str]) -> dict:
     source = "<stdin>" if config_path is None else config_path
     try:
@@ -63,12 +64,12 @@ def _load_config(config_path: Optional[str]) -> dict:
                 text = fh.read()
         cfg = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{source}: line {exc.lineno}: {exc.msg}") from exc
+        raise InvalidInput(f"{source}: line {exc.lineno}: {exc.msg}") from exc
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8, huge integer
         why = getattr(exc, "strerror", None) or exc
-        raise ConfigError(f"{source}: {why}") from exc
+        raise InvalidInput(f"{source}: {why}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError(f"{source}: top level must be a JSON object")
+        raise InvalidInput(f"{source}: top level must be a JSON object")
     return cfg
 
 
@@ -80,32 +81,12 @@ def _flag_value(text: str):
         return text
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# Readers: (JSON value, field name) -> parsed value, or a ConfigError naming it.
-def _number(value, key: str) -> float:
-    """A finite JSON number as a float."""
-    try:
-        if (isinstance(value, float) or _is_int(value)) and math.isfinite(value):
-            return float(value)
-    except OverflowError:  # an integer beyond the float range
-        pass
-    raise ConfigError(f"{key} must be a finite number")
-
-
-def _integer(value, key: str) -> int:
-    if not _is_int(value):
-        raise ConfigError(f"{key} must be an integer")
-    return value
-
-
+# Readers: (JSON value, field name) -> parsed value, or an InvalidInput naming it.
 def _vector(value, key: str) -> np.ndarray:
-    """A nonempty JSON array of finite numbers as a float array."""
+    """A nonempty JSON array of numbers; its entry i is named key[i]."""
     if not isinstance(value, list) or not value:
-        raise ConfigError(f"{key} must be a nonempty array of numbers")
-    return np.array([_number(v, f"{key}[{i}]") for i, v in enumerate(value)])
+        raise InvalidInput(f"{key} must be a nonempty array of numbers")
+    return np.array([_as_number(v, f"{key}[{i}]") for i, v in enumerate(value)])
 
 
 def _sigma(value, key: str) -> IntensityVector:
@@ -114,38 +95,41 @@ def _sigma(value, key: str) -> IntensityVector:
 
 def _points(value, key: str) -> FinitePoints:
     if not isinstance(value, list) or not value:
-        raise ConfigError(f"{key} must be a nonempty array of arrays")
+        raise InvalidInput(f"{key} must be a nonempty array of arrays")
     return FinitePoints(tuple(_sigma(p, f"{key}[{i}]") for i, p in enumerate(value)))
 
 
 def _groups(value, key: str) -> list:
-    if not (isinstance(value, list) and value and all(
-            isinstance(g, list) and all(map(_is_int, g)) for g in value)):
-        raise ConfigError(f"{key} must be a nonempty array of arrays of integers")
+    """A nonempty array of arrays; lemma2_certificate reads the indices."""
+    if not (isinstance(value, list) and value
+            and all(isinstance(g, list) for g in value)):
+        raise InvalidInput(f"{key} must be a nonempty array of arrays of integers")
     return value
 
 
 def _dim(cap: int = MAX_DIM) -> Callable:
-    """A dimension: a JSON integer in [1, cap]."""
+    """A dimension: an integer in [1, cap]."""
     def read(value, key: str) -> int:
-        if not (_is_int(value) and 1 <= value <= cap):
-            raise ConfigError(f"{key} must be an integer in [1, {cap}]")
-        return value
+        n = _as_integer(value, key)
+        if not 1 <= n <= cap:
+            raise InvalidInput(f"{key} must be an integer in [1, {cap}]")
+        return n
     return read
 
 
 def _samples(value, key: str) -> int:
-    """A JSON integer up to MAX_SAMPLES; the Monte Carlo runs set the floor."""
-    if _integer(value, key) > MAX_SAMPLES:
-        raise ConfigError(f"{key} must be at most {MAX_SAMPLES}")
-    return value
+    """An integer up to MAX_SAMPLES; the Monte Carlo runs set the floor."""
+    samples = _as_integer(value, key)
+    if samples > MAX_SAMPLES:
+        raise InvalidInput(f"{key} must be at most {MAX_SAMPLES}")
+    return samples
 
 
 def _choice(*options: str) -> Callable:
     def read(value, key: str) -> str:
         if not (isinstance(value, str) and value in options):
             listed = ", ".join(map(repr, options))
-            raise ConfigError(f"{key} must be one of {listed}")
+            raise InvalidInput(f"{key} must be one of {listed}")
         return value
     return read
 
@@ -157,11 +141,11 @@ def _parse(cfg: dict, fields: dict) -> dict:
     """
     unknown = sorted(set(cfg) - set(fields))
     if unknown:
-        raise ConfigError(f"unknown field {unknown[0]!r}")
+        raise InvalidInput(f"unknown field {unknown[0]!r}")
     missing = sorted(k for k, spec in fields.items()
                      if not isinstance(spec, tuple) and k not in cfg)
     if missing:
-        raise ConfigError(f"missing required field {missing[0]!r}")
+        raise InvalidInput(f"missing required field {missing[0]!r}")
     args = {}
     for k, spec in fields.items():
         read, default = spec if isinstance(spec, tuple) else (spec, None)
@@ -172,7 +156,7 @@ def _parse(cfg: dict, fields: dict) -> dict:
         elif isinstance(cfg[k], dict):
             args[k] = _parse(cfg[k], read)
         else:
-            raise ConfigError(f"{k} must be a JSON object")
+            raise InvalidInput(f"{k} must be a JSON object")
     return args
 
 
@@ -181,7 +165,7 @@ def _parse(cfg: dict, fields: dict) -> dict:
 COMMON_FIELDS = {
     "format": (_choice("json", "csv"), "json"),
     "samples": (_samples, DEFAULT_SAMPLES),
-    "seed": (_integer, DEFAULT_SEED),
+    "seed": (_as_integer, DEFAULT_SEED),
 }
 
 
@@ -297,10 +281,10 @@ def _stats(args, report: Report) -> None:
 
 def _block_count(value, key: str) -> Optional[int]:
     """K; null means omitted, as an absent K does."""
-    return None if value is None else _integer(value, key)
+    return None if value is None else _as_integer(value, key)
 
 
-@_register("bounds-beta", {"sigma": _sigma, "A": _number, "K": (_block_count, None)})
+@_register("bounds-beta", {"sigma": _sigma, "A": _as_number, "K": (_block_count, None)})
 def _bounds_beta(args, report: Report) -> None:
     """Chernoff upper bound and block-partition sandwich on the miss probability."""
     sigma, A = args["sigma"], args["A"]
@@ -332,7 +316,7 @@ def _bounds_beta(args, report: Report) -> None:
         report.add("ln_beta_sandwich", None, f"not available: {exc}")
 
 
-@_register("bounds-alpha", {"sigma": _sigma, "A": _number})
+@_register("bounds-alpha", {"sigma": _sigma, "A": _as_number})
 def _bounds_alpha(args, report: Report) -> None:
     """Chernoff and normal-approximation bounds on the false alarm probability."""
     sigma, A = args["sigma"], args["A"]
@@ -362,7 +346,7 @@ def _bounds_alpha(args, report: Report) -> None:
         report.add("A_star", None, f"not available: {exc}")
 
 
-@_register("mismatch", {"sigma": _sigma, "lambda": _sigma, "A": _number})
+@_register("mismatch", {"sigma": _sigma, "lambda": _sigma, "A": _as_number})
 def _mismatch(args, report: Report) -> None:
     """Mismatched miss bound and replaceability condition checks."""
     sigma, lam, A = args["sigma"], args["lambda"], args["A"]
@@ -406,8 +390,8 @@ def _mismatch(args, report: Report) -> None:
 
 @_register("reduce", {
     "points": (_points, None),
-    "product_floor": ({"n": _dim(), "D": _number}, None),
-    "sum_floor": ({"n": _dim(MAX_ONE_HOT_DIM), "R": _number}, None),
+    "product_floor": ({"n": _dim(), "D": _as_number}, None),
+    "sum_floor": ({"n": _dim(MAX_ONE_HOT_DIM), "R": _as_number}, None),
     "certificate": ({"sigma": _sigma, "lambda": _sigma, "groups": _groups}, None),
 })
 def _reduce(args, report: Report) -> None:
@@ -415,9 +399,9 @@ def _reduce(args, report: Report) -> None:
     sources = [k for k in ("points", "product_floor", "sum_floor")
                if args[k] is not None]
     if len(sources) > 1:
-        raise ConfigError("give exactly one of points, product_floor, sum_floor")
+        raise InvalidInput("give exactly one of points, product_floor, sum_floor")
     if not sources and args["certificate"] is None:
-        raise ConfigError("missing required field 'points'")
+        raise InvalidInput("missing required field 'points'")
     if args["points"] is not None:
         result = reduction.reduce_to_minimal(args["points"])
         report.add("reduced",
@@ -454,21 +438,21 @@ def _truth(value, key: str) -> Optional[IntensityVector]:
     if value == "H0":
         return None
     if not isinstance(value, list):
-        raise ConfigError(f"{key} must be 'H0' or an array of numbers")
+        raise InvalidInput(f"{key} must be 'H0' or an array of numbers")
     return _sigma(value, key)
 
 
 def _levels(value, key: str):
     """One level for every candidate, or an array of one per candidate."""
-    return _vector(value, key) if isinstance(value, list) else _number(value, key)
+    return _vector(value, key) if isinstance(value, list) else _as_number(value, key)
 
 
 _TEST_KIND = {"test": _choice("np", "bayes", "glrt")}
 # simulate has one table per test kind.
 SIMULATE_FIELDS = {
-    "np": {**_TEST_KIND, "sigma": _sigma, "A": _number, "true": (_truth, None)},
+    "np": {**_TEST_KIND, "sigma": _sigma, "A": _as_number, "true": (_truth, None)},
     "bayes": {**_TEST_KIND, "prior": {"points": _points, "weights": _vector},
-              "level": _number, "true": (_truth, None)},
+              "level": _as_number, "true": (_truth, None)},
     "glrt": {**_TEST_KIND, "candidates": _points, "levels": _levels,
              "true": (_truth, None)},
 }
@@ -501,7 +485,7 @@ def _simulate(args, report: Report) -> None:
                     "acceptance frequency under the given true intensity")
 
 
-@_register("example1", {"n": _dim(), "D": _number})
+@_register("example1", {"n": _dim(), "D": _as_number})
 def _example1(args, report: Report) -> None:
     """Product-floor set: exact reduction to its flat corner point."""
     n, D = args["n"], args["D"]
@@ -516,7 +500,7 @@ def _example1(args, report: Report) -> None:
                "one-group geometric-mean certificate at the corner point")
 
 
-@_register("example3", {"n": _dim(), "R": _number, "lambda": (_sigma, None)})
+@_register("example3", {"n": _dim(), "R": _as_number, "lambda": (_sigma, None)})
 def _example3(args, report: Report) -> None:
     """Sum-floor set: max-ratio test over one-hot candidates, MC vs caps."""
     n, R, probe = args["n"], args["R"], args["lambda"]
@@ -541,15 +525,15 @@ def _example3(args, report: Report) -> None:
 
 
 @_register("tails", {
-    "z": (_number, None),
-    "chi2": ({"n": _dim(), "A": _number, "tail": _choice("lower", "upper")},
+    "z": (_as_number, None),
+    "chi2": ({"n": _dim(), "A": _as_number, "tail": _choice("lower", "upper")},
              None),
 })
 def _tails(args, report: Report) -> None:
     """Gaussian tail sandwich and chi-square log-tail sandwiches."""
     z, chi = args["z"], args["chi2"]
     if z is None and chi is None:
-        raise ConfigError("give z and/or chi2")
+        raise InvalidInput("give z and/or chi2")
     if z is not None:
         sw = tails.normal_tail_bounds(z)
         report.add("normal_tail_lower", sw.lower,

@@ -28,7 +28,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInput, OutOfRegime
-from .model import IntensityVector, _as_number, check_same_length, signal_statistics
+from .model import (
+    IntensityVector,
+    _as_integer,
+    _as_number,
+    check_same_length,
+    signal_statistics,
+)
 from .solvers import RootResult, grow_upper_bracket, solve_bracketed
 from .tails import TailSandwich
 
@@ -110,6 +116,7 @@ def g_eval(sigma: IntensityVector, A: float, u: float):
 
     2g(u) = sum ln(1+u sigma_i^2) - u (D+A);  g(1) = -A/2 identically.
     """
+    A, u = _as_number(A, "A"), _as_number(u, "u")
     if u < 0:
         raise InvalidInput("u must be nonnegative")
     return _weighted_exponent(sigma.squared, sigma.D + A, u)
@@ -175,7 +182,7 @@ def solve_u0(sigma: IntensityVector, A: float) -> ExponentSolution:
     above the upper edge (g = 0), u0 = 1 for A at or below the lower edge
     (g = -A/2).  Endpoints are reported via boundary_case, never an error.
     """
-    return _maximize(sigma.squared, sigma.D + A, 1.0)
+    return _maximize(sigma.squared, sigma.D + _as_number(A, "A"), 1.0)
 
 
 def beta_upper_bound(sigma: IntensityVector, A: float) -> float:
@@ -201,7 +208,7 @@ def beta_mismatch_upper(
     v0 = 0 and the bound is the trivial 1.  Returns (solution, bound).
     """
     nu2 = mismatch_profile(sigma, lam).nu_squared
-    sol = _maximize(nu2, sigma.D + A, math.inf)
+    sol = _maximize(nu2, sigma.D + _as_number(A, "A"), math.inf)
     return sol, min(1.0, math.exp(-sol.value))
 
 
@@ -214,6 +221,7 @@ def alpha_upper_bound(sigma: IntensityVector, A: float):
     Returns (solution at t0, exp(-f(t0)), exp(-A/2)); both are valid upper
     bounds on alpha and neither dominates the other for all A.
     """
+    A = _as_number(A, "A")
     simple = math.exp(-A / 2.0)
     sol = _maximize(sigma.r_squared, sigma.D + A, -1.0)
     return sol, min(1.0, math.exp(-sol.value)), simple
@@ -319,8 +327,7 @@ def beta_lower_bound(
     lower = upper - math.sqrt(delta * n * log_pin) - log_pin
     interval = TailSandwich(lower=lower, upper=upper)
 
-    if K is None:
-        K = default_block_count(n, delta)
+    K = default_block_count(n, delta) if K is None else _as_integer(K, "K")
     if not 1 <= K <= n:
         raise InvalidInput(f"K must be in [1, {n}]")
     sizes = _block_sizes(n, K)
@@ -344,7 +351,7 @@ def beta_lower_bound(
         u0=sol,
         u1=u1,
         u1_residual=u1_res,
-        K=int(K),
+        K=K,
     )
 
 

@@ -8,10 +8,17 @@ r(y, sigma) = (1/2) sum sigma_i^2 y_i^2/(1+sigma_i^2) - D(sigma)/2: the
 single-point ellipsoid test, the discrete-prior mixture test, and the
 max-likelihood-ratio (GLRT) test over a finite candidate set.
 
-Every input array is read by ``_as_vector`` (nonempty, 1-D, finite), a
-test's level by ``_as_number`` (finite) and a Monte Carlo run's sample
-count, seed and dimension by ``_as_integer``; a point set is checked only by
-``FinitePoints`` (nonempty, one dimension), which ``DiscretePrior`` uses.
+The package reads every input value with one of three readers, here and in
+the CLI alike, and each raises ``InvalidInput`` naming the value:
+``_as_number`` reads a real number (a level, a radius, a tail argument) as
+a finite float, ``_as_integer`` reads an integer (a dimension, a block
+count, a sample count, a seed, a group index) as an int, and
+``_as_vector`` reads an array (intensities, weights, levels, half-widths)
+as a nonempty, 1-D, finite float64 copy.  They follow JSON's kinds: a bool
+is neither a number nor an integer, a string is not a number, a float such
+as 1000.0 is not an integer, and only integer and float arrays are arrays
+of reals (not bool, string or object arrays).  A point set is checked only
+by ``FinitePoints`` (nonempty, one dimension), which ``DiscretePrior`` uses.
 
 D(sigma) = sum ln(1+sigma_i^2) is computed only by ``IntensityVector.D``.  The
 rules share one core, ``_QuadraticFormTest``, which builds the weights W (k, n)
@@ -49,11 +56,18 @@ class Hypothesis(str, Enum):
 
 
 def _as_vector(values: ArrayLike, name: str = "values") -> np.ndarray:
-    """A float64 copy of ``values``: freezing it leaves the caller's array writable."""
+    """A float64 copy of ``values``: freezing it leaves the caller's array writable.
+
+    The array's dtype decides: integer and float arrays are read, and bool,
+    string and object arrays (None, huge integers) are not arrays of reals.
+    """
     try:
-        arr = np.atleast_1d(np.array(values, dtype=float))
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidInput(f"{name} must be a 1-D array of real numbers") from None
+        arr = np.array(values)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise InvalidInput(f"{name} must be a 1-D array of real numbers")
+    arr = np.atleast_1d(arr.astype(float, copy=False))
     if arr.ndim != 1 or arr.size < 1:
         raise InvalidInput(f"{name} must be a nonempty 1-D array")
     if not np.all(np.isfinite(arr)):
@@ -62,6 +76,9 @@ def _as_vector(values: ArrayLike, name: str = "values") -> np.ndarray:
 
 
 def _as_number(value, name: str) -> float:
+    """A finite float; a bool or a string is not a number."""
+    if isinstance(value, (bool, np.bool_, str, bytes)):
+        raise InvalidInput(f"{name} must be a real number")
     try:
         x = float(value)
     except (TypeError, ValueError, OverflowError):
@@ -72,11 +89,13 @@ def _as_number(value, name: str) -> float:
 
 
 def _as_integer(value, name: str) -> int:
-    """A Python int; a float, even 1000.0, is not an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidInput(f"{name} must be an integer") from None
+    """A Python int; a bool or a float, even 1000.0, is not an integer."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidInput(f"{name} must be an integer")
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,6 +449,8 @@ class ProductFloor:
     D: float
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _as_integer(self.n, "n"))
+        object.__setattr__(self, "D", _as_number(self.D, "D"))
         if self.n < 1:
             raise InvalidInput("n must be >= 1")
         if self.D <= 0:
@@ -450,6 +471,8 @@ class SumFloor:
     R: float
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _as_integer(self.n, "n"))
+        object.__setattr__(self, "R", _as_number(self.R, "R"))
         if self.n < 1:
             raise InvalidInput("n must be >= 1")
         if self.R <= 0:

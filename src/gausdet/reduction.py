@@ -13,6 +13,7 @@ extreme points).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -24,6 +25,7 @@ from .model import (
     IntensityVector,
     ProductFloor,
     SumFloor,
+    _as_integer,
     check_same_length,
 )
 
@@ -107,9 +109,18 @@ class PartitionCertificate:
     valid: bool
 
 
-def _check_partition(groups: Sequence[Sequence[int]], n: int) -> None:
+def _read_partition(
+    groups: Sequence[Sequence[int]], n: int
+) -> tuple[tuple[int, ...], ...]:
+    """The groups as tuples of indices, each read by ``_as_integer``, once
+    they are checked to partition range(n)."""
+    try:
+        parts = tuple(tuple(map(_as_integer, g, repeat(f"groups[{j}] entry")))
+                      for j, g in enumerate(groups))
+    except TypeError:  # groups, or one of its groups, is not iterable
+        raise InvalidInput("groups must be an array of arrays of integers") from None
     seen: set[int] = set()
-    for g in groups:
+    for g in parts:
         if not g:
             raise InvalidInput("empty group in partition")
         for i in g:
@@ -120,6 +131,7 @@ def _check_partition(groups: Sequence[Sequence[int]], n: int) -> None:
             seen.add(i)
     if len(seen) != n:
         raise InvalidInput("partition does not cover all indices")
+    return parts
 
 
 def lemma2_certificate(
@@ -142,7 +154,7 @@ def lemma2_certificate(
     certificate, while an excess of 1e-9 relative stays invalid.
     """
     check_same_length(sigma, lam)
-    _check_partition(groups, sigma.n)
+    groups = _read_partition(groups, sigma.n)
     geo_means = []
     valid = True
     for g in groups:
@@ -158,7 +170,7 @@ def lemma2_certificate(
         if np.any(sigma.values[idx] > gm * (1.0 + slack)):
             valid = False
     return PartitionCertificate(
-        groups=tuple(tuple(int(i) for i in g) for g in groups),
+        groups=groups,
         geo_means=tuple(geo_means),
         valid=valid,
     )

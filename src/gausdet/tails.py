@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidInput, OutOfRegime
-from .model import IntensityVector, _as_number, signal_statistics
+from .model import IntensityVector, _as_integer, _as_number, signal_statistics
 
 # The radicand B(ln B - ln ln B) needs B > e; enforced with a little margin.
 MIN_B_FOR_THRESHOLD = 3.0
@@ -53,6 +53,7 @@ def normal_tail_bounds(z: float) -> TailSandwich:
     lower = z exp(-z^2/2) / ((z^2+1) sqrt(2 pi)),
     upper = exp(-z^2/2) / (z sqrt(2 pi)); their ratio tends to 1 as z grows.
     """
+    z = _as_number(z, "z")
     if z <= 0:
         raise InvalidInput("z must be positive")
     core = math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)
@@ -69,6 +70,7 @@ def chi2_lower_tail_sandwich(A: float, n: int) -> TailSandwich:
     With pivot p = -((n/2) ln(n/(eA)) + A/2):
     p - ln(pi n)/2 - 1/(3n) <= ln P <= p.
     """
+    A, n = _as_number(A, "A"), _as_integer(n, "n")
     if n < 1:
         raise InvalidInput("n must be >= 1")
     if A <= 0:
@@ -88,6 +90,7 @@ def chi2_upper_tail_sandwich(A: float, n: int) -> TailSandwich:
 
     Same pivot; the lower correction is 1/(3n) + ln(pi A^2 / n)/2.
     """
+    A, n = _as_number(A, "A"), _as_integer(n, "n")
     if n < 2:
         raise OutOfRegime("upper-tail sandwich requires n >= 2")
     if A < n:
