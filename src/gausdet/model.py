@@ -60,12 +60,16 @@ def _as_vector(values: ArrayLike, name: str = "values") -> np.ndarray:
 
     The array's dtype decides: integer and float arrays are read, and bool,
     string and object arrays (None, huge integers) are not arrays of reals.
+    numpy casts the bools of a list that mixes them with numbers, so a list
+    or tuple with a bool entry is rejected whatever its dtype.
     """
     try:
         arr = np.array(values)
     except (TypeError, ValueError):
         arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
+    if (arr is None or arr.dtype.kind not in "iuf"
+            or isinstance(values, (list, tuple))
+            and not {bool, np.bool_}.isdisjoint(map(type, values))):
         raise InvalidInput(f"{name} must be a 1-D array of real numbers")
     arr = np.atleast_1d(arr.astype(float, copy=False))
     if arr.ndim != 1 or arr.size < 1:

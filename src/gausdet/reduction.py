@@ -13,7 +13,7 @@ extreme points).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -109,29 +109,55 @@ class PartitionCertificate:
     valid: bool
 
 
-def _read_partition(
-    groups: Sequence[Sequence[int]], n: int
-) -> tuple[tuple[int, ...], ...]:
-    """The groups as tuples of indices, each read by ``_as_integer``, once
-    they are checked to partition range(n)."""
-    try:
-        parts = tuple(tuple(map(_as_integer, g, repeat(f"groups[{j}] entry")))
-                      for j, g in enumerate(groups))
-    except TypeError:  # groups, or one of its groups, is not iterable
-        raise InvalidInput("groups must be an array of arrays of integers") from None
+def _read_group(group, name: str) -> tuple[int, ...]:
+    """A group's indices as Python ints; one that is not all ints is read
+    entry by entry with ``_as_integer``."""
+    g = tuple(group.tolist() if isinstance(group, np.ndarray) else group)
+    return g if {int}.issuperset(map(type, g)) else tuple(
+        map(_as_integer, g, repeat(name)))
+
+
+def _partition_fault(parts: tuple[tuple[int, ...], ...], n: int) -> str:
+    """What is wrong with a partition of range(n), at its first bad index."""
     seen: set[int] = set()
     for g in parts:
         if not g:
-            raise InvalidInput("empty group in partition")
+            return "empty group in partition"
         for i in g:
             if not 0 <= i < n:
-                raise InvalidInput(f"index {i} out of range for n = {n}")
+                return f"index {i} out of range for n = {n}"
             if i in seen:
-                raise InvalidInput(f"index {i} repeated in partition")
+                return f"index {i} repeated in partition"
             seen.add(i)
-    if len(seen) != n:
-        raise InvalidInput("partition does not cover all indices")
-    return parts
+    return "partition does not cover all indices"
+
+
+def _read_partition(
+    groups: Sequence[Sequence[int]], n: int
+) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """The groups as tuples of indices, each read by ``_as_integer``, and
+    their concatenation as an array, once they are checked to partition
+    range(n).
+
+    The range, repeat and cover checks run on the concatenated indices at
+    once; a partition that fails them is walked index by index to name the
+    first bad one.
+    """
+    try:
+        parts = tuple(_read_group(g, f"groups[{j}] entry")
+                      for j, g in enumerate(groups))
+    except TypeError:  # groups, or one of its groups, is not iterable
+        raise InvalidInput("groups must be an array of arrays of integers") from None
+    size = sum(map(len, parts))
+    try:
+        flat = np.fromiter(chain.from_iterable(parts), np.int64, size)
+    except OverflowError:  # an index beyond 64 bits is out of range
+        flat = None
+    if (flat is None or size != n or not all(parts)
+            or flat.min() < 0 or flat.max() >= n
+            or np.bincount(flat).max() > 1):
+        raise InvalidInput(_partition_fault(parts, n))
+    return parts, flat
 
 
 def lemma2_certificate(
@@ -154,11 +180,13 @@ def lemma2_certificate(
     certificate, while an excess of 1e-9 relative stays invalid.
     """
     check_same_length(sigma, lam)
-    groups = _read_partition(groups, sigma.n)
+    groups, flat = _read_partition(groups, sigma.n)
     geo_means = []
     valid = True
+    end = 0
     for g in groups:
-        idx = np.asarray(g, dtype=int)
+        idx = flat[end:end + len(g)]
+        end += len(g)
         vals = lam.values[idx]
         if np.all(vals > 0):
             mean_log = float(np.mean(np.log(vals)))

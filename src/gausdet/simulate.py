@@ -31,7 +31,11 @@ beta has one path for every weight vector: the chi-square mixture of Ruben
 (1962), whose coefficients come from one inverse FFT of their generating
 function.  Both tails are sums over the same coefficients, with an absolute
 error below 5e-15; a weight spread that needs more than 2^19 terms raises
-OutOfRegime.
+OutOfRegime.  The oracle does only the work that moves its answer: the
+term count is the least the Chernoff bound allows, rounded up by at most
+25% to a length the FFT handles fast, and the incomplete gamma is
+evaluated only on the window of terms where it is neither within 1e-18 of
+1 nor, relative to the result, within 1e-17 of 0.
 
 Only the oracle needs scipy (the incomplete gamma).  It is imported
 inside the oracle functions, on their first call, so that importing this
@@ -264,6 +268,19 @@ def estimate_error_probs(
 
 _MASS_TOL = 1e-16  # mass each of the three truncations below may move
 _MAX_TERMS = 2**19  # 4 MB of coefficients; wider spreads are out of regime
+_EDGE = 1e-18  # incomplete gamma values past the window are within this of 0 or 1
+_EDGE_REL = 1e-17  # ... and on the side of 0, within this share of the result
+
+
+def _first(pred, lo: int, hi: int) -> int:
+    """The least k in [lo, hi) with pred(k), else hi; pred is false, then true."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _mixture_coefficients(w: np.ndarray):
@@ -271,31 +288,44 @@ def _mixture_coefficients(w: np.ndarray):
 
     With beta = min w, p_i = beta/w_i and r_i = 1 - p_i, K has generating
     function G(z) = prod (p_i / (1 - r_i z))^(1/2) (Ruben 1962), so a_k >= 0
-    and sum a_k = 1.  The term count N is the least power of two >= 64 at
-    which the Chernoff bound G(z) z^-N, minimised over a grid of
-    z in (1, 1/max r), puts at most 1e-16 of K's mass at or past N.  One
-    inverse FFT of G on the N-th roots of unity gives a_k plus the aliased
-    a_(k+N), a_(k+2N), ...: at most 1e-16 in all.  |G(e^(-i theta))|
-    falls on [0, pi], so G is set to zero past the last point where it
-    exceeds 1e-16/N, which moves each a_k by at most 1e-16/N.  Equal
-    weights give r = 0 and a = [1, 0, ...] exactly.
+    and sum a_k = 1.  By the Chernoff bound G(z) z^-N, N terms leave at most
+    1e-16 of K's mass at or past N once ln G(z) + (n/2 + N) ln(1/z) <=
+    ln 1e-16 at some z of a grid in (1, 1/max r); ``need``, the least such
+    N (at least 64), is solved for directly.  The term count is the least
+    m 2^e >= need with m in {4, ..., 8}: at most 25% above ``need``, and a
+    length the FFT handles fast.  A ``need`` above 2^19 raises
+    OutOfRegime.  One inverse FFT of G on the N-th roots of unity gives a_k
+    plus the aliased a_(k+N), a_(k+2N), ...: at most 1e-16 in all.
+    |G(e^(-i theta))| falls on [0, pi], so G is set to zero past the last
+    point where it exceeds 1e-16/N, which moves each a_k by at most
+    1e-16/N.  Equal weights give K = 0: a = [1].
     """
     beta, top = float(np.min(w)), float(np.max(w))
+    if beta == top:
+        return beta, np.ones(1)
     p = beta / w
     r = 1.0 - p
+    cols = max(1, 2**16 // w.size)  # bounds each (weights, points) array
     # z = 1/(1 - v beta/top) with v in (0, 1) spans (1, 1/max r); there
     # ln G(z) z^-N = -sum ln(1 - v w_i/top)/2 + (n/2 + N) ln(1 - v beta/top).
     v = 1.0 - 2.0 ** -np.arange(1.0, 53.0)
-    ln_g = np.array([-0.5 * np.sum(np.log1p(-vk * (w / top))) for vk in v])
+    ln_g = -0.5 * np.concatenate([
+        np.log1p(np.multiply.outer(w / -top, v[i:i + cols])).sum(axis=0)
+        for i in range(0, v.size, cols)
+    ])
     ln_step = np.log1p(-v * (beta / top))
-    terms = 64
-    while np.min(ln_g + (0.5 * w.size + terms) * ln_step) > math.log(_MASS_TOL):
-        terms *= 2
-        if terms > _MAX_TERMS:
-            raise OutOfRegime(
-                f"weight spread {top / beta:.3g} over {w.size} weights needs "
-                f"more than {_MAX_TERMS} mixture terms"
-            )
+    need = float(np.min((math.log(_MASS_TOL) - ln_g) / ln_step)) - 0.5 * w.size
+    if need > _MAX_TERMS:
+        raise OutOfRegime(
+            f"weight spread {top / beta:.3g} over {w.size} weights needs "
+            f"more than {_MAX_TERMS} mixture terms"
+        )
+    need = max(64, math.ceil(need))
+    scale = need.bit_length() - 3  # need / 2^scale is in [4, 8)
+    terms = -(-need >> scale) << scale
+
+    # Weight-major columns: each (weights, points) block is summed over axis 0.
+    p4, r2, p_col, r_col = (c[:, None] for c in (4.0 * r / p**2, 2.0 * r, p, r))
 
     def ln_gf(j):
         """ln G(e^(-i theta_j)), theta_j = 2 pi j / N, for an array of j.
@@ -304,24 +334,21 @@ def _mixture_coefficients(w: np.ndarray):
         p + 2 r sin^2(theta/2) are formed without cancellation, so no mass
         is lost when p_i is small.
         """
-        theta = (2.0 * math.pi / terms) * np.atleast_1d(j)[:, None]
+        theta = (2.0 * math.pi / terms) * np.atleast_1d(j)
         s2 = np.sin(0.5 * theta) ** 2
-        modulus = np.log1p(4.0 * r * s2 / p**2).sum(axis=1)
-        phase = np.arctan2(r * np.sin(theta), p + 2.0 * r * s2).sum(axis=1)
+        modulus = p4 * s2
+        modulus = np.log1p(modulus, out=modulus).sum(axis=0)
+        real = r2 * s2
+        real += p_col
+        phase = r_col * np.sin(theta)
+        phase = np.arctan2(phase, real, out=phase).sum(axis=0)
         return -0.25 * modulus - 0.5j * phase
 
     floor = math.log(_MASS_TOL / terms)
-    kept, past = 1, terms // 2 + 1  # |G| > 1e-16/N before kept, not from past
-    while kept < past:
-        mid = (kept + past) // 2
-        if ln_gf(mid)[0].real > floor:
-            kept = mid + 1
-        else:
-            past = mid
+    kept = _first(lambda j: ln_gf(j)[0].real <= floor, 1, terms // 2 + 1)
     g = np.zeros(terms // 2 + 1, dtype=complex)
-    rows = max(1, 2**16 // w.size)  # bounds each (points, weights) array
-    for lo in range(0, kept, rows):
-        hi = min(kept, lo + rows)
+    for lo in range(0, kept, cols):
+        hi = min(kept, lo + cols)
         g[lo:hi] = np.exp(ln_gf(np.arange(lo, hi)))
     return beta, np.fft.irfft(g, terms)
 
@@ -330,7 +357,17 @@ def _weighted_chi2(weights, x: float, upper: bool) -> float:
     """P(sum w_i xi_i^2 > x) if upper, else the cdf of ``weighted_chi2_cdf``.
 
     Both tails are sums over the same mixture coefficients a_k, so the upper
-    tail is never formed as 1 - cdf.
+    tail is never formed as 1 - cdf.  The upper incomplete gamma
+    Q(n/2 + k, y) rises in k from 0 to 1, and P = 1 - Q falls, so the
+    incomplete gamma is evaluated only on a window [lo, hi) of k: below
+    lo, Q <= 1e-18, and from hi on, P <= 1e-18.  On the side where the
+    tail's incomplete gamma is about 1 its terms are the plain sum of their
+    a_k, which moves the result by at most 1e-18 of that sum.  On the side
+    where it is about 0, a second search then widens the window to the
+    first k at which the incomplete gamma is at most 1e-17 of the sum so
+    far: the terms past that edge are smaller still, and their a_k sum to
+    at most 1, so dropping them moves the result by at most 1e-17 of
+    itself.
     """
     w, x = _as_vector(weights, "weights"), _as_number(x, "x")
     if np.any(w < 0):
@@ -346,9 +383,23 @@ def _weighted_chi2(weights, x: float, upper: bool) -> float:
     from scipy.special import gammainc, gammaincc
 
     beta, a = _mixture_coefficients(w)
-    shapes = 0.5 * w.size + np.arange(a.size)
-    tail = (gammaincc if upper else gammainc)(shapes, x / (2.0 * beta))
-    return min(1.0, max(0.0, float(a @ tail)))
+    half, y, end = 0.5 * w.size, x / (2.0 * beta), a.size
+    lo = _first(lambda k: gammaincc(half + k, y) > _EDGE, 0, end)
+    hi = _first(lambda k: gammainc(half + k, y) <= _EDGE, lo, end)
+    tail = gammaincc if upper else gammainc
+
+    def mixed(i, j):  # the terms i <= k < j of the mixture
+        return float(a[i:j] @ tail(half + np.arange(i, j), y))
+
+    if upper:
+        total = float(a[hi:].sum()) + mixed(lo, hi)
+        edge = _first(lambda k: gammaincc(half + k, y) > _EDGE_REL * total, 0, lo)
+        total += mixed(edge, lo)
+    else:
+        total = float(a[:lo].sum()) + mixed(lo, hi)
+        edge = _first(lambda k: gammainc(half + k, y) <= _EDGE_REL * total, hi, end)
+        total += mixed(hi, edge)
+    return min(1.0, max(0.0, total))
 
 
 def weighted_chi2_cdf(weights, x: float) -> float:
@@ -360,11 +411,20 @@ def weighted_chi2_cdf(weights, x: float) -> float:
     Equal weights give a = [1], the incomplete gamma itself.  A single
     weight is its shape-1/2 case, erf(sqrt(x / 2w)), taken from ``math.erf``
     and ``math.erfc``: within 7e-17 of mpmath near x = 2w, where scipy's
-    shape-1/2 incomplete gamma is off by up to 4.1e-15.  The absolute error
+    shape-1/2 incomplete gamma is off by up to 4.1e-15.  The term count N
+    is the least count ``need`` at which the Chernoff bound leaves at most
+    1e-16 of the mixture's mass past N, rounded up to the least
+    m 2^e with m in {4, ..., 8} (at most 25% above ``need``).  The
+    incomplete gamma is evaluated only on a window of k (``_weighted_chi2``):
+    outside it, the terms whose incomplete gamma is within 1e-18 of 1 are
+    summed as their a_k, and the terms on the other side, whose incomplete
+    gamma is at most 1e-17 of the result, are dropped.  The absolute error
     is below 5e-15: at most 3e-16 from the truncation, aliasing and cutoff
-    of the a_k; the rest is rounding, chiefly scipy's incomplete gamma.  A
-    spread max w / min w that needs more than 2^19 terms (about 1e4 at
-    n = 1000) raises OutOfRegime; non-finite input raises InvalidInput.
+    of the a_k, at most 1e-18 from the window's side of 1 and 1e-17 of the
+    result from its side of 0; the rest is rounding, chiefly scipy's
+    incomplete gamma.  A spread max w / min w that needs more than 2^19
+    terms (about 1e4 at n = 1000) raises OutOfRegime; non-finite input
+    raises InvalidInput.
     """
     return _weighted_chi2(weights, x, upper=False)
 

@@ -106,6 +106,20 @@ class TestMalformedScalarSweep:
         with pytest.raises(InvalidInput, match=r"^sigma\b"):
             IntensityVector([value, value])
 
+    @pytest.mark.parametrize("values", [
+        [True, 1.0], [1.0, False], (2.0, np.True_), [1, True],
+    ])
+    def test_bool_entry_among_numbers_rejected(self, values):
+        # numpy alone reads [True, 1.0] as [1.0, 1.0].
+        with pytest.raises(InvalidInput, match=r"^sigma\b"):
+            IntensityVector(values)
+        with pytest.raises(InvalidInput, match=r"^weights\b"):
+            weighted_chi2_cdf(values, 1.0)
+
+    def test_int_and_float_lists_accepted(self):
+        assert IntensityVector([1, 2.5, 0]).values.tolist() == [1.0, 2.5, 0.0]
+        assert IntensityVector((np.int64(3), 0.5)).values.tolist() == [3.0, 0.5]
+
     @pytest.mark.parametrize("groups", [
         *([[value, 1]] for value in NOT_INTEGERS), None, 5, [0, 1],
     ])

@@ -181,6 +181,50 @@ class TestLemma2Certificate:
         with pytest.raises(DimensionMismatch):
             lemma2_certificate(sigma, IntensityVector([1.0]), [[0, 1]])
 
+    @pytest.mark.parametrize("n, groups, message", [
+        (2, [[0, 0]], "index 0 repeated in partition"),
+        (2, [[0, 1, 1, 5]], "index 1 repeated in partition"),
+        (2, [[0, 5, 1, 1]], "index 5 out of range for n = 2"),
+        (3, [[-1, 0, 1]], "index -1 out of range for n = 3"),
+        (2, [[0], [2**70, 1]], f"index {2**70} out of range for n = 2"),
+        (2, [[0], [], [5]], "empty group in partition"),
+        (2, [[0, 7], []], "index 7 out of range for n = 2"),
+        (2, [], "partition does not cover all indices"),
+        (3, [[2, 0]], "partition does not cover all indices"),
+        (2, [np.array([0, 0])], "index 0 repeated in partition"),
+    ])
+    def test_first_bad_index_is_named(self, n, groups, message):
+        sigma = IntensityVector(np.ones(n))
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            lemma2_certificate(sigma, sigma, groups)
+
+    @pytest.mark.parametrize("group", [
+        np.array([1, 0], dtype=np.uint8), (np.int64(1), 0), range(2),
+    ])
+    def test_integer_groups_of_any_kind_accepted(self, group):
+        ones = IntensityVector([1.0, 1.0])
+        cert = lemma2_certificate(ones, ones, [group])
+        assert cert.groups == ((1, 0),) if group[0] else ((0, 1),)
+        assert all(type(i) is int for i in cert.groups[0]) and cert.valid
+
+    @pytest.mark.parametrize("group", [
+        np.array([True, False]), np.array([0.0, 1.0]), [0, True], [np.True_, 0],
+    ])
+    def test_bool_and_float_groups_rejected(self, group):
+        ones = IntensityVector([1.0, 1.0])
+        with pytest.raises(InvalidInput, match=r"^groups\[0\] entry must be an integer$"):
+            lemma2_certificate(ones, ones, [group])
+
+    def test_one_group_of_a_million_permuted(self):
+        n = 10**6
+        point = IntensityVector(np.full(n, 0.7))
+        order = np.random.default_rng(3).permutation(n)
+        assert lemma2_certificate(point, point, [order.tolist()]).valid
+        order[123_456] = order[654_321]
+        with pytest.raises(InvalidInput,
+                           match=f"^index {order[123_456]} repeated in partition$"):
+            lemma2_certificate(point, point, [order])
+
 
 class TestFindCertificate:
     def test_found_for_dominated_pair(self):

@@ -558,6 +558,99 @@ class TestNpTestExactProbs:
         assert alpha == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
+def _hypoexponential_tails(means, x):
+    """(cdf, upper tail) at x of a sum of exponentials with distinct means.
+
+    The sum of two chi2_1 at weight w is an exponential of mean 2w, so
+    weights that each appear twice give this law exactly.  50-digit mpmath.
+    """
+    with mpmath.workdps(50):
+        rates = [1 / mpmath.mpf(m) for m in means]
+        upper = mpmath.fsum(
+            mpmath.exp(-li * x) * mpmath.fprod(
+                lj / (lj - li) for lj in rates if lj != li)
+            for li in rates
+        )
+        return float(1 - upper), float(upper)
+
+
+class TestOracleWindow:
+    """The mixture evaluates the incomplete gamma only where it moves the sum."""
+
+    BOUND = 5e-15  # absolute error bound stated in the weighted_chi2_cdf docstring
+
+    @staticmethod
+    def all_terms(w, x, upper):
+        """The full mixture sum over every coefficient, clipped to [0, 1]."""
+        w = np.asarray(w, dtype=float)
+        beta, a = simulate._mixture_coefficients(w)
+        shapes = 0.5 * w.size + np.arange(a.size)
+        tail = (gammaincc if upper else gammainc)(shapes, x / (2.0 * beta))
+        return min(1.0, max(0.0, float(a @ tail)))
+
+    def test_equals_the_all_terms_sum(self):
+        rng = np.random.default_rng(14)
+        for _ in range(30):
+            n = int(rng.integers(2, 401))
+            spread = 10.0 ** rng.uniform(0.0, math.log10(4e3))
+            w = np.exp(rng.uniform(0.0, math.log(spread), n))
+            x = float(w.sum()) * 10.0 ** rng.uniform(-1.0, 0.7)
+            for upper in (False, True):
+                got = simulate._weighted_chi2(w, x, upper)
+                want = self.all_terms(w, x, upper)
+                assert abs(got - want) <= self.BOUND
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("A", [60.0, 100.0])
+    def test_tiny_alpha_on_flat_sigma(self, A):
+        # Fault (c) at A = 60, alpha = 4.5e-18; at A = 100 alpha is below the
+        # window's 1e-18 edge, so only the widened edge finds it.
+        test = NpTest(IntensityVector(np.ones(50)), A=A)
+        alpha, _ = np_test_exact_probs(test)
+        want = float(gammaincc(25.0, test.threshold))
+        assert 0.0 < want < 1e-17
+        assert alpha == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("x, upper", [(100.0, True), (1e-3, False)])
+    def test_small_tails_of_mixed_weights(self, x, upper):
+        # The cdf is relatively accurate however small.  The upper tail of
+        # mixed weights is a sum of a_k near 1, which carry about 1e-17 of
+        # rounding, so it keeps rel 1e-12 only down to about 1e-4.
+        w = [1.0, 1.0, 2.0, 2.0, 5.0, 5.0]
+        want = _hypoexponential_tails([2.0, 4.0, 10.0], x)[upper]
+        assert 0.0 < want < 1e-4
+        got = simulate._weighted_chi2(w, x, upper)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "n, spread", [(2, 1e3), (10, 1e4), (100, 1e2), (100, 1e4), (400, 4e3)]
+    )
+    def test_term_count_is_at_most_a_quarter_above_need(self, n, spread):
+        # The Chernoff rule of _mixture_coefficients: N terms suffice when
+        # ln G(z) + (n/2 + N) ln(1/z) <= ln 1e-16 at some z of the grid.
+        w = np.geomspace(1.0, spread, n)
+        _, a = simulate._mixture_coefficients(w)
+        v = 1.0 - 2.0 ** -np.arange(1.0, 53.0)
+        ln_g = -0.5 * np.log1p(-np.outer(v, w / spread)).sum(axis=1)
+        ln_step = np.log1p(-v / spread)
+
+        def enough(terms):
+            return np.min(ln_g + (0.5 * n + terms) * ln_step) <= math.log(1e-16)
+
+        terms = a.size
+        assert enough(terms) and terms <= 2**19
+        assert not enough(math.ceil(0.8 * terms) - 1)  # so need >= 0.8 N
+        odd = terms >> (terms.bit_length() - 3)
+        assert 4 <= odd <= 8 and odd << (terms.bit_length() - 3) == terms
+
+    @pytest.mark.parametrize("n, spread", [(1000, 1e4), (2, 1e5)])
+    def test_out_of_regime(self, n, spread):
+        w = np.geomspace(1.0, spread, n)
+        for upper in (False, True):
+            with pytest.raises(OutOfRegime, match="more than 524288 mixture terms"):
+                simulate._weighted_chi2(w, float(w.sum()), upper)
+
+
 class TestRegions:
     def test_box_validation_and_contains(self):
         with pytest.raises(InvalidInput):
