@@ -15,7 +15,6 @@ from .exponents import (
     BetaLowerBound,
     ConditionCheck,
     ExponentSolution,
-    MismatchProfile,
     TransferBound,
     alpha_upper_bound,
     beta_lower_bound,

@@ -8,8 +8,8 @@ library's own readers; the readers here add only JSON shapes, caps and
 choices.  It reads the common fields (top level only, checked even where a
 flag overrides them) and every nested section the same way.  A flag is read
 as the JSON value it spells, else as a string, by the common field's reader.
-``_run`` builds every report, with the config as given and the flags over
-it as its ``inputs``; handlers get the parsed values and only add outputs,
+Each subcommand builds its report with the config as given and the flags
+over it as its ``inputs``; handlers get the parsed values and only add outputs,
 rendered on stdout as JSON or flattened CSV.  Exit codes: 0 success, 1
 invalid input, 2 out of regime.  See docs/formats.md for the bit-exact
 config and report schemas.
@@ -215,47 +215,37 @@ def main():
     """Minimax detection of Gaussian stochastic signals: bounds, tests, MC."""
 
 
-def _common_options(fn):
-    fn = click.option("--config", "config_path", default=None,
-                      help="JSON config file (default: stdin).")(fn)
-    fn = click.option("--seed", default=None,
-                      help="RNG seed (overrides config).")(fn)
-    fn = click.option("--samples", default=None,
-                      help="Monte Carlo samples (overrides config).")(fn)
-    fn = click.option("--format", "fmt", default=None,
-                      help="Output format (overrides config).")(fn)
-    return fn
-
-
-def _run(name: str, handler, fields, config_path, flags: dict):
-    try:
-        cfg = _load_config(config_path)
-        given = {k: _flag_value(v) for k, v in flags.items() if v is not None}
-        table = fields if isinstance(fields, dict) else fields(cfg)
-        args = _parse(cfg, {**COMMON_FIELDS, **table})
-        args.update((k, COMMON_FIELDS[k][0](v, k)) for k, v in given.items())
-        report = Report(name, {**cfg, **given})
-        handler(args, report)
-        click.echo(report.render(args["format"]))
-    except OutOfRegime as exc:
-        click.echo(f"out of regime: {exc}", err=True)
-        sys.exit(2)
-    except InvalidInput as exc:
-        click.echo(f"invalid input: {exc}", err=True)
-        sys.exit(1)
-    sys.exit(0)
-
-
 FIELDS: dict[str, Any] = {}  # subcommand -> table, or a function of the config
 
 
 def _register(name: str, fields):
     def deco(handler):
         @main.command(name=name, help=handler.__doc__)
-        @_common_options
-        def _cmd(config_path, seed, samples, fmt):
-            _run(name, handler, fields, config_path,
-                 {"seed": seed, "samples": samples, "format": fmt})
+        @click.option("--format", default=None,
+                      help="Output format (overrides config).")
+        @click.option("--samples", default=None,
+                      help="Monte Carlo samples (overrides config).")
+        @click.option("--seed", default=None,
+                      help="RNG seed (overrides config).")
+        @click.option("--config", "config_path", default=None,
+                      help="JSON config file (default: stdin).")
+        def _cmd(config_path, **flags):
+            try:
+                cfg = _load_config(config_path)
+                given = {k: _flag_value(v) for k, v in flags.items() if v is not None}
+                table = fields if isinstance(fields, dict) else fields(cfg)
+                args = _parse(cfg, {**COMMON_FIELDS, **table})
+                args.update((k, COMMON_FIELDS[k][0](v, k)) for k, v in given.items())
+                report = Report(name, {**cfg, **given})
+                handler(args, report)
+                click.echo(report.render(args["format"]))
+            except OutOfRegime as exc:
+                click.echo(f"out of regime: {exc}", err=True)
+                sys.exit(2)
+            except InvalidInput as exc:
+                click.echo(f"invalid input: {exc}", err=True)
+                sys.exit(1)
+            sys.exit(0)
 
         _cmd.__name__ = name.replace("-", "_")
         FIELDS[name] = fields
@@ -350,8 +340,7 @@ def _bounds_alpha(args, report: Report) -> None:
 def _mismatch(args, report: Report) -> None:
     """Mismatched miss bound and replaceability condition checks."""
     sigma, lam, A = args["sigma"], args["lambda"], args["A"]
-    prof = exponents.mismatch_profile(sigma, lam)
-    report.add("nu_squared", prof.nu_squared,
+    report.add("nu_squared", exponents.mismatch_profile(sigma, lam),
                "transformed variances sigma^2 (1+lambda^2)/(1+sigma^2)")
     sol, bound = exponents.beta_mismatch_upper(sigma, lam, A)
     report.add("v0", sol.argmax, "stationary point of the mismatch exponent")

@@ -60,15 +60,6 @@ class ExponentSolution:
 
 
 @dataclass(frozen=True)
-class MismatchProfile:
-    """Transformed variances nu_i^2 = sigma_i^2 (1+lambda_i^2)/(1+sigma_i^2)."""
-
-    sigma: IntensityVector
-    lam: IntensityVector
-    nu_squared: np.ndarray
-
-
-@dataclass(frozen=True)
 class BetaLowerBound:
     """Sandwich on ln(beta) plus the blockwise construction behind it.
 
@@ -191,11 +182,11 @@ def beta_upper_bound(sigma: IntensityVector, A: float) -> float:
     return min(1.0, math.exp(-sol.value))
 
 
-def mismatch_profile(sigma: IntensityVector, lam: IntensityVector) -> MismatchProfile:
-    """Transformed variances of the designed-for-sigma test under true lambda."""
+def mismatch_profile(sigma: IntensityVector, lam: IntensityVector) -> np.ndarray:
+    """Transformed variances nu_i^2 = sigma_i^2 (1+lambda_i^2)/(1+sigma_i^2)
+    of the designed-for-sigma test under true lambda."""
     check_same_length(sigma, lam)
-    nu2 = sigma.r_squared * (1.0 + lam.squared)
-    return MismatchProfile(sigma, lam, nu2)
+    return sigma.r_squared * (1.0 + lam.squared)
 
 
 def beta_mismatch_upper(
@@ -207,7 +198,7 @@ def beta_mismatch_upper(
     mean sum nu_i^2 already sits at or below the threshold the optimum is
     v0 = 0 and the bound is the trivial 1.  Returns (solution, bound).
     """
-    nu2 = mismatch_profile(sigma, lam).nu_squared
+    nu2 = mismatch_profile(sigma, lam)
     sol = _maximize(nu2, sigma.D + _as_number(A, "A"), math.inf)
     return sol, min(1.0, math.exp(-sol.value))
 
@@ -275,7 +266,7 @@ def sufficient_condition_check(
     elif mode == MODE_ASYMP1A:
         sol = solve_u0(sigma, A)
         g_ref = sol.value
-        nu2 = mismatch_profile(sigma, lam).nu_squared
+        nu2 = mismatch_profile(sigma, lam)
         g_nu_u0, _ = _weighted_exponent(nu2, threshold, sol.argmax)
         g_nu_1, _ = _weighted_exponent(nu2, threshold, 1.0)
         lhs = g_ref - max(g_nu_u0, g_nu_1)

@@ -173,25 +173,18 @@ def _blocks(W: np.ndarray, variance: np.ndarray):
     blocks of one, in order; ``firsts`` and ``sizes`` give the first
     coordinate and size of each block of two or more, in order of that
     coordinate.  Coordinates whose column of W is all zero are in no
-    block.  Two columns can match only if W's first row repeats a value,
-    so a 1-D sort of that row settles the common all-distinct case without
-    grouping the columns; otherwise one stable lexicographic sort, with
-    W's rows and the variance as separate keys, puts each block's
-    coordinates side by side, first one first.  No (k + 1, n) copy of the
-    columns is made: at example3's n = 1e4 such a copy is above glibc's
-    mmap threshold, so each call would fault fresh pages in, at more cost
-    than the draws.
+    block.  One stable lexicographic sort, with W's rows and the variance
+    as separate keys, puts each block's coordinates side by side, first
+    one first.  No (k + 1, n) copy of the columns is made: at example3's
+    n = 1e4 such a copy is above glibc's mmap threshold, so each call
+    would fault fresh pages in, at more cost than the draws.
     """
     kept = np.flatnonzero(W.any(axis=0))
     cols = slice(None) if kept.size == W.shape[1] else kept
-    row = np.sort(W[0, cols])
-    none = np.empty(0, dtype=int)
-    if np.all(row[1:] != row[:-1]):
-        return kept, none, none
     keys = [variance[cols], *(W[i, cols] for i in range(W.shape[0] - 1, -1, -1))]
     order = np.lexsort(keys)  # by W[0], ties by W[1], ..., then variance
     new = np.zeros(order.size, dtype=bool)
-    new[0] = True
+    new[:1] = True
     for key in keys:
         key = key[order]
         new[1:] |= key[1:] != key[:-1]
@@ -590,7 +583,7 @@ def example3_experiment(
     exact): each estimate is unbiased, and they are correlated.  A shard
     holds 2^17 // c rows, c the drawn columns.  With an all-distinct probe
     every coordinate is a block of one, and the run draws one normal per
-    coordinate, as it did before blocks.
+    coordinate.
     """
     n = _as_integer(n, "n")
     samples, seed = _as_integer(samples, "samples"), _as_integer(seed, "seed")
@@ -616,9 +609,7 @@ def example3_experiment(
                 f"probe lambda has length {probe_lambda.n}, experiment has {n}"
             )
         scales[2] += probe_lambda.squared
-    # The probe's row first: _blocks settles an all-distinct probe by its
-    # 1-D sort of that row.
-    singles, firsts, sizes = _blocks(scales[::-1], np.ones(n))
+    singles, firsts, sizes = _blocks(scales, np.ones(n))
     single_scales = scales[:, singles]
     block_p = np.array([
         [math.exp(m * math.log1p(-math.erfc(math.sqrt(0.5 * threshold / scale))))

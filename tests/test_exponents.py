@@ -155,8 +155,8 @@ class TestMismatch:
     def test_profile_formula(self):
         sigma = IntensityVector([1.0, 1.0])
         lam = IntensityVector([math.sqrt(3.0), math.sqrt(3.0)])
-        prof = mismatch_profile(sigma, lam)
-        np.testing.assert_allclose(prof.nu_squared, [2.0, 2.0], rtol=1e-14)
+        nu2 = mismatch_profile(sigma, lam)
+        np.testing.assert_allclose(nu2, [2.0, 2.0], rtol=1e-14)
 
     def test_profile_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -195,7 +195,7 @@ class TestMismatch:
             sigma = IntensityVector(rng.uniform(0.5, 1.5, size=3))
             lam = IntensityVector(rng.uniform(0.5, 1.5, size=3))
             A = mid_window_level(sigma)
-            nu2 = mismatch_profile(sigma, lam).nu_squared
+            nu2 = mismatch_profile(sigma, lam)
             thr = signal_statistics(sigma).D + A
             exact = weighted_chi2_cdf(nu2, max(thr, 0.0))
             _, bound = beta_mismatch_upper(sigma, lam, A)

@@ -293,18 +293,12 @@ class TestBlockedDraws:
         assert estimate_error_probs(glrt, None, 2_000, 1).p_hat == 1.0
         assert spy.normals == [(2_000, 0)] * 3 and spy.chisquares == []
 
-    def test_distinct_sigma_at_n_1e5_skips_grouping(self, monkeypatch):
-        # The 1-D sort settles distinct sigma without the lexicographic sort
-        # over the columns, at under 1% of the cost of an estimate of 1,000
+    def test_distinct_sigma_at_n_1e5_grouping_is_cheap(self):
+        # Grouping distinct sigma costs under 1% of an estimate of 1,000
         # samples.
         n = 100_000
         sigma = IntensityVector(np.linspace(0.5, 1.5, n))
         test, variance = NpTest(sigma, 0.0), np.ones(n)
-
-        def no_lexsort(*args, **kwargs):
-            raise AssertionError("np.lexsort called on distinct sigma")
-
-        monkeypatch.setattr(np, "lexsort", no_lexsort)
         start = time.perf_counter()
         estimate_error_probs(test, None, 1_000, 1)
         estimate_s = time.perf_counter() - start
@@ -315,6 +309,46 @@ class TestBlockedDraws:
             plan_s.append(time.perf_counter() - start)
         assert singles.size == n and firsts.size == 0
         assert min(plan_s) <= 0.01 * estimate_s
+
+
+def _brute_blocks(W, variance):
+    """_blocks by a dict keyed by (column of W, variance): its groups come
+    in order of their first coordinate, so singles and blocks do too."""
+    groups = {}
+    for i in range(W.shape[1]):
+        if W[:, i].any():
+            groups.setdefault((*W[:, i], variance[i]), []).append(i)
+    blocks = [g for g in groups.values() if len(g) > 1]
+    return ([g[0] for g in groups.values() if len(g) == 1],
+            [g[0] for g in blocks], [len(g) for g in blocks])
+
+
+@st.composite
+def _grouping_cases(draw):
+    """Small W and variance whose few values make ties and zero columns."""
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    W = draw(st.lists(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                               min_size=n, max_size=n), min_size=k, max_size=k))
+    variance = draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=n, max_size=n))
+    return np.array(W), np.array(variance)
+
+
+class TestBlocks:
+    @given(_grouping_cases())
+    @example((np.zeros((2, 5)), np.ones(5)))  # all-zero W
+    @example((np.arange(1.0, 13.0).reshape(2, 6), np.ones(6)))  # all distinct
+    @example((np.ones((3, 7)), np.ones(7)))  # all equal
+    @example((np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 2.0, 0.0, 2.0]]),
+              np.ones(4)))  # zero columns around one block
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_grouping(self, case):
+        W, variance = case
+        got = simulate._blocks(W, variance)
+        assert [b.tolist() for b in got] == list(_brute_blocks(W, variance))
+        assert all(b.dtype.kind == "i" for b in got)
+        # example3 passes its laws' rows in any order.
+        reversed_rows = simulate._blocks(W[::-1], variance)
+        assert [b.tolist() for b in reversed_rows] == [b.tolist() for b in got]
 
 
 _FLAT2 = IntensityVector([1.0, 1.0])
