@@ -2,11 +2,12 @@
 
 One JSON config format serves files and stdin.  Each subcommand has one
 field table, and ``_parse`` checks a config against it: unknown field, then
-missing required field, then each value through its typed reader.  A number
-or an integer is read by the model's ``_as_number`` or ``_as_integer``, the
-library's own readers; the readers here add only JSON shapes, caps and
-choices.  It reads the common fields (top level only, checked even where a
-flag overrides them) and every nested section the same way.  A flag is read
+missing required field, then each value through its typed reader.  A number,
+an integer, an array or an intensity is read by the model's ``_as_number``,
+``_as_integer``, ``_as_vector`` or ``_as_intensities``, the library's own
+readers; the readers here add only JSON shapes, caps and choices.  It reads
+the common fields (top level only, checked even where a flag overrides
+them) and every nested section the same way.  A flag is read
 as the JSON value it spells, else as a string, by the common field's reader.
 Each subcommand builds its report with the config as given and the flags
 over it as its ``inputs``; handlers get the parsed values and only add outputs,
@@ -40,7 +41,9 @@ from .model import (
     ProductFloor,
     SumFloor,
     _as_integer,
+    _as_intensities,
     _as_number,
+    _as_vector,
     signal_statistics,
 )
 
@@ -86,11 +89,11 @@ def _vector(value, key: str) -> np.ndarray:
     """A nonempty JSON array of numbers; its entry i is named key[i]."""
     if not isinstance(value, list) or not value:
         raise InvalidInput(f"{key} must be a nonempty array of numbers")
-    return np.array([_as_number(v, f"{key}[{i}]") for i, v in enumerate(value)])
+    return _as_vector(value, key)
 
 
 def _sigma(value, key: str) -> IntensityVector:
-    return IntensityVector(_vector(value, key))
+    return IntensityVector(_as_intensities(_vector(value, key), key))
 
 
 def _points(value, key: str) -> FinitePoints:

@@ -14,11 +14,12 @@ the CLI alike, and each raises ``InvalidInput`` naming the value:
 a finite float, ``_as_integer`` reads an integer (a dimension, a block
 count, a sample count, a seed, a group index) as an int, and
 ``_as_vector`` reads an array (intensities, weights, levels, half-widths)
-as a nonempty, 1-D, finite float64 copy.  They follow JSON's kinds: a bool
-is neither a number nor an integer, a string is not a number, a float such
-as 1000.0 is not an integer, and only integer and float arrays are arrays
-of reals (not bool, string or object arrays).  A point set is checked only
-by ``FinitePoints`` (nonempty, one dimension), which ``DiscretePrior`` uses.
+as a nonempty, 1-D, finite float64 copy; ``_as_intensities`` also checks
+that an intensity vector is nonnegative with a finite sum of squares.  They
+follow JSON's kinds: a bool is neither a number nor an integer, a string is
+not a number, a float such as 1000.0 is not an integer, and an array's
+entries are numbers.  A point set is checked only by ``FinitePoints``
+(nonempty, one dimension), which ``DiscretePrior`` uses.
 
 D(sigma) = sum ln(1+sigma_i^2) is computed only by ``IntensityVector.D``.  The
 rules share one core, ``_QuadraticFormTest``, which builds the weights W (k, n)
@@ -59,23 +60,27 @@ def _as_vector(values: ArrayLike, name: str = "values") -> np.ndarray:
     """A float64 copy of ``values``: freezing it leaves the caller's array writable.
 
     The array's dtype decides: integer and float arrays are read, and bool,
-    string and object arrays (None, huge integers) are not arrays of reals.
-    numpy casts the bools of a list that mixes them with numbers, so a list
-    or tuple with a bool entry is rejected whatever its dtype.
+    string and object arrays are not; nor is a list or tuple with a bool
+    entry, whose bools numpy casts.  Such a list or tuple is read entry by
+    entry by ``_as_number``, whose message names the entry (``name[i]``);
+    the message for a non-finite entry names it the same way.
     """
     try:
         arr = np.array(values)
     except (TypeError, ValueError):
         arr = None
+    is_list = isinstance(values, (list, tuple))
     if (arr is None or arr.dtype.kind not in "iuf"
-            or isinstance(values, (list, tuple))
-            and not {bool, np.bool_}.isdisjoint(map(type, values))):
-        raise InvalidInput(f"{name} must be a 1-D array of real numbers")
+            or is_list and not {bool, np.bool_}.isdisjoint(map(type, values))):
+        if not is_list:
+            raise InvalidInput(f"{name} must be a 1-D array of real numbers")
+        arr = np.array([_as_number(v, f"{name}[{i}]") for i, v in enumerate(values)])
     arr = np.atleast_1d(arr.astype(float, copy=False))
     if arr.ndim != 1 or arr.size < 1:
         raise InvalidInput(f"{name} must be a nonempty 1-D array")
     if not np.all(np.isfinite(arr)):
-        raise InvalidInput(f"{name} contains non-finite entries")
+        i = int(np.argmin(np.isfinite(arr)))
+        raise InvalidInput(f"{name}[{i}] must be finite, got {arr[i]}")
     return arr
 
 
@@ -102,6 +107,21 @@ def _as_integer(value, name: str) -> int:
     raise InvalidInput(f"{name} must be an integer")
 
 
+def _as_intensities(values: ArrayLike, name: str) -> np.ndarray:
+    """``_as_vector`` of nonnegative entries whose sum of squares is finite."""
+    arr = _as_vector(values, name)
+    if np.min(arr) < 0:
+        raise InvalidInput(f"{name}[{np.argmax(arr < 0)}] negative")
+    # sum sigma_i^2 <= n top^2 is finite unless top > sqrt(float max / n);
+    # only then does sum (sigma_i/top)^2, which cannot overflow, decide.
+    top = float(np.max(arr))
+    if top > math.sqrt(_MAX_FLOAT / arr.size) and float(
+            np.sum(np.square(arr / top))) > _MAX_FLOAT / (top * top):
+        raise InvalidInput(
+            f"{name}[{np.argmax(arr)}] too large: the sum of squares overflows")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class IntensityVector:
     """Nonnegative per-component signal standard deviations sigma_i.
@@ -113,16 +133,7 @@ class IntensityVector:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _as_vector(self.values, "sigma")
-        if np.min(arr) < 0:
-            raise InvalidInput(f"sigma[{np.argmax(arr < 0)}] negative")
-        # sum sigma_i^2 <= n top^2 is finite unless top > sqrt(float max / n);
-        # only then does sum (sigma_i/top)^2, which cannot overflow, decide.
-        top = float(np.max(arr))
-        if top > math.sqrt(_MAX_FLOAT / arr.size) and float(
-                np.sum(np.square(arr / top))) > _MAX_FLOAT / (top * top):
-            raise InvalidInput(
-                f"sigma[{np.argmax(arr)}] too large: the sum of squares overflows")
+        arr = _as_intensities(self.values, "sigma")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 

@@ -47,6 +47,8 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -116,48 +118,39 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _count_shards(seed: int, plan, events) -> np.ndarray:
-    """Hit counts per event over the shards of ``plan``, one after another."""
-    totals = 0
-    for shard, rows in plan:
-        rng = shard_stream(seed, shard)
-        totals = np.add(totals, [np.count_nonzero(e) for e in events(rng, rows)])
-    return totals
-
-
-def _shard_counts(
-    seed: int, samples: int, row_scalars: int, events
-) -> list[int]:
+def _shard_counts(seed: int, samples: int, row_scalars: int, events) -> list[int]:
     """Hit counts per event over the shards of one run, the only shard loop.
 
     ``events(rng, rows)`` draws a shard's rows from its stream and returns one
     boolean array per event; row_scalars (draws per row) sets the row counts.
-    ``events`` may run on several threads at once, so it must not write
-    shared state.  Worker j of W takes shards j, j + W, ... and the workers'
-    totals are summed: counts are integers, so they do not depend on W.  The
-    first exception raised on a worker, or in the waiting caller (an
-    interrupt), stops every worker after its current shard and propagates.
+    Worker j of W, ``count(j)``, takes shards j, j + W, ... and the workers'
+    totals are summed: counts are integers, so they do not depend on W.  One
+    worker runs on the caller's thread; several on a pool, so ``events`` must
+    not write shared state.  The first exception raised on a worker, or in
+    the waiting caller (an interrupt), stops every worker after its current
+    shard and propagates.
     """
     if samples < MIN_SAMPLES:
         raise InvalidInput(f"samples must be >= {MIN_SAMPLES}")
     workers = min(-(-samples // _shard_rows(row_scalars)), _cpu_count())
-    if workers <= 1:
-        plan = _shard_plan(samples, row_scalars)
-        return _count_shards(seed, plan, events).tolist()
-    import threading
-    from concurrent.futures import ThreadPoolExecutor, as_completed
-
     stop = threading.Event()
 
-    def strided(j):  # a lazy plan of its own per worker: generators are not shared
-        plan = itertools.islice(_shard_plan(samples, row_scalars), j, None, workers)
-        return itertools.takewhile(lambda _: not stop.is_set(), plan)
+    def count(j):
+        totals = 0
+        plan = _shard_plan(samples, row_scalars)  # a generator per worker
+        for shard, rows in itertools.islice(plan, j, None, workers):
+            if stop.is_set():
+                break
+            rng = shard_stream(seed, shard)
+            totals = np.add(totals, [np.count_nonzero(e) for e in events(rng, rows)])
+        return totals
+
+    if workers <= 1:
+        return count(0).tolist()
+    from concurrent.futures import ThreadPoolExecutor, as_completed
 
     with ThreadPoolExecutor(workers) as pool:
-        futures = [
-            pool.submit(_count_shards, seed, strided(j), events)
-            for j in range(workers)
-        ]
+        futures = [pool.submit(count, j) for j in range(workers)]
         try:
             return np.sum([f.result() for f in as_completed(futures)], axis=0).tolist()
         finally:
@@ -265,17 +258,6 @@ _EDGE = 1e-18  # incomplete gamma values past the window are within this of 0 or
 _EDGE_REL = 1e-17  # ... and on the side of 0, within this share of the result
 
 
-def _first(pred, lo: int, hi: int) -> int:
-    """The least k in [lo, hi) with pred(k), else hi; pred is false, then true."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def _mixture_coefficients(w: np.ndarray):
     """(beta, a): sum w_i xi_i^2 equals beta chi2_{n+2K} in law, P(K=k) = a_k.
 
@@ -338,7 +320,8 @@ def _mixture_coefficients(w: np.ndarray):
         return -0.25 * modulus - 0.5j * phase
 
     floor = math.log(_MASS_TOL / terms)
-    kept = _first(lambda j: ln_gf(j)[0].real <= floor, 1, terms // 2 + 1)
+    kept = bisect_left(range(terms // 2 + 1), True, 1,
+                       key=lambda j: ln_gf(j)[0].real <= floor)
     g = np.zeros(terms // 2 + 1, dtype=complex)
     for lo in range(0, kept, cols):
         hi = min(kept, lo + cols)
@@ -376,9 +359,9 @@ def _weighted_chi2(weights, x: float, upper: bool) -> float:
     from scipy.special import gammainc, gammaincc
 
     beta, a = _mixture_coefficients(w)
-    half, y, end = 0.5 * w.size, x / (2.0 * beta), a.size
-    lo = _first(lambda k: gammaincc(half + k, y) > _EDGE, 0, end)
-    hi = _first(lambda k: gammainc(half + k, y) <= _EDGE, lo, end)
+    half, y, ks = 0.5 * w.size, x / (2.0 * beta), range(a.size)
+    lo = bisect_left(ks, True, key=lambda k: gammaincc(half + k, y) > _EDGE)
+    hi = bisect_left(ks, True, lo, key=lambda k: gammainc(half + k, y) <= _EDGE)
     tail = gammaincc if upper else gammainc
 
     def mixed(i, j):  # the terms i <= k < j of the mixture
@@ -386,11 +369,13 @@ def _weighted_chi2(weights, x: float, upper: bool) -> float:
 
     if upper:
         total = float(a[hi:].sum()) + mixed(lo, hi)
-        edge = _first(lambda k: gammaincc(half + k, y) > _EDGE_REL * total, 0, lo)
+        edge = bisect_left(ks, True, 0, lo,
+                           key=lambda k: gammaincc(half + k, y) > _EDGE_REL * total)
         total += mixed(edge, lo)
     else:
         total = float(a[:lo].sum()) + mixed(lo, hi)
-        edge = _first(lambda k: gammainc(half + k, y) <= _EDGE_REL * total, hi, end)
+        edge = bisect_left(ks, True, hi,
+                           key=lambda k: gammainc(half + k, y) <= _EDGE_REL * total)
         total += mixed(hi, edge)
     return min(1.0, max(0.0, total))
 

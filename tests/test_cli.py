@@ -263,6 +263,40 @@ class TestFieldTables:
         assert res.stderr == (
             "invalid input: sigma[0] too large: the sum of squares overflows\n")
 
+    # (command, config with BAD where the intensity goes, its field path)
+    INTENSITY_FIELDS = {
+        "mismatch.lambda": (
+            "mismatch", {"sigma": [1, 1], "lambda": "BAD", "A": 0}, "lambda"),
+        "simulate.true": (
+            "simulate", {"test": "np", "sigma": [1, 1], "A": 0, "true": "BAD"},
+            "true"),
+        "prior.points[i]": (
+            "simulate", {"test": "bayes", "level": 0, "prior": {
+                "points": [[1, 1], "BAD"], "weights": [0.5, 0.5]}}, "points[1]"),
+        "candidates[i]": (
+            "simulate", {"test": "glrt", "candidates": [[1, 1], "BAD"],
+                         "levels": 0.5}, "candidates[1]"),
+        "reduce.points[i]": ("reduce", {"points": [[1, 2], "BAD"]}, "points[1]"),
+        "certificate.lambda": (
+            "reduce", {"certificate": {"sigma": [1, 1], "lambda": "BAD",
+                                       "groups": [[0, 1]]}}, "lambda"),
+        "example3.lambda": (
+            "example3", {"n": 2, "R": 1, "lambda": "BAD"}, "lambda"),
+    }
+
+    @pytest.mark.parametrize("field", sorted(INTENSITY_FIELDS))
+    @pytest.mark.parametrize("value, message", [
+        ([1, -1], "[1] negative"),
+        ([1e200, 1], "[0] too large: the sum of squares overflows"),
+    ], ids=["negative", "overflow"])
+    def test_intensity_message_names_its_field(self, runner, field, value,
+                                               message):
+        command, config, path = self.INTENSITY_FIELDS[field]
+        config = json.loads(json.dumps(config).replace('"BAD"', json.dumps(value)))
+        res = run(runner, [command], {"samples": 1000, **config})
+        assert res.exit_code == 1
+        assert res.stderr == f"invalid input: {path}{message}\n"
+
     @pytest.mark.parametrize("samples", [10**9 + 1, 10**15])
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_samples_capped(self, runner, samples, where):

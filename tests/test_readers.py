@@ -131,3 +131,23 @@ class TestMalformedScalarSweep:
         cert = lemma2_certificate(ONES, ONES, [np.array([0, 1])])
         assert cert.groups == ((0, 1),) and cert.valid
         assert all(type(i) is int for i in cert.groups[0])
+
+    @pytest.mark.parametrize("index", [0, 1, 3])
+    @pytest.mark.parametrize("bad, why", [
+        (None, "must be a real number"), ("1", "must be a real number"),
+        (True, "must be a real number"), ([1.0], "must be a real number"),
+        (math.nan, "must be finite, got nan"), (-math.inf, "must be finite, got -inf"),
+    ])
+    def test_bad_list_entry_named_by_its_index(self, index, bad, why):
+        values = [0.5, 1.0, 1.5, 2.0]
+        values[index] = bad
+        for call, name in [(IntensityVector, "sigma"),
+                           (partial(weighted_chi2_cdf, x=1.0), "weights"),
+                           (Box, "half_widths")]:
+            with pytest.raises(InvalidInput) as info:
+                call(values)
+            assert str(info.value) == f"{name}[{index}] {why}"
+
+    def test_integers_beyond_int64_read_as_floats(self):
+        # numpy holds them only as objects; each is a real number.
+        assert IntensityVector([2**64, 1]).values.tolist() == [2.0**64, 1.0]

@@ -1049,6 +1049,102 @@ class TestPinnedStreams:
         assert box.p_xi.p_hat == 0.35301666666666665
 
 
+class TestPinnedOracle:
+    """The exact oracle's outputs, pinned bit for bit (``float.hex``).
+
+    The weights are geomspace(1, spread, n), and an NP test takes sigma^2
+    proportional to them with sum sigma^2 = 3 sqrt(n), at the middle of its
+    operating window.  Any change to the term count, the coefficients, the
+    window searches or the summation order shows here; a change that moves
+    these values on purpose re-pins them and says so.
+    """
+
+    # (n, spread): the cdf at x = sum(w) / 5, sum(w) and 3 sum(w).
+    CDF = {
+        (2, 1.0): ("0x1.733d4a7a67a9bp-3", "0x1.43a54e4e98864p-1",
+                   "0x1.e6824f33314f5p-1"),
+        (2, 2.0): ("0x1.853638a7afde0p-3", "0x1.48d2aa2cba50cp-1",
+                   "0x1.e459ac247ee4ep-1"),
+        (2, 1e2): ("0x1.5a92aff7977d8p-2", "0x1.5d863d39dc1ebp-1",
+                   "0x1.d5e3bccda1cfap-1"),
+        (2, 1e4): ("0x1.617fec2c02a0fp-2", "0x1.5d897a0f5060fp-1",
+                   "0x1.d55fb34c75bf3p-1"),
+        (10, 1.0): ("0x1.dfb414dd1647ap-9", "0x1.1e77aa05131a2p-1",
+                    "0x1.ff8fb7e407d74p-1"),
+        (10, 2.0): ("0x1.04f0a5003dd40p-8", "0x1.2036e7ac05906p-1",
+                    "0x1.ff5eb1181e084p-1"),
+        (10, 1e2): ("0x1.01d7960afe7ebp-5", "0x1.3a45b19a17388p-1",
+                    "0x1.f57fcf133cc6bp-1"),
+        (10, 1e4): ("0x1.d0ff7b7de5f9ep-4", "0x1.4b7ab1471de87p-1",
+                    "0x1.e86c83eebac86p-1"),
+        (100, 1.0): ("0x1.b5ef5c64bda28p-63", "0x1.09a13e57b0c82p-1",
+                     "0x1.0000000000000p+0"),
+        (100, 2.0): ("0x1.a48f6ac4158d5p-62", "0x1.0a2e8f32ac4bep-1",
+                     "0x1.ffffffffffffep-1"),
+        (100, 1e2): ("0x1.00e7ce7f59a49p-37", "0x1.1357f35cb6ec0p-1",
+                     "0x1.ffffffa61e78ep-1"),
+        (100, 1e4): ("0x1.6cdfec53c1936p-21", "0x1.1b0b1f537da9bp-1",
+                     "0x1.fffd05d045a12p-1"),
+        (1000, 1.0): ("0x1.8b1cb42d2b1f1p-590", "0x1.030b811c9dab4p-1",
+                      "0x1.0000000000000p+0"),
+        (1000, 2.0): ("0x1.8adba1d36addcp-446", "0x1.03384384ce970p-1",
+                      "0x1.0000000000000p+0"),
+        (1000, 1e2): ("0x0.0p+0", "0x1.062820064ce69p-1",
+                      "0x1.0000000000000p+0"),
+        (1000, 1e4): None,  # OutOfRegime
+    }
+    # (n, spread): (alpha, beta).
+    NP = {
+        (2, 1.0): ("0x1.04da7cb53b54fp-3", "0x1.eed813d414f8cp-2"),
+        (2, 2.0): ("0x1.f53575e89ffbbp-4", "0x1.fa09bb52185dep-2"),
+        (2, 1e2): ("0x1.40c2091743690p-4", "0x1.1ea02bfc9d4c5p-1"),
+        (2, 1e4): ("0x1.3c8e5dd24f225p-4", "0x1.1e8aea09ca850p-1"),
+        (10, 1.0): ("0x1.2233b7618c330p-3", "0x1.50badc06d9e99p-2"),
+        (10, 2.0): ("0x1.1ab711ebf364bp-3", "0x1.544ca957a2636p-2"),
+        (10, 1e2): ("0x1.311b797401992p-4", "0x1.979e38c13ce03p-2"),
+        (10, 1e4): ("0x1.60e7983adaf25p-5", "0x1.d1a873bab2fb5p-2"),
+        (100, 1.0): ("0x1.28d07f9e24afap-3", "0x1.b0bb08830fea2p-3"),
+        (100, 2.0): ("0x1.203ee3b1c8091p-3", "0x1.aefaf3c661080p-3"),
+        (100, 1e2): ("0x1.0ad7bbc428cd8p-4", "0x1.8c86cc452b73bp-3"),
+        (100, 1e4): ("0x1.b6df76178fa46p-6", "0x1.92caa57e03ae4p-3"),
+        (1000, 1.0): ("0x1.287651797e75ap-3", "0x1.54f62c8f18731p-3"),
+        (1000, 2.0): ("0x1.1f35a168aee56p-3", "0x1.4e4982d359b14p-3"),
+        (1000, 1e2): ("0x1.d2bedff559646p-5", "0x1.95e1852369cd0p-4"),
+        (1000, 1e4): None,  # OutOfRegime
+    }
+
+    @staticmethod
+    def profile(n, spread):
+        return np.geomspace(1.0, spread, n) if spread > 1 else np.ones(n)
+
+    @pytest.mark.parametrize("n, spread", sorted(CDF))
+    def test_cdf(self, n, spread):
+        w = self.profile(n, spread)
+        xs = [f * float(w.sum()) for f in (0.2, 1.0, 3.0)]
+        if self.CDF[n, spread] is None:
+            with pytest.raises(OutOfRegime):
+                weighted_chi2_cdf(w, xs[0])
+            return
+        assert tuple(weighted_chi2_cdf(w, x).hex() for x in xs) == self.CDF[n, spread]
+
+    @pytest.mark.parametrize("n, spread", sorted(NP))
+    def test_np_test(self, n, spread):
+        w = self.profile(n, spread)
+        sigma = IntensityVector(np.sqrt(w * 3.0 * math.sqrt(n) / w.sum()))
+        lo, hi = signal_statistics(sigma).window
+        test = NpTest(sigma, 0.5 * (lo + hi))
+        if self.NP[n, spread] is None:
+            with pytest.raises(OutOfRegime):
+                np_test_exact_probs(test)
+            return
+        got = tuple(p.hex() for p in np_test_exact_probs(test))
+        assert got == self.NP[n, spread]
+
+    def test_fault_c(self):
+        # Flat sigma = 1, n = 50, A = 60: alpha is about 4.5e-18.
+        alpha, beta = np_test_exact_probs(NpTest(IntensityVector(np.ones(50)), 60.0))
+        assert (alpha.hex(), beta.hex()) == ("0x1.4a376ca10d69ap-58", "0x1.ffeda0fe25632p-1")
+
 class TestShardExecutor:
     """Shards run on min(shards, CPUs) threads with counts independent of it."""
 
@@ -1142,6 +1238,21 @@ class TestShardExecutor:
                 serial[i] += int(np.count_nonzero(accepted if i else ~accepted))
         estimates = (rep.alpha, rep.beta_sigma1, rep.beta_lambda)
         assert [e.p_hat for e in estimates] == [h / samples for h in serial]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_one_worker_runs_on_the_callers_thread(self, monkeypatch, cpus):
+        samples = 3 * _shard_rows(128) + 7  # four shards
+        threads = []
+
+        def events(rng, rows):
+            threads.append(threading.get_ident())
+            return self.events(rng, rows)
+
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
+        assert _shard_counts(2, samples, 128, events) == self.serial(2, samples, 128)
+        assert len(threads) == 4
+        on_caller = [t == threading.get_ident() for t in threads]
+        assert on_caller == [cpus == 1] * 4
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(simulate, "_cpu_count", lambda: 3)
