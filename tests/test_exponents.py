@@ -414,7 +414,9 @@ class TestPinnedExponents:
     """The four exponent solves at fixed inputs, pinned to exact values.
 
     Levels sit below, inside and above the operating window, so every
-    endpoint case and the interior root are covered at n = 1, 7 and 1000.
+    endpoint case and the interior root are covered at n = 1, 7 and 1000;
+    one flat and one random sigma at n = 1e5, the size the benchmark
+    times, add an interior level each.
     Values are compared through repr, so even the sign of a zero counts:
     any change to a solver's bracket, iteration or evaluation order shows
     here.
@@ -424,6 +426,9 @@ class TestPinnedExponents:
         1: IntensityVector([0.8]),
         7: IntensityVector(np.linspace(0.3, 2.1, 7)),
         1000: IntensityVector(np.linspace(0.2, 1.5, 1000)),
+        "1e5 flat": IntensityVector(np.full(100_000, 0.9)),
+        "1e5 random": IntensityVector(
+            np.random.default_rng(2018).uniform(0.3, 1.5, 100_000)),
     }
     LAMBDA_SCALE = 1.25
 
@@ -441,6 +446,8 @@ class TestPinnedExponents:
         (1000, 67.41200421800937, (0.2905835450037046, 14.91656625904487, 0.0, 6, 'interior')),
         (1000, 301.81109801135426, (0.0, 0.0, -0.25, 0, 'at_zero')),
         (1000, 564.9475785288674, (0.0, 0.0, -131.8182402587566, 0, 'at_zero')),
+        ("1e5 flat", -81.8557984916697, (0.453172205438066, 2208.055023505005, 0.0, 5, 'interior')),
+        ("1e5 random", 2231.6600915606723, (0.38182000024736534, 2459.499388166212, 0.0, 6, 'interior')),
     ]
     ALPHA = [
         (1, -0.6044523393970826, ((0.0, 0.0, -0.25, 0, 'at_zero'), 1.0, 1.3528671696705954)),
@@ -455,6 +462,8 @@ class TestPinnedExponents:
         (1000, 67.41200421800937, ((0.7094164549962955, 48.62256836804957, 0.0, 6, 'interior'), 7.646925547314872e-22, 2.2996898957402976e-15)),
         (1000, 301.81109801135426, ((1.0, 150.90554900567713, 0.25, 0, 'at_one'), 2.9010337295156646e-66, 2.9010337295156646e-66)),
         (1000, 564.9475785288674, ((1.0, 282.4737892644337, 131.8182402587566, 0, 'at_one'), 2.1047089127307367e-123, 2.1047089127307367e-123)),
+        ("1e5 flat", -81.8557984916697, ((0.5468277945619335, 2167.1271242591793, 0.0, 6, 'interior'), 0.0, 5.953341537960036e+17)),
+        ("1e5 random", 2231.6600915606723, ((0.6181799997526345, 3575.329433946543, 3.637978807091713e-12, 6, 'interior'), 0.0, 0.0)),
     ]
     MISMATCH = [
         (1, 0.020425709383405183, ((0.6600378787878787, 0.03775772198083288, 0.0, 5, 'interior'), 0.9629462133327966)),
@@ -466,11 +475,15 @@ class TestPinnedExponents:
         (1000, 67.41200421800937, ((0.47369804108777125, 45.84173474014639, 0.0, 5, 'interior'), 1.2336374969614808e-20)),
         (1000, 301.81109801135426, ((0.17205390855986963, 10.12335002298282, 0.0, 7, 'interior'), 4.013145878021019e-05)),
         (1000, 564.9475785288674, ((0.0, 0.0, -0.25, 0, 'at_zero'), 1.0)),
+        ("1e5 flat", -81.8557984916697, ((0.7014480675070317, 6078.9704221318825, 0.0, 6, 'interior'), 0.0)),
+        ("1e5 random", 2231.6600915606723, ((0.5674670529473325, 6268.706445735279, 0.0, 6, 'interior'), 0.0)),
     ]
     LOWER = [
         (1, 0.020425709383405183, (-1.1557011628585578, -0.01097127700915769, -0.9166695532671911, (0.3787878787878786, 0.01097127700915769, 0.0, 5, 'interior'), 0.3787878787878786, 0.0, 1)),
         (7, 1.9378294551983655, (-12.45077618039264, -0.1842160633398423, -3.911683987835346, (0.1979542735324886, 0.1842160633398423, 0.0, 8, 'interior'), 0.31801736091161154, 0.0, 3)),
         (1000, 67.41200421800937, (-203.10775732291876, -14.91656625904487, -75.55636775124222, (0.2905835450037046, 14.91656625904487, 0.0, 6, 'interior'), 0.34236126986443455, -1.1368683772161603e-13, 22)),
+        ("1e5 flat", -81.8557984916697, (-2220.712678855825, -2208.055023505005, -2214.3838545137537, (0.453172205438066, 2208.055023505005, 0.0, 5, 'interior'), 0.4531722054380664, 0.0, 1)),
+        ("1e5 random", 2231.6600915606723, (-4490.623494183899, -2459.499388166212, -3155.6801046979463, (0.38182000024736534, 2459.499388166212, 0.0, 6, 'interior'), 0.3887575019771197, 0.0, 159)),
     ]
 
     def test_cases_covered(self):
