@@ -95,11 +95,13 @@ class ConditionCheck:
     violated: bool
 
 
-def _weighted_exponent(w2: np.ndarray, threshold: float, x: float):
-    """(g, g') for 2g(x) = sum ln(1 + x w2_i) - x * threshold, 1 + x w2_i > 0."""
-    two_g = float(np.sum(np.log1p(x * w2))) - x * threshold
-    two_gp = float(np.sum(w2 / (1.0 + x * w2))) - threshold
-    return 0.5 * two_g, 0.5 * two_gp
+def _exponent(w: np.ndarray, threshold: float, x: float) -> float:
+    """g(x) for 2g(x) = sum ln(1 + x w_i) - x * threshold, 1 + x w_i > 0.
+
+    One temporary: x w is formed and its log1p taken in place.
+    """
+    t = np.multiply(x, w)
+    return 0.5 * (float(np.sum(np.log1p(t, out=t))) - x * threshold)
 
 
 def g_eval(sigma: IntensityVector, A: float, u: float):
@@ -110,11 +112,16 @@ def g_eval(sigma: IntensityVector, A: float, u: float):
     A, u = _as_number(A, "A"), _as_number(u, "u")
     if u < 0:
         raise InvalidInput("u must be nonnegative")
-    return _weighted_exponent(sigma.squared, sigma.D + A, u)
+    s2 = sigma.squared
+    threshold = sigma.D + A
+    g = _exponent(s2, threshold, u)
+    q = np.multiply(u, s2)
+    q += 1.0
+    return g, 0.5 * (float(np.sum(np.divide(s2, q, out=q))) - threshold)
 
 
 def chernoff_root(
-    w: np.ndarray, threshold: float, end: float, counts=1.0
+    w: np.ndarray, threshold: float, end: float, counts=None
 ) -> tuple[RootResult, str]:
     """Stationary point of 2g(x) = sum c_i ln(1 + x w_i) - x threshold.
 
@@ -126,13 +133,23 @@ def chernoff_root(
     the interval sits at x = 0 (AT_ZERO, reported as a zero with the sign
     of end), when it is >= 0 at a finite end, at x = end (AT_ONE).
     Returns the root, h there and the solver iterations, with the case.
+
+    h is evaluated once per point, bracket ends included, each time in one
+    pass over one buffer q that lives for the call: q_i = c_i w_i/(1 + x w_i)
+    and h = sum q - threshold.  With counts None (every c_i = 1), h' = -sum
+    q_i^2 at the same point squares q in place; the blockwise u1 passes its
+    block sizes as counts and forms h' afresh.
     """
-    cw = counts * w
+    cw = w if counts is None else counts * w
+    q = np.empty_like(w)
 
     def h(x: float) -> float:
-        return float(np.sum(cw / (1.0 + x * w))) - threshold
+        np.add(np.multiply(x, w, out=q), 1.0, out=q)
+        return float(np.sum(np.divide(cw, q, out=q))) - threshold
 
-    def dh(x: float) -> float:
+    def dh(x: float) -> float:  # the solver asks at the x of its latest h
+        if counts is None:
+            return -float(np.sum(np.square(q, out=q)))
         q2 = (w / (1.0 + x * w)) ** 2
         q2 *= counts
         return -float(np.sum(q2))
@@ -143,22 +160,24 @@ def chernoff_root(
     if side * h0 <= 0.0:
         return RootResult(zero, h0, 0), AT_ZERO
     if math.isinf(end):
-        return solve_bracketed(h, dh, 0.0, grow_upper_bracket(h)), INTERIOR
+        hi, h_hi = grow_upper_bracket(h, h0)
+        return solve_bracketed(h, dh, 0.0, hi, h0, h_hi), INTERIOR
     h_end = h(end)
     if side * h_end >= 0.0:
         return RootResult(end, h_end, 0), AT_ONE
-    lo, hi = sorted((0.0, end))
-    return solve_bracketed(h, dh, lo, hi), INTERIOR
+    (lo, h_lo), (hi, h_hi) = sorted(((0.0, h0), (end, h_end)))
+    return solve_bracketed(h, dh, lo, hi, h_lo, h_hi), INTERIOR
 
 
 def _maximize(w: np.ndarray, threshold: float, end: float) -> ExponentSolution:
     """Maximize g of ``chernoff_root`` between 0 and end.
 
-    For end = -1, argmax and residual are reported in t = -x, with f(t) = g(-t)
-    and f'(t) = 0.0 - g'(x), which keeps a zero residual +0.0.
+    g' there is half the root's residual h, the same sum.  For end = -1,
+    argmax and residual are reported in t = -x, with f(t) = g(-t) and
+    f'(t) = 0.0 - g'(x), which keeps a zero residual +0.0.
     """
     res, case = chernoff_root(w, threshold, end)
-    g, gp = _weighted_exponent(w, threshold, res.root)
+    g, gp = _exponent(w, threshold, res.root), 0.5 * res.residual
     if end < 0:
         return ExponentSolution(-res.root, g, 0.0 - gp, res.iterations, case)
     return ExponentSolution(res.root, g, gp, res.iterations, case)
@@ -186,7 +205,11 @@ def mismatch_profile(sigma: IntensityVector, lam: IntensityVector) -> np.ndarray
     """Transformed variances nu_i^2 = sigma_i^2 (1+lambda_i^2)/(1+sigma_i^2)
     of the designed-for-sigma test under true lambda."""
     check_same_length(sigma, lam)
-    return sigma.r_squared * (1.0 + lam.squared)
+    nu2 = sigma.r_squared
+    l2 = lam.squared
+    l2 += 1.0
+    nu2 *= l2
+    return nu2
 
 
 def beta_mismatch_upper(
@@ -267,9 +290,8 @@ def sufficient_condition_check(
         sol = solve_u0(sigma, A)
         g_ref = sol.value
         nu2 = mismatch_profile(sigma, lam)
-        g_nu_u0, _ = _weighted_exponent(nu2, threshold, sol.argmax)
-        g_nu_1, _ = _weighted_exponent(nu2, threshold, 1.0)
-        lhs = g_ref - max(g_nu_u0, g_nu_1)
+        lhs = g_ref - max(_exponent(nu2, threshold, sol.argmax),
+                          _exponent(nu2, threshold, 1.0))
     else:
         raise InvalidInput(f"unknown mode {mode!r}")
 
@@ -308,7 +330,9 @@ def beta_lower_bound(
     if delta is None:
         raise InvalidInput("delta undefined: some sigma_i = 0")
     n = sigma.n
-    sol = solve_u0(sigma, A)
+    s2 = sigma.squared
+    threshold = stats.D + _as_number(A, "A")
+    sol = _maximize(s2, threshold, 1.0)  # solve_u0, with D computed once
     if sol.boundary_case != INTERIOR:
         raise OutOfRegime(
             f"level A outside the operating window (u0 {sol.boundary_case})"
@@ -322,12 +346,12 @@ def beta_lower_bound(
     if not 1 <= K <= n:
         raise InvalidInput(f"K must be in [1, {n}]")
     sizes = _block_sizes(n, K)
-    s2_desc = np.sort(sigma.squared)[::-1]
+    s2_desc = np.sort(s2)[::-1]
     heads = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     b = s2_desc[heads]  # block-leading (largest) variances
     m = sizes.astype(float)
     # Threshold here is the raw ellipsoid radius D + A, split across blocks.
-    res, _ = chernoff_root(b, stats.D + A, math.inf, counts=m)
+    res, _ = chernoff_root(b, threshold, math.inf, counts=m)
     u1, u1_res = res.root, res.residual
 
     # Per-block chi-square lower-tail sandwich at a_k = m_k/(1+u1 b_k) <= m_k.

@@ -150,12 +150,14 @@ class IntensityVector:
     def r_squared(self) -> np.ndarray:
         """Componentwise sigma_i^2 / (1 + sigma_i^2), the null-side weights."""
         s2 = self.squared
-        return s2 / (1.0 + s2)
+        r2 = s2 + 1.0
+        return np.divide(s2, r2, out=r2)
 
     @property
     def D(self) -> float:
         """D = sum ln(1+sigma_i^2), the normalizer of the likelihood ratio."""
-        return float(np.sum(np.log1p(self.squared)))
+        s2 = self.squared
+        return float(np.sum(np.log1p(s2, out=s2)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntensityVector) and np.array_equal(
@@ -226,8 +228,10 @@ def signal_statistics(sigma: IntensityVector) -> SignalStatistics:
     """Compute D, T, B, delta, and the operating window for ``sigma``."""
     s2 = sigma.squared
     D = sigma.D
-    T = float(np.sum(s2 / (1.0 + s2)))
-    B = float(2.0 * np.sum((s2 / (1.0 + s2)) ** 2))
+    r2 = s2 + 1.0
+    np.divide(s2, r2, out=r2)
+    T = float(np.sum(r2))
+    B = float(2.0 * np.sum(np.square(r2, out=r2)))
     delta = None
     if np.all(sigma.values > 0):
         lo = float(np.min(s2))  # Python floats: an overflow gives inf, no warning

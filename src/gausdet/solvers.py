@@ -6,6 +6,11 @@ the step falls back to bisection.  Monotonicity of the target functions
 makes the bracket shrink to the unique root unconditionally, to a width of
 DEFAULT_TOL = 1e-12 or for at most MAX_ITER = 200 steps.  An upper bracket
 on [0, inf) grows from 1 by factors of 4, at most MAX_ITER times.
+
+The caller passes f at the bracket ends, which it evaluated to choose
+them, so f is never evaluated twice at an end.  The solver asks for df only
+at the point of its latest f call, so df may reuse that call's work
+(``exponents.chernoff_root`` squares the buffer its f filled).
 """
 
 from __future__ import annotations
@@ -32,12 +37,12 @@ def solve_bracketed(
     df: Callable[[float], float],
     lo: float,
     hi: float,
+    flo: float,
+    fhi: float,
 ) -> RootResult:
-    """Root of f on [lo, hi]; f(lo) and f(hi) must differ in sign."""
+    """Root of f on [lo, hi] from flo = f(lo) and fhi = f(hi), of opposite sign."""
     if not lo < hi:
         raise InvalidInput(f"empty bracket [{lo}, {hi}]")
-    flo = f(lo)
-    fhi = f(hi)
     if flo == 0.0:
         return RootResult(lo, 0.0, 0)
     if fhi == 0.0:
@@ -65,16 +70,20 @@ def solve_bracketed(
     return RootResult(x, fx, iterations)
 
 
-def grow_upper_bracket(f: Callable[[float], float]) -> float:
-    """Smallest 4^k, k >= 0, at which f changes sign relative to f(0+).
+def grow_upper_bracket(
+    f: Callable[[float], float], f0: float
+) -> tuple[float, float]:
+    """Smallest 4^k, k >= 0, at which f changes sign relative to f0 = f(0+),
+    with f there.
 
     Used for roots on [0, inf): f must be positive at 0 and eventually
     negative (or vice versa).
     """
-    sign0 = math.copysign(1.0, f(0.0))
+    sign0 = math.copysign(1.0, f0)
     hi = 1.0
     for _ in range(MAX_ITER):
-        if math.copysign(1.0, f(hi)) != sign0:
-            return hi
+        fhi = f(hi)
+        if math.copysign(1.0, fhi) != sign0:
+            return hi, fhi
         hi *= 4.0
     raise InvalidInput("could not bracket root: no sign change found")

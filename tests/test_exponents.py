@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from gausdet import (
     solve_u0,
     sufficient_condition_check,
 )
+from gausdet import exponents
 from gausdet.errors import DimensionMismatch, InvalidInput, OutOfRegime
 from gausdet.exponents import (
     AT_ONE,
@@ -369,6 +372,14 @@ class TestBetaLowerBound:
         assert 1 <= default_block_count(100, 2.0) <= 100
         assert default_block_count(2, 1e6) == 2
 
+    def test_float32_level_read_as_a_float(self):
+        # u0 and u1 solve against one threshold, D + A with A read as a float.
+        sigma = IntensityVector(np.linspace(0.2, 1.5, 1000))
+        A = np.float32(67.412)
+        got, want = beta_lower_bound(sigma, A), beta_lower_bound(sigma, float(A))
+        assert type(got.u1) is float
+        assert (got.u1, got.u1_residual) == (want.u1, want.u1_residual)
+
 
 class TestBoundTransfer:
     def test_matched_is_applicable(self):
@@ -517,3 +528,92 @@ class TestPinnedExponents:
             got = (res.interval.lower, res.interval.upper, res.constructive_lower,
                    dataclasses.astuple(res.u0), res.u1, res.u1_residual, res.K)
             assert repr(got) == repr(want), (n, A)
+
+
+def _pinned_interior_inputs():
+    """(label, sigma, lambda, A) of the pinned levels at which every solve
+    is interior."""
+    pins = TestPinnedExponents
+    for n, A, _ in pins.LOWER:
+        sigma = pins.SIGMAS[n]
+        lam = IntensityVector(pins.LAMBDA_SCALE * sigma.values)
+        yield f"{n} at {A}", sigma, lam, A
+
+
+SOLVES = {
+    "solve_u0": lambda sigma, lam, A: solve_u0(sigma, A),
+    "alpha_upper_bound": lambda sigma, lam, A: alpha_upper_bound(sigma, A),
+    "beta_mismatch_upper": beta_mismatch_upper,
+    "beta_lower_bound": lambda sigma, lam, A: beta_lower_bound(sigma, A),
+}
+
+
+class TestChernoffEvaluations:
+    """chernoff_root evaluates h, the Chernoff function's slope, at no point
+    twice: not at the bracket ends it has already evaluated to choose them,
+    nor at 0 when it grows an upper bracket."""
+
+    @staticmethod
+    def h_points(call):
+        """call()'s result, and the x of every call of chernoff_root's h
+        that it made."""
+        points = []
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if (event == "call" and code.co_name == "h"
+                    and code.co_filename == exponents.__file__):
+                points.append(frame.f_locals["x"])
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            result = call()
+        finally:
+            sys.setprofile(previous)
+        return result, points
+
+    @pytest.mark.parametrize("solve", ["solve_u0", "alpha_upper_bound",
+                                       "beta_mismatch_upper"])
+    def test_each_point_once(self, solve):
+        for label, sigma, lam, A in _pinned_interior_inputs():
+            out, points = self.h_points(lambda: SOLVES[solve](sigma, lam, A))
+            sol = out if solve == "solve_u0" else out[0]
+            assert sol.boundary_case == INTERIOR, label
+            # 0, the bracket end and the first midpoint, then one per step
+            assert len(points) >= sol.iterations + 2, label
+            assert len(set(points)) == len(points), (label, points)
+
+
+class TestPeakMemory:
+    """Peak traced memory at n = 1e5, in n-length float64 arrays.
+
+    D and r_squared make one temporary each beyond their result; each solve
+    holds its weights and one buffer of the same length at a time.
+    """
+
+    _, SIGMA, LAM, A = list(_pinned_interior_inputs())[-1]
+
+    def peak_arrays(self, call) -> float:
+        call()  # first-call set-up is not what is measured
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        return (peak - base) / (8 * self.SIGMA.n)
+
+    def test_intensity_vector(self):
+        assert self.peak_arrays(lambda: self.SIGMA.D) <= 1.25
+        assert self.peak_arrays(lambda: self.SIGMA.r_squared) <= 2.25
+
+    @pytest.mark.parametrize("solve", sorted(SOLVES))
+    def test_solve(self, solve):
+        call = lambda: SOLVES[solve](self.SIGMA, self.LAM, self.A)  # noqa: E731
+        assert self.peak_arrays(call) <= 2.25

@@ -9,37 +9,53 @@ from gausdet.solvers import grow_upper_bracket, solve_bracketed
 
 
 def test_sqrt_two():
-    res = solve_bracketed(lambda x: x * x - 2.0, lambda x: 2.0 * x, 0.0, 2.0)
+    res = solve_bracketed(lambda x: x * x - 2.0, lambda x: 2.0 * x, 0.0, 2.0,
+                          -2.0, 2.0)
     assert res.root == pytest.approx(math.sqrt(2.0), abs=1e-11)
     assert abs(res.residual) < 1e-10
     assert res.iterations >= 1
 
 
 def test_endpoint_roots_exact():
-    assert solve_bracketed(lambda x: x, lambda x: 1.0, 0.0, 1.0).root == 0.0
-    assert solve_bracketed(lambda x: x - 1.0, lambda x: 1.0, 0.0, 1.0).root == 1.0
+    assert solve_bracketed(lambda x: x, lambda x: 1.0, 0.0, 1.0,
+                           0.0, 1.0).root == 0.0
+    assert solve_bracketed(lambda x: x - 1.0, lambda x: 1.0, 0.0, 1.0,
+                           -1.0, 0.0).root == 1.0
 
 
 def test_no_sign_change_rejected():
     with pytest.raises(InvalidInput, match="no sign change"):
-        solve_bracketed(lambda x: x * x + 1.0, lambda x: 1.0, 0.0, 1.0)
+        solve_bracketed(lambda x: x * x + 1.0, lambda x: 1.0, 0.0, 1.0, 1.0, 2.0)
 
 
 def test_empty_bracket_rejected():
     with pytest.raises(InvalidInput, match="empty bracket"):
-        solve_bracketed(lambda x: x, lambda x: 1.0, 1.0, 1.0)
+        solve_bracketed(lambda x: x, lambda x: 1.0, 1.0, 1.0, 1.0, 1.0)
 
 
 def test_steep_function_converges():
     # Newton steps outside the bracket must fall back to bisection.
     f = lambda x: math.tanh(50.0 * (x - 0.7)) + 0.5  # noqa: E731
     res = solve_bracketed(f, lambda x: 50.0 / math.cosh(50.0 * (x - 0.7)) ** 2,
-                          0.0, 1.0)
+                          0.0, 1.0, f(0.0), f(1.0))
     assert abs(f(res.root)) < 1e-8
 
 
 def test_grow_upper_bracket():
-    hi = grow_upper_bracket(lambda x: 10.0 - x)
-    assert hi >= 10.0
+    hi, fhi = grow_upper_bracket(lambda x: 10.0 - x, 10.0)
+    assert hi >= 10.0 and fhi == 10.0 - hi
     with pytest.raises(InvalidInput):
-        grow_upper_bracket(lambda x: 1.0 + x)
+        grow_upper_bracket(lambda x: 1.0 + x, 1.0)
+
+
+def test_given_ends_are_not_evaluated_again():
+    points = []
+
+    def f(x):
+        points.append(x)
+        return 2.0 - x * x
+
+    hi, fhi = grow_upper_bracket(f, f(0.0))
+    res = solve_bracketed(f, lambda x: -2.0 * x, 0.0, hi, 2.0, fhi)
+    assert res.root == pytest.approx(math.sqrt(2.0), abs=1e-11)
+    assert len(set(points)) == len(points)
