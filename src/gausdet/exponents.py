@@ -13,7 +13,9 @@ the one solve of its stationarity equation, endpoint cases included: u0 has
 w = s^2 on [0, 1], v0 has w = nu^2 on [0, inf), u1 has the block maxima with
 block sizes as counts c, and t0 has w = r^2 on [-1, 0] through x = -t, since
 f(t) = g(-t).  The left side is strictly monotone in x, so a bracketed Newton
-solver converges unconditionally.  The module also provides the matching
+solver converges unconditionally; its steps are taken on the reciprocal of
+the left side, which is linear in x for equal weights, so they take one
+iteration there and a few otherwise.  The module also provides the matching
 lower-bound sandwich on ln(beta) built from a blockwise chi-square
 construction, and the sufficient conditions under which a nearby intensity
 lambda can replace sigma without changing the exponent.
@@ -33,9 +35,8 @@ from .model import (
     _as_integer,
     _as_number,
     check_same_length,
-    signal_statistics,
 )
-from .solvers import RootResult, grow_upper_bracket, solve_bracketed
+from .solvers import RootResult, solve_bracketed
 from .tails import TailSandwich
 
 INTERIOR = "interior"
@@ -125,48 +126,66 @@ def chernoff_root(
 ) -> tuple[RootResult, str]:
     """Stationary point of 2g(x) = sum c_i ln(1 + x w_i) - x threshold.
 
-    Solves h(x) = sum c_i w_i/(1 + x w_i) - threshold = 0 for x between 0
-    and end; h = 2g' is strictly decreasing wherever every 1 + x w_i > 0.
-    end is 1 (u0), -1 (t0, solved at x = -t) or +inf (v0 and u1: the
-    bracket grows from 1 until h changes sign).  sign(end) h is the slope
-    of 2g moving from 0 toward end: when it is <= 0 at 0 the maximum over
-    the interval sits at x = 0 (AT_ZERO, reported as a zero with the sign
-    of end), when it is >= 0 at a finite end, at x = end (AT_ONE).
+    Solves h(x) = S(x) - threshold = 0, S(x) = sum c_i w_i/(1 + x w_i), for
+    x between 0 and end; h = 2g' is strictly decreasing wherever every
+    1 + x w_i > 0.  end is 1 (u0), -1 (t0, solved at x = -t) or +inf (v0
+    and u1).  sign(end) h is the slope of 2g moving from 0 toward end: when
+    it is <= 0 at 0 the maximum over the interval sits at x = 0 (AT_ZERO,
+    reported as a zero with the sign of end), when it is >= 0 at a finite
+    end, at x = end (AT_ONE).  On [0, inf) the bracket ends at
+    hi = 2 sum c/threshold: S(x) < sum c/x, so h(hi) < -threshold/2.
     Returns the root, h there and the solver iterations, with the case.
 
-    h is evaluated once per point, bracket ends included, each time in one
-    pass over one buffer q that lives for the call: q_i = c_i w_i/(1 + x w_i)
-    and h = sum q - threshold.  With counts None (every c_i = 1), h' = -sum
-    q_i^2 at the same point squares q in place; the blockwise u1 passes its
-    block sizes as counts and forms h' afresh.
+    S is a sum of poles, so 1/S is nearly linear in x, and exactly linear
+    when the weights are equal; secular-equation solvers iterate on the
+    reciprocal for this reason (Bunch, Nielsen & Sorensen 1978).  Each
+    Newton step is taken on F(x) = 1/S(x) - 1/threshold, which is h's step
+    scaled by S/threshold, and the first point is the root of the line
+    through F at the bracket ends.  Signs are still tested on h, and h is
+    the residual reported.
+
+    h is evaluated once per point, bracket ends included: h(0) is
+    sum c w - threshold, elsewhere one pass over one buffer q that lives for
+    the call forms q_i = c_i w_i/(1 + x w_i) and h = sum q - threshold.
+    h' = -sum q_i^2/c_i at the same point reads q without writing it.
     """
     cw = w if counts is None else counts * w
     q = np.empty_like(w)
+    s = math.nan  # S at the latest point h was evaluated at
 
     def h(x: float) -> float:
-        np.add(np.multiply(x, w, out=q), 1.0, out=q)
-        return float(np.sum(np.divide(cw, q, out=q))) - threshold
+        nonlocal s
+        if x == 0.0:
+            s = float(np.sum(cw))
+        else:
+            np.add(np.multiply(x, w, out=q), 1.0, out=q)
+            s = float(np.sum(np.divide(cw, q, out=q)))
+        return s - threshold
 
-    def dh(x: float) -> float:  # the solver asks at the x of its latest h
-        if counts is None:
-            return -float(np.sum(np.square(q, out=q)))
-        q2 = (w / (1.0 + x * w)) ** 2
-        q2 *= counts
-        return -float(np.sum(q2))
+    def slope(x: float) -> float:  # at the x of the solver's latest h
+        dh = -float(np.dot(q, q) if counts is None else np.dot(q, q / counts))
+        return dh * (threshold / s) if s > 0.0 else math.nan
 
     side = math.copysign(1.0, end)
     zero = math.copysign(0.0, end)
-    h0 = h(zero)
+    h0, s0 = h(zero), s
     if side * h0 <= 0.0:
         return RootResult(zero, h0, 0), AT_ZERO
     if math.isinf(end):
-        hi, h_hi = grow_upper_bracket(h, h0)
-        return solve_bracketed(h, dh, 0.0, hi, h0, h_hi), INTERIOR
-    h_end = h(end)
-    if side * h_end >= 0.0:
-        return RootResult(end, h_end, 0), AT_ONE
+        total = w.size if counts is None else float(np.sum(counts))
+        end = 2.0 * total / threshold if threshold > 0.0 else math.inf
+        if end == math.inf:
+            raise InvalidInput("could not bracket root: no sign change found")
+        h_end = h(end)
+    else:
+        h_end = h(end)
+        if side * h_end >= 0.0:
+            return RootResult(end, h_end, 0), AT_ONE
     (lo, h_lo), (hi, h_hi) = sorted(((0.0, h0), (end, h_end)))
-    return solve_bracketed(h, dh, lo, hi, h_lo, h_hi), INTERIOR
+    s_hi = s if end > 0.0 else s0
+    # Root of the line through F at the ends: h's secant scaled by S(hi)/T.
+    start = lo + (hi - lo) * (s_hi / threshold) * (h_lo / (h_lo - h_hi))
+    return solve_bracketed(h, slope, lo, hi, h_lo, h_hi, start), INTERIOR
 
 
 def _maximize(w: np.ndarray, threshold: float, end: float) -> ExponentSolution:
@@ -325,14 +344,13 @@ def beta_lower_bound(
     sandwich per block; the block thresholds are chosen optimally via the
     stationarity equation sum_k m_k b_k/(1+u1 b_k) = D + A.
     """
-    stats = signal_statistics(sigma)
-    delta = stats.delta
+    delta = sigma.delta
     if delta is None:
         raise InvalidInput("delta undefined: some sigma_i = 0")
     n = sigma.n
     s2 = sigma.squared
-    threshold = stats.D + _as_number(A, "A")
-    sol = _maximize(s2, threshold, 1.0)  # solve_u0, with D computed once
+    threshold = sigma.D + _as_number(A, "A")
+    sol = _maximize(s2, threshold, 1.0)  # solve_u0, keeping s2 for the blocks
     if sol.boundary_case != INTERIOR:
         raise OutOfRegime(
             f"level A outside the operating window (u0 {sol.boundary_case})"
@@ -346,7 +364,7 @@ def beta_lower_bound(
     if not 1 <= K <= n:
         raise InvalidInput(f"K must be in [1, {n}]")
     sizes = _block_sizes(n, K)
-    s2_desc = np.sort(s2)[::-1]
+    s2_desc = np.sort(s2)[::-1]  # np.partition at the K heads is 8x slower
     heads = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     b = s2_desc[heads]  # block-leading (largest) variances
     m = sizes.astype(float)
@@ -394,7 +412,7 @@ def bound_transfer(
     + sqrt(delta_sigma n ln(pi n)) + ln(pi n).
     """
     check_same_length(sigma, lam)
-    delta = signal_statistics(sigma).delta
+    delta = sigma.delta
     if delta is None:
         raise InvalidInput("delta undefined: some sigma_i = 0")
     sol = solve_u0(sigma, A)

@@ -159,6 +159,25 @@ class IntensityVector:
         s2 = self.squared
         return float(np.sum(np.log1p(s2, out=s2)))
 
+    @property
+    def delta(self) -> Optional[float]:
+        """delta = ln(max sigma_i^2 / min sigma_i^2), None when some sigma_i = 0.
+
+        Computed as 2 (ln max sigma_i - ln min sigma_i) when a sigma_i^2 or
+        the ratio leaves the normal float range.  Squaring is monotone on
+        sigma >= 0, so min and max are taken before squaring.
+        """
+        v = self.values
+        low = float(np.min(v))
+        if not low > 0.0:
+            return None
+        high = float(np.max(v))
+        lo = low * low  # Python floats: an overflow gives inf, no warning
+        ratio = high * high / lo if lo >= sys.float_info.min else math.inf
+        if ratio < math.inf:
+            return float(np.log(ratio))
+        return float(2.0 * (np.log(high) - np.log(low)))
+
     def __eq__(self, other) -> bool:
         return isinstance(other, IntensityVector) and np.array_equal(
             self.values, other.values
@@ -232,17 +251,8 @@ def signal_statistics(sigma: IntensityVector) -> SignalStatistics:
     np.divide(s2, r2, out=r2)
     T = float(np.sum(r2))
     B = float(2.0 * np.sum(np.square(r2, out=r2)))
-    delta = None
-    if np.all(sigma.values > 0):
-        lo = float(np.min(s2))  # Python floats: an overflow gives inf, no warning
-        ratio = float(np.max(s2)) / lo if lo >= sys.float_info.min else math.inf
-        if ratio < math.inf:
-            delta = float(np.log(ratio))
-        else:  # sigma_i^2 leaves the normal float range; take the logs first
-            v = sigma.values
-            delta = float(2.0 * (np.log(np.max(v)) - np.log(np.min(v))))
     window = (T - D, float(np.sum(s2)) - D)
-    return SignalStatistics(D=D, T=T, B=B, delta=delta, window=window)
+    return SignalStatistics(D=D, T=T, B=B, delta=sigma.delta, window=window)
 
 
 def log_likelihood_ratio(

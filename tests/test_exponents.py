@@ -4,10 +4,12 @@ import dataclasses
 import math
 import sys
 import tracemalloc
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -446,55 +448,55 @@ class TestPinnedExponents:
     # (n, A, expected); an ExponentSolution is written as its astuple.
     U0 = [
         (1, -0.6044523393970826, (1.0, 0.3022261696985413, 0.25, 0, 'at_one')),
-        (1, 0.020425709383405183, (0.3787878787878786, 0.01097127700915769, 0.0, 5, 'interior')),
+        (1, 0.020425709383405183, (0.3787878787878787, 0.01097127700915769, 0.0, 1, 'interior')),
         (1, 0.645303758163893, (0.0, 0.0, -0.25, 0, 'at_zero')),
         (1, 0.7857915630419419, (0.0, 0.0, -0.32024390243902445, 0, 'at_zero')),
         (7, -3.0338864505875085, (1.0, 1.5169432252937542, 0.25, 0, 'at_one')),
-        (7, 1.9378294551983655, (0.1979542735324886, 0.1842160633398423, 0.0, 8, 'interior')),
+        (7, 1.9378294551983655, (0.19795427353248865, 0.1842160633398423, -8.881784197001252e-16, 4, 'interior')),
         (7, 6.909545360984239, (0.0, 0.0, -0.25, 0, 'at_zero')),
         (7, 11.940225754993351, (0.0, 0.0, -2.765340197004556, 0, 'at_zero')),
         (1000, -166.98708957533552, (1.0, 83.49354478766776, 0.25, 0, 'at_one')),
-        (1000, 67.41200421800937, (0.2905835450037046, 14.91656625904487, 0.0, 6, 'interior')),
+        (1000, 67.41200421800937, (0.2905835450037046, 14.91656625904487, 0.0, 4, 'interior')),
         (1000, 301.81109801135426, (0.0, 0.0, -0.25, 0, 'at_zero')),
         (1000, 564.9475785288674, (0.0, 0.0, -131.8182402587566, 0, 'at_zero')),
-        ("1e5 flat", -81.8557984916697, (0.453172205438066, 2208.055023505005, 0.0, 5, 'interior')),
-        ("1e5 random", 2231.6600915606723, (0.38182000024736534, 2459.499388166212, 0.0, 6, 'interior')),
+        ('1e5 flat', -81.8557984916697, (0.45317220543806636, 2208.055023505014, 0.0, 1, 'interior')),
+        ('1e5 random', 2231.6600915606723, (0.38182000024736545, 2459.499388166212, 0.0, 4, 'interior')),
     ]
     ALPHA = [
         (1, -0.6044523393970826, ((0.0, 0.0, -0.25, 0, 'at_zero'), 1.0, 1.3528671696705954)),
-        (1, 0.020425709383405183, ((0.6212121212121214, 0.021184131700860254, 0.0, 5, 'interior'), 0.9790386759149364, 0.9898391194235971)),
+        (1, 0.020425709383405183, ((0.6212121212121211, 0.021184131700860254, 0.0, 1, 'interior'), 0.9790386759149364, 0.9898391194235971)),
         (1, 0.645303758163893, ((1.0, 0.3226518790819465, 0.24999999999999994, 0, 'at_one'), 0.7242259286843701, 0.7242259286843701)),
         (1, 0.7857915630419419, ((1.0, 0.39289578152097093, 0.3202439024390244, 0, 'at_one'), 0.6750991017215443, 0.6750991017215443)),
         (7, -3.0338864505875085, ((0.0, 0.0, -0.25, 0, 'at_zero'), 1.0, 4.558270272208198)),
-        (7, 1.9378294551983655, ((0.8020457264675114, 1.1531307909390245, 0.0, 9, 'interior'), 0.3156469960456787, 0.3794946697881216)),
+        (7, 1.9378294551983655, ((0.8020457264675114, 1.1531307909390245, 0.0, 4, 'interior'), 0.3156469960456787, 0.3794946697881216)),
         (7, 6.909545360984239, ((1.0, 3.4547726804921193, 0.2499999999999991, 0, 'at_one'), 0.03159448558275783, 0.03159448558275781)),
         (7, 11.940225754993351, ((1.0, 5.970112877496675, 2.765340197004555, 0, 'at_one'), 0.002553953118887322, 0.00255395311888732)),
         (1000, -166.98708957533552, ((0.0, 0.0, -0.25, 0, 'at_zero'), 1.0, 1.822996252254179e+36)),
-        (1000, 67.41200421800937, ((0.7094164549962955, 48.62256836804957, 0.0, 6, 'interior'), 7.646925547314872e-22, 2.2996898957402976e-15)),
+        (1000, 67.41200421800937, ((0.7094164549962955, 48.62256836804957, 0.0, 4, 'interior'), 7.646925547314872e-22, 2.2996898957402976e-15)),
         (1000, 301.81109801135426, ((1.0, 150.90554900567713, 0.25, 0, 'at_one'), 2.9010337295156646e-66, 2.9010337295156646e-66)),
         (1000, 564.9475785288674, ((1.0, 282.4737892644337, 131.8182402587566, 0, 'at_one'), 2.1047089127307367e-123, 2.1047089127307367e-123)),
-        ("1e5 flat", -81.8557984916697, ((0.5468277945619335, 2167.1271242591793, 0.0, 6, 'interior'), 0.0, 5.953341537960036e+17)),
-        ("1e5 random", 2231.6600915606723, ((0.6181799997526345, 3575.329433946543, 3.637978807091713e-12, 6, 'interior'), 0.0, 0.0)),
+        ('1e5 flat', -81.8557984916697, ((0.5468277945619336, 2167.1271242591793, 0.0, 1, 'interior'), 0.0, 5.953341537960036e+17)),
+        ('1e5 random', 2231.6600915606723, ((0.6181799997526346, 3575.329433946543, 0.0, 4, 'interior'), 0.0, 0.0)),
     ]
     MISMATCH = [
-        (1, 0.020425709383405183, ((0.6600378787878787, 0.03775772198083288, 0.0, 5, 'interior'), 0.9629462133327966)),
+        (1, 0.020425709383405183, ((0.6600378787878787, 0.03775772198083288, 0.0, 1, 'interior'), 0.9629462133327966)),
         (1, 0.645303758163893, ((0.0, 0.0, -0.1797560975609756, 0, 'at_zero'), 1.0)),
         (1, 0.7857915630419419, ((0.0, 0.0, -0.25000000000000006, 0, 'at_zero'), 1.0)),
-        (7, 1.9378294551983655, ((0.30553100387551996, 0.5171485760987165, -8.881784197001252e-16, 7, 'interior'), 0.5962181972791438)),
-        (7, 6.909545360984239, ((0.08312281714822212, 0.08329938167507567, 0.0, 8, 'interior'), 0.9200756521931511)),
+        (7, 1.9378294551983655, ((0.3055310038755198, 0.5171485760987165, 8.881784197001252e-16, 4, 'interior'), 0.5962181972791438)),
+        (7, 6.909545360984239, ((0.08312281714822214, 0.08329938167507578, -8.881784197001252e-16, 4, 'interior'), 0.920075652193151)),
         (7, 11.940225754993351, ((0.0, 0.0, -0.2500000000000018, 0, 'at_zero'), 1.0)),
-        (1000, 67.41200421800937, ((0.47369804108777125, 45.84173474014639, 0.0, 5, 'interior'), 1.2336374969614808e-20)),
-        (1000, 301.81109801135426, ((0.17205390855986963, 10.12335002298282, 0.0, 7, 'interior'), 4.013145878021019e-05)),
+        (1000, 67.41200421800937, ((0.4736980410877712, 45.84173474014639, 0.0, 4, 'interior'), 1.2336374969614808e-20)),
+        (1000, 301.81109801135426, ((0.17205390855986955, 10.123350022982834, 5.684341886080802e-14, 4, 'interior'), 4.013145878020962e-05)),
         (1000, 564.9475785288674, ((0.0, 0.0, -0.25, 0, 'at_zero'), 1.0)),
-        ("1e5 flat", -81.8557984916697, ((0.7014480675070317, 6078.9704221318825, 0.0, 6, 'interior'), 0.0)),
-        ("1e5 random", 2231.6600915606723, ((0.5674670529473325, 6268.706445735279, 0.0, 6, 'interior'), 0.0)),
+        ('1e5 flat', -81.8557984916697, ((0.701448067507032, 6078.970422131879, 0.0, 1, 'interior'), 0.0)),
+        ('1e5 random', 2231.6600915606723, ((0.5674670529473325, 6268.706445735279, 0.0, 4, 'interior'), 0.0)),
     ]
     LOWER = [
-        (1, 0.020425709383405183, (-1.1557011628585578, -0.01097127700915769, -0.9166695532671911, (0.3787878787878786, 0.01097127700915769, 0.0, 5, 'interior'), 0.3787878787878786, 0.0, 1)),
-        (7, 1.9378294551983655, (-12.45077618039264, -0.1842160633398423, -3.911683987835346, (0.1979542735324886, 0.1842160633398423, 0.0, 8, 'interior'), 0.31801736091161154, 0.0, 3)),
-        (1000, 67.41200421800937, (-203.10775732291876, -14.91656625904487, -75.55636775124222, (0.2905835450037046, 14.91656625904487, 0.0, 6, 'interior'), 0.34236126986443455, -1.1368683772161603e-13, 22)),
-        ("1e5 flat", -81.8557984916697, (-2220.712678855825, -2208.055023505005, -2214.3838545137537, (0.453172205438066, 2208.055023505005, 0.0, 5, 'interior'), 0.4531722054380664, 0.0, 1)),
-        ("1e5 random", 2231.6600915606723, (-4490.623494183899, -2459.499388166212, -3155.6801046979463, (0.38182000024736534, 2459.499388166212, 0.0, 6, 'interior'), 0.3887575019771197, 0.0, 159)),
+        (1, 0.020425709383405183, (-1.1557011628585578, -0.01097127700915769, -0.9166695532671911, (0.3787878787878787, 0.01097127700915769, 0.0, 1, 'interior'), 0.3787878787878786, 0.0, 1)),
+        (7, 1.9378294551983655, (-12.45077618039264, -0.1842160633398423, -3.911683987835346, (0.19795427353248865, 0.1842160633398423, -8.881784197001252e-16, 4, 'interior'), 0.31801736091161154, 0.0, 3)),
+        (1000, 67.41200421800937, (-203.10775732291876, -14.91656625904487, -75.55636775124222, (0.2905835450037046, 14.91656625904487, 0.0, 4, 'interior'), 0.34236126986443455, -1.1368683772161603e-13, 22)),
+        ('1e5 flat', -81.8557984916697, (-2220.712678855834, -2208.055023505014, -2214.3838545137537, (0.45317220543806636, 2208.055023505014, 0.0, 1, 'interior'), 0.45317220543806636, 0.0, 1)),
+        ('1e5 random', 2231.6600915606723, (-4490.623494183899, -2459.499388166212, -3155.680104697947, (0.38182000024736545, 2459.499388166212, 0.0, 4, 'interior'), 0.3887575019771198, -7.275957614183426e-12, 159)),
     ]
 
     def test_cases_covered(self):
@@ -617,3 +619,181 @@ class TestPeakMemory:
     def test_solve(self, solve):
         call = lambda: SOLVES[solve](self.SIGMA, self.LAM, self.A)  # noqa: E731
         assert self.peak_arrays(call) <= 2.25
+
+
+def chernoff_calls(call):
+    """call()'s result, and (w, threshold, end, counts, RootResult, case) of
+    every chernoff_root call that it made."""
+    calls = []
+    real = exponents.chernoff_root
+
+    def spy(w, threshold, end, counts=None):
+        res, case = real(w, threshold, end, counts)
+        calls.append((w, threshold, end, counts, res, case))
+        return res, case
+
+    with mock.patch.object(exponents, "chernoff_root", spy):
+        return call(), calls
+
+
+def t0_solve(sigma, A):
+    """alpha_upper_bound's t0 solve without its simple bound exp(-A/2),
+    which overflows for A < -1419.6."""
+    return exponents._maximize(sigma.r_squared, sigma.D + A, -1.0)
+
+
+@st.composite
+def sigmas_up_to_2000(draw):
+    """Flat sigma, random sigma, or random sigma with about a third zeros."""
+    n = draw(st.integers(1, 2000))
+    kind = draw(st.sampled_from(["flat", "random", "zeros"]))
+    scale = draw(st.floats(0.05, 5.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "flat":
+        return IntensityVector(np.full(n, scale))
+    values = scale * rng.uniform(0.1, 3.0, n)
+    if kind == "zeros":
+        values[rng.random(n) < 1 / 3] = 0.0
+    return IntensityVector(values)
+
+
+class TestAlphaBetaIdentity:
+    """r^2/(1 - t r^2) = s^2/(1 + (1 - t) s^2) with r^2 = s^2/(1 + s^2), so
+    the false-alarm solve is the miss solve reflected: t0 = 1 - u0 and
+    f(t0) = g(u0) + A/2 at every interior level."""
+
+    @given(sigmas_up_to_2000(), st.floats(0.01, 0.99))
+    @settings(max_examples=100, deadline=None)
+    def test_t0_is_one_minus_u0(self, sigma, frac):
+        lo, hi = signal_statistics(sigma).window
+        assume(lo < hi)
+        A = lo + frac * (hi - lo)
+        u, t = solve_u0(sigma, A), t0_solve(sigma, A)
+        assume(u.boundary_case == INTERIOR)
+        assert t.boundary_case == INTERIOR
+        assert t.argmax + u.argmax == pytest.approx(1.0, rel=1e-12)
+        # Both exponents are differences of sums of size D + |A|.
+        scale = sigma.D + abs(A)
+        assert abs(t.value - (u.value + 0.5 * A)) <= 1e-12 * scale
+
+
+class TestNewtonSteps:
+    """Newton steps on 1/S from the secant start: exact in one step for equal
+    weights, a few otherwise."""
+
+    @staticmethod
+    def interior_iterations(call):
+        _, calls = chernoff_calls(call)
+        assert calls and all(case == INTERIOR for *_, case in calls)
+        return [res.iterations for *_, res, case in calls]
+
+    @pytest.mark.parametrize("n", [1, 10, 100_000])
+    @pytest.mark.parametrize("value", [0.3, 0.9, 2.0, 10.0])
+    @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
+    def test_flat_sigma_at_most_two(self, n, value, frac):
+        sigma = IntensityVector(np.full(n, value))
+        lam = IntensityVector(np.full(n, 1.25 * value))
+        lo, hi = signal_statistics(sigma).window
+        A = lo + frac * (hi - lo)
+        for call in (lambda: solve_u0(sigma, A), lambda: t0_solve(sigma, A),
+                     lambda: beta_mismatch_upper(sigma, lam, A),
+                     lambda: beta_lower_bound(sigma, A, K=1)):
+            assert max(self.interior_iterations(call)) <= 2
+
+    @pytest.mark.parametrize("solve", sorted(SOLVES))
+    def test_random_sigma_at_most_five(self, solve):
+        _, sigma, lam, A = list(_pinned_interior_inputs())[-1]
+        assert sigma.n == 100_000
+        its = self.interior_iterations(lambda: SOLVES[solve](sigma, lam, A))
+        assert max(its) <= 5
+
+
+def mpmath_root(w, threshold, lo, hi, counts=None):
+    """Root of sum c_i w_i/(1 + x w_i) = threshold in (lo, hi), to 40 digits."""
+    with mpmath.workdps(40):
+        c = np.ones_like(w) if counts is None else counts
+        terms = [(mpmath.mpf(float(ci)), mpmath.mpf(float(wi)))
+                 for ci, wi in zip(c, w)]
+        T = mpmath.mpf(threshold)
+
+        def h(x):
+            return mpmath.fsum(ci * wi / (1 + x * wi) for ci, wi in terms) - T
+
+        return float(mpmath.findroot(h, (mpmath.mpf(lo), mpmath.mpf(hi)),
+                                     solver="anderson"))
+
+
+class TestPinnedRootsMatchMpmath:
+    """Every interior root of TestPinnedExponents at n <= 1000 (u0, t0, v0
+    and the blockwise u1) is the root of its float inputs to 1e-14."""
+
+    @staticmethod
+    def pinned_calls():
+        pins = TestPinnedExponents
+        for name, rows in (("solve_u0", pins.U0), ("alpha_upper_bound", pins.ALPHA),
+                           ("beta_mismatch_upper", pins.MISMATCH),
+                           ("beta_lower_bound", pins.LOWER)):
+            for n, A, _ in rows:
+                if isinstance(n, int) and n <= 1000:
+                    sigma = pins.SIGMAS[n]
+                    lam = IntensityVector(pins.LAMBDA_SCALE * sigma.values)
+                    _, calls = chernoff_calls(lambda: SOLVES[name](sigma, lam, A))
+                    yield from ((name, n, A, call) for call in calls)
+
+    def test_interior_roots(self):
+        checked = 0
+        for name, n, A, (w, T, end, counts, res, case) in self.pinned_calls():
+            if case != INTERIOR:
+                continue
+            c_sum = w.size if counts is None else float(np.sum(counts))
+            lo, hi = sorted((0.0, 2.0 * c_sum / T if math.isinf(end) else end))
+            want = mpmath_root(w, T, lo, hi, counts)
+            assert res.root == pytest.approx(want, rel=1e-14), (name, n, A)
+            checked += 1
+        assert checked >= 15
+
+
+class TestUpperBracket:
+    """On [0, inf) the bracket ends at hi = 2 sum c/T: S(x) < sum c/x, so
+    h(hi) = S(hi) - T < -T/2 < 0."""
+
+    @staticmethod
+    def bracket(w, threshold, counts=None):
+        """chernoff_root's root on [0, inf) and the bracket it solved on."""
+        seen = []
+        real = exponents.solve_bracketed
+
+        def spy(f, df, lo, hi, flo, fhi, start):
+            seen.append((lo, hi, flo, fhi))
+            return real(f, df, lo, hi, flo, fhi, start)
+
+        with mock.patch.object(exponents, "solve_bracketed", spy):
+            res, case = exponents.chernoff_root(w, threshold, math.inf, counts)
+        assert case == INTERIOR and len(seen) == 1
+        return res, seen[0]
+
+    @given(
+        arrays(np.float64, st.integers(1, 8), elements=st.floats(-300.0, 300.0)),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.floats(-3.0, -1e-9),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_h_negative_at_hi(self, log_w, seed, blocks, log_frac):
+        rng = np.random.default_rng(seed)
+        w = 10.0 ** log_w
+        w[rng.random(w.size) < 0.25] = 0.0  # zeros
+        assume(np.any(w > 0))
+        counts = rng.integers(1, 50, w.size).astype(float) if blocks else None
+        c = np.ones_like(w) if counts is None else counts
+        threshold = 10.0 ** log_frac * float(np.sum(c * w))
+        res, (lo, hi, h_lo, h_hi) = self.bracket(w, threshold, counts)
+        assert (lo, hi) == (0.0, 2.0 * float(np.sum(c)) / threshold)
+        assert h_lo > 0.0 > h_hi
+        assert 0.0 < res.root < hi
+
+    @pytest.mark.parametrize("threshold", [1e-310, 0.0, -1.0])
+    def test_unbracketable(self, threshold):
+        # 2 sum c/T overflows, or T <= 0 < h: no sign change on [0, inf).
+        with pytest.raises(InvalidInput, match="could not bracket"):
+            exponents.chernoff_root(np.array([1e-300]), threshold, math.inf)

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from gausdet.errors import InvalidInput
-from gausdet.solvers import grow_upper_bracket, solve_bracketed
+from gausdet.solvers import solve_bracketed
 
 
 def test_sqrt_two():
@@ -41,13 +41,6 @@ def test_steep_function_converges():
     assert abs(f(res.root)) < 1e-8
 
 
-def test_grow_upper_bracket():
-    hi, fhi = grow_upper_bracket(lambda x: 10.0 - x, 10.0)
-    assert hi >= 10.0 and fhi == 10.0 - hi
-    with pytest.raises(InvalidInput):
-        grow_upper_bracket(lambda x: 1.0 + x, 1.0)
-
-
 def test_given_ends_are_not_evaluated_again():
     points = []
 
@@ -55,7 +48,29 @@ def test_given_ends_are_not_evaluated_again():
         points.append(x)
         return 2.0 - x * x
 
-    hi, fhi = grow_upper_bracket(f, f(0.0))
-    res = solve_bracketed(f, lambda x: -2.0 * x, 0.0, hi, 2.0, fhi)
+    res = solve_bracketed(f, lambda x: -2.0 * x, 0.0, 4.0, f(0.0), f(4.0))
     assert res.root == pytest.approx(math.sqrt(2.0), abs=1e-11)
     assert len(set(points)) == len(points)
+
+
+@pytest.mark.parametrize("start, first", [(1.5, 1.5), (0.0, 1.0), (2.0, 1.0),
+                                          (math.nan, 1.0), (math.inf, 1.0)])
+def test_start_used_only_strictly_inside(start, first):
+    points = []
+
+    def f(x):
+        points.append(x)
+        return 2.0 - x * x
+
+    res = solve_bracketed(f, lambda x: -2.0 * x, 0.0, 2.0, 2.0, -2.0, start)
+    assert points[0] == first
+    assert res.root == pytest.approx(math.sqrt(2.0), abs=1e-11)
+
+
+def test_stops_after_a_newton_step_within_tolerance():
+    # From a start one ulp off the root, Newton's step is the last one.
+    f = lambda x: 2.0 - x * x  # noqa: E731
+    res = solve_bracketed(f, lambda x: -2.0 * x, 0.0, 2.0, 2.0, -2.0,
+                          math.sqrt(2.0))
+    assert res.iterations == 1
+    assert res.root == pytest.approx(math.sqrt(2.0), rel=2.3e-16)
