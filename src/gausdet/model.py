@@ -23,12 +23,15 @@ entries are numbers.  A point set is checked only by ``FinitePoints``
 
 D(sigma) = sum ln(1+sigma_i^2) is computed only by ``IntensityVector.D``.  The
 rules share one core, ``_QuadraticFormTest``, which builds the weights W (k, n)
-and D_k of its points once and owns ``accepts``; each rule supplies only how it
-combines the forms y^2 . w_k - D_k: a threshold, a weighted log-sum-exp or a
-maximum.  ``accepts`` also scores sums of y_i^2 over blocks of coordinates
-against the blocks' (k, blocks) weight columns, which is how the Monte Carlo
-estimator scores its blocked draws.  The ``*_decide`` helpers are
-``accepts`` on one row.
+and D_k of its points once and owns ``accepts``; each rule folds its levels
+into one constant per point at build and supplies only how it compares the
+forms y^2 . w_k with them: one threshold, a sum of exponentials below 1, or
+every form below its bound.  The forms of a batch of rows are one (k, rows)
+product, so these comparisons reduce across points along long rows.
+``accepts`` also scores sums of y_i^2 over blocks of coordinates against the
+blocks' (k, blocks) weight columns, which is how the Monte Carlo estimator
+scores its blocked draws.  The ``*_decide`` helpers are ``accepts`` on one
+row.
 """
 
 from __future__ import annotations
@@ -276,10 +279,10 @@ class _QuadraticFormTest:
     ``_build`` stacks the weights w_k = sigma_k^2/(1+sigma_k^2) into W (k, n)
     and D_k = D(sigma_k) once; ``accepts`` squares the rows Y (m, n) and
     subclasses map Y^2 and the weights W to the H0-acceptance mask in
-    ``_combine(Y2, W)``.  Y^2 is passed on as the only reference to it, so
-    ``_combine`` owns it and can free it before the larger (m, k)
-    intermediates are made.  W is ``_W``, or the (k, c) weight columns of
-    blocks of coordinates when Y^2 holds the blocks' sums of y_i^2.
+    ``_combine(Y2, W)``, which reads Y^2 and does not write it.  W is
+    ``_W``, or the (k, c) weight columns of blocks of coordinates when Y^2
+    holds the blocks' sums of y_i^2.  The forms are one (k, m) product
+    ``W @ Y2.T``, so ``_combine`` reduces across the points along rows of m.
     """
 
     def _build(self, points: Sequence[IntensityVector]) -> None:
@@ -313,10 +316,8 @@ class _QuadraticFormTest:
                 f"rows of Y have length {Y.shape[1]}, expected {W.shape[1]}"
             )
         if weights is None:
-            Y2 = np.square(Y, out=Y if overwrite else None)
-        else:
-            Y2 = Y if overwrite else Y.copy()
-        return self._combine(Y2, W)
+            Y = np.square(Y, out=Y if overwrite else None)
+        return self._combine(Y, W)
 
     def _decide(self, y: Union[Observation, ArrayLike]) -> Hypothesis:
         accepted = bool(self.accepts(_obs_values(y)[None, :])[0])
@@ -390,10 +391,12 @@ class DiscretePrior:
 def _log_weighted_sum_exp(logs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Row-wise ln sum_k w_k exp(logs[:, k]) of an (m, k) matrix.
 
-    Zero-weight columns are dropped before the shift, so a zero-weight
-    candidate with a huge ratio cannot underflow the others.  Each row is
-    shifted by its maximum and exponentiated in place: ``logs`` is
-    overwritten unless a column was dropped.
+    ``bayes_log_ratio`` uses it on one row; ``BayesTest.accepts`` compares
+    the sum with exp(level) instead and takes no logarithm.  Zero-weight
+    columns are dropped before the shift, so a zero-weight candidate with a
+    huge ratio cannot underflow the others.  Each row is shifted by its
+    maximum and exponentiated in place: ``logs`` is overwritten unless a
+    column was dropped.
     """
     keep = weights > 0
     if not np.all(keep):
@@ -422,7 +425,15 @@ def bayes_log_ratio(
 
 @dataclass(frozen=True, eq=False)
 class BayesTest(_QuadraticFormTest):
-    """Mixture test: accept H0 iff the log mixture ratio is <= level."""
+    """Mixture test: accept H0 iff the log mixture ratio is <= level.
+
+    That is sum_k exp(y^2 . w_k / 2 + c_k) <= 1 over the points of positive
+    weight, with c_k = ln p_k - D_k/2 - level fixed at build (p the prior
+    weights).  A term that overflows is above 1 on its own, so the row is
+    rejected, as it should be; a term that underflows is far below 1.
+    ``_W`` keeps the zero-weight points, whose rows the Monte Carlo
+    estimator groups coordinates by, and ``accepts`` leaves them out.
+    """
 
     prior: DiscretePrior
     level: float
@@ -430,13 +441,20 @@ class BayesTest(_QuadraticFormTest):
     def __post_init__(self):
         object.__setattr__(self, "level", _as_number(self.level, "level"))
         self._build(self.prior.points)
+        weights = self.prior.weights
+        kept = np.flatnonzero(weights)
+        offset = np.log(weights[kept]) - 0.5 * self._D[kept] - self.level
+        object.__setattr__(self, "_kept", None if kept.size == weights.size else kept)
+        object.__setattr__(self, "_offset", offset[:, None])
 
     def _combine(self, Y2: np.ndarray, W: np.ndarray) -> np.ndarray:
-        Y2 *= 0.5  # Y2 is owned: 0.5 * Y2 @ W.T without a copy of Y2
-        logs = Y2 @ W.T  # (m, k)
-        del Y2  # freed before the log-sum-exp's (m, k) intermediates
-        logs -= 0.5 * self._D
-        return _log_weighted_sum_exp(logs, self.prior.weights) <= self.level
+        if self._kept is not None:
+            W = W[self._kept]
+        terms = (0.5 * W) @ Y2.T  # halving is exact
+        terms += self._offset
+        with np.errstate(over="ignore"):
+            np.exp(terms, out=terms)
+            return terms.sum(axis=0) <= 1.0
 
 
 def bayes_decide(
@@ -548,13 +566,11 @@ class GlrtTest(_QuadraticFormTest):
         levels.setflags(write=False)
         object.__setattr__(self, "levels", levels)
         self._build(self.candidates.points)
+        # 2 r(y, sigma_k) - A_k <= 0 iff y^2 . w_k <= D_k + A_k
+        object.__setattr__(self, "_bound", (self._D + levels)[:, None])
 
     def _combine(self, Y2: np.ndarray, W: np.ndarray) -> np.ndarray:
-        # 2 r(y, sigma_k) - A_k = y^2 . w_k - D_k - A_k
-        stat = Y2 @ W.T
-        stat -= self._D
-        stat -= self.levels
-        return np.max(stat, axis=1) <= 0.0
+        return np.all(W @ Y2.T <= self._bound, axis=0)
 
 
 def glrt_decide(

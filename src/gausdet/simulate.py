@@ -212,7 +212,7 @@ def estimate_error_probs(
     Coordinates of zero weight are not drawn.  ``test.accepts`` scores the
     squares and block sums against their weight columns.  A shard holds
     2^17 // c rows (at least one), c the larger of the drawn columns and
-    min(k, n) for a test of k points: its draws and its (rows, k) scores
+    min(k, n) for a test of k points: its draws and its (k, rows) scores
     fit in 2^17 floats each, except that it keeps the 2^17 // n rows of one
     normal per coordinate when k > n.  When every coordinate is a block of
     one with nonzero weight, the rows per shard, the draws and the
@@ -244,7 +244,7 @@ def estimate_error_probs(
             ])
         return (test.accepts(Y2, overwrite=True, weights=W),)
 
-    # Each (rows, drawn) and (rows, k) array of a shard stays within 2^17
+    # Each (rows, drawn) and (k, rows) array of a shard stays within 2^17
     # floats, but a shard never holds fewer rows than 2^17 // n.
     row_scalars = max(1, drawn.size, min(W.shape[0], n))
     (accepted,) = _shard_counts(seed, samples, row_scalars, events)
@@ -498,9 +498,12 @@ def lemma1_check(
         raise DimensionMismatch("component SDs must match the region dimension")
 
     def events(rng, rows):
-        xi = rng.standard_normal((rows, region.dim)) * xi_sd
-        eta = rng.standard_normal((rows, region.dim)) * eta_sd
-        return region.contains(xi + eta), region.contains(xi)
+        xi = rng.standard_normal((rows, region.dim))
+        xi *= xi_sd
+        eta = rng.standard_normal((rows, region.dim))
+        eta *= eta_sd
+        eta += xi  # xi + eta, in place
+        return region.contains(eta), region.contains(xi)
 
     hits_sum, hits_xi = _shard_counts(seed, samples, 2 * region.dim, events)
     p_sum = MonteCarloEstimate.from_counts(hits_sum, samples, seed)

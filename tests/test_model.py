@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -362,6 +363,136 @@ class TestGlrt:
         assert glrt_decide(cands, -0.5, [10.0]) is Hypothesis.H1
         with pytest.raises(DimensionMismatch):
             glrt_decide(cands, 0.0, [0.1, 0.2])
+
+
+def _glrt_margins(rows, points, levels):
+    """max_k [2 r(y, sigma_k) - A_k] of each row, and the size of its terms."""
+    margins = [max(2.0 * log_likelihood_ratio(y, p) - a for p, a in zip(points, levels))
+               for y in rows]
+    forms = (rows * rows) @ np.stack([p.r_squared for p in points]).T
+    D = np.array([p.D for p in points])
+    return np.array(margins), np.max(forms + D + np.abs(levels), axis=1)
+
+
+def _bayes_margins(rows, prior, level):
+    """ln sum_k p_k exp(r(y, sigma_k)) - level of each row, and the size of its terms."""
+    margins = [bayes_log_ratio(y, prior) - level for y in rows]
+    kept = prior.weights > 0
+    points = [p for p, w in zip(prior.points, kept) if w]
+    forms = (rows * rows) @ np.stack([p.r_squared for p in points]).T
+    D = np.array([p.D for p in points])
+    terms = 0.5 * (forms + D) + np.abs(np.log(prior.weights[kept]))
+    return np.array(margins), abs(level) + np.max(terms, axis=1)
+
+
+def _check_against(acc, margins, scales):
+    """accepts agrees with the reference on every row off the boundary."""
+    clear = np.abs(margins) > 1e-9 * (1.0 + scales)
+    np.testing.assert_array_equal(acc[clear], margins[clear] <= 0.0)
+    return clear
+
+
+class TestAcceptsAgainstScalarReferences:
+    """``accepts`` against the one-row ratios, with no warning raised.
+
+    The GLRT reference is max_k [2 log_likelihood_ratio - A_k] <= 0 and the
+    Bayes reference bayes_log_ratio <= level, one row at a time.  Rows
+    within 1e-9 of the boundary, relative to the terms summed, are skipped.
+    With ``blocked``, each point is constant on random blocks of
+    coordinates and ``accepts`` scores the blocks' sums of y_i^2 against
+    the blocks' weight columns.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 40), k=st.integers(1, 200), m=st.integers(1, 32),
+           seed=st.integers(0, 2**32 - 1), zero_weights=st.booleans(),
+           blocked=st.booleans(), scalar_level=st.booleans())
+    def test_random_points(self, n, k, m, seed, zero_weights, blocked,
+                           scalar_level):
+        rng = np.random.default_rng(seed)
+        block_of = rng.integers(0, n, n) if blocked else np.arange(n)
+        sigma = rng.uniform(0.0, 3.0, (k, n))
+        sigma[rng.random((k, n)) < 0.3] = 0.0
+        sigma = sigma[:, block_of]  # constant on each block
+        points = tuple(IntensityVector(s) for s in sigma)
+        Y = rng.standard_normal((m, n)) * rng.uniform(0.5, 3.0, n)
+        if blocked:
+            blocks = np.unique(block_of)
+            firsts = np.array([np.flatnonzero(block_of == b)[0] for b in blocks])
+            scored = np.column_stack([(Y[:, block_of == b] ** 2).sum(axis=1)
+                                      for b in blocks])
+        weights = rng.uniform(0.0, 1.0, k)
+        if zero_weights:
+            weights[rng.random(k) < 0.5] = 0.0
+            weights[rng.integers(k)] = 1.0
+        prior = DiscretePrior(points, weights / weights.sum())
+
+        # Levels that accept about half the rows: the references are made
+        # at level 0 and shifted by their median.
+        levels = rng.uniform(-3.0, 3.0, k)
+        if scalar_level:
+            levels = np.full(k, levels[0])
+        margins, scales = _glrt_margins(Y, points, levels)
+        shift = np.median(margins)
+        levels += shift
+        tests = [(GlrtTest(FinitePoints(points), levels[0] if scalar_level else levels),
+                  margins - shift, scales + abs(shift))]
+        margins, scales = _bayes_margins(Y, prior, 0.0)
+        level = float(np.median(margins))
+        tests.append((BayesTest(prior, level), margins - level, scales + abs(level)))
+
+        for test, margins, scales in tests:
+            if blocked:
+                acc = test.accepts(scored, weights=test._W[:, firsts])
+            else:
+                acc = test.accepts(Y)
+            assert acc.shape == (m,)
+            _check_against(acc, margins, scales)
+
+    @pytest.mark.parametrize("level", [-1e3, 5e2, 1e3])
+    def test_squares_near_1e6(self, level):
+        # y_i^2 near 1e6 against weights near 2.5e-4: forms near 1e3, on
+        # both sides of each level, and one point whose form is near 4e6.
+        rng = np.random.default_rng(11)
+        points = [IntensityVector(rng.uniform(0.01, 0.02, 4)) for _ in range(5)]
+        big = IntensityVector(np.full(4, 1.0))
+        Y = np.sqrt(rng.uniform(0.5e6, 1.5e6, (300, 4)))
+        glrt = GlrtTest(FinitePoints(tuple(points)), level)
+        margins, scales = _glrt_margins(Y, points, np.full(5, level))
+        clear = _check_against(glrt.accepts(Y), margins, scales)
+        assert clear.sum() > 290
+        if level == 1e3:
+            assert 0 < glrt.accepts(Y).sum() < 300
+        with_big = GlrtTest(FinitePoints((*points, big)), level)
+        assert not with_big.accepts(Y).any()
+
+        prior = DiscretePrior(tuple(points), np.full(5, 0.2))
+        margins, scales = _bayes_margins(Y, prior, level)
+        _check_against(BayesTest(prior, level).accepts(Y), margins, scales)
+        # A point of weight zero with a ratio near 2e6 changes nothing; one
+        # of positive weight overflows its term and rejects every row.
+        zero = DiscretePrior((*points, big), np.r_[np.full(5, 0.2), 0.0])
+        np.testing.assert_array_equal(BayesTest(zero, level).accepts(Y),
+                                      BayesTest(prior, level).accepts(Y))
+        small = DiscretePrior((*points, big), np.r_[np.full(5, 0.19), 0.05])
+        assert not BayesTest(small, level).accepts(Y).any()
+        if level == 5e2:
+            assert 0 < BayesTest(prior, level).accepts(Y).sum() < 300
+
+    def test_accepts_raises_no_warning(self):
+        # Terms that overflow and terms that underflow, in one batch.
+        points = (IntensityVector(np.full(3, 30.0)), IntensityVector(np.full(3, 0.1)))
+        prior = DiscretePrior(points, np.array([0.0, 1.0]))
+        Y = np.array([[0.0, 0.0, 0.0], [1e3, 1e3, 1e3], [40.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for test in (BayesTest(prior, -700.0), BayesTest(prior, 0.0),
+                         BayesTest(DiscretePrior(points, np.array([0.5, 0.5])), 0.0),
+                         GlrtTest(FinitePoints(points), 0.0)):
+                margins, scales = (
+                    _glrt_margins(Y, points, test.levels) if isinstance(test, GlrtTest)
+                    else _bayes_margins(Y, test.prior, test.level))
+                assert _check_against(test.accepts(Y), margins, scales).all()
 
 
 class TestCandidateSets:

@@ -987,6 +987,28 @@ class TestPinnedStreams:
         assert estimate_error_probs(test, None, 20_000, 4).p_hat == 0.18765
         assert estimate_error_probs(test, self.FLAT[2], 20_000, 4).p_hat == 0.2653
 
+    def test_glrt_and_bayes_at_benchmark_shape(self):
+        # The mc-stat shape: 64 points on n = 16 coordinates, each with 2 to
+        # 8 coordinates at one value.  Every coordinate is a block of one, so
+        # a shard holds 2^17 // 16 rows and 200,000 samples take 25 shards.
+        rng = np.random.default_rng(2018)
+        points = []
+        for _ in range(64):
+            value = rng.uniform(0.5, 1.5)
+            arr = np.zeros(16)
+            arr[rng.choice(16, int(rng.integers(2, 9)), replace=False)] = value
+            points.append(IntensityVector(arr))
+        glrt = GlrtTest(FinitePoints(tuple(points)), rng.uniform(5.0, 7.0, 64))
+        w = rng.uniform(0.5, 1.5, 64)
+        bayes = BayesTest(DiscretePrior(tuple(points), w / w.sum()),
+                          float(rng.uniform(1.5, 2.5)))
+        assert simulate._blocks(glrt._W, np.ones(16))[0].size == 16
+        assert 24 * _shard_rows(16) < 200_000 <= 25 * _shard_rows(16)
+        assert estimate_error_probs(glrt, None, 200_000, 5).p_hat == 0.050345
+        assert estimate_error_probs(bayes, None, 200_000, 5).p_hat == 0.002745
+        assert estimate_error_probs(glrt, points[0], 200_000, 5).p_hat == 0.87529
+        assert estimate_error_probs(bayes, points[0], 200_000, 5).p_hat == 0.9812
+
     def test_example3(self):
         probe = np.zeros(50)
         probe[[3, 17]] = 5.0
