@@ -23,15 +23,16 @@ entries are numbers.  A point set is checked only by ``FinitePoints``
 
 D(sigma) = sum ln(1+sigma_i^2) is computed only by ``IntensityVector.D``.  The
 rules share one core, ``_QuadraticFormTest``, which builds the weights W (k, n)
-and D_k of its points once and owns ``accepts``; each rule folds its levels
-into one constant per point at build and supplies only how it compares the
-forms y^2 . w_k with them: one threshold, a sum of exponentials below 1, or
-every form below its bound.  The forms of a batch of rows are one (k, rows)
-product, so these comparisons reduce across points along long rows.
-``accepts`` also scores sums of y_i^2 over blocks of coordinates against the
-blocks' (k, blocks) weight columns, which is how the Monte Carlo estimator
-scores its blocked draws.  The ``*_decide`` helpers are ``accepts`` on one
-row.
+and D_k of its points once and owns ``accepts``; the points of a mixture
+test are the support of its prior, its points of positive weight.  Each rule
+folds its levels into one constant per point at build and supplies only how
+it compares the forms y^2 . w_k with them: one threshold, a sum of
+exponentials below 1, or every form below its bound.  The forms of a batch
+of rows are one (k, rows) product, so these comparisons reduce across points
+along long rows.  ``accepts`` reads its rows and never writes them, and also
+scores sums of y_i^2 over blocks of coordinates against the blocks' (k,
+blocks) weight columns, which is how the Monte Carlo estimator scores its
+blocked draws.  The ``*_decide`` helpers are ``accepts`` on one row.
 """
 
 from __future__ import annotations
@@ -276,13 +277,14 @@ def log_likelihood_ratio(
 class _QuadraticFormTest:
     """Decision rule over points sigma_k: 2 r(y, sigma_k) = y^2 . w_k - D_k.
 
-    ``_build`` stacks the weights w_k = sigma_k^2/(1+sigma_k^2) into W (k, n)
-    and D_k = D(sigma_k) once; ``accepts`` squares the rows Y (m, n) and
-    subclasses map Y^2 and the weights W to the H0-acceptance mask in
-    ``_combine(Y2, W)``, which reads Y^2 and does not write it.  W is
-    ``_W``, or the (k, c) weight columns of blocks of coordinates when Y^2
-    holds the blocks' sums of y_i^2.  The forms are one (k, m) product
-    ``W @ Y2.T``, so ``_combine`` reduces across the points along rows of m.
+    ``_build`` stacks the weights w_k = sigma_k^2/(1+sigma_k^2) of the points
+    that decide into W (k, n) and D_k = D(sigma_k) once; ``accepts`` squares
+    the rows Y (m, n) into a new array and subclasses map Y^2 and the
+    weights W to the H0-acceptance mask in ``_combine(Y2, W)``, which reads
+    Y^2 and does not write it.  W is ``_W``, or the (k, c) weight columns of
+    blocks of coordinates when Y^2 holds the blocks' sums of y_i^2.  The
+    forms are one (k, m) product ``W @ Y2.T``, so ``_combine`` reduces
+    across the points along rows of m.
     """
 
     def _build(self, points: Sequence[IntensityVector]) -> None:
@@ -294,20 +296,14 @@ class _QuadraticFormTest:
         return self._W.shape[1]
 
     def accepts(
-        self,
-        Y: np.ndarray,
-        *,
-        overwrite: bool = False,
-        weights: Optional[np.ndarray] = None,
+        self, Y: np.ndarray, *, weights: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """Vectorized H0-acceptance over rows of Y (shape (m, n)).
+        """Vectorized H0-acceptance over rows of Y (shape (m, n)); Y is not written.
 
-        With overwrite=True a float array Y may be squared in place, which
-        saves one (m, n) array; Y's contents are then undefined.
-
-        With ``weights``, a (k, c) matrix, Y (m, c) holds sums of squares and
-        is not squared again: its column j is the sum of y_i^2 over a block
-        of coordinates that all have the weight column weights[:, j].
+        With ``weights``, a (k, c) matrix over the test's points, Y (m, c)
+        holds sums of squares and is not squared again: its column j is the
+        sum of y_i^2 over a block of coordinates that all have the weight
+        column weights[:, j].
         """
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         W = self._W if weights is None else weights
@@ -316,7 +312,7 @@ class _QuadraticFormTest:
                 f"rows of Y have length {Y.shape[1]}, expected {W.shape[1]}"
             )
         if weights is None:
-            Y = np.square(Y, out=Y if overwrite else None)
+            Y = np.square(Y)
         return self._combine(Y, W)
 
     def _decide(self, y: Union[Observation, ArrayLike]) -> Hypothesis:
@@ -388,39 +384,22 @@ class DiscretePrior:
         return self.points[0].n
 
 
-def _log_weighted_sum_exp(logs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Row-wise ln sum_k w_k exp(logs[:, k]) of an (m, k) matrix.
-
-    ``bayes_log_ratio`` uses it on one row; ``BayesTest.accepts`` compares
-    the sum with exp(level) instead and takes no logarithm.  Zero-weight
-    columns are dropped before the shift, so a zero-weight candidate with a
-    huge ratio cannot underflow the others.  Each row is shifted by its
-    maximum and exponentiated in place: ``logs`` is overwritten unless a
-    column was dropped.
-    """
-    keep = weights > 0
-    if not np.all(keep):
-        logs, weights = logs[:, keep], weights[keep]
-    shift = np.max(logs, axis=1)
-    logs -= shift[:, None]
-    np.exp(logs, out=logs)
-    return np.log(logs @ weights) + shift
-
-
 def bayes_log_ratio(
     y: Union[Observation, ArrayLike], prior: DiscretePrior
 ) -> float:
     """Log mixture likelihood ratio ln sum_k w_k exp(r(y, sigma_k)).
 
-    Computed with a max-shifted exponential sum, so D(sigma_k) of order
-    hundreds does not underflow.  With a one-point prior this equals
-    ``log_likelihood_ratio`` exactly.
+    Computed with a max-shifted exponential sum over the points of positive
+    weight, so D(sigma_k) of order hundreds does not underflow, nor can a
+    zero-weight point with a huge ratio underflow the others.  With a
+    one-point prior this equals ``log_likelihood_ratio`` exactly.
     """
     yv = _obs_values(y)  # log_likelihood_ratio checks the length
-    logs = np.array(
-        [log_likelihood_ratio(yv, p) for p in prior.points], dtype=float
-    )
-    return float(_log_weighted_sum_exp(logs[None, :], prior.weights)[0])
+    keep = prior.weights > 0
+    logs = np.array([log_likelihood_ratio(yv, p)
+                     for p, kept in zip(prior.points, keep) if kept])
+    shift = np.max(logs)
+    return float(np.log(np.exp(logs - shift) @ prior.weights[keep]) + shift)
 
 
 @dataclass(frozen=True, eq=False)
@@ -431,8 +410,8 @@ class BayesTest(_QuadraticFormTest):
     weight, with c_k = ln p_k - D_k/2 - level fixed at build (p the prior
     weights).  A term that overflows is above 1 on its own, so the row is
     rejected, as it should be; a term that underflows is far below 1.
-    ``_W`` keeps the zero-weight points, whose rows the Monte Carlo
-    estimator groups coordinates by, and ``accepts`` leaves them out.
+    A point of zero weight decides nothing, so the test is built from the
+    support alone: ``_W``, ``_D`` and the c_k hold its points only.
     """
 
     prior: DiscretePrior
@@ -440,16 +419,12 @@ class BayesTest(_QuadraticFormTest):
 
     def __post_init__(self):
         object.__setattr__(self, "level", _as_number(self.level, "level"))
-        self._build(self.prior.points)
-        weights = self.prior.weights
-        kept = np.flatnonzero(weights)
-        offset = np.log(weights[kept]) - 0.5 * self._D[kept] - self.level
-        object.__setattr__(self, "_kept", None if kept.size == weights.size else kept)
+        kept = np.flatnonzero(self.prior.weights)
+        self._build([self.prior.points[i] for i in kept])
+        offset = np.log(self.prior.weights[kept]) - 0.5 * self._D - self.level
         object.__setattr__(self, "_offset", offset[:, None])
 
     def _combine(self, Y2: np.ndarray, W: np.ndarray) -> np.ndarray:
-        if self._kept is not None:
-            W = W[self._kept]
         terms = (0.5 * W) @ Y2.T  # halving is exact
         terms += self._offset
         with np.errstate(over="ignore"):

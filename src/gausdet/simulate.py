@@ -7,7 +7,8 @@ draws each (at least one row; at most 2^17 draws, 1 MiB of float64), so its
 row count depends only on the instance, and its draws fit in a 2 MiB
 per-core L2 cache.  c is 2 x dim for ``lemma1_check``, the number of drawn
 columns for ``example3_experiment``, and for ``estimate_error_probs`` the
-larger of the number of drawn columns and min(k, n) for a test of k points.
+larger of the number of drawn columns and min(k, n) for a test of k points
+(for a mixture test, the points of positive prior weight).
 Both group exchangeable coordinates into blocks (``_blocks``) and draw a
 block of m >= 2 as one column: ``estimate_error_probs`` draws one
 chi-square per row for coordinates that share a weight column and a
@@ -21,7 +22,9 @@ which are summed.  numpy releases the interpreter lock while it draws and
 multiplies matrices, so the workers overlap; each holds one shard's arrays
 at a time, so the peak memory is that of W such shards.  Counts are
 bit-identical for a fixed (seed, samples, instance) whatever the worker
-count, so results are reproducible across machines.  The estimates of one
+count.  They are not promised across machines: another BLAS kernel can
+round a (k, rows) product of the forms differently in the last bit, which
+flips a row that lies on a test's boundary.  The estimates of one
 run (both sides of ``lemma1_check``; the false alarm and the misses of
 ``example3_experiment``) share its draws: each is unbiased, and they are
 correlated.
@@ -242,7 +245,7 @@ def estimate_error_probs(
             Y2 = np.column_stack([Y2] + [
                 rng.chisquare(m, rows) * v for m, v in zip(sizes, block_variance)
             ])
-        return (test.accepts(Y2, overwrite=True, weights=W),)
+        return (test.accepts(Y2, weights=W),)
 
     # Each (rows, drawn) and (k, rows) array of a shard stays within 2^17
     # floats, but a shard never holds fewer rows than 2^17 // n.

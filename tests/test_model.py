@@ -30,7 +30,6 @@ from gausdet import (
     signal_statistics,
 )
 from gausdet.errors import DimensionMismatch, InvalidInput
-from gausdet.model import _log_weighted_sum_exp
 
 sigmas = arrays(
     np.float64,
@@ -221,12 +220,15 @@ class TestNpTest:
                  GlrtTest(FinitePoints(points), np.array([0.4, -0.3]))]
         Y = rng.standard_normal((400, 5))
         sums = np.column_stack([(Y[:, :3] ** 2).sum(1), (Y[:, 3:] ** 2).sum(1)])
+        kept = Y.copy(), sums.copy()
         for test in tests:
             weights = test._W[:, [0, 3]]
-            kept = sums.copy()
             acc = test.accepts(sums, weights=weights)
             np.testing.assert_array_equal(acc, test.accepts(Y))
-            np.testing.assert_array_equal(sums, kept)  # not scaled in place
+            # Two tests may score one draw matrix: neither rows nor block
+            # sums are squared or scaled in place.
+            np.testing.assert_array_equal(Y, kept[0])
+            np.testing.assert_array_equal(sums, kept[1])
             assert 0 < acc.sum() < 400
             with pytest.raises(DimensionMismatch):
                 test.accepts(Y, weights=weights)
@@ -306,22 +308,51 @@ class TestDiscretePriorAndBayes:
         assert np.array_equal(acc, decided)
 
 
-class TestLogWeightedSumExp:
+class TestBayesLogRatio:
     def test_matches_scipy_logsumexp(self):
+        # Each point's intensities reach up to 10^e, e in (0, 80): large
+        # ones give ratios near -D/2, small ones near +y^2 . w/2, both of
+        # several hundred.
         rng = np.random.default_rng(3)
-        for m, k in ((1, 1), (5, 3), (200, 17), (1000, 64)):
-            logs = rng.uniform(-1e3, 1e3, (m, k))
-            w = rng.uniform(0.0, 1.0, k)
-            w[rng.random(k) < 0.3] = 0.0
-            w[0] = max(w[0], 0.1)  # at least one support point
-            expected = logsumexp(logs, b=w, axis=1)
-            got = _log_weighted_sum_exp(logs.copy(), w)
-            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+        ratios = []
+        for k in (1, 3, 17, 64):
+            for _ in range(20):
+                points = tuple(
+                    IntensityVector(10.0 ** rng.uniform(-1, rng.uniform(0, 80), 8))
+                    for _ in range(k))
+                w = rng.uniform(0.0, 1.0, k)
+                w[rng.random(k) < 0.3] = 0.0
+                w[0] = max(w[0], 0.1)  # at least one support point
+                prior = DiscretePrior(points, w / w.sum())
+                y = rng.uniform(-20.0, 20.0, 8)
+                logs = [log_likelihood_ratio(y, p) for p in points]
+                ratios.extend(logs)
+                expected = logsumexp(logs, b=prior.weights)
+                np.testing.assert_allclose(bayes_log_ratio(y, prior), expected,
+                                           rtol=1e-13, atol=0.0)
+        assert min(ratios) < -500.0 and max(ratios) > 500.0
 
     def test_zero_weight_cannot_underflow_the_others(self):
-        logs = np.array([[0.0, 1e3, -1.0]])
-        got = _log_weighted_sum_exp(logs, np.array([0.5, 0.0, 0.5]))
-        assert got[0] == pytest.approx(math.log(0.5 + 0.5 * math.exp(-1.0)))
+        # At y = (0, 45) the three ratios are 0, about 1e3 and -1.
+        points = (IntensityVector([0.0, 0.0]), IntensityVector([0.0, 1e3]),
+                  IntensityVector([math.sqrt(math.e ** 2 - 1.0), 0.0]))
+        prior = DiscretePrior(points, np.array([0.5, 0.0, 0.5]))
+        assert log_likelihood_ratio([0.0, 45.0], points[1]) > 1e3
+        got = bayes_log_ratio([0.0, 45.0], prior)
+        assert got == pytest.approx(math.log(0.5 + 0.5 * math.exp(-1.0)))
+
+    @pytest.mark.parametrize("points, weights, y, want", [
+        (([1.0, 2.0], [0.5, 0.5]), [0.3, 0.7], [0.3, -1.2],
+         -0.1921485747626232),
+        (([0.8, 0.8, 0.8], [0.0, 3.0, 1.0], [2.0, 2.0, 2.0]),
+         [0.25, 0.0, 0.75], [1.5, 0.2, -2.0], 0.2123348094569344),
+        (([0.1, 5.0, 0.3, 1.0], [2.0, 0.0, 1.0, 4.0], [0.7] * 4),
+         [0.2, 0.5, 0.3], [3.0, -0.5, 2.5, 1.0], 2.5500878536138325),
+    ], ids=["two-points", "zero-weight", "three-points"])
+    def test_pinned_values(self, points, weights, y, want):
+        prior = DiscretePrior(tuple(map(IntensityVector, points)),
+                              np.array(weights))
+        assert bayes_log_ratio(y, prior) == want
 
 
 class TestGlrt:

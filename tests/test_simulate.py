@@ -123,7 +123,7 @@ def _unblocked(test, true_sigma, samples, seed):
         Y = rng.standard_normal((rows, test.n))
         if scale is not None:
             Y *= scale
-        return (test.accepts(Y, overwrite=True),)
+        return (test.accepts(Y),)
 
     (accepted,) = _shard_counts(seed, samples, test.n, events)
     hits = accepted if true_sigma is not None else samples - accepted
@@ -280,6 +280,19 @@ class TestBlockedDraws:
         estimate_error_probs(test, None, samples, 1)
         assert seen[0] == rows == _shard_rows(max(1, min(k, n)))
         assert sum(seen) == samples and max(seen) == rows
+
+    def test_zero_weight_point_does_not_move_the_estimate(self):
+        # A Bayes point of zero weight is outside the prior's support: the
+        # test and its draws are those of the prior without it.
+        flat = [IntensityVector(np.full(6, s)) for s in (0.8, 1.5)]
+        mid = IntensityVector([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+        with_zero = BayesTest(DiscretePrior((flat[0], mid, flat[1]),
+                                            np.array([0.5, 0.0, 0.5])), 0.4)
+        support = BayesTest(DiscretePrior(tuple(flat), np.array([0.5, 0.5])), 0.4)
+        for true_sigma in (None, flat[1]):
+            got, want = (estimate_error_probs(t, true_sigma, 20_000, 3)
+                         for t in (with_zero, support))
+            assert got.p_hat == want.p_hat
 
     def test_all_zero_weights_draw_nothing(self, monkeypatch):
         spy = _DrawSpy()
