@@ -6,7 +6,8 @@ Library layout:
 * ``exponents``  Chernoff exponents, upper/lower bounds on the miss probability
 * ``tails``      Gaussian and chi-square tail sandwiches, normal approximation
 * ``reduction``  uncertainty-set reduction and domination certificates
-* ``simulate``   Monte Carlo ground truth and exact distribution oracles
+* ``simulate``   Monte Carlo ground truth
+* ``oracle``     the exact weighted chi-square oracle (Ruben's mixture)
 * ``cli``        the ``gausdet`` command line interface
 """
 
@@ -64,9 +65,8 @@ from .simulate import (
     estimate_error_probs,
     example3_experiment,
     lemma1_check,
-    np_test_exact_probs,
-    weighted_chi2_cdf,
 )
+from .oracle import np_test_exact_probs, weighted_chi2_cdf
 from .tails import (
     TailSandwich,
     berry_esseen_alpha,

@@ -1,4 +1,4 @@
-"""Monte Carlo ground truth and exact distribution oracles.
+"""Monte Carlo ground truth, with the exact oracle re-exported.
 
 Sampling uses the counter-based Philox generator with one independent stream
 per shard, keyed by (seed, shard index), so shards never overlap and each is
@@ -30,19 +30,9 @@ run (both sides of ``lemma1_check``; the false alarm and the misses of
 correlated.
 
 The exact oracle for the weighted chi-square probabilities behind alpha and
-beta has one path for every weight vector: the chi-square mixture of Ruben
-(1962), whose coefficients come from one inverse FFT of their generating
-function.  Both tails are sums over the same coefficients, with an absolute
-error below 5e-15; a weight spread that needs more than 2^19 terms raises
-OutOfRegime.  The oracle does only the work that moves its answer: the
-term count is the least the Chernoff bound allows, rounded up by at most
-25% to a length the FFT handles fast, and the incomplete gamma is
-evaluated only on the window of terms where it is neither within 1e-18 of
-1 nor, relative to the result, within 1e-17 of 0.
-
-Only the oracle needs scipy (the incomplete gamma).  It is imported
-inside the oracle functions, on their first call, so that importing this
-module, and the Monte Carlo paths, load numpy and the standard library only.
+beta lives in ``oracle``; ``weighted_chi2_cdf`` and ``np_test_exact_probs``
+are re-exported here.  This module, like the oracle, runs on numpy and the
+standard library alone.
 """
 
 from __future__ import annotations
@@ -51,7 +41,6 @@ import itertools
 import math
 import os
 import threading
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -67,6 +56,7 @@ from .model import (
     _as_number,
     _as_vector,
 )
+from .oracle import np_test_exact_probs, weighted_chi2_cdf  # noqa: F401
 
 MIN_SAMPLES = 1_000
 _SHARD_SCALARS = 2**17  # draws per shard (1 MiB of float64); fixes rows per c
@@ -253,172 +243,6 @@ def estimate_error_probs(
     (accepted,) = _shard_counts(seed, samples, row_scalars, events)
     hits = accepted if true_sigma is not None else samples - accepted
     return MonteCarloEstimate.from_counts(hits, samples, seed)
-
-
-_MASS_TOL = 1e-16  # mass each of the three truncations below may move
-_MAX_TERMS = 2**19  # 4 MB of coefficients; wider spreads are out of regime
-_EDGE = 1e-18  # incomplete gamma values past the window are within this of 0 or 1
-_EDGE_REL = 1e-17  # ... and on the side of 0, within this share of the result
-
-
-def _mixture_coefficients(w: np.ndarray):
-    """(beta, a): sum w_i xi_i^2 equals beta chi2_{n+2K} in law, P(K=k) = a_k.
-
-    With beta = min w, p_i = beta/w_i and r_i = 1 - p_i, K has generating
-    function G(z) = prod (p_i / (1 - r_i z))^(1/2) (Ruben 1962), so a_k >= 0
-    and sum a_k = 1.  By the Chernoff bound G(z) z^-N, N terms leave at most
-    1e-16 of K's mass at or past N once ln G(z) + (n/2 + N) ln(1/z) <=
-    ln 1e-16 at some z of a grid in (1, 1/max r); ``need``, the least such
-    N (at least 64), is solved for directly.  The term count is the least
-    m 2^e >= need with m in {4, ..., 8}: at most 25% above ``need``, and a
-    length the FFT handles fast.  A ``need`` above 2^19 raises
-    OutOfRegime.  One inverse FFT of G on the N-th roots of unity gives a_k
-    plus the aliased a_(k+N), a_(k+2N), ...: at most 1e-16 in all.
-    |G(e^(-i theta))| falls on [0, pi], so G is set to zero past the last
-    point where it exceeds 1e-16/N, which moves each a_k by at most
-    1e-16/N.  Equal weights give K = 0: a = [1].
-    """
-    beta, top = float(np.min(w)), float(np.max(w))
-    if beta == top:
-        return beta, np.ones(1)
-    p = beta / w
-    r = 1.0 - p
-    cols = max(1, 2**16 // w.size)  # bounds each (weights, points) array
-    # z = 1/(1 - v beta/top) with v in (0, 1) spans (1, 1/max r); there
-    # ln G(z) z^-N = -sum ln(1 - v w_i/top)/2 + (n/2 + N) ln(1 - v beta/top).
-    v = 1.0 - 2.0 ** -np.arange(1.0, 53.0)
-    ln_g = -0.5 * np.concatenate([
-        np.log1p(np.multiply.outer(w / -top, v[i:i + cols])).sum(axis=0)
-        for i in range(0, v.size, cols)
-    ])
-    ln_step = np.log1p(-v * (beta / top))
-    need = float(np.min((math.log(_MASS_TOL) - ln_g) / ln_step)) - 0.5 * w.size
-    if need > _MAX_TERMS:
-        raise OutOfRegime(
-            f"weight spread {top / beta:.3g} over {w.size} weights needs "
-            f"more than {_MAX_TERMS} mixture terms"
-        )
-    need = max(64, math.ceil(need))
-    scale = need.bit_length() - 3  # need / 2^scale is in [4, 8)
-    terms = -(-need >> scale) << scale
-
-    # Weight-major columns: each (weights, points) block is summed over axis 0.
-    p4, r2, p_col, r_col = (c[:, None] for c in (4.0 * r / p**2, 2.0 * r, p, r))
-
-    def ln_gf(j):
-        """ln G(e^(-i theta_j)), theta_j = 2 pi j / N, for an array of j.
-
-        |1 - r e^(-i theta)|^2 = p^2 + 4 r sin^2(theta/2) and the real part
-        p + 2 r sin^2(theta/2) are formed without cancellation, so no mass
-        is lost when p_i is small.
-        """
-        theta = (2.0 * math.pi / terms) * np.atleast_1d(j)
-        s2 = np.sin(0.5 * theta) ** 2
-        modulus = p4 * s2
-        modulus = np.log1p(modulus, out=modulus).sum(axis=0)
-        real = r2 * s2
-        real += p_col
-        phase = r_col * np.sin(theta)
-        phase = np.arctan2(phase, real, out=phase).sum(axis=0)
-        return -0.25 * modulus - 0.5j * phase
-
-    floor = math.log(_MASS_TOL / terms)
-    kept = bisect_left(range(terms // 2 + 1), True, 1,
-                       key=lambda j: ln_gf(j)[0].real <= floor)
-    g = np.zeros(terms // 2 + 1, dtype=complex)
-    for lo in range(0, kept, cols):
-        hi = min(kept, lo + cols)
-        g[lo:hi] = np.exp(ln_gf(np.arange(lo, hi)))
-    return beta, np.fft.irfft(g, terms)
-
-
-def _weighted_chi2(weights, x: float, upper: bool) -> float:
-    """P(sum w_i xi_i^2 > x) if upper, else the cdf of ``weighted_chi2_cdf``.
-
-    Both tails are sums over the same mixture coefficients a_k, so the upper
-    tail is never formed as 1 - cdf.  The upper incomplete gamma
-    Q(n/2 + k, y) rises in k from 0 to 1, and P = 1 - Q falls, so the
-    incomplete gamma is evaluated only on a window [lo, hi) of k: below
-    lo, Q <= 1e-18, and from hi on, P <= 1e-18.  On the side where the
-    tail's incomplete gamma is about 1 its terms are the plain sum of their
-    a_k, which moves the result by at most 1e-18 of that sum.  On the side
-    where it is about 0, a second search then widens the window to the
-    first k at which the incomplete gamma is at most 1e-17 of the sum so
-    far: the terms past that edge are smaller still, and their a_k sum to
-    at most 1, so dropping them moves the result by at most 1e-17 of
-    itself.
-    """
-    w, x = _as_vector(weights, "weights"), _as_number(x, "x")
-    if np.any(w < 0):
-        raise InvalidInput("weights must be nonnegative")
-    if x < 0:
-        raise InvalidInput("x must be nonnegative")
-    w = w[w > 0]  # zero-weight components contribute nothing
-    if w.size == 0:
-        return 0.0 if upper else 1.0  # the sum is identically 0 <= x
-    if w.size == 1:  # a = [1]: Q(1/2, y) = erfc(sqrt y), P(1/2, y) = erf(sqrt y)
-        root = math.sqrt(x / (2.0 * float(w[0])))
-        return math.erfc(root) if upper else math.erf(root)
-    from scipy.special import gammainc, gammaincc
-
-    beta, a = _mixture_coefficients(w)
-    half, y, ks = 0.5 * w.size, x / (2.0 * beta), range(a.size)
-    lo = bisect_left(ks, True, key=lambda k: gammaincc(half + k, y) > _EDGE)
-    hi = bisect_left(ks, True, lo, key=lambda k: gammainc(half + k, y) <= _EDGE)
-    tail = gammaincc if upper else gammainc
-
-    def mixed(i, j):  # the terms i <= k < j of the mixture
-        return float(a[i:j] @ tail(half + np.arange(i, j), y))
-
-    if upper:
-        total = float(a[hi:].sum()) + mixed(lo, hi)
-        edge = bisect_left(ks, True, 0, lo,
-                           key=lambda k: gammaincc(half + k, y) > _EDGE_REL * total)
-        total += mixed(edge, lo)
-    else:
-        total = float(a[:lo].sum()) + mixed(lo, hi)
-        edge = bisect_left(ks, True, hi,
-                           key=lambda k: gammainc(half + k, y) <= _EDGE_REL * total)
-        total += mixed(hi, edge)
-    return min(1.0, max(0.0, total))
-
-
-def weighted_chi2_cdf(weights, x: float) -> float:
-    """P(sum w_i xi_i^2 <= x) for finite nonnegative weights and x >= 0.
-
-    One path for every weight vector: the chi-square mixture
-    sum_k a_k P(n/2 + k, x / (2 min w)) of Ruben (1962), with the a_k from
-    one inverse FFT of their generating function (``_mixture_coefficients``).
-    Equal weights give a = [1], the incomplete gamma itself.  A single
-    weight is its shape-1/2 case, erf(sqrt(x / 2w)), taken from ``math.erf``
-    and ``math.erfc``: within 7e-17 of mpmath near x = 2w, where scipy's
-    shape-1/2 incomplete gamma is off by up to 4.1e-15.  The term count N
-    is the least count ``need`` at which the Chernoff bound leaves at most
-    1e-16 of the mixture's mass past N, rounded up to the least
-    m 2^e with m in {4, ..., 8} (at most 25% above ``need``).  The
-    incomplete gamma is evaluated only on a window of k (``_weighted_chi2``):
-    outside it, the terms whose incomplete gamma is within 1e-18 of 1 are
-    summed as their a_k, and the terms on the other side, whose incomplete
-    gamma is at most 1e-17 of the result, are dropped.  The absolute error
-    is below 5e-15: at most 3e-16 from the truncation, aliasing and cutoff
-    of the a_k, at most 1e-18 from the window's side of 1 and 1e-17 of the
-    result from its side of 0; the rest is rounding, chiefly scipy's
-    incomplete gamma.  A spread max w / min w that needs more than 2^19
-    terms (about 1e4 at n = 1000) raises OutOfRegime; non-finite input
-    raises InvalidInput.
-    """
-    return _weighted_chi2(weights, x, upper=False)
-
-
-def np_test_exact_probs(test: NpTest):
-    """Exact (alpha, beta) of an ellipsoid test via the weighted chi-square oracle.
-
-    alpha is the oracle's upper tail, so a tiny alpha is not rounded to 0.
-    """
-    thr = test.threshold
-    alpha = _weighted_chi2(test.sigma.r_squared, thr, upper=True)
-    beta = weighted_chi2_cdf(test.sigma.squared, thr)
-    return alpha, beta
 
 
 @dataclass(frozen=True)

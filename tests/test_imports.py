@@ -1,4 +1,4 @@
-"""scipy stays off the import path: only the exact oracle loads it.
+"""scipy stays off the run time: neither the CLI nor the exact oracle loads it.
 
 Each check runs in a fresh interpreter, because the test process itself has
 scipy loaded by other test modules.
@@ -12,6 +12,21 @@ import sys
 import gausdet
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(gausdet.__file__)))
+
+
+def run_fresh(script, *args):
+    """The JSON that ``script`` prints in a fresh interpreter importing from SRC."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
 
 # One small config per subcommand; simulate once per decision rule.
 CALLS = [
@@ -59,26 +74,46 @@ print(json.dumps({"after_import": after_import, "codes": codes,
 """
 
 
-def test_cli_never_loads_scipy_and_the_oracle_does():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [SRC] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(CALLS)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+def test_neither_the_cli_nor_the_oracle_loads_scipy():
+    out = run_fresh(SCRIPT, json.dumps(CALLS))
     assert out["codes"] == [0] * len(CALLS)
     assert out["after_import"] == []
     assert out["after_cli"] == []
-    assert "scipy.special" in out["after_oracle"]
-    # The oracle needs no quadrature, even at a weight spread of 1e4.
-    assert "scipy.integrate" not in out["after_oracle"]
+    assert out["after_oracle"] == []
     # Chi-square mixture value on unequal weights; mpmath gives
     # 0.42361406731897220667.
-    assert out["value"] == 0.423614067318972
+    assert out["value"] == 0.4236140673189722
+
+
+BLOCKED_SCRIPT = """
+import importlib.abc, json, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+from click.testing import CliRunner
+import numpy as np
+import gausdet, gausdet.cli
+
+codes = []
+for sub, cfg in json.loads(sys.argv[1]):
+    result = CliRunner().invoke(gausdet.cli.main, [sub], input=json.dumps(cfg))
+    codes.append(result.exit_code)
+cdf = gausdet.weighted_chi2_cdf([10.0 ** (4 * k / 9) for k in range(10)], 4000.0)
+sigma = gausdet.IntensityVector(np.linspace(0.5, 1.5, 20))
+alpha, beta = gausdet.np_test_exact_probs(gausdet.NpTest(sigma, 0.0))
+print(json.dumps({"codes": codes, "probs": [cdf, alpha, beta]}))
+"""
+
+
+def test_everything_runs_with_scipy_blocked():
+    out = run_fresh(BLOCKED_SCRIPT, json.dumps(CALLS))
+    assert out["codes"] == [0] * len(CALLS)
+    assert all(0.0 < p < 1.0 for p in out["probs"])
 
 
 POOL_SCRIPT = """
@@ -106,16 +141,7 @@ print(json.dumps({"after_import": after_import, "code": code,
 
 
 def test_single_shard_calls_never_load_the_thread_pool():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [SRC] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", POOL_SCRIPT],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    out = run_fresh(POOL_SCRIPT)
     assert out["code"] == 0
     assert out["after_import"] is False
     assert out["after_single_shard"] is False
