@@ -224,10 +224,8 @@ def mismatch_profile(sigma: IntensityVector, lam: IntensityVector) -> np.ndarray
     """Transformed variances nu_i^2 = sigma_i^2 (1+lambda_i^2)/(1+sigma_i^2)
     of the designed-for-sigma test under true lambda."""
     check_same_length(sigma, lam)
-    nu2 = sigma.r_squared
-    l2 = lam.squared
-    l2 += 1.0
-    nu2 *= l2
+    nu2 = lam.squared + 1.0
+    nu2 *= sigma.r_squared
     return nu2
 
 

@@ -21,9 +21,12 @@ not a number, a float such as 1000.0 is not an integer, and an array's
 entries are numbers.  A point set is checked only by ``FinitePoints``
 (nonempty, one dimension), which ``DiscretePrior`` uses.
 
-D(sigma) = sum ln(1+sigma_i^2) is computed only by ``IntensityVector.D``.  The
-rules share one core, ``_QuadraticFormTest``, which builds the weights W (k, n)
-and D_k of its points once and owns ``accepts``; the points of a mixture
+D(sigma) = sum ln(1+sigma_i^2) is computed only by ``IntensityVector.D``.  An
+intensity vector derives sigma_i^2, sigma_i^2/(1+sigma_i^2) and D once, on
+first use, and keeps them for its life; the two arrays are read-only, so
+every caller shares them and none may write into them.  The rules share
+one core, ``_QuadraticFormTest``, which builds the weights W (k, n) and D_k
+of its points once and owns ``accepts``; the points of a mixture
 test are the support of its prior, its points of positive weight.  Each rule
 folds its levels into one constant per point at build and supplies only how
 it compares the forms y^2 . w_k with them: one threshold, a sum of
@@ -42,6 +45,7 @@ import operator
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -130,8 +134,10 @@ def _as_intensities(values: ArrayLike, name: str) -> np.ndarray:
 class IntensityVector:
     """Nonnegative per-component signal standard deviations sigma_i.
 
-    The central parameter of every formula in the package.  Immutable;
-    derived quantities are exposed as properties.
+    The central parameter of every formula in the package.  Immutable, so
+    ``squared``, ``r_squared`` and ``D`` are computed once, on first use,
+    and kept: n floats each for the two arrays, which are read-only
+    (writing into them raises ValueError).
     """
 
     values: np.ndarray
@@ -145,23 +151,29 @@ class IntensityVector:
     def n(self) -> int:
         return self.values.size
 
-    @property
+    @cached_property
     def squared(self) -> np.ndarray:
-        """Componentwise variances sigma_i^2."""
-        return self.values**2
+        """Componentwise variances sigma_i^2 (read-only)."""
+        s2 = self.values**2
+        s2.setflags(write=False)
+        return s2
 
-    @property
+    @cached_property
     def r_squared(self) -> np.ndarray:
-        """Componentwise sigma_i^2 / (1 + sigma_i^2), the null-side weights."""
+        """Componentwise sigma_i^2 / (1 + sigma_i^2), the null-side weights.
+
+        Read-only, like ``squared``.
+        """
         s2 = self.squared
         r2 = s2 + 1.0
-        return np.divide(s2, r2, out=r2)
+        np.divide(s2, r2, out=r2)
+        r2.setflags(write=False)
+        return r2
 
-    @property
+    @cached_property
     def D(self) -> float:
         """D = sum ln(1+sigma_i^2), the normalizer of the likelihood ratio."""
-        s2 = self.squared
-        return float(np.sum(np.log1p(s2, out=s2)))
+        return float(np.sum(np.log1p(self.squared)))
 
     @property
     def delta(self) -> Optional[float]:
@@ -249,13 +261,11 @@ class SignalStatistics:
 
 def signal_statistics(sigma: IntensityVector) -> SignalStatistics:
     """Compute D, T, B, delta, and the operating window for ``sigma``."""
-    s2 = sigma.squared
     D = sigma.D
-    r2 = s2 + 1.0
-    np.divide(s2, r2, out=r2)
+    r2 = sigma.r_squared
     T = float(np.sum(r2))
-    B = float(2.0 * np.sum(np.square(r2, out=r2)))
-    window = (T - D, float(np.sum(s2)) - D)
+    B = float(2.0 * np.sum(np.square(r2)))
+    window = (T - D, float(np.sum(sigma.squared)) - D)
     return SignalStatistics(D=D, T=T, B=B, delta=sigma.delta, window=window)
 
 

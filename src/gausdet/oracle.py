@@ -37,6 +37,9 @@ _DEKKER = 134217729.0  # 2^27 + 1 splits a double into two 26-bit halves
 _LN2_HI = 726817 / 2**20  # ln 2 to 20 bits: its products with x k up to 2^33 are exact
 _LN2_LO = 4.7493250390316726e-07  # ln 2 - _LN2_HI
 _SQRT2 = math.sqrt(2.0)
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+# Divisors for which x/d - fl(x/d) is exact wherever erfc(sqrt(x/d)) needs it.
+_EXACT_LO, _EXACT_HI = 2.0**-800, 2.0**800
 _ANCHOR = 16  # Poisson terms per anchor made by the saddle-point form
 
 # stirlerr(s) = ln Gamma(s + 1) - (s + 1/2) ln s + s - ln(2 pi)/2 for
@@ -146,6 +149,23 @@ def _two_product(a, b):
     a_hi, a_lo = _split(a)
     b_hi, b_lo = _split(b)
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _erfc_sqrt(y: float, y_lo: float = 0.0) -> float:
+    """erfc(sqrt(y + y_lo)) = Q(1/2, y + y_lo) for y >= 0 and |y_lo| <= ulp(y).
+
+    erfc(sqrt y) taken from r = fl(sqrt y) moves by about 2y times the
+    rounding of r, so the rest, sqrt(y + y_lo) - r = (y - r^2 + y_lo)/(2r)
+    to first order, is added back along the slope -(2/sqrt pi) e^(-r^2),
+    with y - r^2 exact by ``_two_product``.  At or past y = 746 the value
+    underflows to 0.
+    """
+    r = math.sqrt(y)
+    if not 0.0 < y < 746.0:
+        return math.erfc(r)
+    p, e = _two_product(r, r)
+    return math.erfc(r) - _TWO_OVER_SQRT_PI * math.exp(-p) * (
+        ((y - p) - e) + y_lo) / (2.0 * r)
 
 
 def _stirlerr(s: np.ndarray) -> np.ndarray:
@@ -266,11 +286,12 @@ def _ladder_sums(h: float, y: float, a: np.ndarray):
     of P and Q, up to the median's offset.  The lattice of shapes
     t = t_0 + j, j = 0, 1, ..., with t_0 = 1 or 1/2 as h is an integer or
     not, carries the Poisson terms tau_t: Q(h + k, y) is Q(t_0, y), which
-    is e^-y or erfc(sqrt y), plus the terms below h + k, and P(h + k, y)
-    the sum of those at and above it.  ln tau_t is concave in t with its
-    top near t = y - 1/2, and only the terms above ``_LN_UNDERFLOW`` are
-    made: two bisections with a ``math.lgamma`` form of ln tau_t find them
-    inside the shapes the sums need, so y = 1e12 or y = 0 makes none.
+    is e^-y or erfc(sqrt y) (``_erfc_sqrt``), plus the terms below h + k,
+    and P(h + k, y) the sum of those at and above it.  ln tau_t is concave
+    in t with its top near t = y - 1/2, and only the terms above
+    ``_LN_UNDERFLOW`` are made: two bisections with a ``math.lgamma`` form
+    of ln tau_t find them inside the shapes the sums need, so y = 1e12 or
+    y = 0 makes none.
     Each side's terms are summed smallest first, compensated, and each
     incomplete gamma is one of those sums, never a sum over the a_k.
     """
@@ -304,7 +325,7 @@ def _ladder_sums(h: float, y: float, a: np.ndarray):
     tau = _poisson_terms(t, y) if t.size else t
 
     cut = min(max(first + split - lo, 0), tau.size)  # Q's terms, then P's
-    bottom = math.exp(-y) if base == 1.0 else math.erfc(math.sqrt(y))
+    bottom = math.exp(-y) if base == 1.0 else _erfc_sqrt(y)
     below = _prefix_sums(np.concatenate(([bottom], tau[:cut])))
     above = np.append(_prefix_sums(tau[cut:][::-1])[::-1], 0.0)
     q = _clamped_dot(a[:split], below, first - lo)
@@ -332,8 +353,13 @@ def _weighted_chi2(weights, x: float, upper: bool) -> float:
     if w.size == 0:
         return 0.0 if upper else 1.0  # the sum is identically 0 <= x
     if w.size == 1:  # a = [1]: Q(1/2, y) = erfc(sqrt y), P(1/2, y) = erf(sqrt y)
-        root = math.sqrt(x / (2.0 * float(w[0])))
-        return math.erfc(root) if upper else math.erf(root)
+        w2 = 2.0 * float(w[0])
+        y = x / w2
+        if not upper:
+            return math.erf(math.sqrt(y))
+        # y_lo = x/w2 - y, the rounding of the division
+        p, e = _two_product(y, w2)
+        return _erfc_sqrt(y, ((x - p) - e) / w2 if _EXACT_LO < w2 < _EXACT_HI else 0.0)
     beta, a = _mixture_coefficients(w)
     y = x / (2.0 * beta)
     if y == math.inf:
@@ -356,11 +382,13 @@ def weighted_chi2_cdf(weights, x: float) -> float:
     one inverse FFT of their generating function (``_mixture_coefficients``).
     Equal weights give a = [1], the incomplete gamma itself.  A single
     weight is its shape-1/2 case, erf(sqrt(x / 2w)), taken from ``math.erf``
-    and ``math.erfc``: within 7e-17 of mpmath near x = 2w.  The term count N
-    is the least count ``need`` at which the Chernoff bound leaves at most
-    1e-16 of the mixture's mass past N, rounded up to the least
-    m 2^e with m in {4, ..., 8} (at most 25% above ``need``).  The
-    incomplete gammas are sums of Poisson terms (``_ladder_sums``),
+    and, for the upper tail, ``math.erfc`` with the roundings of x / 2w and
+    of the square root added back (``_erfc_sqrt``): within 2e-16 relative
+    of mpmath at w = 1/2 for x from 2 to 700, where the tail is 2e-306.
+    The term count N is the least count ``need`` at which the Chernoff
+    bound leaves at most 1e-16 of the mixture's mass past N, rounded up to
+    the least m 2^e with m in {4, ..., 8} (at most 25% above ``need``).
+    The incomplete gammas are sums of Poisson terms (``_ladder_sums``),
     and every term that does not underflow is made.  The absolute error is
     below 5e-15: at most 3e-16 from the truncation, aliasing and cutoff of
     the a_k, and the rest is rounding: each Poisson term is within about

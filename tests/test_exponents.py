@@ -590,8 +590,9 @@ class TestChernoffEvaluations:
 class TestPeakMemory:
     """Peak traced memory at n = 1e5, in n-length float64 arrays.
 
-    D and r_squared make one temporary each beyond their result; each solve
-    holds its weights and one buffer of the same length at a time.
+    D and r_squared are kept by the vector after their first use
+    (``test_model.TestDerivedOnce``), so reading them again makes nothing;
+    each solve holds its weights and one buffer of the same length at a time.
     """
 
     _, SIGMA, LAM, A = list(_pinned_interior_inputs())[-1]

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,10 +25,16 @@ from gausdet import (
     SumFloor,
     bayes_decide,
     bayes_log_ratio,
+    exponents,
     glrt_decide,
     log_likelihood_ratio,
+    mismatch_profile,
     np_decide,
+    oracle,
+    reduction,
     signal_statistics,
+    simulate,
+    tails,
 )
 from gausdet.errors import DimensionMismatch, InvalidInput
 
@@ -112,6 +119,143 @@ class TestIntensityVector:
         assert a == b and hash(a) == hash(b)
         assert a != c
         assert a != [1.0, 2.0]
+
+
+def _sigma_kinds():
+    rng = np.random.default_rng(11)
+    top = math.sqrt(sys.float_info.max)
+    zeros = rng.uniform(0.1, 3.0, 200)
+    zeros[rng.random(200) < 0.3] = 0.0
+    return {
+        "random": rng.uniform(0.3, 1.5, 1000),
+        "zeros": zeros,
+        # At the sum-of-squares overflow guard: each square, or their sum,
+        # is near the largest float.
+        "largest": np.array([top, 1.0]),
+        "sum_near_max": np.array([9.4e153, 9.4e153, 1.0]),
+    }
+
+
+class TestDerivedOnce:
+    """squared, r_squared and D are computed once per vector and read-only."""
+
+    def test_same_objects_and_read_only(self):
+        sigma = IntensityVector(np.array([0.5, 1.0, 2.0]))
+        assert sigma.squared is sigma.squared
+        assert sigma.r_squared is sigma.r_squared
+        for arr in (sigma.squared, sigma.r_squared):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 3.0
+            with pytest.raises(ValueError):
+                arr += 1.0
+        assert sigma.squared.tolist() == [0.25, 1.0, 4.0]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", sorted(_sigma_kinds()))
+    def test_bit_equal_to_the_formulas(self, kind):
+        values = _sigma_kinds()[kind]
+        sigma = IntensityVector(values)
+        s2 = values**2
+        assert np.array_equal(sigma.squared, s2)
+        assert np.array_equal(sigma.r_squared, s2 / (s2 + 1.0))
+        assert sigma.D == float(np.sum(np.log1p(s2)))
+        assert type(sigma.D) is float
+
+    def test_signal_statistics_reads_the_cached_weights(self):
+        # Short vectors, so that a last-bit change of one weight shows in T.
+        rng = np.random.default_rng(4)
+        for values in rng.uniform(0.3, 1.5, (300, 2)):
+            sigma = IntensityVector(values)
+            stats = signal_statistics(sigma)
+            s2 = values**2
+            r2 = s2 / (s2 + 1.0)
+            assert stats.T == float(np.sum(r2))
+            assert stats.B == float(2.0 * np.sum(r2 * r2))
+            assert stats.window == (stats.T - stats.D, float(np.sum(s2)) - stats.D)
+            assert stats.T == float(np.sum(sigma.r_squared))
+
+    def test_entry_points_leave_the_cached_arrays_as_they_were(self):
+        rng = np.random.default_rng(5)
+        sigma = IntensityVector(rng.uniform(0.5, 1.5, 8))
+        lam = IntensityVector(sigma.values * rng.uniform(0.95, 1.05, 8))
+        vectors = (sigma, lam)
+        pristine = [(v.squared.copy(), v.r_squared.copy(), v.D) for v in vectors]
+        stats = signal_statistics(sigma)
+        A = 0.5 * (stats.window[0] + stats.window[1])
+        y = rng.standard_normal(8)
+        prior = DiscretePrior((sigma, lam), [0.4, 0.6])
+        test = NpTest(sigma, A)
+        calls = [
+            lambda: exponents.g_eval(sigma, A, 0.5),
+            lambda: exponents.solve_u0(sigma, A),
+            lambda: exponents.beta_upper_bound(sigma, A),
+            lambda: mismatch_profile(sigma, lam),
+            lambda: exponents.beta_mismatch_upper(sigma, lam, A),
+            lambda: exponents.alpha_upper_bound(sigma, A),
+            lambda: exponents.beta_lower_bound(sigma, A),
+            lambda: exponents.bound_transfer(sigma, lam, A),
+            *(lambda mode=mode: exponents.sufficient_condition_check(sigma, lam, A, mode)
+              for mode in (exponents.MODE_EXACT_U0, exponents.MODE_U0_EQUALS_1,
+                           exponents.MODE_ASYMP1A)),
+            lambda: signal_statistics(lam),
+            lambda: log_likelihood_ratio(y, sigma),
+            lambda: np_decide(test, y),
+            lambda: bayes_log_ratio(y, prior),
+            lambda: bayes_decide(y, prior, 0.0),
+            lambda: glrt_decide(FinitePoints(vectors), [A, A], y),
+            lambda: oracle.weighted_chi2_cdf(sigma.squared, test.threshold),
+            lambda: oracle.np_test_exact_probs(test),
+            lambda: simulate.estimate_error_probs(test, None, 2000, 1),
+            lambda: simulate.estimate_error_probs(test, lam, 2000, 1),
+            lambda: simulate.estimate_error_probs(BayesTest(prior, 0.0), lam, 2000, 1),
+            lambda: simulate.estimate_error_probs(GlrtTest(FinitePoints(vectors), A),
+                                                  lam, 2000, 1),
+            lambda: simulate.example3_experiment(8, 1.0, 2000, 1, probe_lambda=lam),
+            lambda: tails.berry_esseen_alpha(sigma, stats.T - stats.D + 1.0),
+            lambda: tails.prop4_threshold(IntensityVector(np.full(400, 2.0))),
+            lambda: reduction.dominance_check(sigma, lam),
+            lambda: reduction.reduce_to_minimal(FinitePoints(vectors)),
+            lambda: reduction.lemma2_certificate(sigma, lam, [list(range(8))]),
+        ]
+        for i, call in enumerate(calls):
+            call()
+            for v, (s2, r2, D) in zip(vectors, pristine):
+                assert np.array_equal(v.squared, s2), i
+                assert np.array_equal(v.r_squared, r2), i
+                assert v.D == D, i
+
+    def test_mismatch_profile_returns_a_fresh_writable_array(self):
+        rng = np.random.default_rng(3)
+        sigma = IntensityVector(rng.uniform(0.3, 1.5, 100))
+        lam = IntensityVector(rng.uniform(0.3, 1.5, 100))
+        nu2 = mismatch_profile(sigma, lam)
+        assert nu2.flags.writeable
+        for cached in (sigma.squared, sigma.r_squared, lam.squared, lam.r_squared):
+            assert not np.shares_memory(nu2, cached)
+        # (lambda^2 + 1) r^2 and r^2 (lambda^2 + 1): one product, either order.
+        assert np.array_equal(nu2, sigma.r_squared * (lam.squared + 1.0))
+        first = nu2.copy()
+        nu2 += 1.0  # the caller's to write: the next call is not moved
+        assert np.array_equal(mismatch_profile(sigma, lam), first)
+
+    def test_first_use_makes_one_temporary_beyond_the_arrays_kept(self):
+        n = 100_000
+        values = np.random.default_rng(2).uniform(0.3, 1.5, n)
+
+        def peak_arrays(call):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                call()
+                return (tracemalloc.get_traced_memory()[1] - base) / (8 * n)
+            finally:
+                tracemalloc.stop()
+
+        sigma = IntensityVector(values)
+        assert peak_arrays(lambda: sigma.D) <= 2.25  # squared, kept, and log1p's
+        assert peak_arrays(lambda: sigma.r_squared) <= 1.25  # kept
+        assert peak_arrays(lambda: (sigma.D, sigma.squared, sigma.r_squared)) < 0.01
 
 
 class TestSignalStatistics:

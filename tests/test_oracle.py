@@ -95,3 +95,46 @@ def test_tails_are_python_floats():
     for w, x in (([1.0, 2.0, 3.0], 2.0), ([1.5] * 4, 6.0), ([1.0, 4.0], 0.5)):
         assert type(oracle.weighted_chi2_cdf(w, x)) is float
         assert type(oracle._weighted_chi2(w, x, upper=True)) is float
+
+
+ERFC_XS = (2.0, 10.0, 50.0, 150.0, 300.0, 500.0, 700.0)
+
+
+@pytest.mark.parametrize("x", ERFC_XS)
+def test_single_weight_upper_tail_is_relatively_accurate(x):
+    # w = 1/2 makes x / 2w = x exact; the tail at x = 700 is 2.1e-306.
+    got = oracle._weighted_chi2([0.5], x, upper=True)
+    with mpmath.workdps(40):
+        want = mpmath.erfc(mpmath.sqrt(mpmath.mpf(x)))
+        assert abs(got - want) <= 2e-16 * want
+
+
+@pytest.mark.parametrize("w", [0.3, 1.7, 0.1234567, 3e-5, 1e5])
+def test_single_weight_upper_tail_keeps_the_rounding_of_x_over_2w(w):
+    # A rounded x / 2w would be amplified about x/2w-fold, up to 5e-14 here.
+    for x in ERFC_XS:
+        x *= 2.0 * w
+        got = oracle._weighted_chi2([w], x, upper=True)
+        with mpmath.workdps(40):
+            want = mpmath.erfc(mpmath.sqrt(mpmath.mpf(x) / (2 * mpmath.mpf(w))))
+            assert abs(got - want) <= 4e-16 * want, x
+
+
+@pytest.mark.parametrize("y", ERFC_XS)
+def test_ladder_bottom_at_shape_one_half(y):
+    # y >= 1: Q(1/2, y) is the side made, and with no terms below shape 1/2
+    # it is the ladder's bottom alone.
+    split, q, _ = oracle._ladder_sums(0.5, y, np.ones(1))
+    assert split == 1
+    with mpmath.workdps(40):
+        want = mpmath.erfc(mpmath.sqrt(mpmath.mpf(y)))
+        assert abs(q - want) <= 2e-16 * want
+
+
+@pytest.mark.parametrize("w", [5e-324, 1e-300, 0.5, 1e300, 1.7e308])
+@pytest.mark.parametrize("x", [0.0, 5e-324, 1e-300, 1.0, 1e300, 1.7e308])
+def test_single_weight_at_the_ends_of_the_float_range(w, x):
+    upper = oracle._weighted_chi2([w], x, upper=True)
+    lower = oracle.weighted_chi2_cdf([w], x)
+    assert 0.0 <= upper <= 1.0 and 0.0 <= lower <= 1.0
+    assert upper + lower == pytest.approx(1.0, abs=1e-15)
