@@ -29,6 +29,16 @@ run (both sides of ``lemma1_check``; the false alarm and the misses of
 ``example3_experiment``) share its draws: each is unbiased, and they are
 correlated.
 
+A shard is scored along its long axis.  A (rows, d) array with rows >= 2048 d
+(``_by_columns``) is scaled, and tested for box or example3 membership
+(``_all_columns``), one column at a time, each column's verdicts ``&``-ed
+into one boolean row vector: numpy pays a fixed cost per row when it
+reduces or broadcasts along an axis of a few columns, more than the few
+compares of the row.  Other shapes (many columns, few rows) take the
+row-wise broadcast and ``np.all(..., axis=1)``.  Both paths make the same
+products and compares element by element, so the counts do not depend on
+the path.
+
 The exact oracle for the weighted chi-square probabilities behind alpha and
 beta lives in ``oracle``; ``weighted_chi2_cdf`` and ``np_test_exact_probs``
 are re-exported here.  This module, like the oracle, runs on numpy and the
@@ -60,6 +70,7 @@ from .oracle import np_test_exact_probs, weighted_chi2_cdf  # noqa: F401
 
 MIN_SAMPLES = 1_000
 _SHARD_SCALARS = 2**17  # draws per shard (1 MiB of float64); fixes rows per c
+_COLUMN_ROWS = 2048  # rows per column from which a shard is scored by column
 
 Test = Union[NpTest, BayesTest, GlrtTest]
 
@@ -150,6 +161,44 @@ def _shard_counts(seed: int, samples: int, row_scalars: int, events) -> list[int
             stop.set()
 
 
+def _by_columns(Y: np.ndarray) -> bool:
+    """Whether a (rows, d) array is worked one column at a time.
+
+    A pass over one strided column costs a call plus its rows, while a
+    row-wise broadcast or reduction along d pays a fixed cost per row.  One
+    threshold, rows >= 2048 d, timed at shard shapes
+    (``BENCH_row_kernels.json``): the box and example3 tests win by column
+    from about 64 rows a column, the in-place scaling of ``lemma1_check``
+    only from about 2,000, so at 2048 neither is slower at any shape.
+    """
+    rows, d = Y.shape
+    return 0 < d and rows >= _COLUMN_ROWS * d
+
+
+def _scale_columns(Y: np.ndarray, scale: np.ndarray) -> None:
+    """Y *= scale in place, by column when ``_by_columns`` (same products)."""
+    if _by_columns(Y):
+        for j in range(Y.shape[1]):
+            Y[:, j] *= scale[j]
+    else:
+        Y *= scale
+
+
+def _all_columns(Y: np.ndarray, b: np.ndarray, holds) -> np.ndarray:
+    """Rows r of Y (rows, d) with holds(Y[r, j], b[j]) true for every j.
+
+    ``holds`` is elementwise, so ``holds(Y[:, j], b[j])`` tests column j
+    and ``holds(Y, b)`` all of them by broadcasting, element by element
+    the same; ``_by_columns`` picks the one that is used.
+    """
+    if not _by_columns(Y):
+        return np.all(holds(Y, b), axis=1)
+    hit = holds(Y[:, 0], b[0])
+    for j in range(1, Y.shape[1]):
+        hit &= holds(Y[:, j], b[j])
+    return hit
+
+
 def _blocks(W: np.ndarray, variance: np.ndarray):
     """(singles, firsts, sizes): the coordinates grouped by (W[:, i], variance_i).
 
@@ -161,14 +210,24 @@ def _blocks(W: np.ndarray, variance: np.ndarray):
     coordinate.  Coordinates whose column of W is all zero are in no
     block.  One stable lexicographic sort, with W's rows and the variance
     as separate keys, puts each block's coordinates side by side, first
-    one first.  No (k + 1, n) copy of the columns is made: at example3's
-    n = 1e4 such a copy is above glibc's mmap threshold, so each call
-    would fault fresh pages in, at more cost than the draws.
+    one first.  Keys constant over the kept coordinates (example3's noise
+    row and unit variance, a flat NP test's row and variance) are left
+    out of the sort and the compares: a stable sort ignores them, so the
+    blocks are the same.  No (k + 1, n) copy of the columns is made: at
+    example3's n = 1e4 such a copy is above glibc's mmap threshold, so each
+    call would fault fresh pages in, at more cost than the draws.
     """
-    kept = np.flatnonzero(W.any(axis=0))
+    nonzero = W.any(axis=0)
+    kept = np.flatnonzero(nonzero)
     cols = slice(None) if kept.size == W.shape[1] else kept
-    keys = [variance[cols], *(W[i, cols] for i in range(W.shape[0] - 1, -1, -1))]
-    order = np.lexsort(keys)  # by W[0], ties by W[1], ..., then variance
+    first_kept = W[:, np.argmax(nonzero), None]  # column 0 if none is kept
+    varies = ((W != first_kept) & nonzero).any(axis=1)
+    keys = [W[i, cols] for i in range(W.shape[0] - 1, -1, -1) if varies[i]]
+    variance = variance[cols]
+    if np.any(variance != variance[:1]):
+        keys.insert(0, variance)
+    # By W[0], ties by W[1], ..., then variance.
+    order = np.lexsort(keys) if keys else np.arange(kept.size)
     new = np.zeros(order.size, dtype=bool)
     new[:1] = True
     for key in keys:
@@ -263,7 +322,16 @@ class Box:
         return self.half_widths.size
 
     def contains(self, Y: np.ndarray) -> np.ndarray:
-        return np.all(np.abs(Y) <= self.half_widths, axis=1)
+        """Rows of Y (rows, dim) inside the box.
+
+        A long shard of few columns is tested one column at a time, each
+        column's |y| <= half width ``&``-ed into one row vector; other
+        shapes take ``np.all(np.abs(Y) <= half_widths, axis=1)``, which has
+        a fixed cost per row (``_all_columns``).  The compares are the
+        same either way.
+        """
+        return _all_columns(np.asarray(Y), self.half_widths,
+                            lambda y, hw: np.abs(y) <= hw)
 
 
 @dataclass(frozen=True)
@@ -326,9 +394,9 @@ def lemma1_check(
 
     def events(rng, rows):
         xi = rng.standard_normal((rows, region.dim))
-        xi *= xi_sd
+        _scale_columns(xi, xi_sd)
         eta = rng.standard_normal((rows, region.dim))
-        eta *= eta_sd
+        _scale_columns(eta, eta_sd)
         eta += xi  # xi + eta, in place
         return region.contains(eta), region.contains(xi)
 
@@ -398,7 +466,12 @@ def example3_experiment(
     exact): each estimate is unbiased, and they are correlated.  A shard
     holds 2^17 // c rows, c the drawn columns.  With an all-distinct probe
     every coordinate is a block of one, and the run draws one normal per
-    coordinate.
+    coordinate.  A law tests its s normals' scale_i y_i^2 <= threshold one
+    column at a time, ``&``-ed into one row vector, while a shard has at
+    least 2048 rows a column (a probe with a few distinct hot values), and
+    with ``np.all(..., axis=1)`` otherwise (``_all_columns``): that
+    reduction costs about 30 ns a row whatever s, more than the compares
+    when s is small.
     """
     n = _as_integer(n, "n")
     samples, seed = _as_integer(samples, "samples"), _as_integer(seed, "seed")
@@ -436,7 +509,8 @@ def example3_experiment(
         Y2 = np.square(rng.standard_normal((rows, singles.size)))
         U = rng.random((firsts.size, rows))  # row j: block j's uniforms
         accepts = [
-            np.all(Y2 * scale <= threshold, axis=1) & np.all(U < p, axis=0)
+            _all_columns(Y2, scale, lambda y, s: y * s <= threshold)
+            & np.all(U < p, axis=0)
             for scale, p in zip(single_scales, block_p)
         ]
         return (~accepts[0], *accepts[1:])

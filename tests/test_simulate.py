@@ -365,6 +365,72 @@ class TestBlocks:
         assert [b.tolist() for b in reversed_rows] == [b.tolist() for b in got]
 
 
+def _blocks_on_every_key(W, variance):
+    """_blocks as it was before constant keys were dropped: every row of W
+    and the variance go into the sort and the compares."""
+    kept = np.flatnonzero(W.any(axis=0))
+    cols = slice(None) if kept.size == W.shape[1] else kept
+    keys = [variance[cols], *(W[i, cols] for i in range(W.shape[0] - 1, -1, -1))]
+    order = np.lexsort(keys)
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    starts = np.flatnonzero(new)
+    sizes = np.diff(np.r_[starts, order.size])
+    first = order[starts]
+    by_first = np.argsort(first)
+    first, sizes = kept[first[by_first]], sizes[by_first]
+    return first[sizes == 1], first[sizes > 1], sizes[sizes > 1]
+
+
+@st.composite
+def _keys_with_constant_rows(draw):
+    """Random W and variance in which some rows, or all keys, are constant."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = draw(st.sampled_from([[0.0, 1.0], [0.5, 1.0, 2.0], [0.0, 0.5, 1.0, 2.0]]))
+    W = rng.choice(values, (k, n))
+    for i in range(k):
+        if draw(st.booleans()):
+            W[i] = draw(st.sampled_from([0.0, 1.0, 3.0]))  # a constant row
+    W[:, rng.random(n) < draw(st.floats(0.0, 1.0))] = 0.0  # all-zero columns
+    variance = (np.full(n, draw(st.sampled_from([1.0, 2.5]))) if draw(st.booleans())
+                else rng.choice([1.0, 2.0], n))
+    return W, variance
+
+
+class TestBlocksWithoutConstantKeys:
+    """Dropping the keys that are constant over the kept columns leaves the
+    blocks exactly as the sort on every key made them."""
+
+    @given(_keys_with_constant_rows())
+    @example((np.ones((3, 1)), np.ones(1)))  # n = 1
+    @example((np.zeros((2, 1)), np.ones(1)))  # n = 1, all zero
+    @example((np.full((2, 6), 2.0), np.full(6, 3.0)))  # every key constant
+    @example((np.array([[0.0, 1.0, 0.0, 1.0]]), np.array([5.0, 1.0, 7.0, 1.0])))
+    @example((np.array([[1.0, 1.0, 2.0], [0.0, 0.0, 0.0]]), np.ones(3)))
+    @example((np.array([[-0.0, 0.0, 1.0]]), np.ones(3)))  # -0.0 ties with 0.0
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_sort_on_every_key(self, case):
+        W, variance = case
+        got = simulate._blocks(W, variance)
+        want = _blocks_on_every_key(W, variance)
+        assert [b.tolist() for b in got] == [b.tolist() for b in want]
+        assert [b.dtype for b in got] == [b.dtype for b in want]
+
+    def test_example3_scales_at_n_1e4(self):
+        n = 10_000
+        scales = np.ones((3, n))
+        scales[1, 0] += n
+        scales[2, [17, 4242]] += [3.0, 7.0]
+        got = simulate._blocks(scales, np.ones(n))
+        want = _blocks_on_every_key(scales, np.ones(n))
+        assert [b.tolist() for b in got] == [b.tolist() for b in want]
+        assert got[0].tolist() == [0, 17, 4242] and got[2].tolist() == [n - 3]
+
+
 _FLAT2 = IntensityVector([1.0, 1.0])
 _PRIOR2 = DiscretePrior((_FLAT2, IntensityVector([2.0, 2.0])), np.array([0.5, 0.5]))
 _ONE_HOT2 = FinitePoints((IntensityVector([1.0, 0.0]), IntensityVector([0.0, 1.0])))
@@ -730,6 +796,163 @@ class TestRegions:
             make()
 
 
+_KERNEL_DIMS = (1, 2, 3, 5, 16, 50, 256)
+
+
+def _paths(forced):
+    """Patch the rule so that every shape takes one path, or leave it."""
+    rows = {"columns": 0, "rows": 2**62, "rule": simulate._COLUMN_ROWS}[forced]
+    return mock.patch.object(simulate, "_COLUMN_ROWS", rows)
+
+
+def _on_boundary(threshold, scale):
+    """Some y with fl(fl(y * y) * scale) == threshold, or None."""
+    y = math.sqrt(threshold / scale)
+    for step in range(16):
+        for cand in (y, -y):
+            if np.square(cand) * scale == threshold:
+                return cand
+        y = math.nextafter(y, math.inf if np.square(y) * scale < threshold else 0.0)
+    return None
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A (rows, d) array, half widths and scales; some entries lie exactly
+    on a box face, some are -0.0 or 0.0."""
+    d = draw(st.sampled_from(_KERNEL_DIMS))
+    rows = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hw = rng.uniform(0.25, 2.0, d)
+    Y = rng.standard_normal((rows, d)) * draw(st.sampled_from([0.5, 1.0, 3.0]))
+    face = rng.random((rows, d)) < draw(st.floats(0.0, 0.5))
+    Y[face] = (np.sign(rng.standard_normal((rows, d))) * hw)[face]
+    Y[rng.random((rows, d)) < draw(st.floats(0.0, 0.2))] = -0.0
+    Y[rng.random((rows, d)) < 0.05] = 0.0
+    return Y, hw, rng.uniform(1.0, 50.0, d), draw(st.sampled_from(["columns", "rows",
+                                                                   "rule"]))
+
+
+class _Served:
+    """A stand-in shard stream that serves given normals and uniforms."""
+
+    def __init__(self, normals, uniforms):
+        self.normals, self.uniforms = normals, uniforms
+
+    def standard_normal(self, size):
+        assert size == self.normals.shape
+        return self.normals.copy()
+
+    def random(self, size):
+        assert size == self.uniforms.shape
+        return self.uniforms.copy()
+
+
+def _example3_events(d):
+    """example3's ``events(rng, rows)`` and report for a probe whose d - 1
+    distinct hot values make coordinates 0 .. d - 1 the blocks of one,
+    with one block of three zero coordinates after them."""
+    n = d + 3
+    probe = IntensityVector(np.r_[0.0, np.linspace(0.5, 4.0, d - 1), np.zeros(3)])
+    captured = []
+
+    def counts(seed, samples, row_scalars, events):
+        captured.append(events)
+        return [0, 0, 0]
+
+    with mock.patch.object(simulate, "_shard_counts", counts):
+        rep = example3_experiment(n, 1.0, 1_000, 1, probe)
+    scales = np.ones((3, n))
+    scales[1, 0] += n
+    scales[2] += probe.squared
+    assert simulate._blocks(scales, np.ones(n))[0].tolist() == list(range(d))
+    return captured[0], rep.threshold, scales[:, :d]
+
+
+class TestRowKernels:
+    """Box and example3 membership, and lemma1's scaling, give the same
+    verdicts and products as the row-wise ``np.all(..., axis=1)`` and
+    broadcast, row for row, on the column path and on the row path."""
+
+    @given(_kernel_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_box_and_helper_match_the_row_reduction(self, case):
+        Y, hw, _, forced = case
+        want = np.all(np.abs(Y) <= hw, axis=1)
+        with _paths(forced):
+            got = Box(hw).contains(Y)
+            helper = simulate._all_columns(Y, hw, lambda y, b: np.abs(y) <= b)
+        assert got.dtype == bool and got.shape == (Y.shape[0],)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(helper, want)
+
+    @given(_kernel_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_scaling_matches_the_broadcast(self, case):
+        Y, _, scale, forced = case
+        want = Y * scale
+        got = Y.copy()
+        with _paths(forced):
+            simulate._scale_columns(got, scale)
+        assert got.tobytes() == want.tobytes()  # -0.0 included
+
+    @given(_kernel_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_example3_laws_match_the_row_reduction(self, case):
+        Y, _, _, forced = case
+        rows, d = Y.shape
+        events, threshold, scales = _example3_events(d)
+        for j in range(d):  # put one row of each column on a law's boundary
+            y = _on_boundary(threshold, scales[j % 3, j])
+            if y is not None:
+                Y[j % rows, j] = y
+        want = [np.all(np.square(Y) * s <= threshold, axis=1) for s in scales]
+        with _paths(forced):
+            got = events(_Served(Y, np.zeros((1, rows))), rows)
+        np.testing.assert_array_equal(got[0], ~want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_array_equal(got[2], want[2])
+
+    def test_boundary_entries_are_found(self):
+        # The example3 test above puts entries exactly on a law's boundary.
+        _, threshold, scales = _example3_events(5)
+        found = [_on_boundary(threshold, s) for s in scales[:, 1]]
+        assert any(y is not None for y in found)
+        for y, s in zip(found, scales[:, 1]):
+            if y is not None:
+                assert np.square(y) * s == threshold
+
+    @pytest.mark.parametrize("d", _KERNEL_DIMS + (10_000,))
+    def test_shard_shapes_match_the_row_reduction(self, d):
+        # Each kernel at the rows of a lemma1 shard (2 d draws a row) and of
+        # an example3 shard (d normals a row), on the path the rule picks.
+        rng = np.random.default_rng(d)
+        hw, scale = rng.uniform(0.25, 2.0, d), rng.uniform(1.0, 50.0, d)
+        for rows in {_shard_rows(2 * d), _shard_rows(d)}:
+            Y = rng.standard_normal((rows, d))
+            Y[::7] = hw
+            Y[3::11] = -0.0
+            np.testing.assert_array_equal(
+                Box(hw).contains(Y), np.all(np.abs(Y) <= hw, axis=1))
+            got = Y.copy()
+            simulate._scale_columns(got, scale)
+            assert got.tobytes() == (Y * scale).tobytes()
+
+    def test_rule(self):
+        # By column from 2048 rows a column; an empty row never by column.
+        assert simulate._by_columns(np.empty((2048 * 3, 3)))
+        assert not simulate._by_columns(np.empty((2048 * 3 - 1, 3)))
+        assert not simulate._by_columns(np.empty((5, 0)))
+        empty = simulate._all_columns(np.empty((4, 0)), np.empty(0), np.greater)
+        assert empty.tolist() == [True] * 4
+        # The benchmark's boxes (d = 2, 3, 5) and a two-hot example3 are
+        # scored by column; an all-distinct example3 at n = 256 is not.
+        for d in (2, 3, 5):
+            assert simulate._by_columns(np.empty((_shard_rows(2 * d), d)))
+        assert simulate._by_columns(np.empty((_shard_rows(4), 3)))
+        assert not simulate._by_columns(np.empty((_shard_rows(256), 256)))
+
+
 class TestLemma1Check:
     def test_holds_on_box(self):
         res = lemma1_check(
@@ -1068,6 +1291,33 @@ class TestPinnedStreams:
         assert rep.alpha.p_hat == 0.19394
         assert rep.beta_sigma1.p_hat == 0.13498
         assert rep.beta_lambda.p_hat == 0.04352
+
+    def test_lemma1_five_dim_box_over_three_shards(self):
+        # Each shard scales and tests its 13,107 rows one column at a time;
+        # the values were taken when it did both row by row.
+        assert 2 * _shard_rows(2 * 5) < 30_000 <= 3 * _shard_rows(2 * 5)
+        assert simulate._by_columns(np.empty((_shard_rows(2 * 5), 5)))
+        box = lemma1_check(
+            Box(np.array([1.0, 0.5, 2.0, 1.5, 0.8])), [1.0, 0.5, 1.2, 1.0, 0.7],
+            [0.4, 0.3, 0.9, 0.2, 0.6], 30_000, 17,
+        )
+        assert box.p_sum.p_hat == 0.17086666666666667
+        assert box.p_xi.p_hat == 0.27126666666666666
+
+    def test_example3_two_distinct_hot_values(self):
+        # Coordinate 0 and the two hot coordinates are three normals, the
+        # other 253 one block: four columns, four shards, each law tested
+        # one normal column at a time; the values were taken when each law
+        # was tested row by row.
+        n = 256
+        probe = np.zeros(n)
+        probe[5], probe[234] = 8.0, math.sqrt(n - 64.0)
+        assert 3 * _shard_rows(4) < 100_000 <= 4 * _shard_rows(4)
+        assert simulate._by_columns(np.empty((_shard_rows(4), 3)))
+        rep = example3_experiment(n, 1.0, 100_000, 19, IntensityVector(probe))
+        assert rep.alpha.p_hat == 0.19679
+        assert rep.beta_sigma1.p_hat == 0.13172
+        assert rep.beta_lambda.p_hat == 0.04984
 
     def test_np_miss_over_three_shards(self):
         sigma = IntensityVector(np.linspace(0.2, 1.2, 256))
