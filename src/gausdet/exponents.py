@@ -19,6 +19,15 @@ iteration there and a few otherwise.  The module also provides the matching
 lower-bound sandwich on ln(beta) built from a blockwise chi-square
 construction, and the sufficient conditions under which a nearby intensity
 lambda can replace sigma without changing the exponent.
+
+Every sum runs over the run-length form of its intensity vectors
+(``IntensityVector.runs``): when a value repeats, over the distinct values
+with their counts c, so a flat vector is one term at any n; when none
+does, over the dense arrays in their own order with c = 1.  The mismatched
+weights nu^2 and the replaceability sums take the runs of the pairs
+(sigma_i, lambda_i) when both vectors have runs and one is flat, and are
+dense otherwise.
+D stays the dense sum ``IntensityVector.D``.
 """
 
 from __future__ import annotations
@@ -34,7 +43,11 @@ from .model import (
     IntensityVector,
     _as_integer,
     _as_number,
+    _null_weights,
     check_same_length,
+    null_weights_by_run,
+    squares_by_run,
+    sum_by_run,
 )
 from .solvers import RootResult, solve_bracketed
 from .tails import TailSandwich
@@ -96,13 +109,13 @@ class ConditionCheck:
     violated: bool
 
 
-def _exponent(w: np.ndarray, threshold: float, x: float) -> float:
-    """g(x) for 2g(x) = sum ln(1 + x w_i) - x * threshold, 1 + x w_i > 0.
+def _exponent(w: np.ndarray, threshold: float, x: float, counts=None) -> float:
+    """g(x) for 2g(x) = sum c_i ln(1 + x w_i) - x * threshold, 1 + x w_i > 0.
 
     One temporary: x w is formed and its log1p taken in place.
     """
     t = np.multiply(x, w)
-    return 0.5 * (float(np.sum(np.log1p(t, out=t))) - x * threshold)
+    return 0.5 * (float(sum_by_run(np.log1p(t, out=t), counts)) - x * threshold)
 
 
 def g_eval(sigma: IntensityVector, A: float, u: float):
@@ -113,12 +126,12 @@ def g_eval(sigma: IntensityVector, A: float, u: float):
     A, u = _as_number(A, "A"), _as_number(u, "u")
     if u < 0:
         raise InvalidInput("u must be nonnegative")
-    s2 = sigma.squared
+    s2, counts = squares_by_run(sigma)
     threshold = sigma.D + A
-    g = _exponent(s2, threshold, u)
+    g = _exponent(s2, threshold, u, counts)
     q = np.multiply(u, s2)
     q += 1.0
-    return g, 0.5 * (float(np.sum(np.divide(s2, q, out=q))) - threshold)
+    return g, 0.5 * (float(sum_by_run(np.divide(s2, q, out=q), counts)) - threshold)
 
 
 def chernoff_root(
@@ -135,6 +148,11 @@ def chernoff_root(
     end, at x = end (AT_ONE).  On [0, inf) the bracket ends at
     hi = 2 sum c/threshold: S(x) < sum c/x, so h(hi) < -threshold/2.
     Returns the root, h there and the solver iterations, with the case.
+
+    The exponents pass an intensity vector's runs here: its distinct
+    weights with their counts when a value repeats (``IntensityVector.runs``),
+    so a flat vector is a one-term sum, and its dense weights with counts
+    None when no value repeats.
 
     S is a sum of poles, so 1/S is nearly linear in x, and exactly linear
     when the weights are equal; secular-equation solvers iterate on the
@@ -188,15 +206,17 @@ def chernoff_root(
     return solve_bracketed(h, slope, lo, hi, h_lo, h_hi, start), INTERIOR
 
 
-def _maximize(w: np.ndarray, threshold: float, end: float) -> ExponentSolution:
+def _maximize(
+    w: np.ndarray, threshold: float, end: float, counts=None
+) -> ExponentSolution:
     """Maximize g of ``chernoff_root`` between 0 and end.
 
     g' there is half the root's residual h, the same sum.  For end = -1,
     argmax and residual are reported in t = -x, with f(t) = g(-t) and
     f'(t) = 0.0 - g'(x), which keeps a zero residual +0.0.
     """
-    res, case = chernoff_root(w, threshold, end)
-    g, gp = _exponent(w, threshold, res.root), 0.5 * res.residual
+    res, case = chernoff_root(w, threshold, end, counts)
+    g, gp = _exponent(w, threshold, res.root, counts), 0.5 * res.residual
     if end < 0:
         return ExponentSolution(-res.root, g, 0.0 - gp, res.iterations, case)
     return ExponentSolution(res.root, g, gp, res.iterations, case)
@@ -211,7 +231,8 @@ def solve_u0(sigma: IntensityVector, A: float) -> ExponentSolution:
     above the upper edge (g = 0), u0 = 1 for A at or below the lower edge
     (g = -A/2).  Endpoints are reported via boundary_case, never an error.
     """
-    return _maximize(sigma.squared, sigma.D + _as_number(A, "A"), 1.0)
+    s2, counts = squares_by_run(sigma)
+    return _maximize(s2, sigma.D + _as_number(A, "A"), 1.0, counts)
 
 
 def beta_upper_bound(sigma: IntensityVector, A: float) -> float:
@@ -220,13 +241,41 @@ def beta_upper_bound(sigma: IntensityVector, A: float) -> float:
     return min(1.0, math.exp(-sol.value))
 
 
+def _pair_runs(sigma: IntensityVector, lam: IntensityVector):
+    """(sigma_i^2, sigma_i^2/(1+sigma_i^2), lambda_i^2, counts) by pair.
+
+    Over the runs of the pairs (sigma_i, lambda_i) when both vectors have
+    runs and one of them is flat: its one value pairs with each run of the
+    other, so flat x flat is one run.  Otherwise the dense cached arrays,
+    counts None: finding the runs of two vectors that are not flat takes a
+    pass over n per call, which costs more than the dense solve.
+    """
+    check_same_length(sigma, lam)
+    s, cs = sigma.runs
+    # lambda's run form is made only when sigma has runs
+    l, cl = lam.runs if cs is not None else (None, None)
+    if cl is None or min(s.size, l.size) > 1:
+        return sigma.squared, sigma.r_squared, lam.squared, None
+    if s.size == 1:
+        s, counts = np.full(l.size, s[0]), cl
+    else:
+        l, counts = np.full(s.size, l[0]), cs
+    s2 = s**2
+    return s2, _null_weights(s2), l**2, counts
+
+
+def _nu2(r2: np.ndarray, l2: np.ndarray) -> np.ndarray:
+    """nu^2 = r^2 (1 + lambda^2), in a new array."""
+    nu2 = l2 + 1.0
+    nu2 *= r2
+    return nu2
+
+
 def mismatch_profile(sigma: IntensityVector, lam: IntensityVector) -> np.ndarray:
     """Transformed variances nu_i^2 = sigma_i^2 (1+lambda_i^2)/(1+sigma_i^2)
     of the designed-for-sigma test under true lambda."""
     check_same_length(sigma, lam)
-    nu2 = lam.squared + 1.0
-    nu2 *= sigma.r_squared
-    return nu2
+    return _nu2(sigma.r_squared, lam.squared)
 
 
 def beta_mismatch_upper(
@@ -238,8 +287,8 @@ def beta_mismatch_upper(
     mean sum nu_i^2 already sits at or below the threshold the optimum is
     v0 = 0 and the bound is the trivial 1.  Returns (solution, bound).
     """
-    nu2 = mismatch_profile(sigma, lam)
-    sol = _maximize(nu2, sigma.D + _as_number(A, "A"), math.inf)
+    _, r2, l2, counts = _pair_runs(sigma, lam)
+    sol = _maximize(_nu2(r2, l2), sigma.D + _as_number(A, "A"), math.inf, counts)
     return sol, min(1.0, math.exp(-sol.value))
 
 
@@ -254,7 +303,8 @@ def alpha_upper_bound(sigma: IntensityVector, A: float):
     """
     A = _as_number(A, "A")
     simple = math.exp(-A / 2.0)
-    sol = _maximize(sigma.r_squared, sigma.D + A, -1.0)
+    r2, counts = null_weights_by_run(sigma)
+    sol = _maximize(r2, sigma.D + A, -1.0, counts)
     return sol, min(1.0, math.exp(-sol.value)), simple
 
 
@@ -280,17 +330,15 @@ def sufficient_condition_check(
     A nonpositive log argument (possible when lambda_i << sigma_i) is
     reported via violated=True with lhs = NaN, never an exception.
     """
-    check_same_length(sigma, lam)
+    s2, r2, l2, counts = _pair_runs(sigma, lam)
     A = _as_number(A, "A")
-    s2 = sigma.squared
-    l2 = lam.squared
     threshold = sigma.D + A
 
     def log_sum_at(u: float):
-        args = 1.0 + sigma.r_squared * (u * (l2 - s2) / (1.0 + u * s2))
+        args = 1.0 + r2 * (u * (l2 - s2) / (1.0 + u * s2))
         if np.any(args <= 0):
             return None
-        return float(np.sum(np.log(args)))
+        return float(sum_by_run(np.log(args), counts))
 
     if mode == MODE_EXACT_U0:
         sol = solve_u0(sigma, A)
@@ -306,9 +354,9 @@ def sufficient_condition_check(
     elif mode == MODE_ASYMP1A:
         sol = solve_u0(sigma, A)
         g_ref = sol.value
-        nu2 = mismatch_profile(sigma, lam)
-        lhs = g_ref - max(_exponent(nu2, threshold, sol.argmax),
-                          _exponent(nu2, threshold, 1.0))
+        nu2 = _nu2(r2, l2)
+        lhs = g_ref - max(_exponent(nu2, threshold, sol.argmax, counts),
+                          _exponent(nu2, threshold, 1.0, counts))
     else:
         raise InvalidInput(f"unknown mode {mode!r}")
 
@@ -346,9 +394,9 @@ def beta_lower_bound(
     if delta is None:
         raise InvalidInput("delta undefined: some sigma_i = 0")
     n = sigma.n
-    s2 = sigma.squared
     threshold = sigma.D + _as_number(A, "A")
-    sol = _maximize(s2, threshold, 1.0)  # solve_u0, keeping s2 for the blocks
+    s2, counts = squares_by_run(sigma)
+    sol = _maximize(s2, threshold, 1.0, counts)  # solve_u0
     if sol.boundary_case != INTERIOR:
         raise OutOfRegime(
             f"level A outside the operating window (u0 {sol.boundary_case})"
@@ -362,9 +410,10 @@ def beta_lower_bound(
     if not 1 <= K <= n:
         raise InvalidInput(f"K must be in [1, {n}]")
     sizes = _block_sizes(n, K)
-    s2_desc = np.sort(s2)[::-1]  # np.partition at the K heads is 8x slower
     heads = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    b = s2_desc[heads]  # block-leading (largest) variances
+    if counts is not None:  # the run of each head, counted from the top
+        heads = np.searchsorted(np.cumsum(counts[::-1]), heads, side="right")
+    b = sigma.runs[0][::-1][heads] ** 2  # block-leading (largest) variances
     m = sizes.astype(float)
     # Threshold here is the raw ellipsoid radius D + A, split across blocks.
     res, _ = chernoff_root(b, threshold, math.inf, counts=m)

@@ -21,13 +21,17 @@ not a number, a float such as 1000.0 is not an integer, and an array's
 entries are numbers.  A point set is checked only by ``FinitePoints``
 (nonempty, one dimension), which ``DiscretePrior`` uses.
 
-D(sigma) = sum ln(1+sigma_i^2) is computed only by ``IntensityVector.D``.  An
+D(sigma) = sum ln(1+sigma_i^2) is computed only by ``_log_normalizer``.  An
 intensity vector derives sigma_i^2, sigma_i^2/(1+sigma_i^2) and D once, on
 first use, and keeps them for its life; the two arrays are read-only, so
-every caller shares them and none may write into them.  The rules share
-one core, ``_QuadraticFormTest``, which builds the weights W (k, n) and D_k
-of its points once and owns ``accepts``; the points of a mixture
-test are the support of its prior, its points of positive weight.  Each rule
+every caller shares them and none may write into them.  It also keeps its
+run-length form ``runs``: its distinct values in ascending order with their
+counts, which the exponents and the exact oracle sum over when a value
+repeats (``squares_by_run``, ``null_weights_by_run``, ``sum_by_run``).  The
+rules share one core, ``_QuadraticFormTest``, which builds the weights W
+(k, n) and D_k of its points once, from their values, and owns
+``accepts``; the points of a mixture test are the support of its prior,
+its points of positive weight.  Each rule
 folds its levels into one constant per point at build and supplies only how
 it compares the forms y^2 . w_k with them: one threshold, a sum of
 exponentials below 1, or every form below its bound.  The forms of a batch
@@ -130,14 +134,32 @@ def _as_intensities(values: ArrayLike, name: str) -> np.ndarray:
     return arr
 
 
+def _null_weights(s2: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The weights s2/(1 + s2) of variances s2, in ``out`` or a new array."""
+    r2 = np.add(s2, 1.0, out=out)
+    return np.divide(s2, r2, out=r2)
+
+
+def _log_normalizer(s2: np.ndarray) -> float:
+    """D = sum ln(1 + s2) of variances s2."""
+    return float(np.sum(np.log1p(s2)))
+
+
 @dataclass(frozen=True, eq=False)
 class IntensityVector:
     """Nonnegative per-component signal standard deviations sigma_i.
 
     The central parameter of every formula in the package.  Immutable, so
-    ``squared``, ``r_squared`` and ``D`` are computed once, on first use,
-    and kept: n floats each for the two arrays, which are read-only
-    (writing into them raises ValueError).
+    ``squared``, ``r_squared``, ``D`` and ``runs`` are computed once, on
+    first use, and kept: n floats each for the two arrays, which are
+    read-only (writing into them raises ValueError).
+
+    ``runs`` is the run-length form: the distinct values in ascending
+    order and how often each occurs, from one ``np.unique``.  When a value
+    repeats, every exponent solve and the exact oracle sum count times one
+    term per distinct value, so a flat vector costs one term at any n.
+    When none does, its counts are None and those sums run over the dense
+    arrays in their own order, as they would without the run form.
     """
 
     values: np.ndarray
@@ -164,16 +186,29 @@ class IntensityVector:
 
         Read-only, like ``squared``.
         """
-        s2 = self.squared
-        r2 = s2 + 1.0
-        np.divide(s2, r2, out=r2)
+        r2 = _null_weights(self.squared)
         r2.setflags(write=False)
         return r2
 
     @cached_property
     def D(self) -> float:
         """D = sum ln(1+sigma_i^2), the normalizer of the likelihood ratio."""
-        return float(np.sum(np.log1p(self.squared)))
+        return _log_normalizer(self.squared)
+
+    @cached_property
+    def runs(self) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """(values, counts): the distinct sigma_i ascending, each counts[j] times.
+
+        counts is a float array, None when no value repeats; values then
+        holds all n values sorted.  Both arrays are read-only.
+        """
+        values, counts = np.unique(self.values, return_counts=True)
+        values.setflags(write=False)
+        if values.size == self.n:
+            return values, None
+        counts = counts.astype(float)
+        counts.setflags(write=False)
+        return values, counts
 
     @property
     def delta(self) -> Optional[float]:
@@ -181,13 +216,14 @@ class IntensityVector:
 
         Computed as 2 (ln max sigma_i - ln min sigma_i) when a sigma_i^2 or
         the ratio leaves the normal float range.  Squaring is monotone on
-        sigma >= 0, so min and max are taken before squaring.
+        sigma >= 0, so min and max are the ends of ``runs``, taken before
+        squaring.
         """
-        v = self.values
-        low = float(np.min(v))
+        v = self.runs[0]
+        low = float(v[0])
         if not low > 0.0:
             return None
-        high = float(np.max(v))
+        high = float(v[-1])
         lo = low * low  # Python floats: an overflow gives inf, no warning
         ratio = high * high / lo if lo >= sys.float_info.min else math.inf
         if ratio < math.inf:
@@ -212,6 +248,27 @@ def check_same_length(sigma: IntensityVector, lam: IntensityVector) -> None:
         raise DimensionMismatch(
             f"sigma has length {sigma.n}, lambda has length {lam.n}"
         )
+
+
+def squares_by_run(sigma: IntensityVector):
+    """(sigma_i^2, counts) over the runs of sigma: one square per distinct
+    value with its count, or ``squared`` in its own order with counts None
+    when no value repeats."""
+    values, counts = sigma.runs
+    return (sigma.squared, None) if counts is None else (values**2, counts)
+
+
+def null_weights_by_run(sigma: IntensityVector):
+    """(sigma_i^2/(1+sigma_i^2), counts), by run like ``squares_by_run``."""
+    values, counts = sigma.runs
+    if counts is None:
+        return sigma.r_squared, None
+    return _null_weights(values**2), counts
+
+
+def sum_by_run(a: np.ndarray, counts: Optional[np.ndarray]):
+    """sum_i c_i a[i] along the first axis, with c = 1 when counts is None."""
+    return a.sum(axis=0) if counts is None else counts @ a
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,14 +316,19 @@ class SignalStatistics:
     window: tuple[float, float]
 
 
+def _window(sigma: IntensityVector) -> tuple[float, float]:
+    """The operating window (T - D, sum sigma_i^2 - D) of ``sigma``."""
+    D = sigma.D
+    return float(np.sum(sigma.r_squared)) - D, float(np.sum(sigma.squared)) - D
+
+
 def signal_statistics(sigma: IntensityVector) -> SignalStatistics:
     """Compute D, T, B, delta, and the operating window for ``sigma``."""
-    D = sigma.D
     r2 = sigma.r_squared
     T = float(np.sum(r2))
     B = float(2.0 * np.sum(np.square(r2)))
-    window = (T - D, float(np.sum(sigma.squared)) - D)
-    return SignalStatistics(D=D, T=T, B=B, delta=sigma.delta, window=window)
+    return SignalStatistics(D=sigma.D, T=T, B=B, delta=sigma.delta,
+                            window=_window(sigma))
 
 
 def log_likelihood_ratio(
@@ -288,7 +350,9 @@ class _QuadraticFormTest:
     """Decision rule over points sigma_k: 2 r(y, sigma_k) = y^2 . w_k - D_k.
 
     ``_build`` stacks the weights w_k = sigma_k^2/(1+sigma_k^2) of the points
-    that decide into W (k, n) and D_k = D(sigma_k) once; ``accepts`` squares
+    that decide into W (k, n) and D_k = D(sigma_k) once, from the points'
+    values: bit for bit their ``r_squared`` and ``D``, which stay uncached,
+    so the build holds W and one point's squares; ``accepts`` squares
     the rows Y (m, n) into a new array and subclasses map Y^2 and the
     weights W to the H0-acceptance mask in ``_combine(Y2, W)``, which reads
     Y^2 and does not write it.  W is ``_W``, or the (k, c) weight columns of
@@ -298,8 +362,14 @@ class _QuadraticFormTest:
     """
 
     def _build(self, points: Sequence[IntensityVector]) -> None:
-        object.__setattr__(self, "_W", np.stack([p.r_squared for p in points]))
-        object.__setattr__(self, "_D", np.array([p.D for p in points]))
+        W = np.empty((len(points), points[0].n))
+        D = np.empty(len(points))
+        for k, p in enumerate(points):
+            s2 = p.values**2
+            D[k] = _log_normalizer(s2)
+            _null_weights(s2, out=W[k])
+        object.__setattr__(self, "_W", W)
+        object.__setattr__(self, "_D", D)
 
     @property
     def n(self) -> int:
@@ -344,12 +414,12 @@ class NpTest(_QuadraticFormTest):
 
     def __post_init__(self):
         object.__setattr__(self, "A", _as_number(self.A, "A"))
-        stats = signal_statistics(self.sigma)
-        if stats.D + self.A < 0:
+        D = self.sigma.D
+        if D + self.A < 0:
             raise InvalidInput(
-                f"D + A = {stats.D + self.A:.6g} < 0: empty acceptance region"
+                f"D + A = {D + self.A:.6g} < 0: empty acceptance region"
             )
-        lo, hi = stats.window
+        lo, hi = _window(self.sigma)
         object.__setattr__(self, "in_window", lo < self.A < hi)
         self._build((self.sigma,))
 

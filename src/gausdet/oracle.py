@@ -6,6 +6,11 @@ function.  Both tails are sums over the same coefficients, with an absolute
 error below 5e-15; a weight spread that needs more than 2^19 terms raises
 OutOfRegime.  The term count is the least the Chernoff bound allows,
 rounded up by at most 25% to a length the FFT handles fast.
+``np_test_exact_probs`` takes its weights by run (``IntensityVector.runs``):
+when a value of sigma repeats, one weight per distinct value with its
+count, so the generating function's log sums cost one row per distinct
+weight and a flat sigma is one incomplete gamma at any n; when none does,
+the dense weights in their own order.
 
 The mixture's incomplete gammas P(n/2 + k, y) and Q(n/2 + k, y) need no
 special function.  P(s + 1, y) = P(s, y) - tau_s with the Poisson term
@@ -27,7 +32,14 @@ from bisect import bisect_left
 import numpy as np
 
 from .errors import InvalidInput, OutOfRegime
-from .model import NpTest, _as_number, _as_vector
+from .model import (
+    NpTest,
+    _as_number,
+    _as_vector,
+    null_weights_by_run,
+    squares_by_run,
+    sum_by_run,
+)
 
 _MASS_TOL = 1e-16  # mass each of the three truncations below may move
 _MAX_TERMS = 2**19  # 4 MB of coefficients; wider spreads are out of regime
@@ -58,8 +70,12 @@ _STIRLERR = np.array([
 ])
 
 
-def _mixture_coefficients(w: np.ndarray):
+def _mixture_coefficients(w: np.ndarray, counts=None):
     """(beta, a): sum w_i xi_i^2 equals beta chi2_{n+2K} in law, P(K=k) = a_k.
+
+    With counts, weight w_i stands for counts[i] equal weights: every sum
+    over the weights takes count times one row per distinct weight, so the
+    cost is set by the distinct weights, not by n.
 
     With beta = min w, p_i = beta/w_i and r_i = 1 - p_i, K has generating
     function G(z) = prod (p_i / (1 - r_i z))^(1/2) (Ruben 1962), so a_k >= 0
@@ -78,6 +94,7 @@ def _mixture_coefficients(w: np.ndarray):
     beta, top = float(np.min(w)), float(np.max(w))
     if beta == top:
         return beta, np.ones(1)
+    n = w.size if counts is None else float(np.sum(counts))
     p = beta / w
     r = 1.0 - p
     cols = max(1, 2**16 // w.size)  # bounds each (weights, points) array
@@ -85,14 +102,14 @@ def _mixture_coefficients(w: np.ndarray):
     # ln G(z) z^-N = -sum ln(1 - v w_i/top)/2 + (n/2 + N) ln(1 - v beta/top).
     v = 1.0 - 2.0 ** -np.arange(1.0, 53.0)
     ln_g = -0.5 * np.concatenate([
-        np.log1p(np.multiply.outer(w / -top, v[i:i + cols])).sum(axis=0)
+        sum_by_run(np.log1p(np.multiply.outer(w / -top, v[i:i + cols])), counts)
         for i in range(0, v.size, cols)
     ])
     ln_step = np.log1p(-v * (beta / top))
-    need = float(np.min((math.log(_MASS_TOL) - ln_g) / ln_step)) - 0.5 * w.size
+    need = float(np.min((math.log(_MASS_TOL) - ln_g) / ln_step)) - 0.5 * n
     if need > _MAX_TERMS:
         raise OutOfRegime(
-            f"weight spread {top / beta:.3g} over {w.size} weights needs "
+            f"weight spread {top / beta:.3g} over {n:.0f} weights needs "
             f"more than {_MAX_TERMS} mixture terms"
         )
     need = max(64, math.ceil(need))
@@ -112,11 +129,11 @@ def _mixture_coefficients(w: np.ndarray):
         theta = (2.0 * math.pi / terms) * np.atleast_1d(j)
         s2 = np.sin(0.5 * theta) ** 2
         modulus = p4 * s2
-        modulus = np.log1p(modulus, out=modulus).sum(axis=0)
+        modulus = sum_by_run(np.log1p(modulus, out=modulus), counts)
         real = r2 * s2
         real += p_col
         phase = r_col * np.sin(theta)
-        phase = np.arctan2(phase, real, out=phase).sum(axis=0)
+        phase = sum_by_run(np.arctan2(phase, real, out=phase), counts)
         return -0.25 * modulus - 0.5j * phase
 
     floor = math.log(_MASS_TOL / terms)
@@ -333,8 +350,10 @@ def _ladder_sums(h: float, y: float, a: np.ndarray):
     return split, q, p
 
 
-def _weighted_chi2(weights, x: float, upper: bool) -> float:
+def _weighted_chi2(weights, x: float, upper: bool, counts=None) -> float:
     """P(sum w_i xi_i^2 > x) if upper, else the cdf of ``weighted_chi2_cdf``.
+
+    With counts, weight w_i occurs counts[i] times in the sum.
 
     Both tails are sums over the same mixture coefficients a_k, so the upper
     tail is never formed as 1 - cdf.  ``_ladder_sums`` takes the smaller of
@@ -349,10 +368,14 @@ def _weighted_chi2(weights, x: float, upper: bool) -> float:
         raise InvalidInput("weights must be nonnegative")
     if x < 0:
         raise InvalidInput("x must be nonnegative")
-    w = w[w > 0]  # zero-weight components contribute nothing
+    positive = w > 0  # zero-weight components contribute nothing
+    w = w[positive]
+    if counts is not None:
+        counts = counts[positive]
+    n = w.size if counts is None else float(np.sum(counts))
     if w.size == 0:
         return 0.0 if upper else 1.0  # the sum is identically 0 <= x
-    if w.size == 1:  # a = [1]: Q(1/2, y) = erfc(sqrt y), P(1/2, y) = erf(sqrt y)
+    if n == 1:  # a = [1]: Q(1/2, y) = erfc(sqrt y), P(1/2, y) = erf(sqrt y)
         w2 = 2.0 * float(w[0])
         y = x / w2
         if not upper:
@@ -360,11 +383,11 @@ def _weighted_chi2(weights, x: float, upper: bool) -> float:
         # y_lo = x/w2 - y, the rounding of the division
         p, e = _two_product(y, w2)
         return _erfc_sqrt(y, ((x - p) - e) / w2 if _EXACT_LO < w2 < _EXACT_HI else 0.0)
-    beta, a = _mixture_coefficients(w)
+    beta, a = _mixture_coefficients(w, counts)
     y = x / (2.0 * beta)
     if y == math.inf:
         return 0.0 if upper else 1.0
-    split, q, p = _ladder_sums(0.5 * w.size, y, a)
+    split, q, p = _ladder_sums(0.5 * n, y, a)
     if upper:
         mass = float(a[split:].sum()) if split else 1.0
         total = q + (mass - p)
@@ -407,8 +430,12 @@ def np_test_exact_probs(test: NpTest):
     """Exact (alpha, beta) of an ellipsoid test via the weighted chi-square oracle.
 
     alpha is the oracle's upper tail, so a tiny alpha is not rounded to 0.
+    The weights are taken by run of sigma, one per distinct value with its
+    count when a value repeats (see the module docstring).
     """
     thr = test.threshold
-    alpha = _weighted_chi2(test.sigma.r_squared, thr, upper=True)
-    beta = weighted_chi2_cdf(test.sigma.squared, thr)
+    r2, counts = null_weights_by_run(test.sigma)
+    alpha = _weighted_chi2(r2, thr, True, counts)
+    s2, counts = squares_by_run(test.sigma)
+    beta = _weighted_chi2(s2, thr, False, counts)
     return alpha, beta

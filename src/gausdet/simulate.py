@@ -20,7 +20,16 @@ shard runs them on W = min(shards, CPUs this process may use) threads:
 worker j takes shards j, j + W, j + 2W, ... and returns its own hit counts,
 which are summed.  numpy releases the interpreter lock while it draws and
 multiplies matrices, so the workers overlap; each holds one shard's arrays
-at a time, so the peak memory is that of W such shards.  Counts are
+at a time, so the peak memory is that of W such shards.  They overlap only
+when BLAS runs each product on one thread (``OPENBLAS_NUM_THREADS=1``, or
+``OMP_NUM_THREADS`` / ``MKL_NUM_THREADS`` for other BLAS builds, set before
+numpy loads): otherwise each worker's (k, rows) product asks for every CPU
+and the workers wait on each other.  On 2 CPUs (OpenBLAS, numpy 2.4), a
+GLRT of 64 points at n = 16 over 200,000 samples took 78-117 ms on two
+workers with OpenBLAS's default two threads, no faster than one worker
+(71-83 ms typical), and 39-57 ms with one BLAS thread; the Bayes test over
+the same points took 96-116 ms and 46-66 ms.  ``perfbench/run.py`` sets one
+BLAS thread, so the benchmark does not show this.  Counts are
 bit-identical for a fixed (seed, samples, instance) whatever the worker
 count.  They are not promised across machines: another BLAS kernel can
 round a (k, rows) product of the forms differently in the last bit, which

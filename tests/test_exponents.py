@@ -9,7 +9,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -429,7 +429,9 @@ class TestPinnedExponents:
     Levels sit below, inside and above the operating window, so every
     endpoint case and the interior root are covered at n = 1, 7 and 1000;
     one flat and one random sigma at n = 1e5, the size the benchmark
-    times, add an interior level each.
+    times, add an interior level each.  The flat one is solved on its one
+    run (a value and its count), and its roots are the true roots to
+    1e-14 (``TestPinnedRootsMatchMpmath``).
     Values are compared through repr, so even the sign of a zero counts:
     any change to a solver's bracket, iteration or evaluation order shows
     here.
@@ -459,7 +461,7 @@ class TestPinnedExponents:
         (1000, 67.41200421800937, (0.2905835450037046, 14.91656625904487, 0.0, 4, 'interior')),
         (1000, 301.81109801135426, (0.0, 0.0, -0.25, 0, 'at_zero')),
         (1000, 564.9475785288674, (0.0, 0.0, -131.8182402587566, 0, 'at_zero')),
-        ('1e5 flat', -81.8557984916697, (0.45317220543806636, 2208.055023505014, 0.0, 1, 'interior')),
+        ('1e5 flat', -81.8557984916697, (0.4531722054380664, 2208.0550235050123, 0.0, 1, 'interior')),
         ('1e5 random', 2231.6600915606723, (0.38182000024736545, 2459.499388166212, 0.0, 4, 'interior')),
     ]
     ALPHA = [
@@ -475,7 +477,7 @@ class TestPinnedExponents:
         (1000, 67.41200421800937, ((0.7094164549962955, 48.62256836804957, 0.0, 4, 'interior'), 7.646925547314872e-22, 2.2996898957402976e-15)),
         (1000, 301.81109801135426, ((1.0, 150.90554900567713, 0.25, 0, 'at_one'), 2.9010337295156646e-66, 2.9010337295156646e-66)),
         (1000, 564.9475785288674, ((1.0, 282.4737892644337, 131.8182402587566, 0, 'at_one'), 2.1047089127307367e-123, 2.1047089127307367e-123)),
-        ('1e5 flat', -81.8557984916697, ((0.5468277945619336, 2167.1271242591793, 0.0, 1, 'interior'), 0.0, 5.953341537960036e+17)),
+        ('1e5 flat', -81.8557984916697, ((0.5468277945619333, 2167.1271242591774, 7.275957614183426e-12, 1, 'interior'), 0.0, 5.953341537960036e+17)),
         ('1e5 random', 2231.6600915606723, ((0.6181799997526346, 3575.329433946543, 0.0, 4, 'interior'), 0.0, 0.0)),
     ]
     MISMATCH = [
@@ -488,14 +490,14 @@ class TestPinnedExponents:
         (1000, 67.41200421800937, ((0.4736980410877712, 45.84173474014639, 0.0, 4, 'interior'), 1.2336374969614808e-20)),
         (1000, 301.81109801135426, ((0.17205390855986955, 10.123350022982834, 5.684341886080802e-14, 4, 'interior'), 4.013145878020962e-05)),
         (1000, 564.9475785288674, ((0.0, 0.0, -0.25, 0, 'at_zero'), 1.0)),
-        ('1e5 flat', -81.8557984916697, ((0.701448067507032, 6078.970422131879, 0.0, 1, 'interior'), 0.0)),
+        ('1e5 flat', -81.8557984916697, ((0.7014480675070318, 6078.97042213189, 0.0, 1, 'interior'), 0.0)),
         ('1e5 random', 2231.6600915606723, ((0.5674670529473325, 6268.706445735279, 0.0, 4, 'interior'), 0.0)),
     ]
     LOWER = [
         (1, 0.020425709383405183, (-1.1557011628585578, -0.01097127700915769, -0.9166695532671911, (0.3787878787878787, 0.01097127700915769, 0.0, 1, 'interior'), 0.3787878787878786, 0.0, 1)),
         (7, 1.9378294551983655, (-12.45077618039264, -0.1842160633398423, -3.911683987835346, (0.19795427353248865, 0.1842160633398423, -8.881784197001252e-16, 4, 'interior'), 0.31801736091161154, 0.0, 3)),
         (1000, 67.41200421800937, (-203.10775732291876, -14.91656625904487, -75.55636775124222, (0.2905835450037046, 14.91656625904487, 0.0, 4, 'interior'), 0.34236126986443455, -1.1368683772161603e-13, 22)),
-        ('1e5 flat', -81.8557984916697, (-2220.712678855834, -2208.055023505014, -2214.3838545137537, (0.45317220543806636, 2208.055023505014, 0.0, 1, 'interior'), 0.45317220543806636, 0.0, 1)),
+        ('1e5 flat', -81.8557984916697, (-2220.712678855832, -2208.0550235050123, -2214.3838545137537, (0.4531722054380664, 2208.0550235050123, 0.0, 1, 'interior'), 0.45317220543806636, 0.0, 1)),
         ('1e5 random', 2231.6600915606723, (-4490.623494183899, -2459.499388166212, -3155.680104697947, (0.38182000024736545, 2459.499388166212, 0.0, 4, 'interior'), 0.3887575019771198, -7.275957614183426e-12, 159)),
     ]
 
@@ -725,8 +727,10 @@ def mpmath_root(w, threshold, lo, hi, counts=None):
 
 
 class TestPinnedRootsMatchMpmath:
-    """Every interior root of TestPinnedExponents at n <= 1000 (u0, t0, v0
-    and the blockwise u1) is the root of its float inputs to 1e-14."""
+    """Every interior root of TestPinnedExponents at n <= 1000 and of the
+    flat n = 1e5 sigma (u0, t0, v0 and the blockwise u1) is the root of its
+    float inputs to 1e-14; the flat one is solved on one value and its
+    count."""
 
     @staticmethod
     def pinned_calls():
@@ -735,7 +739,7 @@ class TestPinnedRootsMatchMpmath:
                            ("beta_mismatch_upper", pins.MISMATCH),
                            ("beta_lower_bound", pins.LOWER)):
             for n, A, _ in rows:
-                if isinstance(n, int) and n <= 1000:
+                if n == "1e5 flat" or isinstance(n, int) and n <= 1000:
                     sigma = pins.SIGMAS[n]
                     lam = IntensityVector(pins.LAMBDA_SCALE * sigma.values)
                     _, calls = chernoff_calls(lambda: SOLVES[name](sigma, lam, A))
@@ -751,7 +755,9 @@ class TestPinnedRootsMatchMpmath:
             want = mpmath_root(w, T, lo, hi, counts)
             assert res.root == pytest.approx(want, rel=1e-14), (name, n, A)
             checked += 1
-        assert checked >= 15
+            if n == "1e5 flat":
+                assert w.size == 1 and counts is not None
+        assert checked >= 22
 
 
 class TestUpperBracket:
@@ -798,3 +804,223 @@ class TestUpperBracket:
         # 2 sum c/T overflows, or T <= 0 < h: no sign change on [0, inf).
         with pytest.raises(InvalidInput, match="could not bracket"):
             exponents.chernoff_root(np.array([1e-300]), threshold, math.inf)
+
+
+@st.composite
+def vectors_with_repeats(draw, max_n=100_000):
+    """A vector in which some value repeats: flat, two-valued, one-hot with
+    zeros, or random values each drawn about four times."""
+    n = draw(st.integers(3, max_n))
+    kind = draw(st.sampled_from(["flat", "two_valued", "one_hot", "duplicated"]))
+    scale = draw(st.floats(0.05, 5.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "one_hot":
+        values = np.zeros(n)
+        values[rng.integers(n)] = scale
+    elif kind == "duplicated":
+        values = rng.choice(scale * rng.uniform(0.1, 3.0, max(1, n // 4)), n)
+    else:
+        values = np.full(n, scale)
+        if kind == "two_valued":
+            hot = rng.random(n) < rng.uniform(0.05, 0.95)
+            hot[:2] = False  # scale occurs at least twice
+            values[hot] = scale * rng.uniform(0.1, 3.0)
+    return IntensityVector(values)
+
+
+def _at_1e5():
+    """One vector of each kind of ``vectors_with_repeats`` at n = 1e5."""
+    one_hot = np.zeros(100_000)
+    one_hot[17] = 3.0
+    rng = np.random.default_rng(27)
+    return [np.full(100_000, 0.9), np.r_[2.5, np.full(99_999, 0.5)], one_hot,
+            rng.choice(rng.uniform(0.3, 1.5, 25_000), 100_000)]
+
+
+AT_1E5 = [IntensityVector(v) for v in _at_1e5()]
+
+
+def dense_twin(sigma):
+    """sigma with its run form set to every value sorted and counts None, so
+    that every call on it sums over the dense arrays."""
+    twin = IntensityVector(sigma.values)
+    vars(twin)["runs"] = (np.sort(sigma.values), None)
+    return twin
+
+
+def close(got, want, scale=0.0, rel=1e-13):
+    """got within rel of want, relative to the larger of the two and scale."""
+    return abs(got - want) <= rel * max(abs(got), abs(want), scale)
+
+
+def same_solution(got, want, sigma, A):
+    """Two ExponentSolutions of one solve for sigma at level A agree: the
+    case, the argmax and the exponent.  The exponent is compared relative to
+    the sums D + |A| it is the difference of.  The argmax is compared
+    relative to n/(D + A): at a root, h moves by the roundings of S and of
+    the threshold T = D + A, about 1e-16 T, and |h'| >= S^2/n = T^2/n there
+    (Cauchy-Schwarz), so a root is resolved to about 1e-16 n/T; for a flat
+    sigma it is n/T - 1/w, a difference of two terms of that size."""
+    return (got.boundary_case == want.boundary_case
+            and close(got.argmax, want.argmax, sigma.n / (sigma.D + A))
+            and close(got.value, want.value, sigma.D + abs(A)))
+
+
+def dense_lhs(sigma, lam, A, mode, u, g_ref):
+    """The lhs of ``sufficient_condition_check`` at u, summed over the dense
+    arrays (NaN where a log argument is nonpositive), and the size of the
+    terms it sums."""
+    if mode == MODE_ASYMP1A:
+        nu2, T = mismatch_profile(sigma, lam), sigma.D + A
+        g_nu = max(exponents._exponent(nu2, T, u), exponents._exponent(nu2, T, 1.0))
+        return g_ref - g_nu, abs(g_ref) + abs(g_nu) + T + float(np.sum(nu2))
+    s2, l2 = sigma.squared, lam.squared
+    args = 1.0 + sigma.r_squared * (u * (l2 - s2) / (1.0 + u * s2))
+    if np.any(args <= 0):
+        return math.nan, math.nan
+    logs = np.log(args)
+    return float(np.sum(logs)), float(np.sum(np.abs(logs)))
+
+
+class TestRunForm:
+    """A vector whose values repeat is solved on its distinct values with
+    their counts.  Every entry point agrees within 1e-13 relative with the
+    same call summed over the dense arrays; an exponent is compared relative
+    to the sums D + |A| it is the difference of."""
+
+    @staticmethod
+    def level(sigma, frac):
+        lo, hi = signal_statistics(sigma).window
+        assume(lo < hi)
+        return lo + frac * (hi - lo)
+
+    @given(vectors_with_repeats(), st.floats(0.02, 0.98), st.floats(0.0, 2.0))
+    @settings(max_examples=60, deadline=None)
+    @example(AT_1E5[0], 0.5, 0.5)
+    @example(AT_1E5[1], 0.3, 1.0)
+    @example(AT_1E5[2], 0.5, 0.1)
+    @example(AT_1E5[3], 0.7, 0.5)
+    def test_single_vector_entry_points(self, sigma, frac, u):
+        assert sigma.runs[1] is not None
+        dense = dense_twin(sigma)
+        A = self.level(sigma, frac)
+        scale = sigma.D + abs(A)
+        assert same_solution(solve_u0(sigma, A), solve_u0(dense, A), sigma, A)
+        (g, dg), (g_d, dg_d) = g_eval(sigma, A, u), g_eval(dense, A, u)
+        assert close(g, g_d, scale) and close(dg, dg_d, scale)
+        if A > -1400.0:  # exp(-A/2) overflows below -1419.6 (fault (f))
+            (sol, bound, simple), (sol_d, bound_d, simple_d) = (
+                alpha_upper_bound(sigma, A), alpha_upper_bound(dense, A))
+            assert same_solution(sol, sol_d, sigma, A) and simple == simple_d
+            assert close(bound, bound_d, rel=1e-13 * max(1.0, sol.value))
+        if sigma.delta is not None:
+            got, want = beta_lower_bound(sigma, A), beta_lower_bound(dense, A)
+            assert same_solution(got.u0, want.u0, sigma, A)
+            assert (got.K, got.u1, got.u1_residual, got.constructive_lower) == (
+                want.K, want.u1, want.u1_residual, want.constructive_lower)
+            assert close(got.interval.lower, want.interval.lower, scale)
+
+    @given(vectors_with_repeats(), st.floats(0.05, 5.0), st.floats(0.02, 0.98))
+    @settings(max_examples=60, deadline=None)
+    @example(AT_1E5[0], 1.1, 0.5)
+    @example(AT_1E5[1], 0.4, 0.3)
+    @example(AT_1E5[2], 0.8, 0.5)
+    @example(AT_1E5[3], 0.9, 0.7)
+    def test_pair_entry_points(self, sigma, flat_value, frac):
+        flat = IntensityVector(np.full(sigma.n, flat_value))
+        scaled = IntensityVector(1.25 * sigma.values)
+        for s, lam in ((sigma, flat), (flat, sigma), (sigma, scaled)):
+            s_d, lam_d = dense_twin(s), dense_twin(lam)
+            A = self.level(s, frac)
+            scale = s.D + abs(A)
+            (sol, bound), (sol_d, bound_d) = (beta_mismatch_upper(s, lam, A),
+                                              beta_mismatch_upper(s_d, lam_d, A))
+            assert same_solution(sol, sol_d, s, A)
+            assert close(bound, bound_d, rel=1e-13 * max(1.0, sol.value))
+            u0 = solve_u0(s, A)
+            for mode in (MODE_EXACT_U0, MODE_U0_EQUALS_1, MODE_ASYMP1A):
+                try:
+                    got = sufficient_condition_check(s, lam, A, mode)
+                except OutOfRegime:
+                    assert u0.boundary_case != INTERIOR
+                    continue
+                # The dense sums at the same u0: how u0 itself may move is
+                # same_solution's to check.
+                u = 1.0 if mode == MODE_U0_EQUALS_1 else u0.argmax
+                lhs, lhs_scale = dense_lhs(s, lam, A, mode, u, got.g_ref)
+                assert got.violated == math.isnan(lhs)
+                if not got.violated:
+                    assert close(got.lhs, lhs, lhs_scale)
+                if mode != MODE_U0_EQUALS_1:
+                    assert close(got.g_ref, u0.value, scale)
+            if s.delta is not None:
+                got, want = bound_transfer(s, lam, A), bound_transfer(s_d, lam_d, A)
+                assert got.applicable == want.applicable
+                if got.applicable:
+                    assert close(got.raw, want.raw, scale)
+
+    @given(vectors_with_repeats(max_n=1000), st.floats(0.02, 0.98))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_oracle(self, sigma, frac):
+        A = self.level(sigma, frac)
+        try:
+            want = np_test_exact_probs(NpTest(dense_twin(sigma), A))
+        except OutOfRegime:
+            return
+        got = np_test_exact_probs(NpTest(sigma, A))
+        # The dense mixture sums n rows of ln G per point and loses up to
+        # 5.2e-14 of a tail at n = 1000 (its runs lose 4e-16 against
+        # mpmath, ``test_two_valued_oracle_against_quadrature``).
+        for g, w in zip(got, want):
+            assert close(g, w) or abs(g - w) <= 1e-13
+
+    @pytest.mark.parametrize("counts, values, A", [
+        ((89, 911), (0.2703978, 0.5144711), 17.611624801375328),
+        ((266, 734), (0.49061896, 1.55599777), 674.0557971964591),
+        ((1, 99_999), (2.5, 0.5), 1.0),
+    ])
+    def test_two_valued_oracle_against_quadrature(self, counts, values, A):
+        """beta = P(w_0 X + w_1 Y <= x) for X, Y chi-square with the counts
+        as degrees of freedom, by quadrature over X at 30 digits."""
+        sigma = IntensityVector(np.repeat(values, counts))
+        test = NpTest(sigma, A)
+        with mpmath.workdps(30):
+            w0, w1 = (mpmath.mpf(v) ** 2 for v in values)
+            k0, k1 = counts
+            x = mpmath.mpf(test.threshold)
+
+            def integrand(t):
+                density = mpmath.exp((k0 / 2 - 1) * mpmath.log(t) - t / 2
+                                     - mpmath.loggamma(k0 / 2) - k0 / 2 * mpmath.log(2))
+                return density * mpmath.gammainc(k1 / 2, 0, (x - w0 * t) / (2 * w1),
+                                                 regularized=True)
+
+            top = x / w0
+            knots = [0] + [p for p in (k0 / 2, k0, 2 * k0, 4 * k0) if p < top] + [top]
+            want = float(mpmath.quad(integrand, knots))
+        _, beta = np_test_exact_probs(test)
+        assert abs(beta - want) <= 5e-15
+
+    @given(st.integers(1, 3000), st.integers(0, 2**32 - 1), st.floats(0.02, 0.98))
+    @settings(max_examples=40, deadline=None)
+    def test_all_distinct_solves_on_the_dense_arrays(self, n, seed, frac):
+        """A vector with no repeated value takes the dense path: each root
+        solve gets its cached arrays in their own order, without counts, so
+        its outputs are those of the formulas on them bit for bit."""
+        rng = np.random.default_rng(seed)
+        sigma = IntensityVector(rng.uniform(0.3, 1.5, n))
+        lam = IntensityVector(sigma.values * rng.uniform(0.95, 1.05, n))
+        assume(sigma.runs[1] is None and lam.runs[1] is None)
+        A = self.level(sigma, frac)
+        T = sigma.D + A
+        _maximize = exponents._maximize
+        assert repr(solve_u0(sigma, A)) == repr(_maximize(sigma.squared, T, 1.0))
+        assert repr(alpha_upper_bound(sigma, A)[0]) == repr(
+            _maximize(sigma.r_squared, T, -1.0))
+        assert repr(beta_mismatch_upper(sigma, lam, A)[0]) == repr(
+            _maximize(mismatch_profile(sigma, lam), T, math.inf))
+        res, calls = chernoff_calls(lambda: beta_lower_bound(sigma, A))
+        w, _, _, counts, _, _ = calls[0]
+        assert w is sigma.squared and counts is None
+        heads = np.concatenate(([0], np.cumsum(exponents._block_sizes(n, res.K))[:-1]))
+        assert np.array_equal(calls[1][0], np.sort(sigma.squared)[::-1][heads])

@@ -137,7 +137,8 @@ def _sigma_kinds():
 
 
 class TestDerivedOnce:
-    """squared, r_squared and D are computed once per vector and read-only."""
+    """squared, r_squared, D and the run-length form are computed once per
+    vector and read-only."""
 
     def test_same_objects_and_read_only(self):
         sigma = IntensityVector(np.array([0.5, 1.0, 2.0]))
@@ -181,6 +182,8 @@ class TestDerivedOnce:
         lam = IntensityVector(sigma.values * rng.uniform(0.95, 1.05, 8))
         vectors = (sigma, lam)
         pristine = [(v.squared.copy(), v.r_squared.copy(), v.D) for v in vectors]
+        runs = [v.runs for v in vectors]
+        pristine_runs = [(values.copy(), counts) for values, counts in runs]
         stats = signal_statistics(sigma)
         A = 0.5 * (stats.window[0] + stats.window[1])
         y = rng.standard_normal(8)
@@ -224,6 +227,70 @@ class TestDerivedOnce:
                 assert np.array_equal(v.squared, s2), i
                 assert np.array_equal(v.r_squared, r2), i
                 assert v.D == D, i
+            for v, (values, counts) in zip(vectors, pristine_runs):
+                assert np.array_equal(v.runs[0], values), i
+                assert v.runs[1] is counts, i
+
+    @pytest.mark.parametrize("values", [
+        np.full(1000, 0.7),
+        np.array([2.0, 0.5, 0.5, 0.0, 2.0, 0.5]),
+        np.array([1.5, 0.3, 0.9]),
+    ], ids=["flat", "repeats", "distinct"])
+    def test_runs_once_and_read_only(self, values):
+        sigma = IntensityVector(values)
+        assert sigma.runs is sigma.runs
+        distinct, counts = sigma.runs
+        assert not distinct.flags.writeable
+        assert np.all(np.diff(distinct) > 0)
+        if counts is None:  # no value repeats: every value, sorted
+            assert np.array_equal(distinct, np.sort(values))
+        else:
+            assert counts.dtype == float and not counts.flags.writeable
+            assert np.array_equal(np.repeat(distinct, counts.astype(int)),
+                                  np.sort(values))
+            with pytest.raises(ValueError):
+                counts[0] = 1.0
+        with pytest.raises(ValueError):
+            distinct[0] = 1.0
+
+    def test_building_a_test_computes_no_runs(self):
+        rng = np.random.default_rng(6)
+        points = [IntensityVector(v) for v in (
+            np.full(50, 0.8), np.repeat(rng.uniform(0.3, 1.5, 10), 5),
+            rng.uniform(0.3, 1.5, 50))]
+        NpTest(points[0], 1.0)
+        DiscretePrior(tuple(points), [0.2, 0.3, 0.5])
+        BayesTest(DiscretePrior(tuple(points), [0.2, 0.3, 0.5]), 0.0)
+        GlrtTest(FinitePoints(tuple(points)), 1.0)
+        for p in points:
+            assert "runs" not in vars(p)
+        # Nor does a mixture or max-ratio test cache any array on its points.
+        for p in points[1:]:
+            assert not {"squared", "r_squared", "D"} & set(vars(p))
+
+    def test_built_weights_bit_equal_to_the_cached_ones(self):
+        rng = np.random.default_rng(7)
+        points = [IntensityVector(v) for v in _sigma_kinds().values()
+                  if v.size == 3] + [IntensityVector(rng.uniform(0.0, 3.0, 3))
+                                     for _ in range(50)]
+        test = GlrtTest(FinitePoints(tuple(points)), 1.0)
+        twins = [IntensityVector(p.values) for p in points]
+        assert np.array_equal(test._W, np.stack([t.r_squared for t in twins]))
+        assert test._D.tolist() == [t.D for t in twins]
+
+    def test_glrt_build_over_sum_floor_witnesses_in_bounded_memory(self):
+        # The 2,001 points of n = 2000 hold 32 MB of values, and W another
+        # 32 MB; caching squares and weights on every point added 64 MB.
+        points = SumFloor(2000, 1.0).witness_points()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            test = GlrtTest(points, 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert test._W.nbytes == 2001 * 2000 * 8
+        assert peak < 40e6
 
     def test_mismatch_profile_returns_a_fresh_writable_array(self):
         rng = np.random.default_rng(3)
