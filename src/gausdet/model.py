@@ -26,8 +26,8 @@ intensity vector derives sigma_i^2, sigma_i^2/(1+sigma_i^2) and D once, on
 first use, and keeps them for its life; the two arrays are read-only, so
 every caller shares them and none may write into them.  It also keeps its
 run-length form ``runs``: its distinct values in ascending order with their
-counts, which the exponents and the exact oracle sum over when a value
-repeats (``squares_by_run``, ``null_weights_by_run``, ``sum_by_run``).  The
+counts, which serve the exponents' sums when a value repeats
+(``squares_by_run``, ``null_weights_by_run``, ``sum_by_run``) and delta.  The
 rules share one core, ``_QuadraticFormTest``, which builds the weights W
 (k, n) and D_k of its points once, from their values, and owns
 ``accepts``; the points of a mixture test are the support of its prior,
@@ -154,12 +154,11 @@ class IntensityVector:
     first use, and kept: n floats each for the two arrays, which are
     read-only (writing into them raises ValueError).
 
-    ``runs`` is the run-length form: the distinct values in ascending
-    order and how often each occurs, from one ``np.unique``.  When a value
-    repeats, every exponent solve and the exact oracle sum count times one
-    term per distinct value, so a flat vector costs one term at any n.
-    When none does, its counts are None and those sums run over the dense
-    arrays in their own order, as they would without the run form.
+    ``runs`` is the run-length form, which serves the exponents and ``delta``:
+    the distinct values ascending with their counts, from one ``np.unique``.
+    When a value repeats, every exponent solve sums count times one term per
+    distinct value, so a flat vector costs one term at any n; when none
+    does, its counts are None and those sums run over the dense arrays.
     """
 
     values: np.ndarray
@@ -316,10 +315,10 @@ class SignalStatistics:
     window: tuple[float, float]
 
 
-def _window(sigma: IntensityVector) -> tuple[float, float]:
-    """The operating window (T - D, sum sigma_i^2 - D) of ``sigma``."""
+def _window(sigma: IntensityVector, T: float) -> tuple[float, float]:
+    """The operating window (T - D, sum sigma_i^2 - D), T = sum of ``r_squared``."""
     D = sigma.D
-    return float(np.sum(sigma.r_squared)) - D, float(np.sum(sigma.squared)) - D
+    return T - D, float(np.sum(sigma.squared)) - D
 
 
 def signal_statistics(sigma: IntensityVector) -> SignalStatistics:
@@ -328,7 +327,7 @@ def signal_statistics(sigma: IntensityVector) -> SignalStatistics:
     T = float(np.sum(r2))
     B = float(2.0 * np.sum(np.square(r2)))
     return SignalStatistics(D=sigma.D, T=T, B=B, delta=sigma.delta,
-                            window=_window(sigma))
+                            window=_window(sigma, T))
 
 
 def log_likelihood_ratio(
@@ -419,7 +418,7 @@ class NpTest(_QuadraticFormTest):
             raise InvalidInput(
                 f"D + A = {D + self.A:.6g} < 0: empty acceptance region"
             )
-        lo, hi = _window(self.sigma)
+        lo, hi = _window(self.sigma, float(np.sum(self.sigma.r_squared)))
         object.__setattr__(self, "in_window", lo < self.A < hi)
         self._build((self.sigma,))
 

@@ -5,12 +5,9 @@ It has one path for every weight vector: the chi-square mixture of Ruben
 function.  Both tails are sums over the same coefficients, with an absolute
 error below 5e-15; a weight spread that needs more than 2^19 terms raises
 OutOfRegime.  The term count is the least the Chernoff bound allows,
-rounded up by at most 25% to a length the FFT handles fast.
-``np_test_exact_probs`` takes its weights by run (``IntensityVector.runs``):
-when a value of sigma repeats, one weight per distinct value with its
-count, so the generating function's log sums cost one row per distinct
-weight and a flat sigma is one incomplete gamma at any n; when none does,
-the dense weights in their own order.
+rounded up by at most 25% to a length the FFT handles fast.  The oracle
+groups repeated weights of any input (``_group``), so its sums cost one row
+per distinct weight and equal weights are one incomplete gamma at any n.
 
 The mixture's incomplete gammas P(n/2 + k, y) and Q(n/2 + k, y) need no
 special function.  P(s + 1, y) = P(s, y) - tau_s with the Poisson term
@@ -32,14 +29,7 @@ from bisect import bisect_left
 import numpy as np
 
 from .errors import InvalidInput, OutOfRegime
-from .model import (
-    NpTest,
-    _as_number,
-    _as_vector,
-    null_weights_by_run,
-    squares_by_run,
-    sum_by_run,
-)
+from .model import NpTest, _as_number, _as_vector, sum_by_run
 
 _MASS_TOL = 1e-16  # mass each of the three truncations below may move
 _MAX_TERMS = 2**19  # 4 MB of coefficients; wider spreads are out of regime
@@ -350,10 +340,17 @@ def _ladder_sums(h: float, y: float, a: np.ndarray):
     return split, q, p
 
 
-def _weighted_chi2(weights, x: float, upper: bool, counts=None) -> float:
-    """P(sum w_i xi_i^2 > x) if upper, else the cdf of ``weighted_chi2_cdf``.
+def _group(w: np.ndarray):
+    """(weights, counts): the distinct weights ascending with float counts,
+    or w in its own order with counts None when no weight repeats."""
+    distinct, counts = np.unique(w, return_counts=True)
+    if distinct.size == w.size:
+        return w, None
+    return distinct, counts.astype(float)
 
-    With counts, weight w_i occurs counts[i] times in the sum.
+
+def _weighted_chi2(weights, x: float, upper: bool) -> float:
+    """P(sum w_i xi_i^2 > x) if upper, else the cdf of ``weighted_chi2_cdf``.
 
     Both tails are sums over the same mixture coefficients a_k, so the upper
     tail is never formed as 1 - cdf.  ``_ladder_sums`` takes the smaller of
@@ -368,13 +365,11 @@ def _weighted_chi2(weights, x: float, upper: bool, counts=None) -> float:
         raise InvalidInput("weights must be nonnegative")
     if x < 0:
         raise InvalidInput("x must be nonnegative")
-    positive = w > 0  # zero-weight components contribute nothing
-    w = w[positive]
-    if counts is not None:
-        counts = counts[positive]
-    n = w.size if counts is None else float(np.sum(counts))
+    w = w[w > 0]  # zero-weight components contribute nothing
     if w.size == 0:
         return 0.0 if upper else 1.0  # the sum is identically 0 <= x
+    w, counts = _group(w)
+    n = w.size if counts is None else float(np.sum(counts))
     if n == 1:  # a = [1]: Q(1/2, y) = erfc(sqrt y), P(1/2, y) = erf(sqrt y)
         w2 = 2.0 * float(w[0])
         y = x / w2
@@ -403,7 +398,9 @@ def weighted_chi2_cdf(weights, x: float) -> float:
     One path for every weight vector: the chi-square mixture
     sum_k a_k P(n/2 + k, x / (2 min w)) of Ruben (1962), with the a_k from
     one inverse FFT of their generating function (``_mixture_coefficients``).
-    Equal weights give a = [1], the incomplete gamma itself.  A single
+    Repeated weights are grouped (``_group``), so its sums take count times
+    one row per distinct weight, in any order of the weights.  Equal
+    weights give a = [1], the incomplete gamma itself.  A single
     weight is its shape-1/2 case, erf(sqrt(x / 2w)), taken from ``math.erf``
     and, for the upper tail, ``math.erfc`` with the roundings of x / 2w and
     of the square root added back (``_erfc_sqrt``): within 2e-16 relative
@@ -429,13 +426,10 @@ def weighted_chi2_cdf(weights, x: float) -> float:
 def np_test_exact_probs(test: NpTest):
     """Exact (alpha, beta) of an ellipsoid test via the weighted chi-square oracle.
 
-    alpha is the oracle's upper tail, so a tiny alpha is not rounded to 0.
-    The weights are taken by run of sigma, one per distinct value with its
-    count when a value repeats (see the module docstring).
+    alpha is the oracle's upper tail under the weights ``r_squared``, so a
+    tiny alpha is not rounded to 0; beta is ``weighted_chi2_cdf`` under the
+    weights ``squared``, bit for bit.
     """
     thr = test.threshold
-    r2, counts = null_weights_by_run(test.sigma)
-    alpha = _weighted_chi2(r2, thr, True, counts)
-    s2, counts = squares_by_run(test.sigma)
-    beta = _weighted_chi2(s2, thr, False, counts)
-    return alpha, beta
+    return (_weighted_chi2(test.sigma.r_squared, thr, True),
+            _weighted_chi2(test.sigma.squared, thr, False))

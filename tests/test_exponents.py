@@ -30,8 +30,9 @@ from gausdet import (
     signal_statistics,
     solve_u0,
     sufficient_condition_check,
+    weighted_chi2_cdf,
 )
-from gausdet import exponents
+from gausdet import exponents, oracle
 from gausdet.errors import DimensionMismatch, InvalidInput, OutOfRegime
 from gausdet.exponents import (
     AT_ONE,
@@ -842,7 +843,7 @@ AT_1E5 = [IntensityVector(v) for v in _at_1e5()]
 
 def dense_twin(sigma):
     """sigma with its run form set to every value sorted and counts None, so
-    that every call on it sums over the dense arrays."""
+    that every exponent call on it sums over the dense arrays."""
     twin = IntensityVector(sigma.values)
     vars(twin)["runs"] = (np.sort(sigma.values), None)
     return twin
@@ -963,11 +964,13 @@ class TestRunForm:
     @settings(max_examples=60, deadline=None)
     def test_exact_oracle(self, sigma, frac):
         A = self.level(sigma, frac)
+        test = NpTest(sigma, A)
         try:
-            want = np_test_exact_probs(NpTest(dense_twin(sigma), A))
+            with mock.patch.object(oracle, "_group", lambda w: (w, None)):
+                want = np_test_exact_probs(test)
         except OutOfRegime:
             return
-        got = np_test_exact_probs(NpTest(sigma, A))
+        got = np_test_exact_probs(test)
         # The dense mixture sums n rows of ln G per point and loses up to
         # 5.2e-14 of a tail at n = 1000 (its runs lose 4e-16 against
         # mpmath, ``test_two_valued_oracle_against_quadrature``).
@@ -981,7 +984,8 @@ class TestRunForm:
     ])
     def test_two_valued_oracle_against_quadrature(self, counts, values, A):
         """beta = P(w_0 X + w_1 Y <= x) for X, Y chi-square with the counts
-        as degrees of freedom, by quadrature over X at 30 digits."""
+        as degrees of freedom, by quadrature over X at 30 digits.  The raw
+        weights through ``weighted_chi2_cdf`` give the same bits."""
         sigma = IntensityVector(np.repeat(values, counts))
         test = NpTest(sigma, A)
         with mpmath.workdps(30):
@@ -1000,6 +1004,9 @@ class TestRunForm:
             want = float(mpmath.quad(integrand, knots))
         _, beta = np_test_exact_probs(test)
         assert abs(beta - want) <= 5e-15
+        cdf = weighted_chi2_cdf(sigma.squared, test.threshold)
+        assert abs(cdf - want) <= 5e-15
+        assert cdf == beta
 
     @given(st.integers(1, 3000), st.integers(0, 2**32 - 1), st.floats(0.02, 0.98))
     @settings(max_examples=40, deadline=None)

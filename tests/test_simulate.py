@@ -465,11 +465,25 @@ class TestWeightedChi2Cdf:
     def test_degenerate_cases(self):
         assert weighted_chi2_cdf([0.0, 0.0], 1.0) == 1.0
         assert weighted_chi2_cdf([1.0], 0.0) == 0.0
+        for x in (0.0, 1.0, 1e300):  # all-zero weights: the sum is 0 <= x
+            assert weighted_chi2_cdf(np.zeros(5), x) == 1.0
+            assert oracle._weighted_chi2(np.zeros(5), x, upper=True) == 0.0
 
     def test_zero_weights_dropped(self):
         assert weighted_chi2_cdf([0.0, 2.0], 1.5) == pytest.approx(
             weighted_chi2_cdf([2.0], 1.5), rel=1e-12
         )
+        # Zeros among repeats are dropped before the rest are grouped, and
+        # 999 repeated zeros with one weight take the single-weight path.
+        one_hot = np.zeros(1000)
+        one_hot[17] = 2.0
+        for upper in (False, True):
+            assert (oracle._weighted_chi2([0.0, 1.0, 0.0, 2.5, 1.0, 0.0], 3.7, upper)
+                    == oracle._weighted_chi2([1.0, 1.0, 2.5], 3.7, upper))
+            for x in (0.5, 4.0, 40.0):
+                assert (oracle._weighted_chi2(one_hot, x, upper)
+                        == oracle._weighted_chi2([2.0], x, upper))
+        assert weighted_chi2_cdf(one_hot, 4.0) == math.erf(math.sqrt(4.0 / 4.0))
 
     @pytest.mark.parametrize(
         "weights, x",
