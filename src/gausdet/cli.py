@@ -371,7 +371,11 @@ def _mismatch(args, report: Report) -> None:
                        "true when a log argument was nonpositive")
         except OutOfRegime as exc:
             report.add(f"condition_{mode}_lhs", None, f"not available: {exc}")
-    transfer = exponents.bound_transfer(sigma, lam, A)
+    try:
+        transfer = exponents.bound_transfer(sigma, lam, A)
+    except InvalidInput as exc:  # delta is undefined when some sigma_i = 0
+        report.add("ln_beta_lambda_transfer", None, f"not available: {exc}")
+        return
     if transfer.applicable:
         report.add("ln_beta_lambda_transfer", transfer.value,
                    "transferred bound -g_sigma(u0) + spread penalty, clipped at 0")

@@ -20,14 +20,10 @@ lower-bound sandwich on ln(beta) built from a blockwise chi-square
 construction, and the sufficient conditions under which a nearby intensity
 lambda can replace sigma without changing the exponent.
 
-Every sum runs over the run-length form of its intensity vectors
-(``IntensityVector.runs``): when a value repeats, over the distinct values
-with their counts c, so a flat vector is one term at any n; when none
-does, over the dense arrays in their own order with c = 1.  The mismatched
-weights nu^2 and the replaceability sums take the runs of the pairs
-(sigma_i, lambda_i) when both vectors have runs and one is flat, and are
-dense otherwise.
-D stays the dense sum ``IntensityVector.D``.
+Every sum runs over the run form of its intensity vectors, whose
+convention ``model.runs_of`` states, and every entry point takes its
+weights by run from one function, ``_weights``.  D stays the dense sum
+``IntensityVector.D``.
 """
 
 from __future__ import annotations
@@ -45,8 +41,6 @@ from .model import (
     _as_number,
     _null_weights,
     check_same_length,
-    null_weights_by_run,
-    squares_by_run,
     sum_by_run,
 )
 from .solvers import RootResult, solve_bracketed
@@ -126,7 +120,7 @@ def g_eval(sigma: IntensityVector, A: float, u: float):
     A, u = _as_number(A, "A"), _as_number(u, "u")
     if u < 0:
         raise InvalidInput("u must be nonnegative")
-    s2, counts = squares_by_run(sigma)
+    s2, _, _, counts = _weights(sigma, null=False)
     threshold = sigma.D + A
     g = _exponent(s2, threshold, u, counts)
     q = np.multiply(u, s2)
@@ -149,10 +143,9 @@ def chernoff_root(
     hi = 2 sum c/threshold: S(x) < sum c/x, so h(hi) < -threshold/2.
     Returns the root, h there and the solver iterations, with the case.
 
-    The exponents pass an intensity vector's runs here: its distinct
-    weights with their counts when a value repeats (``IntensityVector.runs``),
-    so a flat vector is a one-term sum, and its dense weights with counts
-    None when no value repeats.
+    The exponents pass weights by run here (``_weights``, in the run form
+    of ``model.runs_of``): distinct weights with their counts, or dense
+    weights with counts None.
 
     S is a sum of poles, so 1/S is nearly linear in x, and exactly linear
     when the weights are equal; secular-equation solvers iterate on the
@@ -231,7 +224,7 @@ def solve_u0(sigma: IntensityVector, A: float) -> ExponentSolution:
     above the upper edge (g = 0), u0 = 1 for A at or below the lower edge
     (g = -A/2).  Endpoints are reported via boundary_case, never an error.
     """
-    s2, counts = squares_by_run(sigma)
+    s2, _, _, counts = _weights(sigma, null=False)
     return _maximize(s2, sigma.D + _as_number(A, "A"), 1.0, counts)
 
 
@@ -241,27 +234,35 @@ def beta_upper_bound(sigma: IntensityVector, A: float) -> float:
     return min(1.0, math.exp(-sol.value))
 
 
-def _pair_runs(sigma: IntensityVector, lam: IntensityVector):
-    """(sigma_i^2, sigma_i^2/(1+sigma_i^2), lambda_i^2, counts) by pair.
+def _weights(sigma: IntensityVector, lam: Optional[IntensityVector] = None,
+             null: bool = True):
+    """(sigma_i^2, sigma_i^2/(1+sigma_i^2), lambda_i^2, counts) by run.
 
-    Over the runs of the pairs (sigma_i, lambda_i) when both vectors have
-    runs and one of them is flat: its one value pairs with each run of the
-    other, so flat x flat is one run.  Otherwise the dense cached arrays,
-    counts None: finding the runs of two vectors that are not flat takes a
-    pass over n per call, which costs more than the dense solve.
+    The weights of every exponent entry point, over the runs of sigma, or
+    with lam over the runs of the pairs (sigma_i, lambda_i) when both
+    vectors have runs and one of them is flat: its one value pairs with
+    each run of the other.  Two vectors that are not flat stay dense, since
+    finding their pair runs takes a pass over n, more than the dense solve.
+    Dense weights are the cached arrays in their own order, counts None.
+    lambda_i^2 is None without lam, and the null weights when null is false.
     """
-    check_same_length(sigma, lam)
-    s, cs = sigma.runs
-    # lambda's run form is made only when sigma has runs
-    l, cl = lam.runs if cs is not None else (None, None)
-    if cl is None or min(s.size, l.size) > 1:
-        return sigma.squared, sigma.r_squared, lam.squared, None
-    if s.size == 1:
-        s, counts = np.full(l.size, s[0]), cl
-    else:
-        l, counts = np.full(s.size, l[0]), cs
+    s, counts = sigma.runs
+    if lam is not None:
+        check_same_length(sigma, lam)
+        # lambda's run form is made only when sigma has runs
+        l, cl = lam.runs if counts is not None else (None, None)
+        if cl is None or min(s.size, l.size) > 1:
+            counts = None
+        elif s.size == 1:
+            s, counts = np.full(l.size, s[0]), cl
+        else:
+            l = np.full(s.size, l[0])
+    if counts is None:
+        return (sigma.squared, sigma.r_squared if null else None,
+                None if lam is None else lam.squared, None)
     s2 = s**2
-    return s2, _null_weights(s2), l**2, counts
+    return (s2, _null_weights(s2) if null else None,
+            None if lam is None else l**2, counts)
 
 
 def _nu2(r2: np.ndarray, l2: np.ndarray) -> np.ndarray:
@@ -287,7 +288,7 @@ def beta_mismatch_upper(
     mean sum nu_i^2 already sits at or below the threshold the optimum is
     v0 = 0 and the bound is the trivial 1.  Returns (solution, bound).
     """
-    _, r2, l2, counts = _pair_runs(sigma, lam)
+    _, r2, l2, counts = _weights(sigma, lam)
     sol = _maximize(_nu2(r2, l2), sigma.D + _as_number(A, "A"), math.inf, counts)
     return sol, min(1.0, math.exp(-sol.value))
 
@@ -303,7 +304,7 @@ def alpha_upper_bound(sigma: IntensityVector, A: float):
     """
     A = _as_number(A, "A")
     simple = math.exp(-A / 2.0)
-    r2, counts = null_weights_by_run(sigma)
+    _, r2, _, counts = _weights(sigma)
     sol = _maximize(r2, sigma.D + A, -1.0, counts)
     return sol, min(1.0, math.exp(-sol.value)), simple
 
@@ -330,7 +331,7 @@ def sufficient_condition_check(
     A nonpositive log argument (possible when lambda_i << sigma_i) is
     reported via violated=True with lhs = NaN, never an exception.
     """
-    s2, r2, l2, counts = _pair_runs(sigma, lam)
+    s2, r2, l2, counts = _weights(sigma, lam)
     A = _as_number(A, "A")
     threshold = sigma.D + A
 
@@ -395,8 +396,7 @@ def beta_lower_bound(
         raise InvalidInput("delta undefined: some sigma_i = 0")
     n = sigma.n
     threshold = sigma.D + _as_number(A, "A")
-    s2, counts = squares_by_run(sigma)
-    sol = _maximize(s2, threshold, 1.0, counts)  # solve_u0
+    sol = solve_u0(sigma, A)
     if sol.boundary_case != INTERIOR:
         raise OutOfRegime(
             f"level A outside the operating window (u0 {sol.boundary_case})"
@@ -411,9 +411,10 @@ def beta_lower_bound(
         raise InvalidInput(f"K must be in [1, {n}]")
     sizes = _block_sizes(n, K)
     heads = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    values, counts = sigma.runs
     if counts is not None:  # the run of each head, counted from the top
         heads = np.searchsorted(np.cumsum(counts[::-1]), heads, side="right")
-    b = sigma.runs[0][::-1][heads] ** 2  # block-leading (largest) variances
+    b = values[::-1][heads] ** 2  # block-leading (largest) variances
     m = sizes.astype(float)
     # Threshold here is the raw ellipsoid radius D + A, split across blocks.
     res, _ = chernoff_root(b, threshold, math.inf, counts=m)

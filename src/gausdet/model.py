@@ -25,9 +25,8 @@ D(sigma) = sum ln(1+sigma_i^2) is computed only by ``_log_normalizer``.  An
 intensity vector derives sigma_i^2, sigma_i^2/(1+sigma_i^2) and D once, on
 first use, and keeps them for its life; the two arrays are read-only, so
 every caller shares them and none may write into them.  It also keeps its
-run-length form ``runs``: its distinct values in ascending order with their
-counts, which serve the exponents' sums when a value repeats
-(``squares_by_run``, ``null_weights_by_run``, ``sum_by_run``) and delta.  The
+run form ``runs``, which serves the exponents and delta: ``runs_of`` states
+the convention, and is the one place the package groups repeated values.  The
 rules share one core, ``_QuadraticFormTest``, which builds the weights W
 (k, n) and D_k of its points once, from their values, and owns
 ``accepts``; the points of a mixture test are the support of its prior,
@@ -145,6 +144,27 @@ def _log_normalizer(s2: np.ndarray) -> float:
     return float(np.sum(np.log1p(s2)))
 
 
+def runs_of(a: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """(values, counts): the run form of the 1-D array a, from one ``np.unique``.
+
+    values holds the distinct entries ascending and counts, a float array,
+    how often each occurs; both are read-only.  When no entry repeats,
+    counts is None and values is a sorted.  This is the package's one
+    convention for repeated values: when a value repeats, a sum over a is
+    sum_j counts[j] f(values[j]) (``sum_by_run``), so a flat vector is one
+    term at any n; otherwise it runs over a itself in its own order, the
+    dense sum bit for bit.  ``IntensityVector.runs``, the exponents'
+    ``_weights`` and the oracle's ``_weighted_chi2`` group by it.
+    """
+    values, counts = np.unique(a, return_counts=True)
+    values.setflags(write=False)
+    if values.size == a.size:
+        return values, None
+    counts = counts.astype(float)
+    counts.setflags(write=False)
+    return values, counts
+
+
 @dataclass(frozen=True, eq=False)
 class IntensityVector:
     """Nonnegative per-component signal standard deviations sigma_i.
@@ -154,11 +174,9 @@ class IntensityVector:
     first use, and kept: n floats each for the two arrays, which are
     read-only (writing into them raises ValueError).
 
-    ``runs`` is the run-length form, which serves the exponents and ``delta``:
-    the distinct values ascending with their counts, from one ``np.unique``.
-    When a value repeats, every exponent solve sums count times one term per
-    distinct value, so a flat vector costs one term at any n; when none
-    does, its counts are None and those sums run over the dense arrays.
+    ``runs`` is the run form (``runs_of``), which serves the exponents and
+    ``delta``: when a value repeats, every exponent solve sums count times
+    one term per distinct value; when none does, over the dense arrays.
     """
 
     values: np.ndarray
@@ -196,18 +214,8 @@ class IntensityVector:
 
     @cached_property
     def runs(self) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """(values, counts): the distinct sigma_i ascending, each counts[j] times.
-
-        counts is a float array, None when no value repeats; values then
-        holds all n values sorted.  Both arrays are read-only.
-        """
-        values, counts = np.unique(self.values, return_counts=True)
-        values.setflags(write=False)
-        if values.size == self.n:
-            return values, None
-        counts = counts.astype(float)
-        counts.setflags(write=False)
-        return values, counts
+        """The run form of sigma, ``runs_of(values)``."""
+        return runs_of(self.values)
 
     @property
     def delta(self) -> Optional[float]:
@@ -247,22 +255,6 @@ def check_same_length(sigma: IntensityVector, lam: IntensityVector) -> None:
         raise DimensionMismatch(
             f"sigma has length {sigma.n}, lambda has length {lam.n}"
         )
-
-
-def squares_by_run(sigma: IntensityVector):
-    """(sigma_i^2, counts) over the runs of sigma: one square per distinct
-    value with its count, or ``squared`` in its own order with counts None
-    when no value repeats."""
-    values, counts = sigma.runs
-    return (sigma.squared, None) if counts is None else (values**2, counts)
-
-
-def null_weights_by_run(sigma: IntensityVector):
-    """(sigma_i^2/(1+sigma_i^2), counts), by run like ``squares_by_run``."""
-    values, counts = sigma.runs
-    if counts is None:
-        return sigma.r_squared, None
-    return _null_weights(values**2), counts
 
 
 def sum_by_run(a: np.ndarray, counts: Optional[np.ndarray]):

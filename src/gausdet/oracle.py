@@ -6,8 +6,9 @@ function.  Both tails are sums over the same coefficients, with an absolute
 error below 5e-15; a weight spread that needs more than 2^19 terms raises
 OutOfRegime.  The term count is the least the Chernoff bound allows,
 rounded up by at most 25% to a length the FFT handles fast.  The oracle
-groups repeated weights of any input (``_group``), so its sums cost one row
-per distinct weight and equal weights are one incomplete gamma at any n.
+takes the run form of any input's weights (``model.runs_of``), so its sums
+cost one row per distinct weight and equal weights are one incomplete gamma
+at any n; all-distinct weights keep their own order.
 
 The mixture's incomplete gammas P(n/2 + k, y) and Q(n/2 + k, y) need no
 special function.  P(s + 1, y) = P(s, y) - tau_s with the Poisson term
@@ -29,7 +30,7 @@ from bisect import bisect_left
 import numpy as np
 
 from .errors import InvalidInput, OutOfRegime
-from .model import NpTest, _as_number, _as_vector, sum_by_run
+from .model import NpTest, _as_number, _as_vector, runs_of, sum_by_run
 
 _MASS_TOL = 1e-16  # mass each of the three truncations below may move
 _MAX_TERMS = 2**19  # 4 MB of coefficients; wider spreads are out of regime
@@ -340,15 +341,6 @@ def _ladder_sums(h: float, y: float, a: np.ndarray):
     return split, q, p
 
 
-def _group(w: np.ndarray):
-    """(weights, counts): the distinct weights ascending with float counts,
-    or w in its own order with counts None when no weight repeats."""
-    distinct, counts = np.unique(w, return_counts=True)
-    if distinct.size == w.size:
-        return w, None
-    return distinct, counts.astype(float)
-
-
 def _weighted_chi2(weights, x: float, upper: bool) -> float:
     """P(sum w_i xi_i^2 > x) if upper, else the cdf of ``weighted_chi2_cdf``.
 
@@ -368,7 +360,9 @@ def _weighted_chi2(weights, x: float, upper: bool) -> float:
     w = w[w > 0]  # zero-weight components contribute nothing
     if w.size == 0:
         return 0.0 if upper else 1.0  # the sum is identically 0 <= x
-    w, counts = _group(w)
+    distinct, counts = runs_of(w)
+    if counts is not None:  # else all-distinct weights keep their own order
+        w = distinct
     n = w.size if counts is None else float(np.sum(counts))
     if n == 1:  # a = [1]: Q(1/2, y) = erfc(sqrt y), P(1/2, y) = erf(sqrt y)
         w2 = 2.0 * float(w[0])
@@ -398,8 +392,9 @@ def weighted_chi2_cdf(weights, x: float) -> float:
     One path for every weight vector: the chi-square mixture
     sum_k a_k P(n/2 + k, x / (2 min w)) of Ruben (1962), with the a_k from
     one inverse FFT of their generating function (``_mixture_coefficients``).
-    Repeated weights are grouped (``_group``), so its sums take count times
-    one row per distinct weight, in any order of the weights.  Equal
+    Its sums take the run form of the weights (``model.runs_of``): count
+    times one row per distinct weight when a weight repeats, in any order
+    of the weights, and every weight in its own order otherwise.  Equal
     weights give a = [1], the incomplete gamma itself.  A single
     weight is its shape-1/2 case, erf(sqrt(x / 2w)), taken from ``math.erf``
     and, for the upper tail, ``math.erfc`` with the roundings of x / 2w and

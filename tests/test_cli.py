@@ -499,6 +499,24 @@ class TestBounds:
                 "provenance": f"not available: {why}"}
 
     @pytest.mark.parametrize("sigma, lam", [
+        ([0.0, 1.0], [0.5, 1.2]),
+        ([0.0] * 9 + [3.0], [1.0] * 10),  # one-hot: a SumFloor canonical point
+    ])
+    def test_mismatch_with_a_zero_sigma(self, runner, sigma, lam):
+        """delta is undefined when some sigma_i = 0: the transfer bound alone
+        is null, and every other output of the report stands."""
+        res = run(runner, ["mismatch"], {"sigma": sigma, "lambda": lam, "A": 0.1})
+        assert res.exit_code == 0, res.output
+        outs = outputs_by_name(json.loads(res.output))
+        assert outs["ln_beta_lambda_transfer"] == {
+            "name": "ln_beta_lambda_transfer", "value": None,
+            "provenance": "not available: delta undefined: some sigma_i = 0"}
+        full = run(runner, ["mismatch"], {"sigma": [1.0, 2.0], "lambda": [1.1, 2.1],
+                                          "A": 0.1})
+        assert list(outs) == list(outputs_by_name(json.loads(full.output)))
+        assert 0.0 < outs["beta_mismatch_upper"]["value"] <= 1.0
+
+    @pytest.mark.parametrize("sigma, lam", [
         ([1e154], [1e154]), ([1e154, 1.0], [1e154, 2.0]),
     ])
     def test_mismatch_near_the_float_limit(self, runner, sigma, lam):

@@ -966,7 +966,7 @@ class TestRunForm:
         A = self.level(sigma, frac)
         test = NpTest(sigma, A)
         try:
-            with mock.patch.object(oracle, "_group", lambda w: (w, None)):
+            with mock.patch.object(oracle, "runs_of", lambda w: (w, None)):
                 want = np_test_exact_probs(test)
         except OutOfRegime:
             return
@@ -1031,3 +1031,43 @@ class TestRunForm:
         assert w is sigma.squared and counts is None
         heads = np.concatenate(([0], np.cumsum(exponents._block_sizes(n, res.K))[:-1]))
         assert np.array_equal(calls[1][0], np.sort(sigma.squared)[::-1][heads])
+
+    @given(st.one_of(vectors_with_repeats(), st.builds(
+               lambda n, seed: IntensityVector(
+                   np.random.default_rng(seed).uniform(0.3, 1.5, n)),
+               st.integers(1, 100_000), st.integers(0, 2**32 - 1))),
+           st.floats(0.02, 0.98))
+    @settings(max_examples=60, deadline=None)
+    @example(AT_1E5[0], 0.5)
+    @example(AT_1E5[1], 0.3)
+    @example(AT_1E5[2], 0.5)
+    @example(AT_1E5[3], 0.7)
+    @example(IntensityVector(np.random.default_rng(5).uniform(0.3, 1.5, 100_000)), 0.4)
+    def test_lower_bound_takes_u0_from_solve_u0(self, sigma, frac):
+        """beta_lower_bound's u0 is solve_u0's, bit for bit: flat, repeated
+        and all-distinct values alike.  A vector with a zero has no delta, so
+        it has no sandwich, while its u0 is still solved."""
+        A = self.level(sigma, frac)
+        u0 = solve_u0(sigma, A)
+        if sigma.delta is None:
+            with pytest.raises(InvalidInput, match="delta undefined"):
+                beta_lower_bound(sigma, A)
+        elif u0.boundary_case != INTERIOR:
+            with pytest.raises(OutOfRegime):
+                beta_lower_bound(sigma, A)
+        else:
+            assert repr(beta_lower_bound(sigma, A).u0) == repr(u0)
+
+    @pytest.mark.parametrize("values", [
+        np.full(50, 0.8), np.repeat(np.linspace(0.3, 1.5, 10), 5),
+        np.linspace(0.3, 1.5, 50)], ids=["flat", "repeats", "distinct"])
+    def test_miss_solves_make_no_null_weights(self, values):
+        """The miss exponent reads sigma^2 alone, so its entry points leave
+        the null weights sigma^2/(1+sigma^2) of every vector unmade."""
+        A = sum(signal_statistics(IntensityVector(values)).window) / 2  # on a twin
+        sigma, lam = IntensityVector(values), IntensityVector(1.1 * values)
+        g_eval(sigma, A, 0.5)
+        beta_upper_bound(sigma, A)
+        beta_lower_bound(sigma, A)
+        bound_transfer(sigma, lam, A)
+        assert "r_squared" not in vars(sigma) and "r_squared" not in vars(lam)
