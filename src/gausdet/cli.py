@@ -290,7 +290,8 @@ def _bounds_beta(args, report: Report) -> None:
                "safeguarded Newton iterations of the u0 solve; 0 at an endpoint")
     report.add("u0_residual", sol.stationarity_residual,
                "g'(u0); zero up to the solver tolerance when interior")
-    report.add("beta_upper", exponents.beta_upper_bound(sigma, A),
+    # beta_upper_bound's value, from the u0 solved above
+    report.add("beta_upper", min(1.0, math.exp(-sol.value)),
                "Chernoff bound exp(-g(u0))")
     try:
         sandwich = exponents.beta_lower_bound(sigma, A, K=args["K"])

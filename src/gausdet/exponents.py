@@ -128,8 +128,31 @@ def g_eval(sigma: IntensityVector, A: float, u: float):
     return g, 0.5 * (float(sum_by_run(np.divide(s2, q, out=q), counts)) - threshold)
 
 
+def _end_sums(w: np.ndarray, end: float, counts=None) -> tuple[float, float]:
+    """(S(0), S(end)) of ``chernoff_root``'s S, by the expressions of its h.
+
+    S(0) = sum c w; S(end) is one pass over one buffer q = end w + 1 that
+    becomes c w/q.
+    """
+    cw = w if counts is None else counts * w
+    q = np.multiply(end, w)
+    q += 1.0
+    return float(np.sum(cw)), float(np.sum(np.divide(cw, q, out=q)))
+
+
+def _fixed_end_sums(sigma: IntensityVector, w: np.ndarray, end: float,
+                    counts=None) -> tuple[float, float]:
+    """``_end_sums`` of the u0 solve (end 1, w = sigma^2) or the t0 solve
+    (end -1, w = r^2) on sigma's weights by run, made on the solve's first
+    run and kept in ``sigma.bracket_sums``."""
+    sums = sigma.bracket_sums.get(end)
+    if sums is None:
+        sums = sigma.bracket_sums[end] = _end_sums(w, end, counts)
+    return sums
+
+
 def chernoff_root(
-    w: np.ndarray, threshold: float, end: float, counts=None
+    w: np.ndarray, threshold: float, end: float, counts=None, end_sums=None
 ) -> tuple[RootResult, str]:
     """Stationary point of 2g(x) = sum c_i ln(1 + x w_i) - x threshold.
 
@@ -155,10 +178,15 @@ def chernoff_root(
     through F at the bracket ends.  Signs are still tested on h, and h is
     the residual reported.
 
-    h is evaluated once per point, bracket ends included: h(0) is
-    sum c w - threshold, elsewhere one pass over one buffer q that lives for
-    the call forms q_i = c_i w_i/(1 + x w_i) and h = sum q - threshold.
-    h' = -sum q_i^2/c_i at the same point reads q without writing it.
+    S at a finite end and at 0 depends on the weights alone, not on the
+    threshold: end_sums is that pair, (S(0), S(end)) of ``_end_sums``, which
+    the u0 and t0 solves keep on their vector (``_fixed_end_sums``), and it
+    is made here when not given.  So h runs at neither end of a finite
+    bracket.  On [0, inf) h runs at 0 and at hi.  h is evaluated at no
+    point twice: h(0) is sum c w - threshold, elsewhere one pass over one
+    buffer q that lives for the call forms q_i = c_i w_i/(1 + x w_i) and
+    h = sum q - threshold.  h' = -sum q_i^2/c_i at the same point reads q
+    without writing it.
     """
     cw = w if counts is None else counts * w
     q = np.empty_like(w)
@@ -179,28 +207,31 @@ def chernoff_root(
 
     side = math.copysign(1.0, end)
     zero = math.copysign(0.0, end)
-    h0, s0 = h(zero), s
-    if side * h0 <= 0.0:
-        return RootResult(zero, h0, 0), AT_ZERO
     if math.isinf(end):
+        h0, s0 = h(zero), s
+        if side * h0 <= 0.0:
+            return RootResult(zero, h0, 0), AT_ZERO
         total = w.size if counts is None else float(np.sum(counts))
         end = 2.0 * total / threshold if threshold > 0.0 else math.inf
         if end == math.inf:
             raise InvalidInput("could not bracket root: no sign change found")
-        h_end = h(end)
+        h_end, s_end = h(end), s
     else:
-        h_end = h(end)
+        s0, s_end = _end_sums(w, end, counts) if end_sums is None else end_sums
+        h0, h_end = s0 - threshold, s_end - threshold
+        if side * h0 <= 0.0:
+            return RootResult(zero, h0, 0), AT_ZERO
         if side * h_end >= 0.0:
             return RootResult(end, h_end, 0), AT_ONE
     (lo, h_lo), (hi, h_hi) = sorted(((0.0, h0), (end, h_end)))
-    s_hi = s if end > 0.0 else s0
+    s_hi = s_end if end > 0.0 else s0
     # Root of the line through F at the ends: h's secant scaled by S(hi)/T.
     start = lo + (hi - lo) * (s_hi / threshold) * (h_lo / (h_lo - h_hi))
     return solve_bracketed(h, slope, lo, hi, h_lo, h_hi, start), INTERIOR
 
 
 def _maximize(
-    w: np.ndarray, threshold: float, end: float, counts=None
+    w: np.ndarray, threshold: float, end: float, counts=None, end_sums=None
 ) -> ExponentSolution:
     """Maximize g of ``chernoff_root`` between 0 and end.
 
@@ -208,7 +239,7 @@ def _maximize(
     argmax and residual are reported in t = -x, with f(t) = g(-t) and
     f'(t) = 0.0 - g'(x), which keeps a zero residual +0.0.
     """
-    res, case = chernoff_root(w, threshold, end, counts)
+    res, case = chernoff_root(w, threshold, end, counts, end_sums)
     g, gp = _exponent(w, threshold, res.root, counts), 0.5 * res.residual
     if end < 0:
         return ExponentSolution(-res.root, g, 0.0 - gp, res.iterations, case)
@@ -225,7 +256,8 @@ def solve_u0(sigma: IntensityVector, A: float) -> ExponentSolution:
     (g = -A/2).  Endpoints are reported via boundary_case, never an error.
     """
     s2, _, _, counts = _weights(sigma, null=False)
-    return _maximize(s2, sigma.D + _as_number(A, "A"), 1.0, counts)
+    return _maximize(s2, sigma.D + _as_number(A, "A"), 1.0, counts,
+                     _fixed_end_sums(sigma, s2, 1.0, counts))
 
 
 def beta_upper_bound(sigma: IntensityVector, A: float) -> float:
@@ -305,7 +337,8 @@ def alpha_upper_bound(sigma: IntensityVector, A: float):
     A = _as_number(A, "A")
     simple = math.exp(-A / 2.0)
     _, r2, _, counts = _weights(sigma)
-    sol = _maximize(r2, sigma.D + A, -1.0, counts)
+    sol = _maximize(r2, sigma.D + A, -1.0, counts,
+                    _fixed_end_sums(sigma, r2, -1.0, counts))
     return sol, min(1.0, math.exp(-sol.value)), simple
 
 

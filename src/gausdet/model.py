@@ -24,9 +24,11 @@ entries are numbers.  A point set is checked only by ``FinitePoints``
 D(sigma) = sum ln(1+sigma_i^2) is computed only by ``_log_normalizer``.  An
 intensity vector derives sigma_i^2, sigma_i^2/(1+sigma_i^2) and D once, on
 first use, and keeps them for its life; the two arrays are read-only, so
-every caller shares them and none may write into them.  It also keeps its
-run form ``runs``, which serves the exponents and delta: ``runs_of`` states
-the convention, and is the one place the package groups repeated values.  The
+every caller shares them and none may write into them.  It derives the
+sums at the bracket ends of the exponents' u0 and t0 solves once too
+(``bracket_sums``, two floats a solve).  It also keeps its run form
+``runs``, which serves the exponents and delta: ``runs_of`` states the
+convention, and is the one place the package groups repeated values.  The
 rules share one core, ``_QuadraticFormTest``, which builds the weights W
 (k, n) and D_k of its points once, from their values, and owns
 ``accepts``; the points of a mixture test are the support of its prior,
@@ -170,9 +172,10 @@ class IntensityVector:
     """Nonnegative per-component signal standard deviations sigma_i.
 
     The central parameter of every formula in the package.  Immutable, so
-    ``squared``, ``r_squared``, ``D`` and ``runs`` are computed once, on
-    first use, and kept: n floats each for the two arrays, which are
-    read-only (writing into them raises ValueError).
+    ``squared``, ``r_squared``, ``D``, ``runs`` and the exponents'
+    ``bracket_sums`` are computed once, on first use, and kept: n floats
+    each for the two arrays, which are read-only (writing into them raises
+    ValueError), and two floats for each bracket.
 
     ``runs`` is the run form (``runs_of``), which serves the exponents and
     ``delta``: when a value repeats, every exponent solve sums count times
@@ -216,6 +219,16 @@ class IntensityVector:
     def runs(self) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """The run form of sigma, ``runs_of(values)``."""
         return runs_of(self.values)
+
+    @cached_property
+    def bracket_sums(self) -> dict[float, tuple[float, float]]:
+        """The exponents' bracket-end sums on sigma, keyed by the bracket end.
+
+        Empty at first; the u0 (end 1) and t0 (end -1) solves each add
+        their pair (S(0), S(end)) of two floats on their first run
+        (``exponents._fixed_end_sums``) and read it on every later one.
+        """
+        return {}
 
     @property
     def delta(self) -> Optional[float]:

@@ -30,7 +30,7 @@ from bisect import bisect_left
 import numpy as np
 
 from .errors import InvalidInput, OutOfRegime
-from .model import NpTest, _as_number, _as_vector, runs_of, sum_by_run
+from .model import NpTest, _as_number, _as_vector, _null_weights, runs_of, sum_by_run
 
 _MASS_TOL = 1e-16  # mass each of the three truncations below may move
 _MAX_TERMS = 2**19  # 4 MB of coefficients; wider spreads are out of regime
@@ -358,11 +358,16 @@ def _weighted_chi2(weights, x: float, upper: bool) -> float:
     if x < 0:
         raise InvalidInput("x must be nonnegative")
     w = w[w > 0]  # zero-weight components contribute nothing
+    distinct, counts = runs_of(w)
+    # all-distinct weights keep their own order
+    return _mixture_tail(w if counts is None else distinct, counts, x, upper)
+
+
+def _mixture_tail(w: np.ndarray, counts, x: float, upper: bool) -> float:
+    """``_weighted_chi2`` on positive weights w in the run form of
+    ``model.runs_of``, and a valid x."""
     if w.size == 0:
         return 0.0 if upper else 1.0  # the sum is identically 0 <= x
-    distinct, counts = runs_of(w)
-    if counts is not None:  # else all-distinct weights keep their own order
-        w = distinct
     n = w.size if counts is None else float(np.sum(counts))
     if n == 1:  # a = [1]: Q(1/2, y) = erfc(sqrt y), P(1/2, y) = erf(sqrt y)
         w2 = 2.0 * float(w[0])
@@ -418,13 +423,35 @@ def weighted_chi2_cdf(weights, x: float) -> float:
     return _weighted_chi2(weights, x, upper=False)
 
 
+def _tail_by_run(w: np.ndarray, counts: np.ndarray, dense: np.ndarray,
+                 x: float, upper: bool) -> float:
+    """``_weighted_chi2(dense, x, upper)`` from the run form of dense: its
+    distinct weights w ascending with their counts, which may hold zeros
+    and equal neighbours.  They are dropped and merged as ``runs_of``
+    groups dense.  When no positive weight repeats, the weights are read
+    from dense, since all-distinct weights keep their own order."""
+    keep = w > 0
+    w, counts = w[keep], counts[keep]
+    starts = np.flatnonzero(np.diff(w, prepend=0.0))  # each new value, w > 0
+    counts = np.add.reduceat(counts, starts)
+    if not np.any(counts > 1.0):
+        return _weighted_chi2(dense, x, upper)
+    return _mixture_tail(w[starts], counts, x, upper)
+
+
 def np_test_exact_probs(test: NpTest):
     """Exact (alpha, beta) of an ellipsoid test via the weighted chi-square oracle.
 
     alpha is the oracle's upper tail under the weights ``r_squared``, so a
     tiny alpha is not rounded to 0; beta is ``weighted_chi2_cdf`` under the
-    weights ``squared``, bit for bit.
+    weights ``squared``, bit for bit.  When a value of sigma repeats, both
+    weights are taken by run from ``sigma.runs``, not regrouped from n.
     """
-    thr = test.threshold
-    return (_weighted_chi2(test.sigma.r_squared, thr, True),
-            _weighted_chi2(test.sigma.squared, thr, False))
+    thr, sigma = test.threshold, test.sigma
+    values, counts = sigma.runs
+    if counts is None:
+        return (_weighted_chi2(sigma.r_squared, thr, True),
+                _weighted_chi2(sigma.squared, thr, False))
+    s2 = values**2
+    return (_tail_by_run(_null_weights(s2), counts, sigma.r_squared, thr, True),
+            _tail_by_run(s2, counts, sigma.squared, thr, False))

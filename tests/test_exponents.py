@@ -585,8 +585,15 @@ class TestChernoffEvaluations:
             out, points = self.h_points(lambda: SOLVES[solve](sigma, lam, A))
             sol = out if solve == "solve_u0" else out[0]
             assert sol.boundary_case == INTERIOR, label
-            # 0, the bracket end and the first midpoint, then one per step
-            assert len(points) >= sol.iterations + 2, label
+            if solve == "beta_mismatch_upper":
+                # 0, the bracket end and the first midpoint, then one per step
+                assert len(points) >= sol.iterations + 2, label
+            else:
+                # S at 0 and at the end is the vector's: the first point, then
+                # one per step
+                end = 1.0 if solve == "solve_u0" else -1.0
+                assert 0.0 not in points and end not in points, (label, points)
+                assert len(points) >= sol.iterations, label
             assert len(set(points)) == len(points), (label, points)
 
 
@@ -631,8 +638,8 @@ def chernoff_calls(call):
     calls = []
     real = exponents.chernoff_root
 
-    def spy(w, threshold, end, counts=None):
-        res, case = real(w, threshold, end, counts)
+    def spy(w, threshold, end, counts=None, end_sums=None):
+        res, case = real(w, threshold, end, counts, end_sums)
         calls.append((w, threshold, end, counts, res, case))
         return res, case
 
@@ -1071,3 +1078,59 @@ class TestRunForm:
         beta_lower_bound(sigma, A)
         bound_transfer(sigma, lam, A)
         assert "r_squared" not in vars(sigma) and "r_squared" not in vars(lam)
+
+
+def t0(sigma, A):
+    """alpha_upper_bound's t0 solution; below A = -1400, where its simple
+    bound exp(-A/2) overflows, the same solve by the calls it makes."""
+    if A > -1400.0:
+        return alpha_upper_bound(sigma, A)[0]
+    _, r2, _, counts = exponents._weights(sigma)
+    return exponents._maximize(r2, sigma.D + A, -1.0, counts,
+                               exponents._fixed_end_sums(sigma, r2, -1.0, counts))
+
+
+class TestBracketSums:
+    """The u0 and t0 solves keep S at their bracket ends on the vector
+    (``IntensityVector.bracket_sums``), whatever the level: a solve on a
+    vector that keeps them gives the bits of the same solve on a fresh copy."""
+
+    @staticmethod
+    def level(sigma, where):
+        lo, hi = signal_statistics(sigma).window
+        if where == "below":
+            return lo - 1.0 - 0.5 * abs(lo)
+        if where == "above":
+            return hi + 1.0 + 0.5 * abs(hi)
+        return lo + where * (hi - lo)
+
+    @staticmethod
+    def outcome(call):
+        try:
+            return repr(call())
+        except (InvalidInput, OutOfRegime) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    levels = st.one_of(st.floats(0.0, 1.0), st.sampled_from(["below", "above"]))
+
+    @given(st.one_of(vectors_with_repeats(), sigmas_up_to_2000(), st.builds(
+               lambda n, seed: IntensityVector(
+                   np.random.default_rng(seed).uniform(0.3, 1.5, n)),
+               st.integers(1, 100_000), st.integers(0, 2**32 - 1))),
+           levels, levels)
+    @settings(max_examples=60, deadline=None)
+    @example(AT_1E5[1], 0.5, "below")
+    @example(AT_1E5[2], "above", 0.3)
+    @example(IntensityVector(np.random.default_rng(6).uniform(0.3, 1.5, 100_000)),
+             0.4, 0.6)
+    def test_kept_sums_give_the_bits_of_a_fresh_vector(self, sigma, first, second):
+        solves = {"u0": solve_u0, "t0": t0, "lower": beta_lower_bound}
+        A = self.level(sigma, first)
+        for solve in solves.values():
+            self.outcome(lambda: solve(sigma, A))
+        assert set(sigma.bracket_sums) == {1.0, -1.0}
+        A = self.level(sigma, second)
+        for name, solve in solves.items():
+            fresh = IntensityVector(sigma.values)
+            assert self.outcome(lambda: solve(sigma, A)) == self.outcome(
+                lambda: solve(fresh, A)), name

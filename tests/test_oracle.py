@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausdet import oracle
+from gausdet import IntensityVector, NpTest, oracle
+from gausdet.errors import OutOfRegime
 
 SUBNORMAL_STEP = 2.0**-1074
 SHAPES = (0.5, 1.0, 1.5, 7.5, 50.0, 500.5, 5e3, 5e4)
@@ -162,6 +163,39 @@ def test_repeated_weights_give_the_same_bits_in_any_order(w, seed, frac):
     for upper in (False, True):
         assert (oracle._weighted_chi2(shuffled, x, upper)
                 == oracle._weighted_chi2(w, x, upper))
+
+
+@st.composite
+def sigmas_with_runs(draw):
+    """Intensities whose values may repeat, with zeros mixed in, and with
+    values near 30 whose null weights s^2/(1 + s^2) round equal."""
+    values = draw(st.lists(st.floats(0.5, 4.0), min_size=1, max_size=5, unique=True))
+    values += [30.0, math.nextafter(30.0, 31.0), math.nextafter(30.0, 29.0)][
+        :draw(st.integers(0, 3))]
+    counts = draw(st.lists(st.integers(1, 4), min_size=len(values),
+                           max_size=len(values)))
+    zeros = np.zeros(draw(st.integers(0, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return IntensityVector(rng.permutation(np.concatenate((np.repeat(values, counts), zeros))))
+
+
+@given(sigmas_with_runs(), st.floats(0.0, 3.0))
+@settings(max_examples=100, deadline=None)
+def test_exact_probs_take_sigma_runs_bit_for_bit(sigma, frac):
+    """np_test_exact_probs takes its weights by run from sigma.runs when a
+    value repeats: the bits of the oracle on the dense weights."""
+    test = NpTest(sigma, frac * float(np.sum(sigma.squared)) - sigma.D)
+    thr = test.threshold
+
+    def outcome(call):
+        try:
+            return call()
+        except OutOfRegime as exc:
+            return str(exc)
+
+    want = outcome(lambda: (oracle._weighted_chi2(sigma.r_squared, thr, True),
+                            oracle.weighted_chi2_cdf(sigma.squared, thr)))
+    assert outcome(lambda: oracle.np_test_exact_probs(test)) == want
 
 
 def ruben_cdf(w, xs):
