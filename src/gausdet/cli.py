@@ -281,7 +281,12 @@ def _block_count(value, key: str) -> Optional[int]:
 def _bounds_beta(args, report: Report) -> None:
     """Chernoff upper bound and block-partition sandwich on the miss probability."""
     sigma, A = args["sigma"], args["A"]
-    sol = exponents.solve_u0(sigma, A)
+    try:  # u0 is solved once: the sandwich holds the Chernoff bound's solve
+        sandwich = exponents.beta_lower_bound(sigma, A, K=args["K"])
+        sol = sandwich.u0
+    except (InvalidInput, OutOfRegime) as exc:
+        sandwich, unavailable = None, f"not available: {exc}"
+        sol = exponents.solve_u0(sigma, A)
     report.add("u0", sol.argmax, "stationary point of the miss exponent g")
     report.add("g_u0", sol.value, "maximized miss exponent g(u0)")
     report.add("boundary_case", sol.boundary_case,
@@ -293,21 +298,20 @@ def _bounds_beta(args, report: Report) -> None:
     # beta_upper_bound's value, from the u0 solved above
     report.add("beta_upper", min(1.0, math.exp(-sol.value)),
                "Chernoff bound exp(-g(u0))")
-    try:
-        sandwich = exponents.beta_lower_bound(sigma, A, K=args["K"])
-        report.add("ln_beta_lower", sandwich.interval.lower,
-                   "block chi-square construction, optimized K")
-        report.add("ln_beta_upper", sandwich.interval.upper,
-                   "Chernoff bound exp(-g(u0))")
-        report.add("ln_beta_constructive_lower", sandwich.constructive_lower,
-                   "per-block chi-square lower-tail bound at optimized levels")
-        report.add("u1", sandwich.u1, "blockwise stationary point, u1 >= u0")
-        report.add("u1_residual", sandwich.u1_residual,
-                   "sum_k m_k b_k/(1+u1 b_k) - (D + A); zero up to the "
-                   "solver tolerance")
-        report.add("K", sandwich.K, "block count")
-    except (InvalidInput, OutOfRegime) as exc:
-        report.add("ln_beta_sandwich", None, f"not available: {exc}")
+    if sandwich is None:
+        report.add("ln_beta_sandwich", None, unavailable)
+        return
+    report.add("ln_beta_lower", sandwich.interval.lower,
+               "block chi-square construction, optimized K")
+    report.add("ln_beta_upper", sandwich.interval.upper,
+               "Chernoff bound exp(-g(u0))")
+    report.add("ln_beta_constructive_lower", sandwich.constructive_lower,
+               "per-block chi-square lower-tail bound at optimized levels")
+    report.add("u1", sandwich.u1, "blockwise stationary point, u1 >= u0")
+    report.add("u1_residual", sandwich.u1_residual,
+               "sum_k m_k b_k/(1+u1 b_k) - (D + A); zero up to the "
+               "solver tolerance")
+    report.add("K", sandwich.K, "block count")
 
 
 @_register("bounds-alpha", {"sigma": _sigma, "A": _as_number})

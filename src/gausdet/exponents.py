@@ -128,31 +128,20 @@ def g_eval(sigma: IntensityVector, A: float, u: float):
     return g, 0.5 * (float(sum_by_run(np.divide(s2, q, out=q), counts)) - threshold)
 
 
-def _end_sums(w: np.ndarray, end: float, counts=None) -> tuple[float, float]:
-    """(S(0), S(end)) of ``chernoff_root``'s S, by the expressions of its h.
+def _fixed_bracket(sigma: IntensityVector, end: float):
+    """(w, counts, kept) of the u0 solve (end 1) or the t0 solve (end -1).
 
-    S(0) = sum c w; S(end) is one pass over one buffer q = end w + 1 that
-    becomes c w/q.
+    w and counts are the weights ``_weights`` gives that solve, sigma^2 or
+    r^2 by run; kept is the dict of S at 0 and at end that sigma keeps for
+    them (``IntensityVector.bracket_sums[end]``).  The end names the solve,
+    so the sums and the weights they were made from come from here together.
     """
-    cw = w if counts is None else counts * w
-    q = np.multiply(end, w)
-    q += 1.0
-    return float(np.sum(cw)), float(np.sum(np.divide(cw, q, out=q)))
-
-
-def _fixed_end_sums(sigma: IntensityVector, w: np.ndarray, end: float,
-                    counts=None) -> tuple[float, float]:
-    """``_end_sums`` of the u0 solve (end 1, w = sigma^2) or the t0 solve
-    (end -1, w = r^2) on sigma's weights by run, made on the solve's first
-    run and kept in ``sigma.bracket_sums``."""
-    sums = sigma.bracket_sums.get(end)
-    if sums is None:
-        sums = sigma.bracket_sums[end] = _end_sums(w, end, counts)
-    return sums
+    s2, r2, _, counts = _weights(sigma, null=end < 0.0)
+    return r2 if end < 0.0 else s2, counts, sigma.bracket_sums.setdefault(end, {})
 
 
 def chernoff_root(
-    w: np.ndarray, threshold: float, end: float, counts=None, end_sums=None
+    w: np.ndarray, threshold: float, end: float, counts=None, kept=None
 ) -> tuple[RootResult, str]:
     """Stationary point of 2g(x) = sum c_i ln(1 + x w_i) - x threshold.
 
@@ -178,15 +167,15 @@ def chernoff_root(
     through F at the bracket ends.  Signs are still tested on h, and h is
     the residual reported.
 
-    S at a finite end and at 0 depends on the weights alone, not on the
-    threshold: end_sums is that pair, (S(0), S(end)) of ``_end_sums``, which
-    the u0 and t0 solves keep on their vector (``_fixed_end_sums``), and it
-    is made here when not given.  So h runs at neither end of a finite
-    bracket.  On [0, inf) h runs at 0 and at hi.  h is evaluated at no
-    point twice: h(0) is sum c w - threshold, elsewhere one pass over one
-    buffer q that lives for the call forms q_i = c_i w_i/(1 + x w_i) and
-    h = sum q - threshold.  h' = -sum q_i^2/c_i at the same point reads q
-    without writing it.
+    S at 0 and at a finite end depends on the weights alone, not on the
+    threshold.  kept, a dict from x to S(x), holds the sums at the bracket
+    ends that earlier solves on the same weights made: the u0 and t0 solves
+    pass the one their vector keeps (``_fixed_bracket``), so h runs at
+    neither end of their bracket once each has run there.  h is evaluated
+    at no point twice: h(0) is sum c w - threshold, elsewhere one pass over
+    one buffer q that lives for the call forms q_i = c_i w_i/(1 + x w_i)
+    and h = sum q - threshold.  h' = -sum q_i^2/c_i at the same point reads
+    q without writing it.
     """
     cw = w if counts is None else counts * w
     q = np.empty_like(w)
@@ -205,24 +194,29 @@ def chernoff_root(
         dh = -float(np.dot(q, q) if counts is None else np.dot(q, q / counts))
         return dh * (threshold / s) if s > 0.0 else math.nan
 
+    kept = {} if kept is None else kept
+
+    def sum_at(x: float) -> float:  # S at 0 or at the bracket end
+        if x not in kept:
+            h(x)
+            kept[x] = s
+        return kept[x]
+
     side = math.copysign(1.0, end)
     zero = math.copysign(0.0, end)
+    s0 = sum_at(zero)
+    h0 = s0 - threshold
+    if side * h0 <= 0.0:
+        return RootResult(zero, h0, 0), AT_ZERO
     if math.isinf(end):
-        h0, s0 = h(zero), s
-        if side * h0 <= 0.0:
-            return RootResult(zero, h0, 0), AT_ZERO
         total = w.size if counts is None else float(np.sum(counts))
         end = 2.0 * total / threshold if threshold > 0.0 else math.inf
         if end == math.inf:
             raise InvalidInput("could not bracket root: no sign change found")
-        h_end, s_end = h(end), s
-    else:
-        s0, s_end = _end_sums(w, end, counts) if end_sums is None else end_sums
-        h0, h_end = s0 - threshold, s_end - threshold
-        if side * h0 <= 0.0:
-            return RootResult(zero, h0, 0), AT_ZERO
-        if side * h_end >= 0.0:
-            return RootResult(end, h_end, 0), AT_ONE
+    s_end = sum_at(end)
+    h_end = s_end - threshold
+    if side * h_end >= 0.0:  # never on [0, inf), where h(hi) < 0
+        return RootResult(end, h_end, 0), AT_ONE
     (lo, h_lo), (hi, h_hi) = sorted(((0.0, h0), (end, h_end)))
     s_hi = s_end if end > 0.0 else s0
     # Root of the line through F at the ends: h's secant scaled by S(hi)/T.
@@ -231,7 +225,7 @@ def chernoff_root(
 
 
 def _maximize(
-    w: np.ndarray, threshold: float, end: float, counts=None, end_sums=None
+    w: np.ndarray, threshold: float, end: float, counts=None, kept=None
 ) -> ExponentSolution:
     """Maximize g of ``chernoff_root`` between 0 and end.
 
@@ -239,7 +233,7 @@ def _maximize(
     argmax and residual are reported in t = -x, with f(t) = g(-t) and
     f'(t) = 0.0 - g'(x), which keeps a zero residual +0.0.
     """
-    res, case = chernoff_root(w, threshold, end, counts, end_sums)
+    res, case = chernoff_root(w, threshold, end, counts, kept)
     g, gp = _exponent(w, threshold, res.root, counts), 0.5 * res.residual
     if end < 0:
         return ExponentSolution(-res.root, g, 0.0 - gp, res.iterations, case)
@@ -255,9 +249,8 @@ def solve_u0(sigma: IntensityVector, A: float) -> ExponentSolution:
     above the upper edge (g = 0), u0 = 1 for A at or below the lower edge
     (g = -A/2).  Endpoints are reported via boundary_case, never an error.
     """
-    s2, _, _, counts = _weights(sigma, null=False)
-    return _maximize(s2, sigma.D + _as_number(A, "A"), 1.0, counts,
-                     _fixed_end_sums(sigma, s2, 1.0, counts))
+    s2, counts, kept = _fixed_bracket(sigma, 1.0)
+    return _maximize(s2, sigma.D + _as_number(A, "A"), 1.0, counts, kept)
 
 
 def beta_upper_bound(sigma: IntensityVector, A: float) -> float:
@@ -336,9 +329,8 @@ def alpha_upper_bound(sigma: IntensityVector, A: float):
     """
     A = _as_number(A, "A")
     simple = math.exp(-A / 2.0)
-    _, r2, _, counts = _weights(sigma)
-    sol = _maximize(r2, sigma.D + A, -1.0, counts,
-                    _fixed_end_sums(sigma, r2, -1.0, counts))
+    r2, counts, kept = _fixed_bracket(sigma, -1.0)
+    sol = _maximize(r2, sigma.D + A, -1.0, counts, kept)
     return sol, min(1.0, math.exp(-sol.value)), simple
 
 

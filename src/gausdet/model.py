@@ -26,7 +26,7 @@ intensity vector derives sigma_i^2, sigma_i^2/(1+sigma_i^2) and D once, on
 first use, and keeps them for its life; the two arrays are read-only, so
 every caller shares them and none may write into them.  It derives the
 sums at the bracket ends of the exponents' u0 and t0 solves once too
-(``bracket_sums``, two floats a solve).  It also keeps its run form
+(``bracket_sums``, up to two floats a solve).  It also keeps its run form
 ``runs``, which serves the exponents and delta: ``runs_of`` states the
 convention, and is the one place the package groups repeated values.  The
 rules share one core, ``_QuadraticFormTest``, which builds the weights W
@@ -175,7 +175,7 @@ class IntensityVector:
     ``squared``, ``r_squared``, ``D``, ``runs`` and the exponents'
     ``bracket_sums`` are computed once, on first use, and kept: n floats
     each for the two arrays, which are read-only (writing into them raises
-    ValueError), and two floats for each bracket.
+    ValueError), and one float for each bracket-end sum.
 
     ``runs`` is the run form (``runs_of``), which serves the exponents and
     ``delta``: when a value repeats, every exponent solve sums count times
@@ -221,12 +221,13 @@ class IntensityVector:
         return runs_of(self.values)
 
     @cached_property
-    def bracket_sums(self) -> dict[float, tuple[float, float]]:
-        """The exponents' bracket-end sums on sigma, keyed by the bracket end.
+    def bracket_sums(self) -> dict[float, dict[float, float]]:
+        """The exponents' bracket-end sums on sigma: end -> {x: S(x)}.
 
-        Empty at first; the u0 (end 1) and t0 (end -1) solves each add
-        their pair (S(0), S(end)) of two floats on their first run
-        (``exponents._fixed_end_sums``) and read it on every later one.
+        Empty at first.  The u0 (end 1) and t0 (end -1) solves keep S at
+        x = 0 and at x = end, one float each, when they first evaluate it,
+        and read it on every later solve.  Only ``exponents._fixed_bracket``
+        hands these dicts out, with the weights they are sums of.
         """
         return {}
 

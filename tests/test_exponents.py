@@ -582,19 +582,21 @@ class TestChernoffEvaluations:
                                        "beta_mismatch_upper"])
     def test_each_point_once(self, solve):
         for label, sigma, lam, A in _pinned_interior_inputs():
-            out, points = self.h_points(lambda: SOLVES[solve](sigma, lam, A))
-            sol = out if solve == "solve_u0" else out[0]
-            assert sol.boundary_case == INTERIOR, label
-            if solve == "beta_mismatch_upper":
-                # 0, the bracket end and the first midpoint, then one per step
-                assert len(points) >= sol.iterations + 2, label
-            else:
-                # S at 0 and at the end is the vector's: the first point, then
-                # one per step
-                end = 1.0 if solve == "solve_u0" else -1.0
-                assert 0.0 not in points and end not in points, (label, points)
-                assert len(points) >= sol.iterations, label
-            assert len(set(points)) == len(points), (label, points)
+            sigma = IntensityVector(sigma.values)  # keeps no bracket sums yet
+            for call in ("first", "again"):
+                out, points = self.h_points(lambda: SOLVES[solve](sigma, lam, A))
+                sol = out if solve == "solve_u0" else out[0]
+                assert sol.boundary_case == INTERIOR, label
+                if solve == "beta_mismatch_upper" or call == "first":
+                    # 0, the bracket end and the first midpoint, then one per step
+                    assert len(points) >= sol.iterations + 2, label
+                else:
+                    # S at 0 and at the end is the vector's: the first point,
+                    # then one per step
+                    end = 1.0 if solve == "solve_u0" else -1.0
+                    assert 0.0 not in points and end not in points, (label, points)
+                    assert len(points) >= sol.iterations, label
+                assert len(set(points)) == len(points), (label, points)
 
 
 class TestPeakMemory:
@@ -638,8 +640,8 @@ def chernoff_calls(call):
     calls = []
     real = exponents.chernoff_root
 
-    def spy(w, threshold, end, counts=None, end_sums=None):
-        res, case = real(w, threshold, end, counts, end_sums)
+    def spy(w, threshold, end, counts=None, kept=None):
+        res, case = real(w, threshold, end, counts, kept)
         calls.append((w, threshold, end, counts, res, case))
         return res, case
 
@@ -1085,15 +1087,23 @@ def t0(sigma, A):
     bound exp(-A/2) overflows, the same solve by the calls it makes."""
     if A > -1400.0:
         return alpha_upper_bound(sigma, A)[0]
-    _, r2, _, counts = exponents._weights(sigma)
-    return exponents._maximize(r2, sigma.D + A, -1.0, counts,
-                               exponents._fixed_end_sums(sigma, r2, -1.0, counts))
+    r2, counts, kept = exponents._fixed_bracket(sigma, -1.0)
+    return exponents._maximize(r2, sigma.D + A, -1.0, counts, kept)
 
 
 class TestBracketSums:
     """The u0 and t0 solves keep S at their bracket ends on the vector
     (``IntensityVector.bracket_sums``), whatever the level: a solve on a
-    vector that keeps them gives the bits of the same solve on a fresh copy."""
+    vector that keeps them gives the bits of the same solve on a fresh copy.
+    S(end) is made only when a solve gets past the test at 0."""
+
+    @pytest.mark.parametrize("where", ["above", "below"])
+    def test_at_zero_sums_only_at_zero(self, where):
+        sigma = IntensityVector(np.linspace(0.3, 1.5, 1000))
+        A = self.level(sigma, where)
+        solve, end = (solve_u0, 1.0) if where == "above" else (t0, -1.0)
+        assert solve(sigma, A).boundary_case == AT_ZERO
+        assert sigma.bracket_sums == {end: {0.0: sigma.bracket_sums[end][0.0]}}
 
     @staticmethod
     def level(sigma, where):
@@ -1128,7 +1138,10 @@ class TestBracketSums:
         A = self.level(sigma, first)
         for solve in solves.values():
             self.outcome(lambda: solve(sigma, A))
-        assert set(sigma.bracket_sums) == {1.0, -1.0}
+        kept = sigma.bracket_sums
+        assert kept.keys() == {1.0, -1.0}
+        assert {0.0} <= kept[1.0].keys() <= {0.0, 1.0}
+        assert {0.0} <= kept[-1.0].keys() <= {0.0, -1.0}
         A = self.level(sigma, second)
         for name, solve in solves.items():
             fresh = IntensityVector(sigma.values)
