@@ -1,14 +1,23 @@
 """The exact oracle for the weighted chi-square probabilities behind alpha and beta.
 
-It has one path for every weight vector: the chi-square mixture of Ruben
-(1962), whose coefficients come from one inverse FFT of their generating
-function.  Both tails are sums over the same coefficients, with an absolute
-error below 5e-15; a weight spread that needs more than 2^19 terms raises
-OutOfRegime.  The term count is the least the Chernoff bound allows,
-rounded up by at most 25% to a length the FFT handles fast.  The oracle
-takes the run form of any input's weights (``model.runs_of``), so its sums
-cost one row per distinct weight and equal weights are one incomplete gamma
-at any n; all-distinct weights keep their own order.
+It has one method for every weight vector: the chi-square mixture
+sum_k a_k P(n/2 + k, y) of Ruben (1962).  Both tails are sums over the
+same coefficients, with an absolute error below 5e-15; a weight spread
+whose Chernoff term count N is above 2^19 raises OutOfRegime.  A tail
+reads only the a_k below its ladder's reach K (``_ladder_window``): past
+the last shape whose Poisson term does not underflow, the a_k enter only
+through their total mass, which is 1 (Kotz, Johnson and Boyd 1967).  So a
+call makes the least of N and K coefficients.  All N come from one inverse
+FFT of their generating function G on N points, N rounded up by at most
+25% to a length the FFT handles fast (``_mixture_coefficients``).  When K
+is far below N and a cost estimate says it pays (``_peel``), only the
+first K are made: the few largest distinct weights are peeled off G as
+closed-form negative-binomial factors, and the rest's coefficients, from
+its own much shorter circle, are multiplied by them
+(``_reach_coefficients``).  The oracle takes the run form of any input's
+weights (``model.runs_of``), so its sums cost one row per distinct weight
+and equal weights are one incomplete gamma at any n; all-distinct weights
+keep their own order.
 
 The mixture's incomplete gammas P(n/2 + k, y) and Q(n/2 + k, y) need no
 special function.  P(s + 1, y) = P(s, y) - tau_s with the Poisson term
@@ -24,6 +33,7 @@ library only.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 
@@ -44,6 +54,16 @@ _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 # Divisors for which x/d - fl(x/d) is exact wherever erfc(sqrt(x/d)) needs it.
 _EXACT_LO, _EXACT_HI = 2.0**-800, 2.0**800
 _ANCHOR = 16  # Poisson terms per anchor made by the saddle-point form
+# The cost estimate of ``_peel``, in seconds as measured on one core
+# (BENCH_ruben_reach.json, "cost_constants"): a real FFT of L points takes
+# _FFT_CALL + _FFT_POINT L log2 L; ln G and its exp at P points of d weights
+# (_FILL_POINT + _FILL_WEIGHT d) P; a peeled factor of K coefficients
+# _FACTOR_CALL + _FACTOR_TERM K; a rest's Chernoff grid over d weights
+# _GRID_CALL + _GRID_WEIGHT d, and each step of its ``kept`` search _KEPT_STEP.
+_FFT_CALL, _FFT_POINT = 1e-5, 1.33e-9
+_FILL_POINT, _FILL_WEIGHT = 5e-8, 1.16e-8
+_FACTOR_CALL, _FACTOR_TERM = 2e-5, 2.5e-8
+_GRID_CALL, _GRID_WEIGHT, _KEPT_STEP = 4e-5, 2.6e-7, 2.1e-5
 
 # stirlerr(s) = ln Gamma(s + 1) - (s + 1/2) ln s + s - ln(2 pi)/2 for
 # s = 1/2, 1, ..., 15, each the double nearest the 40-digit value.
@@ -59,6 +79,92 @@ _STIRLERR = np.array([
     0.006665247032707682, 0.006408994188004207, 0.006171712263039458,
     0.0059513701127588475, 0.0057462165130101155, 0.005554733551962801,
 ])
+
+
+def _fast_length(need: int) -> int:
+    """The least m 2^e >= need with m in {4, ..., 8}: at most 25% above need,
+    and a length the FFT handles fast."""
+    scale = max(need.bit_length() - 3, 0)  # need / 2^scale is in [4, 8)
+    return -(-need >> scale) << scale
+
+
+class _Generating:
+    """G(z) = prod (p_i / (1 - r_i z))^(c_i/2) of positive weights w in run form.
+
+    p_i = beta/w_i and r_i = 1 - p_i with beta = min w, and c_i the counts
+    (1 when counts is None).  ``terms`` is the Chernoff term count N of
+    ``_mixture_coefficients``; making it raises OutOfRegime for a spread
+    that needs more than 2^19 terms.  Equal weights give N = 1.
+    """
+
+    def __init__(self, w: np.ndarray, counts=None):
+        self.w, self.counts = w, counts
+        self.beta, top = float(np.min(w)), float(np.max(w))
+        self.n = w.size if counts is None else float(np.sum(counts))
+        self.cols = max(1, 2**16 // w.size)  # bounds each (weights, points) array
+        self.terms = 1 if self.beta == top else self._term_count(top)
+
+    def _term_count(self, top: float) -> int:
+        w, counts, beta, n, cols = self.w, self.counts, self.beta, self.n, self.cols
+        # z = 1/(1 - v beta/top) with v in (0, 1) spans (1, 1/max r); there
+        # ln G(z) z^-N = -sum ln(1 - v w_i/top)/2 + (n/2 + N) ln(1 - v beta/top).
+        v = 1.0 - 2.0 ** -np.arange(1.0, 53.0)
+        ln_g = -0.5 * np.concatenate([
+            sum_by_run(np.log1p(np.multiply.outer(w / -top, v[i:i + cols])), counts)
+            for i in range(0, v.size, cols)
+        ])
+        ln_step = np.log1p(-v * (beta / top))
+        need = float(np.min((math.log(_MASS_TOL) - ln_g) / ln_step)) - 0.5 * n
+        if need > _MAX_TERMS:
+            raise OutOfRegime(
+                f"weight spread {top / beta:.3g} over {n:.0f} weights needs "
+                f"more than {_MAX_TERMS} mixture terms"
+            )
+        return _fast_length(max(64, math.ceil(need)))
+
+    @functools.cached_property
+    def _columns(self):
+        p = self.beta / self.w
+        r = 1.0 - p
+        # Weight-major columns: each (weights, points) block is summed over axis 0.
+        return tuple(c[:, None] for c in (4.0 * r / p**2, 2.0 * r, p, r))
+
+    def ln_gf(self, j):
+        """ln G(e^(-i theta_j)), theta_j = 2 pi j / N, for an array of j.
+
+        |1 - r e^(-i theta)|^2 = p^2 + 4 r sin^2(theta/2) and the real part
+        p + 2 r sin^2(theta/2) are formed without cancellation, so no mass
+        is lost when p_i is small.
+        """
+        p4, r2, p_col, r_col = self._columns
+        theta = (2.0 * math.pi / self.terms) * np.atleast_1d(j)
+        s2 = np.sin(0.5 * theta) ** 2
+        modulus = p4 * s2
+        modulus = sum_by_run(np.log1p(modulus, out=modulus), self.counts)
+        real = r2 * s2
+        real += p_col
+        phase = r_col * np.sin(theta)
+        phase = sum_by_run(np.arctan2(phase, real, out=phase), self.counts)
+        return -0.25 * modulus - 0.5j * phase
+
+    @functools.cached_property
+    def kept(self) -> int:
+        """The points j = 0, 1, ... of G that the inverse FFT takes: those
+        before the first where |G| is at most 1e-16/N."""
+        floor = math.log(_MASS_TOL / self.terms)
+        return bisect_left(range(self.terms // 2 + 1), True, 1,
+                           key=lambda j: self.ln_gf(j)[0].real <= floor)
+
+    def coefficients(self) -> np.ndarray:
+        """The N mixture coefficients a_k of ``_mixture_coefficients``."""
+        if self.terms == 1:
+            return np.ones(1)
+        kept, cols = self.kept, self.cols
+        g = np.zeros(self.terms // 2 + 1, dtype=complex)
+        for lo in range(0, kept, cols):
+            hi = min(kept, lo + cols)
+            g[lo:hi] = np.exp(self.ln_gf(np.arange(lo, hi)))
+        return np.fft.irfft(g, self.terms)
 
 
 def _mixture_coefficients(w: np.ndarray, counts=None):
@@ -81,60 +187,142 @@ def _mixture_coefficients(w: np.ndarray, counts=None):
     |G(e^(-i theta))| falls on [0, pi], so G is set to zero past the last
     point where it exceeds 1e-16/N, which moves each a_k by at most
     1e-16/N.  Equal weights give K = 0: a = [1].
+
+    These are all N coefficients.  A tail reads only those below its
+    ladder's reach (``_ladder_window``); when that reach is far below N,
+    ``_reach_coefficients`` makes just those, from a much shorter circle.
     """
-    beta, top = float(np.min(w)), float(np.max(w))
-    if beta == top:
-        return beta, np.ones(1)
-    n = w.size if counts is None else float(np.sum(counts))
-    p = beta / w
-    r = 1.0 - p
-    cols = max(1, 2**16 // w.size)  # bounds each (weights, points) array
-    # z = 1/(1 - v beta/top) with v in (0, 1) spans (1, 1/max r); there
-    # ln G(z) z^-N = -sum ln(1 - v w_i/top)/2 + (n/2 + N) ln(1 - v beta/top).
-    v = 1.0 - 2.0 ** -np.arange(1.0, 53.0)
-    ln_g = -0.5 * np.concatenate([
-        sum_by_run(np.log1p(np.multiply.outer(w / -top, v[i:i + cols])), counts)
-        for i in range(0, v.size, cols)
-    ])
-    ln_step = np.log1p(-v * (beta / top))
-    need = float(np.min((math.log(_MASS_TOL) - ln_g) / ln_step)) - 0.5 * n
-    if need > _MAX_TERMS:
-        raise OutOfRegime(
-            f"weight spread {top / beta:.3g} over {n:.0f} weights needs "
-            f"more than {_MAX_TERMS} mixture terms"
-        )
-    need = max(64, math.ceil(need))
-    scale = need.bit_length() - 3  # need / 2^scale is in [4, 8)
-    terms = -(-need >> scale) << scale
+    mixture = _Generating(w, counts)
+    return mixture.beta, mixture.coefficients()
 
-    # Weight-major columns: each (weights, points) block is summed over axis 0.
-    p4, r2, p_col, r_col = (c[:, None] for c in (4.0 * r / p**2, 2.0 * r, p, r))
 
-    def ln_gf(j):
-        """ln G(e^(-i theta_j)), theta_j = 2 pi j / N, for an array of j.
+def _fft_cost(length):
+    return _FFT_CALL + _FFT_POINT * length * np.log2(length)
 
-        |1 - r e^(-i theta)|^2 = p^2 + 4 r sin^2(theta/2) and the real part
-        p + 2 r sin^2(theta/2) are formed without cancellation, so no mass
-        is lost when p_i is small.
-        """
-        theta = (2.0 * math.pi / terms) * np.atleast_1d(j)
-        s2 = np.sin(0.5 * theta) ** 2
-        modulus = p4 * s2
-        modulus = sum_by_run(np.log1p(modulus, out=modulus), counts)
-        real = r2 * s2
-        real += p_col
-        phase = r_col * np.sin(theta)
-        phase = sum_by_run(np.arctan2(phase, real, out=phase), counts)
-        return -0.25 * modulus - 0.5j * phase
 
-    floor = math.log(_MASS_TOL / terms)
-    kept = bisect_left(range(terms // 2 + 1), True, 1,
-                       key=lambda j: ln_gf(j)[0].real <= floor)
-    g = np.zeros(terms // 2 + 1, dtype=complex)
-    for lo in range(0, kept, cols):
-        hi = min(kept, lo + cols)
-        g[lo:hi] = np.exp(ln_gf(np.arange(lo, hi)))
-    return beta, np.fft.irfft(g, terms)
+def _fill_cost(weights, points):
+    return (_FILL_POINT + _FILL_WEIGHT * weights) * points
+
+
+def _peel(mixture: _Generating, reach: int):
+    """(rest, factors) for ``_reach_coefficients``, or None to make all N
+    coefficients on the full circle.
+
+    Peeling the m largest distinct weights leaves a rest whose own term
+    count N_m falls fast with m when a few weights stand far above the
+    others.  The estimate of its cost: the rest's Chernoff grid, its ln G
+    at up to N_m/2 + 1 points and its inverse FFT, and per peeled weight
+    ``reach`` factor coefficients and three real FFTs of about 2 reach
+    points; the full circle costs its ln G at its ``kept`` points and one
+    inverse FFT of N.  The rest's mean sum c_i (w_i/beta - 1)/2 is below
+    N_m, so each m is first bounded from it, and its grid is made only if
+    the bound is below the best cost found.  Only weights that occur at
+    most twice are peeled: a factor's rounding grows with c.
+    """
+    w, counts, terms = mixture.w, mixture.counts, mixture.terms
+    if not 0 < reach < terms:
+        return None
+    d = w.size
+    per_factor = (_FACTOR_CALL + _FACTOR_TERM * reach
+                  + 3.0 * _fft_cost(_fast_length(2 * reach - 1)))
+    if (per_factor + _GRID_CALL + _GRID_WEIGHT * (d - 1)
+            >= _fft_cost(terms) + _fill_cost(d, terms // 2 + 1)):
+        return None
+    best = _fft_cost(terms) + _fill_cost(d, mixture.kept)
+    order = np.argsort(w) if counts is None else np.arange(d)  # ascending
+    c = np.ones(d) if counts is None else counts
+    # the m largest may be peeled, m < d, while each occurs at most twice
+    repeated = c[order[::-1]][:d - 1] > 2.0
+    peelable = int(np.argmax(np.append(repeated, True)))
+    m = np.arange(1, peelable + 1)
+    mean = np.cumsum(0.5 * c[order] * (w[order] / mixture.beta - 1.0))[d - 1 - m]
+    fixed = m * per_factor + _GRID_CALL + _GRID_WEIGHT * (d - m)
+    bound = (fixed + _fft_cost(np.maximum(mean, 2.0))
+             + _fill_cost(d - m, 0.5 * mean + 1.0))
+    choice = None
+    for i in range(peelable):
+        if fixed[i] >= best:
+            break
+        if bound[i] >= best:
+            continue
+        k = d - m[i]
+        try:
+            rest = _Generating(w[np.sort(order[:k])],
+                               None if counts is None else counts[:k])
+        except OutOfRegime:  # its own grid may miss the z at which the full one passed
+            continue
+        cost = (fixed[i] + _KEPT_STEP * math.log2(rest.terms) + _fft_cost(rest.terms)
+                + _fill_cost(k, rest.terms // 2 + 1))
+        if cost < best:
+            best, choice = cost, (rest, order[k:])
+    if choice is None:
+        return None
+    rest, top = choice
+    return rest, list(zip((mixture.beta / w[top]).tolist(), (0.5 * c[top]).tolist()))
+
+
+def _negative_binomial(p: float, half_count: float, size: int) -> np.ndarray:
+    """The first size coefficients of (p / (1 - (1 - p) z))^c, c = half_count.
+
+    b_k = p^c Gamma(c + k) / (Gamma(c) k!) (1 - p)^k, each from one exp of
+    ln b_k = c ln p + sum_(j = 1..k) [ln(1 - p) + log1p((c - 1)/j)], a
+    prefix sum kept in two doubles: TwoSum on each of ``np.cumsum``'s steps
+    (as ``_prefix_sums``), with c ln p = c e ln2_hi, exact, plus
+    c (e ln2_lo + ln f) for p = f 2^e.  So b_k = exp(hi) (1 + lo) holds the
+    roundings of the terms, not those of a sum as large as |ln b_k|: for
+    c <= 1 it is within (1 + k p) 4e-16 of itself, the k p part from the
+    rounding of ln(1 - p), repeated k times.
+    """
+    fraction, exponent = math.frexp(p)
+    steps = np.empty(size)
+    errors = np.empty(size)
+    steps[0], errors[0] = _two_sum(
+        half_count * exponent * _LN2_HI,
+        half_count * (exponent * _LN2_LO + math.log(fraction)))
+    ratios = steps[1:]
+    np.divide(half_count - 1.0, np.arange(1.0, size), out=ratios)
+    np.log1p(ratios, out=ratios)
+    ratios += math.log1p(-p)
+    sums = np.cumsum(steps)
+    errors[1:] = _two_sum(sums[:-1], ratios)[1]
+    errors = np.cumsum(errors)
+    hi = sums + errors
+    lo = errors - (hi - sums)  # exact: |errors| <= |sums|
+    return np.exp(hi) * (1.0 + lo)
+
+
+def _reach_coefficients(rest: _Generating, factors, reach: int) -> np.ndarray:
+    """The first ``reach`` mixture coefficients: the rest's own (on its own,
+    much shorter, circle) times each peeled weight's closed-form factor.
+
+    G is the rest's generating function, with the same beta, times one
+    negative-binomial factor (p / (1 - r z))^(c/2) per peeled weight
+    (``_negative_binomial``).  Each product is a linear convolution by a
+    real FFT of at least 2 reach - 1 points, cut at reach: the
+    coefficients below reach of a product need only those below reach of
+    its factors.  The rest's coefficients past its term count are left
+    out, at most 1e-16 of mass as on the full circle.  An FFT leaves each
+    coefficient an error of about 1e-16 of the largest, so the leading
+    ones below 2^-5 of it are made again as direct sums of positive
+    products of the factors' leading coefficients: the small tails that
+    they carry keep their relative accuracy.
+    """
+    a = rest.coefficients()[:reach]
+    length = _fast_length(2 * reach - 1)
+    heads = [a]
+    for p, half_count in factors:
+        b = _negative_binomial(p, half_count, reach)
+        heads.append(b)
+        b = np.fft.rfft(b, length)
+        b *= np.fft.rfft(a, length)
+        a = np.fft.irfft(b, length)[:reach]
+    head = int(np.argmax(a >= 2.0**-5 * a.max()))
+    if head:
+        direct = heads[0][:head]
+        for b in heads[1:]:
+            direct = np.convolve(direct, b[:head])[:head]
+        a[:head] = direct
+    return a
 
 
 def _split(a):
@@ -285,32 +473,29 @@ def _clamped_dot(a: np.ndarray, v: np.ndarray, offset: int) -> float:
     return float(total)
 
 
-def _ladder_sums(h: float, y: float, a: np.ndarray):
-    """(split, q, p): the a_k sums of Q(h + k, y) below split, of P from it.
+def _ladder_window(h: float, y: float, size: int):
+    """(split, lo, hi, reach): where ``_ladder_sums`` splits N = size
+    coefficients, the lattice points [lo, hi) whose Poisson terms it makes,
+    and the count of coefficients it reads.
 
-    q = sum_(k < split) a_k Q(h + k, y) and p = sum_(k >= split) a_k P(h + k, y).
-    h is a positive multiple of 1/2 and y >= 0 is finite.  split is the
-    first k with h + k >= y, so each incomplete gamma taken is the smaller
-    of P and Q, up to the median's offset.  The lattice of shapes
-    t = t_0 + j, j = 0, 1, ..., with t_0 = 1 or 1/2 as h is an integer or
-    not, carries the Poisson terms tau_t: Q(h + k, y) is Q(t_0, y), which
-    is e^-y or erfc(sqrt y) (``_erfc_sqrt``), plus the terms below h + k,
-    and P(h + k, y) the sum of those at and above it.  ln tau_t is concave
-    in t with its top near t = y - 1/2, and only the terms above
-    ``_LN_UNDERFLOW`` are made: two bisections with a ``math.lgamma`` form
-    of ln tau_t find them inside the shapes the sums need, so y = 1e12 or
-    y = 0 makes none.
-    Each side's terms are summed smallest first, compensated, and each
-    incomplete gamma is one of those sums, never a sum over the a_k.
+    The lattice of shapes t = t_0 + j, j = 0, 1, ..., has t_0 = 1 or 1/2 as
+    h is an integer or not; the shape h + k is lattice point first + k.
+    split is the first k with h + k >= y (N if there is none).  ln tau_t is
+    concave in t with its top near t = y - 1/2, and [lo, hi) holds the
+    terms above ``_LN_UNDERFLOW`` among the shapes the sums need: two
+    bisections with a ``math.lgamma`` form of ln tau_t find them, so
+    y = 1e12 or y = 0 makes none.  Past hi every P(h + k, y) is 0, so a_k
+    with k >= reach = max(split, hi - first) enter a tail only through
+    their total mass.
     """
     base = 1.0 if h == math.floor(h) else 0.5
     first = int(h - base)  # the shape h + k is lattice point first + k
-    split = a.size if y >= h + a.size else max(0, math.ceil(y - h))
+    split = size if y >= h + size else max(0, math.ceil(y - h))
     if y == 0.0:
-        return split, 0.0, 0.0
+        return split, first, first, split
     # Q needs the lattice below first + split - 1, P the lattice from first + split.
     start = 0 if split > 0 else first
-    end = first + a.size - 1 if split == a.size else None
+    end = first + size - 1 if split == size else None
     ln_y = math.log(y)
 
     def kept(j):
@@ -329,6 +514,29 @@ def _ladder_sums(h: float, y: float, a: np.ndarray):
                 step *= 2
             end = top + step
         hi = bisect_left(range(end), True, top, key=lambda j: not kept(j))
+    return split, lo, hi, min(size, max(split, hi - first))
+
+
+def _ladder_sums(h: float, y: float, a: np.ndarray, window=None):
+    """(split, q, p): the a_k sums of Q(h + k, y) below split, of P from it.
+
+    q = sum_(k < split) a_k Q(h + k, y) and p = sum_(k >= split) a_k P(h + k, y).
+    h is a positive multiple of 1/2 and y >= 0 is finite.  split is the
+    first k with h + k >= y, so each incomplete gamma taken is the smaller
+    of P and Q, up to the median's offset.  window is ``_ladder_window``
+    of the N coefficients (by default N = a.size); a may hold just the
+    first ``reach`` of them.  Q(h + k, y) is Q(t_0, y), which is e^-y or
+    erfc(sqrt y) (``_erfc_sqrt``), plus the Poisson terms tau_t below
+    h + k, and P(h + k, y) the sum of those at and above it; only the
+    terms of the window are made.  Each side's terms are summed smallest
+    first, compensated, and each incomplete gamma is one of those sums,
+    never a sum over the a_k.
+    """
+    split, lo, hi, _ = window or _ladder_window(h, y, a.size)
+    if y == 0.0:
+        return split, 0.0, 0.0
+    base = 1.0 if h == math.floor(h) else 0.5
+    first = int(h - base)
     t = base + np.arange(lo, hi, dtype=float)
     tau = _poisson_terms(t, y) if t.size else t
 
@@ -350,7 +558,9 @@ def _weighted_chi2(weights, x: float, upper: bool) -> float:
     tail are all made directly; on the other side of the split the tail's
     incomplete gamma is 1 minus the one made.  When every k is on one side,
     the coefficients' mass there is taken as 1, so the far tails of x = 0
-    and of a huge x are exactly 0 and 1.
+    and of a huge x are exactly 0 and 1.  When only the coefficients below
+    the ladder's reach are made (``_reach_coefficients``), the upper
+    tail's mass past the split is 1 minus the mass below it.
     """
     w, x = _as_vector(weights, "weights"), _as_number(x, "x")
     if np.any(w < 0):
@@ -377,16 +587,31 @@ def _mixture_tail(w: np.ndarray, counts, x: float, upper: bool) -> float:
         # y_lo = x/w2 - y, the rounding of the division
         p, e = _two_product(y, w2)
         return _erfc_sqrt(y, ((x - p) - e) / w2 if _EXACT_LO < w2 < _EXACT_HI else 0.0)
-    beta, a = _mixture_coefficients(w, counts)
-    y = x / (2.0 * beta)
+    mixture = _Generating(w, counts)
+    y = x / (2.0 * mixture.beta)
     if y == math.inf:
         return 0.0 if upper else 1.0
-    split, q, p = _ladder_sums(0.5 * n, y, a)
+    if y == 0.0:  # every shape n/2 + k is at or above y: the cdf is 0
+        return 1.0 if upper else 0.0
+    h = 0.5 * n
+    window = _ladder_window(h, y, mixture.terms)
+    reach = window[3]
+    peeled = _peel(mixture, reach)
+    if peeled is None:
+        a = mixture.coefficients()
+    else:
+        a = _reach_coefficients(*peeled, reach)
+    split, q, p = _ladder_sums(h, y, a, window)
     if upper:
-        mass = float(a[split:].sum()) if split else 1.0
+        if not split:
+            mass = 1.0
+        elif peeled is None:
+            mass = float(a[split:].sum())
+        else:  # the mass past the reach is not made
+            mass = 1.0 - float(a[:split].sum())
         total = q + (mass - p)
     else:
-        mass = float(a[:split].sum()) if split < a.size else 1.0
+        mass = float(a[:split].sum()) if split < mixture.terms else 1.0
         total = p + (mass - q)
     return min(1.0, max(0.0, total))
 
@@ -394,9 +619,11 @@ def _mixture_tail(w: np.ndarray, counts, x: float, upper: bool) -> float:
 def weighted_chi2_cdf(weights, x: float) -> float:
     """P(sum w_i xi_i^2 <= x) for finite nonnegative weights and x >= 0.
 
-    One path for every weight vector: the chi-square mixture
+    One method for every weight vector: the chi-square mixture
     sum_k a_k P(n/2 + k, x / (2 min w)) of Ruben (1962), with the a_k from
-    one inverse FFT of their generating function (``_mixture_coefficients``).
+    one inverse FFT of their generating function (``_mixture_coefficients``)
+    or, when the ladder reaches far fewer of them, just those it reaches
+    (``_reach_coefficients``).
     Its sums take the run form of the weights (``model.runs_of``): count
     times one row per distinct weight when a weight repeats, in any order
     of the weights, and every weight in its own order otherwise.  Equal
@@ -405,9 +632,17 @@ def weighted_chi2_cdf(weights, x: float) -> float:
     and, for the upper tail, ``math.erfc`` with the roundings of x / 2w and
     of the square root added back (``_erfc_sqrt``): within 2e-16 relative
     of mpmath at w = 1/2 for x from 2 to 700, where the tail is 2e-306.
-    The term count N is the least count ``need`` at which the Chernoff
-    bound leaves at most 1e-16 of the mixture's mass past N, rounded up to
-    the least m 2^e with m in {4, ..., 8} (at most 25% above ``need``).
+    The term count is the least of two.  The Chernoff count N is the least
+    count ``need`` at which the Chernoff bound leaves at most 1e-16 of the
+    mixture's mass past N, rounded up to the least m 2^e with m in
+    {4, ..., 8} (at most 25% above ``need``).  The ladder's reach K is the
+    last shape whose Poisson term does not underflow, less n/2: the a_k
+    past it multiply incomplete gammas that are 0, so only their mass
+    enters.  When K is far below N, the few largest distinct weights
+    (each occurring at most twice) are peeled off the generating function
+    as closed-form negative-binomial factors, the rest keeps its own
+    Chernoff count on its own circle, and the products are cut at K; a cost
+    estimate picks how many, and none where peeling does not pay.
     The incomplete gammas are sums of Poisson terms (``_ladder_sums``),
     and every term that does not underflow is made.  The absolute error is
     below 5e-15: at most 3e-16 from the truncation, aliasing and cutoff of
@@ -415,8 +650,14 @@ def weighted_chi2_cdf(weights, x: float) -> float:
     1e-14 of itself (Loader's saddle-point form with its deviance in two
     doubles, then at most 15 steps of a recurrence; ``_poisson_terms``),
     each sum of them within about two roundings (compensated), and the
-    complement and the a_k products within one each.  So a small
-    incomplete gamma keeps its relative accuracy, down to the subnormals.
+    complement and the a_k products within one each.  A peeled factor's
+    coefficients are each within a few 1e-16 of themselves (their
+    logarithms are prefix sums kept in two doubles), and each FFT product
+    adds about 1e-16 of the largest coefficient, at most 1e-15 of mass in
+    all; its leading coefficients below 2^-5 of the largest are direct
+    sums of positive products.  So a small incomplete gamma keeps its
+    relative accuracy, down to the subnormals, and a small cdf keeps its
+    own where its coefficients are direct sums.
     A spread max w / min w that needs more than 2^19 terms (about 1e4 at
     n = 1000) raises OutOfRegime; non-finite input raises InvalidInput.
     """
