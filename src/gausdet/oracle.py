@@ -214,10 +214,14 @@ def _peel(mixture: _Generating, reach: int):
     at up to N_m/2 + 1 points and its inverse FFT, and per peeled weight
     ``reach`` factor coefficients and three real FFTs of about 2 reach
     points; the full circle costs its ln G at its ``kept`` points and one
-    inverse FFT of N.  The rest's mean sum c_i (w_i/beta - 1)/2 is below
-    N_m, so each m is first bounded from it, and its grid is made only if
-    the bound is below the best cost found.  Only weights that occur at
-    most twice are peeled: a factor's rounding grows with c.
+    inverse FFT of N.  Each m is first priced at a lower bound of N_m,
+    and its grid is made only if that is below the best cost found.  N_m
+    is at least the rest's mean sum c_i (w_i/beta - 1)/2, and at least the
+    count at which the factor of the rest's largest weight, p = beta/w,
+    still has a term above 1e-16: its tail past N_m is at most that of the
+    rest, and at least its term b_N >= sqrt(p/(pi (N + 1))) (1 - p)^N
+    (Gautschi's inequality), N < 2^20.  Only weights that occur at most
+    twice are peeled: a factor's rounding grows with c.
     """
     w, counts, terms = mixture.w, mixture.counts, mixture.terms
     if not 0 < reach < terms:
@@ -235,10 +239,15 @@ def _peel(mixture: _Generating, reach: int):
     repeated = c[order[::-1]][:d - 1] > 2.0
     peelable = int(np.argmax(np.append(repeated, True)))
     m = np.arange(1, peelable + 1)
+    # each N_m is at least the rest's mean and its largest weight's own count
     mean = np.cumsum(0.5 * c[order] * (w[order] / mixture.beta - 1.0))[d - 1 - m]
+    p = np.minimum(mixture.beta / w[order[d - 1 - m]], 1.0 - 2.0**-53)
+    own = ((0.5 * np.log(p) - math.log(_MASS_TOL * math.sqrt(math.pi * 2.0**20)))
+           / -np.log1p(-p))
+    least = np.maximum(np.maximum(mean, own), 2.0)
     fixed = m * per_factor + _GRID_CALL + _GRID_WEIGHT * (d - m)
-    bound = (fixed + _fft_cost(np.maximum(mean, 2.0))
-             + _fill_cost(d - m, 0.5 * mean + 1.0))
+    bound = (fixed + _KEPT_STEP * np.log2(least) + _fft_cost(least)
+             + _fill_cost(d - m, 0.5 * least + 1.0))
     choice = None
     for i in range(peelable):
         if fixed[i] >= best:
