@@ -77,6 +77,15 @@ def profile(n, spread):
     return np.geomspace(1.0, spread, n)
 
 
+def np_cell(n, spread):
+    """The NP test of perfbench's exact grid: sigma^2 proportional to the
+    profile, sum sigma^2 = 3 sqrt(n), at the middle of the window."""
+    w = profile(n, spread)
+    sigma = IntensityVector(np.sqrt(w * 3.0 * math.sqrt(n) / w.sum()))
+    lo, hi = signal_statistics(sigma).window
+    return NpTest(sigma, 0.5 * (lo + hi))
+
+
 def peel_counts(call):
     """call() and the number of weights peeled in each tail it takes."""
     counts = []
@@ -127,11 +136,9 @@ def test_small_peeled_cdf_is_relatively_accurate(n, spread, f):
 
 @needs_long_double
 def test_peeled_np_cell_matches_the_recurrence():
-    # The benchmark's n = 10, spread 1e4 NP cell: both weights are peeled.
-    w = profile(10, 1e4)
-    sigma = IntensityVector(np.sqrt(w * 3.0 * math.sqrt(10) / w.sum()))
-    lo, hi = signal_statistics(sigma).window
-    test = NpTest(sigma, 0.5 * (lo + hi))
+    # Both tails of the n = 10, spread 1e4 NP cell peel weights off.
+    test = np_cell(10, 1e4)
+    sigma = test.sigma
     (alpha, beta), peeled = peel_counts(lambda: oracle.np_test_exact_probs(test))
     assert min(peeled) > 0
     assert abs(alpha - reference_tails(sigma.r_squared, test.threshold)[1]) <= BOUND
@@ -188,13 +195,6 @@ def test_peeled_equals_the_full_circle(w, frac):
         got = outcome(tails)
         assert got == outcome(lambda: full_circle(tails))
         assert isinstance(got, str) or got == (cdf, 1.0 - cdf)
-
-
-def np_cell(n, spread):
-    w = profile(n, spread)
-    sigma = IntensityVector(np.sqrt(w * 3.0 * math.sqrt(n) / w.sum()))
-    lo, hi = signal_statistics(sigma).window
-    return NpTest(sigma, 0.5 * (lo + hi))
 
 
 @pytest.mark.parametrize("cell", ["cdf", "np"])
