@@ -27,8 +27,9 @@ first use, and keeps them for its life; the two arrays are read-only, so
 every caller shares them and none may write into them.  It derives the
 sums at the bracket ends of the exponents' u0 and t0 solves once too
 (``bracket_sums``, up to two floats a solve).  It also keeps its run form
-``runs``, which serves the exponents and delta: ``runs_of`` states the
-convention, and is the one place the package groups repeated values.  The
+``runs``, which serves the exponents, delta and the exact oracle:
+``runs_of`` states the convention, and is the one place the package groups
+repeated values.  The
 rules share one core, ``_QuadraticFormTest``, which builds the weights W
 (k, n) and D_k of its points once, from their values, and owns
 ``accepts``; the points of a mixture test are the support of its prior,
@@ -154,9 +155,11 @@ def runs_of(a: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
     counts is None and values is a sorted.  This is the package's one
     convention for repeated values: when a value repeats, a sum over a is
     sum_j counts[j] f(values[j]) (``sum_by_run``), so a flat vector is one
-    term at any n; otherwise it runs over a itself in its own order, the
+    term at any n.  The exact oracle sums over the ascending values of
+    every input, so its bits do not depend on the order of a; only the
+    exponents and D sum an all-distinct a itself in its own order, the
     dense sum bit for bit.  ``IntensityVector.runs``, the exponents'
-    ``_weights`` and the oracle's ``_weighted_chi2`` group by it.
+    ``_weights`` and the oracle group by it.
     """
     values, counts = np.unique(a, return_counts=True)
     values.setflags(write=False)
@@ -177,9 +180,11 @@ class IntensityVector:
     each for the two arrays, which are read-only (writing into them raises
     ValueError), and one float for each bracket-end sum.
 
-    ``runs`` is the run form (``runs_of``), which serves the exponents and
-    ``delta``: when a value repeats, every exponent solve sums count times
-    one term per distinct value; when none does, over the dense arrays.
+    ``runs`` is the run form (``runs_of``), which serves the exponents,
+    ``delta`` and the exact oracle: when a value repeats, every exponent
+    solve sums count times one term per distinct value; when none does,
+    over the dense arrays.  The oracle takes every sigma by run, its
+    distinct values ascending.
     """
 
     values: np.ndarray
@@ -217,7 +222,8 @@ class IntensityVector:
 
     @cached_property
     def runs(self) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """The run form of sigma, ``runs_of(values)``."""
+        """The run form of sigma, ``runs_of(values)``: the distinct values
+        ascending, which the exact oracle sums over for every sigma."""
         return runs_of(self.values)
 
     @cached_property

@@ -9,15 +9,18 @@ the last shape whose Poisson term does not underflow, the a_k enter only
 through their total mass, which is 1 (Kotz, Johnson and Boyd 1967).  So a
 call makes the least of N and K coefficients.  All N come from one inverse
 FFT of their generating function G on N points, N rounded up by at most
-25% to a length the FFT handles fast (``_mixture_coefficients``).  When K
-is far below N and a cost estimate says it pays (``_peel``), only the
-first K are made: the few largest distinct weights are peeled off G as
-closed-form negative-binomial factors, and the rest's coefficients, from
-its own much shorter circle, are multiplied by them
-(``_reach_coefficients``).  The oracle takes the run form of any input's
-weights (``model.runs_of``), so its sums cost one row per distinct weight
-and equal weights are one incomplete gamma at any n; all-distinct weights
-keep their own order.
+25% to a length the FFT handles fast (``_Generating``).  When K is far
+below N and a cost estimate says it pays (``_peel``), only the first K are
+made: the few largest distinct weights are peeled off G as closed-form
+negative-binomial factors, and the rest's coefficients, from its own much
+shorter circle, are multiplied by them (``_reach_coefficients``).
+
+Every input reaches the mixture in one form (``_tail_by_run``): its
+distinct positive weights ascending, with their counts (``model.runs_of``).
+So its sums cost one row per distinct weight, equal weights are one
+incomplete gamma at any n, and a tail's bits do not depend on the order of
+the weights.  Only the exponents and D sum all-distinct arrays in the
+order they are given.
 
 The mixture's incomplete gammas P(n/2 + k, y) and Q(n/2 + k, y) need no
 special function.  P(s + 1, y) = P(s, y) - tau_s with the Poisson term
@@ -89,12 +92,25 @@ def _fast_length(need: int) -> int:
 
 
 class _Generating:
-    """G(z) = prod (p_i / (1 - r_i z))^(c_i/2) of positive weights w in run form.
+    """G(z) = prod (p_i / (1 - r_i z))^(c_i/2) of ascending positive weights w
+    in run form, with counts c (1 each when counts is None).
 
-    p_i = beta/w_i and r_i = 1 - p_i with beta = min w, and c_i the counts
-    (1 when counts is None).  ``terms`` is the Chernoff term count N of
-    ``_mixture_coefficients``; making it raises OutOfRegime for a spread
-    that needs more than 2^19 terms.  Equal weights give N = 1.
+    sum w_i xi_i^2 equals beta chi2_(n+2K) in law, P(K = k) = a_k: with
+    beta = min w, p_i = beta/w_i and r_i = 1 - p_i, K has generating
+    function G (Ruben 1962), so a_k >= 0 and sum a_k = 1.  Every sum over
+    the weights takes count times one row per distinct weight, so the cost
+    is set by the distinct weights, not by n.
+
+    ``terms`` is the Chernoff term count N.  By the Chernoff bound
+    G(z) z^-N, N terms leave at most 1e-16 of K's mass at or past N once
+    ln G(z) + (n/2 + N) ln(1/z) <= ln 1e-16 at some z of a grid in
+    (1, 1/max r); ``need``, the least such N (at least 64), is solved for
+    directly.  N is the least m 2^e >= need with m in {4, ..., 8}: at most
+    25% above ``need``, and a length the FFT handles fast.  A ``need``
+    above 2^19 raises OutOfRegime.  Equal weights give N = 1 and a = [1].
+    ``coefficients`` makes all N; a tail reads only those below its
+    ladder's reach (``_ladder_window``), and when that reach is far below
+    N, ``_reach_coefficients`` makes just those, from a much shorter circle.
     """
 
     def __init__(self, w: np.ndarray, counts=None):
@@ -156,7 +172,14 @@ class _Generating:
                            key=lambda j: self.ln_gf(j)[0].real <= floor)
 
     def coefficients(self) -> np.ndarray:
-        """The N mixture coefficients a_k of ``_mixture_coefficients``."""
+        """The N mixture coefficients a_k.
+
+        One inverse FFT of G on the N-th roots of unity gives a_k plus the
+        aliased a_(k+N), a_(k+2N), ...: at most 1e-16 in all.
+        |G(e^(-i theta))| falls on [0, pi], so G is set to zero past the
+        last point where it exceeds 1e-16/N (``kept``), which moves each a_k
+        by at most 1e-16/N.
+        """
         if self.terms == 1:
             return np.ones(1)
         kept, cols = self.kept, self.cols
@@ -165,35 +188,6 @@ class _Generating:
             hi = min(kept, lo + cols)
             g[lo:hi] = np.exp(self.ln_gf(np.arange(lo, hi)))
         return np.fft.irfft(g, self.terms)
-
-
-def _mixture_coefficients(w: np.ndarray, counts=None):
-    """(beta, a): sum w_i xi_i^2 equals beta chi2_{n+2K} in law, P(K=k) = a_k.
-
-    With counts, weight w_i stands for counts[i] equal weights: every sum
-    over the weights takes count times one row per distinct weight, so the
-    cost is set by the distinct weights, not by n.
-
-    With beta = min w, p_i = beta/w_i and r_i = 1 - p_i, K has generating
-    function G(z) = prod (p_i / (1 - r_i z))^(1/2) (Ruben 1962), so a_k >= 0
-    and sum a_k = 1.  By the Chernoff bound G(z) z^-N, N terms leave at most
-    1e-16 of K's mass at or past N once ln G(z) + (n/2 + N) ln(1/z) <=
-    ln 1e-16 at some z of a grid in (1, 1/max r); ``need``, the least such
-    N (at least 64), is solved for directly.  The term count is the least
-    m 2^e >= need with m in {4, ..., 8}: at most 25% above ``need``, and a
-    length the FFT handles fast.  A ``need`` above 2^19 raises
-    OutOfRegime.  One inverse FFT of G on the N-th roots of unity gives a_k
-    plus the aliased a_(k+N), a_(k+2N), ...: at most 1e-16 in all.
-    |G(e^(-i theta))| falls on [0, pi], so G is set to zero past the last
-    point where it exceeds 1e-16/N, which moves each a_k by at most
-    1e-16/N.  Equal weights give K = 0: a = [1].
-
-    These are all N coefficients.  A tail reads only those below its
-    ladder's reach (``_ladder_window``); when that reach is far below N,
-    ``_reach_coefficients`` makes just those, from a much shorter circle.
-    """
-    mixture = _Generating(w, counts)
-    return mixture.beta, mixture.coefficients()
 
 
 def _fft_cost(length):
@@ -208,14 +202,15 @@ def _peel(mixture: _Generating, reach: int):
     """(rest, factors) for ``_reach_coefficients``, or None to make all N
     coefficients on the full circle.
 
-    Peeling the m largest distinct weights leaves a rest whose own term
-    count N_m falls fast with m when a few weights stand far above the
-    others.  The estimate of its cost: the rest's Chernoff grid, its ln G
-    at up to N_m/2 + 1 points and its inverse FFT, and per peeled weight
-    ``reach`` factor coefficients and three real FFTs of about 2 reach
-    points; the full circle costs its ln G at its ``kept`` points and one
-    inverse FFT of N.  Each m is first priced at a lower bound of N_m,
-    and its grid is made only if that is below the best cost found.  N_m
+    Peeling the m largest distinct weights, the last m of the ascending
+    run form, leaves a rest whose own term count N_m falls fast with m when
+    a few weights stand far above the others.  The estimate of its cost:
+    the rest's Chernoff grid, its ln G at up to N_m/2 + 1 points and its
+    inverse FFT, and per peeled weight ``reach`` factor coefficients and
+    three real FFTs of about 2 reach points; the full circle costs its ln G
+    at its ``kept`` points and one inverse FFT of N.  Each m is first
+    priced at a lower bound of N_m, and its grid is made only if that is
+    below the best cost found.  N_m
     is at least the rest's mean sum c_i (w_i/beta - 1)/2, and at least the
     count at which the factor of the rest's largest weight, p = beta/w,
     still has a term above 1e-16: its tail past N_m is at most that of the
@@ -233,15 +228,14 @@ def _peel(mixture: _Generating, reach: int):
             >= _fft_cost(terms) + _fill_cost(d, terms // 2 + 1)):
         return None
     best = _fft_cost(terms) + _fill_cost(d, mixture.kept)
-    order = np.argsort(w) if counts is None else np.arange(d)  # ascending
     c = np.ones(d) if counts is None else counts
     # the m largest may be peeled, m < d, while each occurs at most twice
-    repeated = c[order[::-1]][:d - 1] > 2.0
+    repeated = c[::-1][:d - 1] > 2.0
     peelable = int(np.argmax(np.append(repeated, True)))
     m = np.arange(1, peelable + 1)
     # each N_m is at least the rest's mean and its largest weight's own count
-    mean = np.cumsum(0.5 * c[order] * (w[order] / mixture.beta - 1.0))[d - 1 - m]
-    p = np.minimum(mixture.beta / w[order[d - 1 - m]], 1.0 - 2.0**-53)
+    mean = np.cumsum(0.5 * c * (w / mixture.beta - 1.0))[d - 1 - m]
+    p = np.minimum(mixture.beta / w[d - 1 - m], 1.0 - 2.0**-53)
     own = ((0.5 * np.log(p) - math.log(_MASS_TOL * math.sqrt(math.pi * 2.0**20)))
            / -np.log1p(-p))
     least = np.maximum(np.maximum(mean, own), 2.0)
@@ -256,18 +250,17 @@ def _peel(mixture: _Generating, reach: int):
             continue
         k = d - m[i]
         try:
-            rest = _Generating(w[np.sort(order[:k])],
-                               None if counts is None else counts[:k])
+            rest = _Generating(w[:k], None if counts is None else counts[:k])
         except OutOfRegime:  # its own grid may miss the z at which the full one passed
             continue
         cost = (fixed[i] + _KEPT_STEP * math.log2(rest.terms) + _fft_cost(rest.terms)
                 + _fill_cost(k, rest.terms // 2 + 1))
         if cost < best:
-            best, choice = cost, (rest, order[k:])
+            best, choice = cost, (rest, k)
     if choice is None:
         return None
-    rest, top = choice
-    return rest, list(zip((mixture.beta / w[top]).tolist(), (0.5 * c[top]).tolist()))
+    rest, k = choice
+    return rest, list(zip((mixture.beta / w[k:]).tolist(), (0.5 * c[k:]).tolist()))
 
 
 def _negative_binomial(p: float, half_count: float, size: int) -> np.ndarray:
@@ -526,22 +519,22 @@ def _ladder_window(h: float, y: float, size: int):
     return split, lo, hi, min(size, max(split, hi - first))
 
 
-def _ladder_sums(h: float, y: float, a: np.ndarray, window=None):
+def _ladder_sums(h: float, y: float, a: np.ndarray, window):
     """(split, q, p): the a_k sums of Q(h + k, y) below split, of P from it.
 
     q = sum_(k < split) a_k Q(h + k, y) and p = sum_(k >= split) a_k P(h + k, y).
     h is a positive multiple of 1/2 and y >= 0 is finite.  split is the
     first k with h + k >= y, so each incomplete gamma taken is the smaller
     of P and Q, up to the median's offset.  window is ``_ladder_window``
-    of the N coefficients (by default N = a.size); a may hold just the
-    first ``reach`` of them.  Q(h + k, y) is Q(t_0, y), which is e^-y or
-    erfc(sqrt y) (``_erfc_sqrt``), plus the Poisson terms tau_t below
-    h + k, and P(h + k, y) the sum of those at and above it; only the
-    terms of the window are made.  Each side's terms are summed smallest
+    of the N coefficients; a may hold all N or just the first ``reach``.
+    Q(h + k, y) is Q(t_0, y), which is e^-y or erfc(sqrt y)
+    (``_erfc_sqrt``), plus the Poisson terms tau_t below h + k, and
+    P(h + k, y) the sum of those at and above it; only the terms of the
+    window are made.  Each side's terms are summed smallest
     first, compensated, and each incomplete gamma is one of those sums,
     never a sum over the a_k.
     """
-    split, lo, hi, _ = window or _ladder_window(h, y, a.size)
+    split, lo, hi, _ = window
     if y == 0.0:
         return split, 0.0, 0.0
     base = 1.0 if h == math.floor(h) else 0.5
@@ -576,15 +569,33 @@ def _weighted_chi2(weights, x: float, upper: bool) -> float:
         raise InvalidInput("weights must be nonnegative")
     if x < 0:
         raise InvalidInput("x must be nonnegative")
-    w = w[w > 0]  # zero-weight components contribute nothing
-    distinct, counts = runs_of(w)
-    # all-distinct weights keep their own order
-    return _mixture_tail(w if counts is None else distinct, counts, x, upper)
+    return _tail_by_run(*runs_of(w), x, upper)
+
+
+def _tail_by_run(w: np.ndarray, counts, x: float, upper: bool) -> float:
+    """``_weighted_chi2`` of the weights w with their counts (1 each when
+    counts is None), and a valid x: the one way into the mixture.
+
+    w may hold zeros and equal weights, and may fall by an ulp where it is
+    ascending in sigma: r^2 = s^2/(1 + s^2) is not monotone in rounding.
+    The zeros are dropped, the rest sorted and equal weights merged, so
+    ``_mixture_tail`` gets the run form of ``model.runs_of``: the distinct
+    positive weights ascending, with counts None when none repeats.  Every
+    order of the same weights gives the same bits.
+    """
+    order = np.argsort(w)
+    w = w[order]
+    counts = np.ones(w.size) if counts is None else counts[order]
+    keep = w > 0
+    w, counts = w[keep], counts[keep]
+    starts = np.flatnonzero(np.diff(w, prepend=0.0))  # each new value, w > 0
+    counts = np.add.reduceat(counts, starts)
+    return _mixture_tail(w[starts], counts if np.any(counts > 1.0) else None, x, upper)
 
 
 def _mixture_tail(w: np.ndarray, counts, x: float, upper: bool) -> float:
-    """``_weighted_chi2`` on positive weights w in the run form of
-    ``model.runs_of``, and a valid x."""
+    """``_tail_by_run`` on its run form: distinct positive weights w
+    ascending, with their counts or None."""
     if w.size == 0:
         return 0.0 if upper else 1.0  # the sum is identically 0 <= x
     n = w.size if counts is None else float(np.sum(counts))
@@ -630,12 +641,12 @@ def weighted_chi2_cdf(weights, x: float) -> float:
 
     One method for every weight vector: the chi-square mixture
     sum_k a_k P(n/2 + k, x / (2 min w)) of Ruben (1962), with the a_k from
-    one inverse FFT of their generating function (``_mixture_coefficients``)
-    or, when the ladder reaches far fewer of them, just those it reaches
+    one inverse FFT of their generating function (``_Generating``) or,
+    when the ladder reaches far fewer of them, just those it reaches
     (``_reach_coefficients``).
-    Its sums take the run form of the weights (``model.runs_of``): count
-    times one row per distinct weight when a weight repeats, in any order
-    of the weights, and every weight in its own order otherwise.  Equal
+    Its sums take the run form of the weights (``model.runs_of``): the
+    distinct positive weights ascending, count times one row each, so the
+    result is the same, bit for bit, for every order of the weights.  Equal
     weights give a = [1], the incomplete gamma itself.  A single
     weight is its shape-1/2 case, erf(sqrt(x / 2w)), taken from ``math.erf``
     and, for the upper tail, ``math.erfc`` with the roundings of x / 2w and
@@ -673,35 +684,15 @@ def weighted_chi2_cdf(weights, x: float) -> float:
     return _weighted_chi2(weights, x, upper=False)
 
 
-def _tail_by_run(w: np.ndarray, counts: np.ndarray, dense: np.ndarray,
-                 x: float, upper: bool) -> float:
-    """``_weighted_chi2(dense, x, upper)`` from the run form of dense: its
-    distinct weights w ascending with their counts, which may hold zeros
-    and equal neighbours.  They are dropped and merged as ``runs_of``
-    groups dense.  When no positive weight repeats, the weights are read
-    from dense, since all-distinct weights keep their own order."""
-    keep = w > 0
-    w, counts = w[keep], counts[keep]
-    starts = np.flatnonzero(np.diff(w, prepend=0.0))  # each new value, w > 0
-    counts = np.add.reduceat(counts, starts)
-    if not np.any(counts > 1.0):
-        return _weighted_chi2(dense, x, upper)
-    return _mixture_tail(w[starts], counts, x, upper)
-
-
 def np_test_exact_probs(test: NpTest):
     """Exact (alpha, beta) of an ellipsoid test via the weighted chi-square oracle.
 
     alpha is the oracle's upper tail under the weights ``r_squared``, so a
     tiny alpha is not rounded to 0; beta is ``weighted_chi2_cdf`` under the
-    weights ``squared``, bit for bit.  When a value of sigma repeats, both
-    weights are taken by run from ``sigma.runs``, not regrouped from n.
+    weights ``squared``.  Both are taken by run from ``sigma.runs``, not
+    regrouped from n, and are bit for bit those of the raw weights.
     """
-    thr, sigma = test.threshold, test.sigma
-    values, counts = sigma.runs
-    if counts is None:
-        return (_weighted_chi2(sigma.r_squared, thr, True),
-                _weighted_chi2(sigma.squared, thr, False))
+    values, counts = test.sigma.runs
     s2 = values**2
-    return (_tail_by_run(_null_weights(s2), counts, sigma.r_squared, thr, True),
-            _tail_by_run(s2, counts, sigma.squared, thr, False))
+    return (_tail_by_run(_null_weights(s2), counts, test.threshold, True),
+            _tail_by_run(s2, counts, test.threshold, False))

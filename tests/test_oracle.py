@@ -7,7 +7,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gausdet import IntensityVector, NpTest, oracle
@@ -19,7 +19,7 @@ SHAPES = (0.5, 1.0, 1.5, 7.5, 50.0, 500.5, 5e3, 5e4)
 
 def ladder_pq(s, y):
     """(P(s, y), Q(s, y)) from the ladder: the smaller made, the other 1 minus it."""
-    split, q, p = oracle._ladder_sums(s, y, np.ones(1))
+    split, q, p = oracle._ladder_sums(s, y, np.ones(1), oracle._ladder_window(s, y, 1))
     return (1.0 - q, q) if split else (p, 1.0 - p)
 
 
@@ -128,7 +128,7 @@ def test_single_weight_upper_tail_keeps_the_rounding_of_x_over_2w(w):
 def test_ladder_bottom_at_shape_one_half(y):
     # y >= 1: Q(1/2, y) is the side made, and with no terms below shape 1/2
     # it is the ladder's bottom alone.
-    split, q, _ = oracle._ladder_sums(0.5, y, np.ones(1))
+    split, q, _ = oracle._ladder_sums(0.5, y, np.ones(1), oracle._ladder_window(0.5, y, 1))
     assert split == 1
     with mpmath.workdps(40):
         want = mpmath.erfc(mpmath.sqrt(mpmath.mpf(y)))
@@ -166,6 +166,28 @@ def test_repeated_weights_give_the_same_bits_in_any_order(w, seed, frac):
 
 
 @st.composite
+def distinct_weights(draw):
+    """2-30 distinct weights spread up to 1e3, zeros mixed in or not."""
+    n = draw(st.integers(2, 30))
+    spread = 10.0 ** draw(st.floats(0.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = np.zeros(draw(st.integers(0, 3)))
+    return np.concatenate((spread ** rng.random(n), zeros))
+
+
+@given(distinct_weights(), st.integers(0, 2**32 - 1), st.floats(0.0, 3.0))
+@settings(max_examples=50, deadline=None)
+def test_distinct_weights_give_the_same_bits_in_any_order(w, seed, frac):
+    # The all-distinct twin of the test above: every input reaches the
+    # mixture as its distinct positive weights ascending.
+    x = frac * float(w.sum())
+    shuffled = np.random.default_rng(seed).permutation(w)
+    for upper in (False, True):
+        assert (oracle._weighted_chi2(shuffled, x, upper)
+                == oracle._weighted_chi2(w, x, upper))
+
+
+@st.composite
 def sigmas_with_runs(draw):
     """Intensities whose values may repeat, with zeros mixed in, and with
     values near 30 whose null weights s^2/(1 + s^2) round equal."""
@@ -181,9 +203,13 @@ def sigmas_with_runs(draw):
 
 @given(sigmas_with_runs(), st.floats(0.0, 3.0))
 @settings(max_examples=100, deadline=None)
+@example(IntensityVector(np.random.default_rng(0).uniform(0.5, 2.0, 30)), 1.0)
+# Ascending sigma whose null weights fall by an ulp: r^2 is not monotone.
+@example(IntensityVector([1.7613125099780726, 1.7613125099780724,
+                          1.3311357532599017, 1.7145661638691667]), 1.0)
 def test_exact_probs_take_sigma_runs_bit_for_bit(sigma, frac):
-    """np_test_exact_probs takes its weights by run from sigma.runs when a
-    value repeats: the bits of the oracle on the dense weights."""
+    """np_test_exact_probs takes its weights by run from sigma.runs, for
+    every sigma: the bits of the oracle on the dense weights."""
     test = NpTest(sigma, frac * float(np.sum(sigma.squared)) - sigma.D)
     thr = test.threshold
 

@@ -145,6 +145,18 @@ def test_peeled_np_cell_matches_the_recurrence():
     assert abs(beta - reference_tails(sigma.squared, test.threshold)[0]) <= BOUND
 
 
+@needs_long_double
+@pytest.mark.parametrize("n, spread", [(20, 1e3), (50, 1e2), (200, 3.0)])
+def test_unsorted_weights_match_the_recurrence(n, spread):
+    # The oracle sums over the weights ascending, whatever their order.
+    w = spread ** np.random.default_rng(n).random(n)
+    for f in (0.3, 1.0, 2.0):
+        x = f * float(w.sum())
+        want_cdf, want_upper = reference_tails(w, x)
+        assert abs(oracle.weighted_chi2_cdf(w, x) - want_cdf) <= BOUND, f
+        assert abs(oracle._weighted_chi2(w, x, True) - want_upper) <= BOUND, f
+
+
 @pytest.mark.parametrize("p, half", [(1e-4, 0.5), (2.8e-4, 0.5), (0.01, 1.0), (0.3, 0.5)])
 def test_negative_binomial_factor_matches_mpmath(p, half):
     # The rounding of ln(1 - p) grows k-fold: (1 + k p) 4e-16 relative,

@@ -709,9 +709,11 @@ class TestOracleWindow:
 
     @staticmethod
     def all_terms(w, x, upper):
-        """The full mixture sum over every coefficient, clipped to [0, 1]."""
-        w = np.asarray(w, dtype=float)
-        beta, a = oracle._mixture_coefficients(w)
+        """The full mixture sum over every coefficient, clipped to [0, 1],
+        on the weights ascending as the oracle takes them."""
+        w = np.sort(np.asarray(w, dtype=float))
+        mixture = oracle._Generating(w)
+        beta, a = mixture.beta, mixture.coefficients()
         shapes = 0.5 * w.size + np.arange(a.size)
         tail = (gammaincc if upper else gammainc)(shapes, x / (2.0 * beta))
         return min(1.0, max(0.0, float(a @ tail)))
@@ -754,10 +756,10 @@ class TestOracleWindow:
         "n, spread", [(2, 1e3), (10, 1e4), (100, 1e2), (100, 1e4), (400, 4e3)]
     )
     def test_term_count_is_at_most_a_quarter_above_need(self, n, spread):
-        # The Chernoff rule of _mixture_coefficients: N terms suffice when
+        # The Chernoff rule of _Generating: N terms suffice when
         # ln G(z) + (n/2 + N) ln(1/z) <= ln 1e-16 at some z of the grid.
         w = np.geomspace(1.0, spread, n)
-        _, a = oracle._mixture_coefficients(w)
+        a = oracle._Generating(w).coefficients()
         v = 1.0 - 2.0 ** -np.arange(1.0, 53.0)
         ln_g = -0.5 * np.log1p(-np.outer(v, w / spread)).sum(axis=1)
         ln_step = np.log1p(-v / spread)
