@@ -29,11 +29,10 @@ sums at the bracket ends of the exponents' u0 and t0 solves once too
 (``bracket_sums``, up to two floats a solve).  It also keeps its run form
 ``runs``, which serves the exponents, delta and the exact oracle:
 ``runs_of`` states the convention, and is the one place the package groups
-repeated values.  The
-rules share one core, ``_QuadraticFormTest``, which builds the weights W
-(k, n) and D_k of its points once, from their values, and owns
-``accepts``; the points of a mixture test are the support of its prior,
-its points of positive weight.  Each rule
+repeated values.  The rules share one core, ``_QuadraticFormTest``, which
+builds the weights W (k, n) and D_k of its points once, from their values,
+and owns ``accepts``; the points of a mixture test are the support of its
+prior, its points of positive weight.  Each rule
 folds its levels into one constant per point at build and supplies only how
 it compares the forms y^2 . w_k with them: one threshold, a sum of
 exponentials below 1, or every form below its bound.  The forms of a batch
@@ -183,8 +182,7 @@ class IntensityVector:
     ``runs`` is the run form (``runs_of``), which serves the exponents,
     ``delta`` and the exact oracle: when a value repeats, every exponent
     solve sums count times one term per distinct value; when none does,
-    over the dense arrays.  The oracle takes every sigma by run, its
-    distinct values ascending.
+    over the dense arrays.
     """
 
     values: np.ndarray

@@ -689,8 +689,9 @@ def np_test_exact_probs(test: NpTest):
 
     alpha is the oracle's upper tail under the weights ``r_squared``, so a
     tiny alpha is not rounded to 0; beta is ``weighted_chi2_cdf`` under the
-    weights ``squared``.  Both are taken by run from ``sigma.runs``, not
-    regrouped from n, and are bit for bit those of the raw weights.
+    weights ``squared``.  Both are taken by run from ``sigma.runs``, the
+    distinct values ascending, not regrouped from n, and are bit for bit
+    the oracle's tails of the raw weights.
     """
     values, counts = test.sigma.runs
     s2 = values**2
