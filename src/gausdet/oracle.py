@@ -4,16 +4,18 @@ It has one method for every weight vector: the chi-square mixture
 sum_k a_k P(n/2 + k, y) of Ruben (1962).  Both tails are sums over the
 same coefficients, with an absolute error below 5e-15; a weight spread
 whose Chernoff term count N is above 2^19 raises OutOfRegime.  A tail
-reads only the a_k below its ladder's reach K (``_ladder_window``): past
-the last shape whose Poisson term does not underflow, the a_k enter only
-through their total mass, which is 1 (Kotz, Johnson and Boyd 1967).  So a
-call makes the least of N and K coefficients.  All N come from one inverse
-FFT of their generating function G on N points, N rounded up by at most
-25% to a length the FFT handles fast (``_Generating``).  When K is far
-below N and a cost estimate says it pays (``_peel``), only the first K are
-made: the few largest distinct weights are peeled off G as closed-form
-negative-binomial factors, and the rest's coefficients, from its own much
-shorter circle, are multiplied by them (``_reach_coefficients``).
+reads the a_k one by one only in its ladder's window [start, reach)
+(``_ladder_window``); outside it, past the last and below the first shape
+whose Poisson term does not underflow, only their masses enter (the total
+is 1, Kotz, Johnson and Boyd 1967).  The a_k come from their generating
+function G on N points, N rounded up by at most 25% to a length the FFT
+handles fast, and G is kept at its M points above 1e-16/N
+(``_Generating``).  A cost estimate (``_band_cost``, ``_peel``) picks one
+of three ways to the window: one inverse FFT of all N; a chirp
+z-transform of the window alone from the M points, with the masses in
+closed form (``_Generating.arc``); or, when the reach is far below N, the
+few largest weights peeled off G as closed-form negative-binomial factors
+and multiplied into the rest's coefficients (``_reach_coefficients``).
 
 Every input reaches the mixture in one form (``_tail_by_run``): its
 distinct positive weights ascending, with their counts (``model.runs_of``).
@@ -62,11 +64,14 @@ _ANCHOR = 16  # Poisson terms per anchor made by the saddle-point form
 # _FFT_CALL + _FFT_POINT L log2 L; ln G and its exp at P points of d weights
 # (_FILL_POINT + _FILL_WEIGHT d) P; a peeled factor of K coefficients
 # _FACTOR_CALL + _FACTOR_TERM K; a rest's Chernoff grid over d weights
-# _GRID_CALL + _GRID_WEIGHT d, and each step of its ``kept`` search _KEPT_STEP.
+# _GRID_CALL + _GRID_WEIGHT d, and its ``kept`` search _KEPT_STEP log2 N; an
+# arc of L points over M kept points _ARC_CALL + 3 _CFFT_POINT L log2 L +
+# _CHIRP_POINT L + _MASS_POINT M (BENCH_band_arc.json, "cost_constants").
 _FFT_CALL, _FFT_POINT = 1e-5, 1.33e-9
 _FILL_POINT, _FILL_WEIGHT = 5e-8, 1.16e-8
 _FACTOR_CALL, _FACTOR_TERM = 2e-5, 2.5e-8
-_GRID_CALL, _GRID_WEIGHT, _KEPT_STEP = 4e-5, 2.6e-7, 2.1e-5
+_GRID_CALL, _GRID_WEIGHT, _KEPT_STEP = 4e-5, 2.6e-7, 4.4e-6
+_ARC_CALL, _CFFT_POINT, _CHIRP_POINT, _MASS_POINT = 5e-5, 1.05e-9, 4e-8, 1.6e-7
 
 # stirlerr(s) = ln Gamma(s + 1) - (s + 1/2) ln s + s - ln(2 pi)/2 for
 # s = 1/2, 1, ..., 15, each the double nearest the 40-digit value.
@@ -108,9 +113,8 @@ class _Generating:
     directly.  N is the least m 2^e >= need with m in {4, ..., 8}: at most
     25% above ``need``, and a length the FFT handles fast.  A ``need``
     above 2^19 raises OutOfRegime.  Equal weights give N = 1 and a = [1].
-    ``coefficients`` makes all N; a tail reads only those below its
-    ladder's reach (``_ladder_window``), and when that reach is far below
-    N, ``_reach_coefficients`` makes just those, from a much shorter circle.
+    ``coefficients`` makes all N from the ``band``, G at its M ``kept``
+    points; ``arc`` and ``mass_below`` make a window and the masses beside it.
     """
 
     def __init__(self, w: np.ndarray, counts=None):
@@ -165,14 +169,37 @@ class _Generating:
 
     @functools.cached_property
     def kept(self) -> int:
-        """The points j = 0, 1, ... of G that the inverse FFT takes: those
-        before the first where |G| is at most 1e-16/N."""
+        """M, the points j = 0, 1, ... of G before the first j >= 1 where |G|
+        is at most 1e-16/N (N/2 + 1 if there is none).  ln |G| falls in j,
+        so each pass over q points of a bracket (lo, hi] cuts it q + 1-fold:
+        a geometric grid first, then evenly spaced points; q d is about 2048,
+        so a pass costs about one numpy call's overhead."""
         floor = math.log(_MASS_TOL / self.terms)
-        return bisect_left(range(self.terms // 2 + 1), True, 1,
-                           key=lambda j: self.ln_gf(j)[0].real <= floor)
+        p4 = self._columns[0][:, 0]
+        counts = np.ones(p4.size) if self.counts is None else self.counts
+        lo, hi, q = 0, self.terms // 2 + 1, max(1, 2**11 // p4.size)
+        j = (hi ** (np.arange(1.0, q + 1.0) / (q + 1))).astype(int)
+        while hi - lo > 1:
+            ln_g = np.multiply.outer(np.sin((math.pi / self.terms) * j) ** 2, p4)
+            ln_g = -0.25 * (np.log1p(ln_g, out=ln_g) @ counts)
+            i = int(np.argmax(np.append(ln_g <= floor, True)))
+            lo, hi = int(j[i - 1]) if i else lo, int(j[i]) if i < j.size else hi
+            j = (np.arange(lo + 1, hi) if hi - lo <= q + 1
+                 else lo + (hi - lo) * np.arange(1, q + 1) // (q + 1))
+        return hi
+
+    @functools.cached_property
+    def band(self) -> np.ndarray:
+        """g_j = G(e^(-i theta_j)) at the M kept points j < M."""
+        kept, cols = self.kept, self.cols
+        g = np.empty(kept, dtype=complex)
+        for lo in range(0, kept, cols):
+            hi = min(kept, lo + cols)
+            g[lo:hi] = np.exp(self.ln_gf(np.arange(lo, hi)))
+        return g
 
     def coefficients(self) -> np.ndarray:
-        """The N mixture coefficients a_k.
+        """The N mixture coefficients a_k, on the full circle.
 
         One inverse FFT of G on the N-th roots of unity gives a_k plus the
         aliased a_(k+N), a_(k+2N), ...: at most 1e-16 in all.
@@ -182,12 +209,47 @@ class _Generating:
         """
         if self.terms == 1:
             return np.ones(1)
-        kept, cols = self.kept, self.cols
         g = np.zeros(self.terms // 2 + 1, dtype=complex)
-        for lo in range(0, kept, cols):
-            hi = min(kept, lo + cols)
-            g[lo:hi] = np.exp(self.ln_gf(np.arange(lo, hi)))
+        g[:self.kept] = self.band
         return np.fft.irfft(g, self.terms)
+
+    def arc(self, start: int, stop: int) -> np.ndarray:
+        """a_k = (1/N) Re[g_0 + 2 sum_(0<j<M) g_j W^(jk)], W = e^(2 pi i/N),
+        for start <= k < stop: the inverse FFT's sum (j = N/2 taken once) on
+        an arc.  Bluestein's chirp z-transform: jk = (k^2 + j^2 - (k - j)^2)/2
+        makes it one convolution with the chirp W^(-t^2/2), by three complex
+        FFTs of about stop - start + M points.  The phases are reduced mod 2N
+        in integers, so only rounding differs from the inverse FFT: about
+        1e-15 of the largest a_k."""
+        n2, g = 2 * self.terms, self.band
+        size, count = g.size, stop - start
+        length = _fast_length(max(1, count + size - 1))
+        t = np.arange(max(count, size))
+        chirp = np.exp((1j * math.pi / self.terms) * (t * t % n2))  # W^(t^2/2)
+        j = t[:size]
+        u = g * np.exp((1j * math.pi / self.terms) * (j * (j + 2 * start) % n2))
+        u[1:self.terms // 2] *= 2.0
+        v = np.zeros(length, dtype=complex)
+        v[:count] = chirp[:count].conj()
+        v[length - size + 1:] = chirp[size - 1:0:-1].conj()
+        x = np.fft.ifft(np.fft.fft(u, length) * np.fft.fft(v))[:count]
+        x *= chirp[:count]
+        return x.real / self.terms
+
+    def mass_below(self, m) -> np.ndarray:
+        """S(m) = sum_(k<m) a_k for integers 0 <= m <= N, in closed form:
+        (1/N)[g_0 m + 2 Re sum_(0<j<M) g_j e^(i pi j (m-1)/N) sin(pi j m/N) /
+        sin(pi j/N)], the geometric sum of W^(jk) over k < m, its phases
+        reduced in integers.  Its terms, about |g_j|/(pi j), leave it within
+        a few 1e-16 of the inverse FFT's prefix sums; S(0) = 0, S(N) = 1."""
+        g, j = self.band, np.arange(1, self.kept)
+        m = np.asarray(m)[:, None]
+        angle = math.pi / self.terms
+        terms = (g[1:] * np.exp((1j * angle) * (j * (m - 1) % (2 * self.terms)))).real
+        half_turns, rest = np.divmod(j * m, self.terms)  # sin(pi j m/N), exactly 0 at m = N
+        terms *= (1 - 2 * (half_turns % 2)) * np.sin(angle * rest) / np.sin(angle * j)
+        terms[:, self.terms // 2 - 1:] *= 0.5  # the point j = N/2 is taken once
+        return (g[0].real * m[:, 0] + 2.0 * terms.sum(axis=1)) / self.terms
 
 
 def _fft_cost(length):
@@ -198,19 +260,33 @@ def _fill_cost(weights, points):
     return (_FILL_POINT + _FILL_WEIGHT * weights) * points
 
 
-def _peel(mixture: _Generating, reach: int):
-    """(rest, factors) for ``_reach_coefficients``, or None to make all N
-    coefficients on the full circle.
+def _band_cost(mixture: _Generating, start: int, reach: int):
+    """(cost, arc): the estimated cost of a tail's coefficients from G's M
+    kept points, and whether the arc [start, reach) beats the full circle's
+    inverse FFT of N (three complex FFTs and a chirp of its length)."""
+    full = _fft_cost(mixture.terms)
+    if mixture.terms == 1:
+        return full, False
+    kept = mixture.kept
+    length = _fast_length(max(1, reach - start + kept - 1))
+    arc = (_ARC_CALL + (3.0 * _CFFT_POINT * math.log2(length) + _CHIRP_POINT) * length
+           + _MASS_POINT * kept)
+    return min(full, arc) + _fill_cost(mixture.w.size, kept), arc < full
+
+
+def _peel(mixture: _Generating, reach: int, best: float):
+    """(rest, factors) for ``_reach_coefficients``, or None to make the
+    coefficients from G's band at the estimated cost ``best``
+    (``_band_cost``).
 
     Peeling the m largest distinct weights, the last m of the ascending
     run form, leaves a rest whose own term count N_m falls fast with m when
     a few weights stand far above the others.  The estimate of its cost:
     the rest's Chernoff grid, its ln G at up to N_m/2 + 1 points and its
     inverse FFT, and per peeled weight ``reach`` factor coefficients and
-    three real FFTs of about 2 reach points; the full circle costs its ln G
-    at its ``kept`` points and one inverse FFT of N.  Each m is first
-    priced at a lower bound of N_m, and its grid is made only if that is
-    below the best cost found.  N_m
+    three real FFTs of about 2 reach points.  Each m is first priced at a
+    lower bound of N_m, and its grid is made only if that is below the best
+    cost found.  N_m
     is at least the rest's mean sum c_i (w_i/beta - 1)/2, and at least the
     count at which the factor of the rest's largest weight, p = beta/w,
     still has a term above 1e-16: its tail past N_m is at most that of the
@@ -224,10 +300,6 @@ def _peel(mixture: _Generating, reach: int):
     d = w.size
     per_factor = (_FACTOR_CALL + _FACTOR_TERM * reach
                   + 3.0 * _fft_cost(_fast_length(2 * reach - 1)))
-    if (per_factor + _GRID_CALL + _GRID_WEIGHT * (d - 1)
-            >= _fft_cost(terms) + _fill_cost(d, terms // 2 + 1)):
-        return None
-    best = _fft_cost(terms) + _fill_cost(d, mixture.kept)
     c = np.ones(d) if counts is None else counts
     # the m largest may be peeled, m < d, while each occurs at most twice
     repeated = c[::-1][:d - 1] > 2.0
@@ -463,22 +535,23 @@ def _prefix_sums(v: np.ndarray) -> np.ndarray:
     return c
 
 
-def _clamped_dot(a: np.ndarray, v: np.ndarray, offset: int) -> float:
-    """sum_k a_k v[clip(k + offset, 0, v.size - 1)], by slices of a."""
+def _clamped_dot(a: np.ndarray, v: np.ndarray, offset: int, below: float = 0.0) -> float:
+    """sum_k a_k v[clip(k + offset, 0, v.size - 1)], by slices of a, plus
+    below v[0]: below is the mass of the coefficients before a[0]."""
     lo = min(max(-offset, 0), a.size)
     hi = min(max(v.size - 1 - offset, lo), a.size)
     total = a[lo:hi] @ v[lo + offset:hi + offset]
     if v[0]:
-        total += a[:lo].sum() * v[0]
+        total += (a[:lo].sum() + below) * v[0]
     if v[-1]:
         total += a[hi:].sum() * v[-1]
     return float(total)
 
 
 def _ladder_window(h: float, y: float, size: int):
-    """(split, lo, hi, reach): where ``_ladder_sums`` splits N = size
+    """(split, lo, hi, reach, start): where ``_ladder_sums`` splits N = size
     coefficients, the lattice points [lo, hi) whose Poisson terms it makes,
-    and the count of coefficients it reads.
+    and the window [start, reach) of the coefficients it reads one by one.
 
     The lattice of shapes t = t_0 + j, j = 0, 1, ..., has t_0 = 1 or 1/2 as
     h is an integer or not; the shape h + k is lattice point first + k.
@@ -488,13 +561,14 @@ def _ladder_window(h: float, y: float, size: int):
     bisections with a ``math.lgamma`` form of ln tau_t find them, so
     y = 1e12 or y = 0 makes none.  Past hi every P(h + k, y) is 0, so a_k
     with k >= reach = max(split, hi - first) enter a tail only through
-    their total mass.
+    their total mass, and so do those below start = min(max(0, lo - first),
+    split), where every Q(h + k, y) is Q(t_0, y).
     """
     base = 1.0 if h == math.floor(h) else 0.5
     first = int(h - base)  # the shape h + k is lattice point first + k
     split = size if y >= h + size else max(0, math.ceil(y - h))
     if y == 0.0:
-        return split, first, first, split
+        return split, first, first, split, 0
     # Q needs the lattice below first + split - 1, P the lattice from first + split.
     start = 0 if split > 0 else first
     end = first + size - 1 if split == size else None
@@ -516,17 +590,19 @@ def _ladder_window(h: float, y: float, size: int):
                 step *= 2
             end = top + step
         hi = bisect_left(range(end), True, top, key=lambda j: not kept(j))
-    return split, lo, hi, min(size, max(split, hi - first))
+    return split, lo, hi, min(size, max(split, hi - first)), min(max(0, lo - first), split)
 
 
-def _ladder_sums(h: float, y: float, a: np.ndarray, window):
+def _ladder_sums(h: float, y: float, a: np.ndarray, window, skip: int = 0,
+                 below: float = 0.0):
     """(split, q, p): the a_k sums of Q(h + k, y) below split, of P from it.
 
     q = sum_(k < split) a_k Q(h + k, y) and p = sum_(k >= split) a_k P(h + k, y).
     h is a positive multiple of 1/2 and y >= 0 is finite.  split is the
     first k with h + k >= y, so each incomplete gamma taken is the smaller
     of P and Q, up to the median's offset.  window is ``_ladder_window``
-    of the N coefficients; a may hold all N or just the first ``reach``.
+    of the N coefficients; a holds a_k from k = skip on (0 or the window's
+    start), all N or up to ``reach``, and below is sum_(k < skip) a_k.
     Q(h + k, y) is Q(t_0, y), which is e^-y or erfc(sqrt y)
     (``_erfc_sqrt``), plus the Poisson terms tau_t below h + k, and
     P(h + k, y) the sum of those at and above it; only the terms of the
@@ -534,7 +610,7 @@ def _ladder_sums(h: float, y: float, a: np.ndarray, window):
     first, compensated, and each incomplete gamma is one of those sums,
     never a sum over the a_k.
     """
-    split, lo, hi, _ = window
+    split, lo, hi = window[:3]
     if y == 0.0:
         return split, 0.0, 0.0
     base = 1.0 if h == math.floor(h) else 0.5
@@ -544,10 +620,10 @@ def _ladder_sums(h: float, y: float, a: np.ndarray, window):
 
     cut = min(max(first + split - lo, 0), tau.size)  # Q's terms, then P's
     bottom = math.exp(-y) if base == 1.0 else _erfc_sqrt(y)
-    below = _prefix_sums(np.concatenate(([bottom], tau[:cut])))
+    bottoms = _prefix_sums(np.concatenate(([bottom], tau[:cut])))
     above = np.append(_prefix_sums(tau[cut:][::-1])[::-1], 0.0)
-    q = _clamped_dot(a[:split], below, first - lo)
-    p = _clamped_dot(a[split:], above, first + split - lo - cut)
+    q = _clamped_dot(a[:split - skip], bottoms, first + skip - lo, below)
+    p = _clamped_dot(a[split - skip:], above, first + split - lo - cut)
     return split, q, p
 
 
@@ -562,7 +638,8 @@ def _weighted_chi2(weights, x: float, upper: bool) -> float:
     the coefficients' mass there is taken as 1, so the far tails of x = 0
     and of a huge x are exactly 0 and 1.  When only the coefficients below
     the ladder's reach are made (``_reach_coefficients``), the upper
-    tail's mass past the split is 1 minus the mass below it.
+    tail's mass past the split is 1 minus the mass below it; beside an arc
+    they are closed-form sums (``_Generating.mass_below``).
     """
     w, x = _as_vector(weights, "weights"), _as_number(x, "x")
     if np.any(w < 0):
@@ -615,23 +692,29 @@ def _mixture_tail(w: np.ndarray, counts, x: float, upper: bool) -> float:
         return 1.0 if upper else 0.0
     h = 0.5 * n
     window = _ladder_window(h, y, mixture.terms)
-    reach = window[3]
-    peeled = _peel(mixture, reach)
-    if peeled is None:
-        a = mixture.coefficients()
-    else:
+    reach, start = window[3:]
+    best, arc = _band_cost(mixture, start, reach)
+    peeled = _peel(mixture, reach, best)
+    skip, below, past = 0, 0.0, 0.0  # a holds a_k from k = skip; the masses it leaves out
+    if peeled is not None:
         a = _reach_coefficients(*peeled, reach)
-    split, q, p = _ladder_sums(h, y, a, window)
+    elif arc:
+        a, skip = mixture.arc(start, reach), start
+        below, made = mixture.mass_below(np.array([start, reach])).tolist()
+        past = 1.0 - made
+    else:
+        a = mixture.coefficients()
+    split, q, p = _ladder_sums(h, y, a, window, skip, below)
     if upper:
         if not split:
             mass = 1.0
         elif peeled is None:
-            mass = float(a[split:].sum())
+            mass = float(a[split - skip:].sum()) + past
         else:  # the mass past the reach is not made
             mass = 1.0 - float(a[:split].sum())
         total = q + (mass - p)
     else:
-        mass = float(a[:split].sum()) if split < mixture.terms else 1.0
+        mass = below + float(a[:split - skip].sum()) if split < mixture.terms else 1.0
         total = p + (mass - q)
     return min(1.0, max(0.0, total))
 
@@ -641,9 +724,9 @@ def weighted_chi2_cdf(weights, x: float) -> float:
 
     One method for every weight vector: the chi-square mixture
     sum_k a_k P(n/2 + k, x / (2 min w)) of Ruben (1962), with the a_k from
-    one inverse FFT of their generating function (``_Generating``) or,
-    when the ladder reaches far fewer of them, just those it reaches
-    (``_reach_coefficients``).
+    one inverse FFT of their generating function (``_Generating``), or
+    just the window the ladder reads (``_Generating.arc``), or just those
+    below its reach (``_reach_coefficients``).
     Its sums take the run form of the weights (``model.runs_of``): the
     distinct positive weights ascending, count times one row each, so the
     result is the same, bit for bit, for every order of the weights.  Equal
@@ -658,11 +741,16 @@ def weighted_chi2_cdf(weights, x: float) -> float:
     {4, ..., 8} (at most 25% above ``need``).  The ladder's reach K is the
     last shape whose Poisson term does not underflow, less n/2: the a_k
     past it multiply incomplete gammas that are 0, so only their mass
-    enters.  When K is far below N, the few largest distinct weights
-    (each occurring at most twice) are peeled off the generating function
-    as closed-form negative-binomial factors, the rest keeps its own
-    Chernoff count on its own circle, and the products are cut at K; a cost
-    estimate picks how many, and none where peeling does not pay.
+    enters, as below the first shape whose term does not underflow: a tail
+    needs the a_k of one window [start, K) and two masses.  Where a cost
+    estimate says it pays, the window is made from G's M points above
+    1e-16/N alone by Bluestein's chirp z-transform (three complex FFTs of
+    about K - start + M points) and the masses by closed-form sums over
+    them.  When K is far below N, the few largest distinct weights (each
+    occurring at most twice) may instead be peeled off as closed-form
+    negative-binomial factors, the rest keeps its own Chernoff count on its
+    own circle, and the products are cut at K; the estimate picks how many,
+    and none where that does not beat both other ways.
     The incomplete gammas are sums of Poisson terms (``_ladder_sums``),
     and every term that does not underflow is made.  The absolute error is
     below 5e-15: at most 3e-16 from the truncation, aliasing and cutoff of
@@ -670,14 +758,18 @@ def weighted_chi2_cdf(weights, x: float) -> float:
     1e-14 of itself (Loader's saddle-point form with its deviance in two
     doubles, then at most 15 steps of a recurrence; ``_poisson_terms``),
     each sum of them within about two roundings (compensated), and the
-    complement and the a_k products within one each.  A peeled factor's
-    coefficients are each within a few 1e-16 of themselves (their
-    logarithms are prefix sums kept in two doubles), and each FFT product
-    adds about 1e-16 of the largest coefficient, at most 1e-15 of mass in
-    all; its leading coefficients below 2^-5 of the largest are direct
-    sums of positive products.  So a small incomplete gamma keeps its
-    relative accuracy, down to the subnormals, and a small cdf keeps its
-    own where its coefficients are direct sums.
+    complement and the a_k products within one each.  The arc's a_k
+    differ from the full circle's by about 1e-15 of the largest, its masses
+    by a few 1e-16 (at n = 100, spread 1e4 both tails are within 2.1e-16
+    of a long-double reference).  A peeled factor's coefficients are each within
+    a few 1e-16 of themselves (their logarithms are prefix sums kept in two
+    doubles), and each FFT product adds about 1e-16 of the largest
+    coefficient, at most 1e-15 of mass in all; its leading coefficients
+    below 2^-5 of the largest are direct sums of positive products.  So a
+    small incomplete gamma keeps its relative accuracy, down to the
+    subnormals, and a small cdf keeps its own where its coefficients are
+    direct sums; a tail made of a_k near the FFTs' rounding keeps only the
+    absolute bound, on either circle.
     A spread max w / min w that needs more than 2^19 terms (about 1e4 at
     n = 1000) raises OutOfRegime; non-finite input raises InvalidInput.
     """

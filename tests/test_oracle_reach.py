@@ -1,8 +1,10 @@
-"""Mixture coefficients cut at the ladder's reach (``oracle._reach_coefficients``):
-both tails against an independent long-double run of Ruben's per-weight
-recurrence, against the full circle, and the lengths of their transforms."""
+"""Mixture coefficients cut at the ladder's reach (``oracle._reach_coefficients``)
+and made on an arc of G's circle (``oracle._Generating.arc``): both tails
+against an independent long-double run of Ruben's per-weight recurrence,
+against the full circle, and the lengths of their transforms."""
 
 import math
+from bisect import bisect_left
 from unittest import mock
 
 import mpmath
@@ -90,8 +92,8 @@ def peel_counts(call):
     """call() and the number of weights peeled in each tail it takes."""
     counts = []
 
-    def spy(mixture, reach):
-        peeled = peel(mixture, reach)
+    def spy(mixture, reach, best):
+        peeled = peel(mixture, reach, best)
         counts.append(0 if peeled is None else len(peeled[1]))
         return peeled
 
@@ -101,8 +103,11 @@ def peel_counts(call):
 
 
 def full_circle(call):
-    """call() with every coefficient made on the full circle."""
-    with mock.patch.object(oracle, "_peel", lambda mixture, reach: None):
+    """call() with every coefficient made on the full circle: no peel, no arc."""
+    band_cost = oracle._band_cost
+    with mock.patch.object(oracle, "_peel", lambda mixture, reach, best: None), \
+            mock.patch.object(oracle, "_band_cost",
+                              lambda *args: (band_cost(*args)[0], False)):
         return call()
 
 
@@ -241,3 +246,149 @@ def test_wide_cells_make_no_transform_past_four_reaches(cell):
         else:
             lengths.append(value / reach)
     assert lengths and max(lengths) <= 4.0
+
+
+def arcs_made(call):
+    """call() and the (start, stop) of every arc it made."""
+    made = []
+
+    def spy(mixture, start, stop):
+        made.append((start, stop))
+        return arc(mixture, start, stop)
+
+    arc = oracle._Generating.arc
+    with mock.patch.object(oracle._Generating, "arc", spy):
+        return call(), made
+
+
+@needs_long_double
+@pytest.mark.parametrize("f", [0.01, 0.2, 1.0, 3.0])
+def test_arc_tails_match_the_recurrence(f):
+    # The n = 100, spread 1e4 profile: N = 524,288 points, G kept at 542.
+    w = profile(100, 1e4)
+    x = f * float(w.sum())
+    want_cdf, want_upper = reference_tails(w, x)
+    (cdf, upper), made = arcs_made(
+        lambda: (oracle.weighted_chi2_cdf(w, x), oracle._weighted_chi2(w, x, True)))
+    assert len(made) == 2
+    assert abs(cdf - want_cdf) <= BOUND
+    assert abs(upper - want_upper) <= BOUND
+
+
+@needs_long_double
+def test_arc_np_cell_matches_the_recurrence():
+    test = np_cell(100, 1e4)
+    sigma = test.sigma
+    (alpha, beta), made = arcs_made(lambda: oracle.np_test_exact_probs(test))
+    assert len(made) == 2
+    assert abs(alpha - reference_tails(sigma.r_squared, test.threshold)[1]) <= BOUND
+    assert abs(beta - reference_tails(sigma.squared, test.threshold)[0]) <= BOUND
+
+
+def test_arc_coefficients_match_the_full_circle():
+    # The window of the n = 100, spread 1e4 cdf at the mean.  The three FFTs
+    # of the arc leave about twice the rounding of the full circle's one:
+    # against the long-double recurrence the full circle is within 4.9e-16
+    # of the largest coefficient and the arc within 1.0e-15.
+    w = profile(100, 1e4)
+    mixture = oracle._Generating(w)
+    window = oracle._ladder_window(50.0, float(w.sum()) / 2.0, mixture.terms)
+    start, stop = window[4], window[3]
+    assert stop - start < 20_000 < start
+    full = mixture.coefficients()
+    arc = mixture.arc(start, stop)
+    assert np.abs(arc - full[start:stop]).max() <= 1.5e-15 * full.max()
+
+
+@pytest.mark.parametrize("n, spread", [(10, 1e2), (100, 1e4), (1000, 1e2)])
+def test_mass_below_matches_the_prefix_sums(n, spread):
+    mixture = oracle._Generating(profile(n, spread))
+    terms = mixture.terms
+    m = np.unique(np.append(np.linspace(0, terms, 101).astype(int), [1, 7, terms - 1]))
+    prefix = np.concatenate(([0.0], oracle._prefix_sums(mixture.coefficients())))
+    got = mixture.mass_below(m)
+    assert np.abs(got - prefix[m]).max() <= 1e-15
+    assert got[0] == 0.0 and got[-1] == 1.0
+
+
+@pytest.mark.parametrize("cell", ["cdf", "np"])
+def test_arc_cells_make_no_transform_past_the_arc(cell):
+    # The n = 100, spread 1e4 cells: every FFT is at most the arc's length,
+    # _fast_length(window + kept - 1), never the 524,288-point full circle.
+    bounds, lengths = [], []
+    band_cost, fft = oracle._band_cost, np.fft
+
+    def spy_cost(mixture, start, reach):
+        bounds.append(oracle._fast_length(reach - start + mixture.kept - 1))
+        return band_cost(mixture, start, reach)
+
+    def spy(transform):
+        def call(a, n=None, *args, **kwargs):
+            lengths.append((bounds[-1], np.shape(a)[-1] if n is None else n))
+            return transform(a, n, *args, **kwargs)
+        return call
+
+    w = profile(100, 1e4)
+    with mock.patch.object(oracle, "_band_cost", spy_cost), \
+            mock.patch.object(np.fft, "fft", spy(fft.fft)), \
+            mock.patch.object(np.fft, "ifft", spy(fft.ifft)), \
+            mock.patch.object(np.fft, "irfft", spy(fft.irfft)):
+        if cell == "cdf":
+            oracle.weighted_chi2_cdf(w, float(w.sum()))
+        else:
+            oracle.np_test_exact_probs(np_cell(100, 1e4))
+    assert len(lengths) == (3 if cell == "cdf" else 6)  # three per tail
+    assert all(length <= bound < 2**19 for bound, length in lengths)
+
+
+def bisected_kept(mixture):
+    """``_Generating.kept`` as a bisection made it, one ln G call a step."""
+    floor = math.log(1e-16 / mixture.terms)
+    return bisect_left(range(mixture.terms // 2 + 1), True, 1,
+                       key=lambda j: mixture.ln_gf(j)[0].real <= floor)
+
+
+def kept_profiles():
+    """The weights of every exact-grid and pinned oracle tail that makes a
+    generating function: each profile, and an NP test's two weight vectors."""
+    for n in (2, 10, 100, 1000):
+        for spread in (2.0, 1e2, 1e4):
+            w = profile(n, spread)
+            sigma = np_cell(n, spread).sigma
+            for weights in (w, sigma.r_squared, sigma.squared):
+                yield f"{n}-{spread:g}", np.sort(weights)
+
+
+def test_kept_matches_the_bisection():
+    checked = 0
+    for label, w in kept_profiles():
+        try:
+            mixture = oracle._Generating(w)
+        except OutOfRegime:
+            continue
+        assert mixture.kept == bisected_kept(mixture), label
+        checked += 1
+    assert checked == 33
+
+
+@st.composite
+def wide_weights(draw):
+    """20-400 distinct weights spread 1e2-4e3, as ``TestOracleWindow`` draws them."""
+    n = draw(st.integers(20, 400))
+    spread = 10.0 ** draw(st.floats(2.0, math.log10(4e3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.exp(rng.uniform(0.0, math.log(spread), n))
+
+
+@given(wide_weights(), st.floats(0.1, 5.0))
+@settings(max_examples=25, deadline=None)
+def test_arc_equals_the_full_circle(w, frac):
+    x = frac * float(w.sum())
+    for upper in (False, True):
+        def tail():
+            return oracle._weighted_chi2(w, x, upper)
+        got, want = outcome(tail), outcome(lambda: full_circle(tail))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert abs(got - want) <= BOUND
