@@ -16,6 +16,8 @@ z-transform of the window alone from the M points, with the masses in
 closed form (``_Generating.arc``); or, when the reach is far below N, the
 few largest weights peeled off G as closed-form negative-binomial factors
 and multiplied into the rest's coefficients (``_reach_coefficients``).
+The arc rounds about twice as coarsely as the full circle, so a tail that
+it makes below 1e-4 is made again as if there were no arc (``_ARC_LEAST``).
 
 Every input reaches the mixture in one form (``_tail_by_run``): its
 distinct positive weights ascending, with their counts (``model.runs_of``).
@@ -49,6 +51,10 @@ from .model import NpTest, _as_number, _as_vector, _null_weights, runs_of, sum_b
 
 _MASS_TOL = 1e-16  # mass each of the three truncations below may move
 _MAX_TERMS = 2**19  # 4 MB of coefficients; wider spreads are out of regime
+# A tail below this is made as if there were no arc: against the full
+# circle, the arc's coarser rounding moved the smaller tails of the tests
+# by 1e-5 to 0.6 of themselves, and none at or above it by 1e-13.
+_ARC_LEAST = 1e-4
 # Below this, ln tau_s leaves the term under the least subnormal, 2^-1074.
 _LN_UNDERFLOW = -746.0
 _DEKKER = 134217729.0  # 2^27 + 1 splits a double into two 26-bit halves
@@ -261,17 +267,17 @@ def _fill_cost(weights, points):
 
 
 def _band_cost(mixture: _Generating, start: int, reach: int):
-    """(cost, arc): the estimated cost of a tail's coefficients from G's M
-    kept points, and whether the arc [start, reach) beats the full circle's
-    inverse FFT of N (three complex FFTs and a chirp of its length)."""
-    full = _fft_cost(mixture.terms)
+    """(full, arc): the estimated costs of a tail's coefficients from G's M
+    kept points, by the full circle's inverse FFT of N and by the arc
+    [start, reach) (three complex FFTs and a chirp of its length)."""
     if mixture.terms == 1:
-        return full, False
+        return _fft_cost(1), math.inf
     kept = mixture.kept
+    fill = _fill_cost(mixture.w.size, kept)
     length = _fast_length(max(1, reach - start + kept - 1))
     arc = (_ARC_CALL + (3.0 * _CFFT_POINT * math.log2(length) + _CHIRP_POINT) * length
            + _MASS_POINT * kept)
-    return min(full, arc) + _fill_cost(mixture.w.size, kept), arc < full
+    return _fft_cost(mixture.terms) + fill, arc + fill
 
 
 def _peel(mixture: _Generating, reach: int, best: float):
@@ -535,14 +541,13 @@ def _prefix_sums(v: np.ndarray) -> np.ndarray:
     return c
 
 
-def _clamped_dot(a: np.ndarray, v: np.ndarray, offset: int, below: float = 0.0) -> float:
-    """sum_k a_k v[clip(k + offset, 0, v.size - 1)], by slices of a, plus
-    below v[0]: below is the mass of the coefficients before a[0]."""
+def _clamped_dot(a: np.ndarray, v: np.ndarray, offset: int) -> float:
+    """sum_k a_k v[clip(k + offset, 0, v.size - 1)], by slices of a."""
     lo = min(max(-offset, 0), a.size)
     hi = min(max(v.size - 1 - offset, lo), a.size)
     total = a[lo:hi] @ v[lo + offset:hi + offset]
     if v[0]:
-        total += (a[:lo].sum() + below) * v[0]
+        total += a[:lo].sum() * v[0]
     if v[-1]:
         total += a[hi:].sum() * v[-1]
     return float(total)
@@ -593,8 +598,7 @@ def _ladder_window(h: float, y: float, size: int):
     return split, lo, hi, min(size, max(split, hi - first)), min(max(0, lo - first), split)
 
 
-def _ladder_sums(h: float, y: float, a: np.ndarray, window, skip: int = 0,
-                 below: float = 0.0):
+def _ladder_sums(h: float, y: float, a: np.ndarray, window, skip: int):
     """(split, q, p): the a_k sums of Q(h + k, y) below split, of P from it.
 
     q = sum_(k < split) a_k Q(h + k, y) and p = sum_(k >= split) a_k P(h + k, y).
@@ -602,8 +606,9 @@ def _ladder_sums(h: float, y: float, a: np.ndarray, window, skip: int = 0,
     first k with h + k >= y, so each incomplete gamma taken is the smaller
     of P and Q, up to the median's offset.  window is ``_ladder_window``
     of the N coefficients; a holds a_k from k = skip on (0 or the window's
-    start), all N or up to ``reach``, and below is sum_(k < skip) a_k.
-    Q(h + k, y) is Q(t_0, y), which is e^-y or erfc(sqrt y)
+    start), all N or up to ``reach``.  Below a start past 0 every Poisson
+    term underflows, and so does Q(t_0, y) < tau_(t_0): those a_k add
+    nothing to q.  Q(h + k, y) is Q(t_0, y), which is e^-y or erfc(sqrt y)
     (``_erfc_sqrt``), plus the Poisson terms tau_t below h + k, and
     P(h + k, y) the sum of those at and above it; only the terms of the
     window are made.  Each side's terms are summed smallest
@@ -622,7 +627,7 @@ def _ladder_sums(h: float, y: float, a: np.ndarray, window, skip: int = 0,
     bottom = math.exp(-y) if base == 1.0 else _erfc_sqrt(y)
     bottoms = _prefix_sums(np.concatenate(([bottom], tau[:cut])))
     above = np.append(_prefix_sums(tau[cut:][::-1])[::-1], 0.0)
-    q = _clamped_dot(a[:split - skip], bottoms, first + skip - lo, below)
+    q = _clamped_dot(a[:split - skip], bottoms, first + skip - lo)
     p = _clamped_dot(a[split - skip:], above, first + split - lo - cut)
     return split, q, p
 
@@ -639,7 +644,8 @@ def _weighted_chi2(weights, x: float, upper: bool) -> float:
     and of a huge x are exactly 0 and 1.  When only the coefficients below
     the ladder's reach are made (``_reach_coefficients``), the upper
     tail's mass past the split is 1 minus the mass below it; beside an arc
-    they are closed-form sums (``_Generating.mass_below``).
+    they are closed-form sums (``_Generating.mass_below``).  A tail below
+    ``_ARC_LEAST`` on the arc is made again by a peel or the full circle.
     """
     w, x = _as_vector(weights, "weights"), _as_number(x, "x")
     if np.any(w < 0):
@@ -693,30 +699,37 @@ def _mixture_tail(w: np.ndarray, counts, x: float, upper: bool) -> float:
     h = 0.5 * n
     window = _ladder_window(h, y, mixture.terms)
     reach, start = window[3:]
-    best, arc = _band_cost(mixture, start, reach)
-    peeled = _peel(mixture, reach, best)
-    skip, below, past = 0, 0.0, 0.0  # a holds a_k from k = skip; the masses it leaves out
-    if peeled is not None:
-        a = _reach_coefficients(*peeled, reach)
-    elif arc:
-        a, skip = mixture.arc(start, reach), start
+
+    def tail(a, skip=0, below=0.0, past=0.0):
+        """The tail from a_k for k >= skip, the mass below skip and the
+        mass past the end of a (None: a ends at the reach and that mass is
+        not made, so the upper tail's mass past the split is 1 minus the
+        mass below it)."""
+        split, q, p = _ladder_sums(h, y, a, window, skip)
+        if upper:
+            if not split:
+                mass = 1.0
+            elif past is None:
+                mass = 1.0 - float(a[:split].sum())
+            else:
+                mass = float(a[split - skip:].sum()) + past
+            total = q + (mass - p)
+        else:
+            mass = below + float(a[:split - skip].sum()) if split < mixture.terms else 1.0
+            total = p + (mass - q)
+        return min(1.0, max(0.0, total))
+
+    full, arc = _band_cost(mixture, start, reach)
+    peeled = _peel(mixture, reach, min(full, arc))
+    if peeled is None and arc < full:
         below, made = mixture.mass_below(np.array([start, reach])).tolist()
-        past = 1.0 - made
-    else:
-        a = mixture.coefficients()
-    split, q, p = _ladder_sums(h, y, a, window, skip, below)
-    if upper:
-        if not split:
-            mass = 1.0
-        elif peeled is None:
-            mass = float(a[split - skip:].sum()) + past
-        else:  # the mass past the reach is not made
-            mass = 1.0 - float(a[:split].sum())
-        total = q + (mass - p)
-    else:
-        mass = below + float(a[:split - skip].sum()) if split < mixture.terms else 1.0
-        total = p + (mass - q)
-    return min(1.0, max(0.0, total))
+        total = tail(mixture.arc(start, reach), start, below, 1.0 - made)
+        if total >= _ARC_LEAST:
+            return total
+        peeled = _peel(mixture, reach, full)  # a small tail: as if there were no arc
+    if peeled is not None:
+        return tail(_reach_coefficients(*peeled, reach), past=None)
+    return tail(mixture.coefficients())
 
 
 def weighted_chi2_cdf(weights, x: float) -> float:
@@ -746,11 +759,13 @@ def weighted_chi2_cdf(weights, x: float) -> float:
     estimate says it pays, the window is made from G's M points above
     1e-16/N alone by Bluestein's chirp z-transform (three complex FFTs of
     about K - start + M points) and the masses by closed-form sums over
-    them.  When K is far below N, the few largest distinct weights (each
-    occurring at most twice) may instead be peeled off as closed-form
-    negative-binomial factors, the rest keeps its own Chernoff count on its
-    own circle, and the products are cut at K; the estimate picks how many,
-    and none where that does not beat both other ways.
+    them; a tail below 1e-4 is then made again by one of the other ways,
+    so the arc serves only tails of 1e-4 and above.  When K is far below
+    N, the few largest distinct weights (each occurring at most twice) may
+    instead be peeled off as closed-form negative-binomial factors, the
+    rest keeps its own Chernoff count on its own circle, and the products
+    are cut at K; the estimate picks how many, and none where that does
+    not beat both other ways.
     The incomplete gammas are sums of Poisson terms (``_ladder_sums``),
     and every term that does not underflow is made.  The absolute error is
     below 5e-15: at most 3e-16 from the truncation, aliasing and cutoff of
@@ -760,8 +775,9 @@ def weighted_chi2_cdf(weights, x: float) -> float:
     each sum of them within about two roundings (compensated), and the
     complement and the a_k products within one each.  The arc's a_k
     differ from the full circle's by about 1e-15 of the largest, its masses
-    by a few 1e-16 (at n = 100, spread 1e4 both tails are within 2.1e-16
-    of a long-double reference).  A peeled factor's coefficients are each within
+    by a few 1e-16; the tails it serves moved by less than 1e-13 of
+    themselves in the tests (at n = 100, spread 1e4 both tails are within
+    2.1e-16 of a long-double reference).  A peeled factor's coefficients are each within
     a few 1e-16 of themselves (their logarithms are prefix sums kept in two
     doubles), and each FFT product adds about 1e-16 of the largest
     coefficient, at most 1e-15 of mass in all; its leading coefficients
@@ -769,7 +785,7 @@ def weighted_chi2_cdf(weights, x: float) -> float:
     small incomplete gamma keeps its relative accuracy, down to the
     subnormals, and a small cdf keeps its own where its coefficients are
     direct sums; a tail made of a_k near the FFTs' rounding keeps only the
-    absolute bound, on either circle.
+    absolute bound.
     A spread max w / min w that needs more than 2^19 terms (about 1e4 at
     n = 1000) raises OutOfRegime; non-finite input raises InvalidInput.
     """

@@ -19,7 +19,7 @@ SHAPES = (0.5, 1.0, 1.5, 7.5, 50.0, 500.5, 5e3, 5e4)
 
 def ladder_pq(s, y):
     """(P(s, y), Q(s, y)) from the ladder: the smaller made, the other 1 minus it."""
-    split, q, p = oracle._ladder_sums(s, y, np.ones(1), oracle._ladder_window(s, y, 1))
+    split, q, p = oracle._ladder_sums(s, y, np.ones(1), oracle._ladder_window(s, y, 1), 0)
     return (1.0 - q, q) if split else (p, 1.0 - p)
 
 
@@ -128,11 +128,24 @@ def test_single_weight_upper_tail_keeps_the_rounding_of_x_over_2w(w):
 def test_ladder_bottom_at_shape_one_half(y):
     # y >= 1: Q(1/2, y) is the side made, and with no terms below shape 1/2
     # it is the ladder's bottom alone.
-    split, q, _ = oracle._ladder_sums(0.5, y, np.ones(1), oracle._ladder_window(0.5, y, 1))
+    split, q, _ = oracle._ladder_sums(0.5, y, np.ones(1), oracle._ladder_window(0.5, y, 1), 0)
     assert split == 1
     with mpmath.workdps(40):
         want = mpmath.erfc(mpmath.sqrt(mpmath.mpf(y)))
         assert abs(q - want) <= 2e-16 * want
+
+
+@pytest.mark.parametrize("h", [1.0, 1.5, 50.0, 50.5, 500.0])
+def test_ladder_bottom_is_zero_below_a_window_start(h):
+    # _ladder_sums reads no a_k below the window's start: there every
+    # Q(h + k, y) is the bottom Q(t_0, y), and it underflows to 0.
+    starts = 0
+    for y in np.geomspace(100.0, 1e7, 200):
+        start = oracle._ladder_window(h, y, 2**19)[4]
+        if start:
+            starts += 1
+            assert (math.exp(-y) if h == math.floor(h) else math.erfc(math.sqrt(y))) == 0.0
+    assert starts > 100
 
 
 @pytest.mark.parametrize("w", [5e-324, 1e-300, 0.5, 1e300, 1.7e308])

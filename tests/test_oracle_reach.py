@@ -107,7 +107,7 @@ def full_circle(call):
     band_cost = oracle._band_cost
     with mock.patch.object(oracle, "_peel", lambda mixture, reach, best: None), \
             mock.patch.object(oracle, "_band_cost",
-                              lambda *args: (band_cost(*args)[0], False)):
+                              lambda *args: (band_cost(*args)[0], math.inf)):
         return call()
 
 
@@ -248,29 +248,52 @@ def test_wide_cells_make_no_transform_past_four_reaches(cell):
     assert lengths and max(lengths) <= 4.0
 
 
-def arcs_made(call):
-    """call() and the (start, stop) of every arc it made."""
-    made = []
+def paths_taken(call):
+    """call() and, for each tail it takes, how the coefficients it used were
+    made: "arc", "full" (the full circle) or "peel"."""
+    made, paths = [], []
 
-    def spy(mixture, start, stop):
-        made.append((start, stop))
-        return arc(mixture, start, stop)
+    def spy(name, make):
+        def call(*args):
+            value = make(*args)
+            made.append(name)  # after make: a peel makes its rest's circle first
+            return value
+        return call
 
-    arc = oracle._Generating.arc
-    with mock.patch.object(oracle._Generating, "arc", spy):
-        return call(), made
+    def tail(*args):
+        made.clear()
+        value = mixture_tail(*args)
+        paths.append(made[-1])
+        return value
+
+    mixture_tail, generating = oracle._mixture_tail, oracle._Generating
+    with mock.patch.object(oracle, "_mixture_tail", tail), \
+            mock.patch.object(generating, "arc", spy("arc", generating.arc)), \
+            mock.patch.object(generating, "coefficients",
+                              spy("full", generating.coefficients)), \
+            mock.patch.object(oracle, "_reach_coefficients",
+                              spy("peel", oracle._reach_coefficients)):
+        return call(), paths
 
 
 @needs_long_double
-@pytest.mark.parametrize("f", [0.01, 0.2, 1.0, 3.0])
-def test_arc_tails_match_the_recurrence(f):
+@pytest.mark.parametrize("f, paths", [
+    (0.01, ["full", "arc"]), (0.2, ["full", "arc"]),
+    (1.0, ["arc", "arc"]), (3.0, ["arc", "full"]),
+])
+def test_arc_tails_match_the_recurrence(f, paths):
     # The n = 100, spread 1e4 profile: N = 524,288 points, G kept at 542.
+    # Every tail is priced on the arc; one below 1e-4 (the cdf at 0.01 and
+    # 0.2 sum w, 7e-19 and 7e-7, the upper tail at 3 sum w, 2e-5) is made
+    # again on the full circle, whose bits it had before the arc.
     w = profile(100, 1e4)
     x = f * float(w.sum())
     want_cdf, want_upper = reference_tails(w, x)
-    (cdf, upper), made = arcs_made(
+    (cdf, upper), taken = paths_taken(
         lambda: (oracle.weighted_chi2_cdf(w, x), oracle._weighted_chi2(w, x, True)))
-    assert len(made) == 2
+    assert taken == paths
+    assert [tail >= oracle._ARC_LEAST for tail in (cdf, upper)] == [
+        path == "arc" for path in paths]
     assert abs(cdf - want_cdf) <= BOUND
     assert abs(upper - want_upper) <= BOUND
 
@@ -279,8 +302,8 @@ def test_arc_tails_match_the_recurrence(f):
 def test_arc_np_cell_matches_the_recurrence():
     test = np_cell(100, 1e4)
     sigma = test.sigma
-    (alpha, beta), made = arcs_made(lambda: oracle.np_test_exact_probs(test))
-    assert len(made) == 2
+    (alpha, beta), taken = paths_taken(lambda: oracle.np_test_exact_probs(test))
+    assert taken == ["arc", "arc"]
     assert abs(alpha - reference_tails(sigma.r_squared, test.threshold)[1]) <= BOUND
     assert abs(beta - reference_tails(sigma.squared, test.threshold)[0]) <= BOUND
 

@@ -718,16 +718,6 @@ class TestOracleWindow:
         tail = (gammaincc if upper else gammainc)(shapes, x / (2.0 * beta))
         return min(1.0, max(0.0, float(a @ tail)))
 
-    @staticmethod
-    def on_the_full_circle(mixture, start, reach):
-        """``oracle._band_cost`` that prices the full circle alone, so the
-        oracle takes the coefficients that ``all_terms`` sums.  The arc
-        rounds them differently, and a tail below about 1e-5 is made of
-        that rounding on either path (``tests/test_oracle_reach.py`` holds
-        the arc to the long-double reference instead)."""
-        cost = oracle._fft_cost(mixture.terms) + oracle._fill_cost(mixture.w.size, mixture.kept)
-        return cost, False
-
     def test_equals_the_all_terms_sum(self):
         rng = np.random.default_rng(14)
         for _ in range(30):
@@ -736,11 +726,26 @@ class TestOracleWindow:
             w = np.exp(rng.uniform(0.0, math.log(spread), n))
             x = float(w.sum()) * 10.0 ** rng.uniform(-1.0, 0.7)
             for upper in (False, True):
-                with mock.patch.object(oracle, "_band_cost", self.on_the_full_circle):
-                    got = oracle._weighted_chi2(w, x, upper)
+                got = oracle._weighted_chi2(w, x, upper)
                 want = self.all_terms(w, x, upper)
                 assert abs(got - want) <= self.BOUND
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("f", [0.3, 0.5, 1.0, 2.0])
+    def test_arc_equals_the_all_terms_sum(self, f):
+        # The n = 100, spread 1e4 tails at or above 1e-4 take the arc: a
+        # window of at most 18k of the 524,288 coefficients, and the masses
+        # below and past it in closed form.  No full circle is made.
+        w = np.geomspace(1.0, 1e4, 100)
+        x = f * float(w.sum())
+        for upper in (False, True):
+            with mock.patch.object(oracle._Generating, "coefficients",
+                                   side_effect=AssertionError("a full circle")):
+                got = oracle._weighted_chi2(w, x, upper)
+            want = self.all_terms(w, x, upper)
+            assert got >= oracle._ARC_LEAST
+            assert abs(got - want) <= self.BOUND
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("A", [60.0, 100.0])
     def test_tiny_alpha_on_flat_sigma(self, A):
@@ -1396,7 +1401,7 @@ class TestPinnedOracle:
                      "0x1.0000000000000p+0"),
         (100, 1e2): ("0x1.00e7ce7f59a4ap-37", "0x1.1357f35cb6ec0p-1",
                      "0x1.ffffffa61e78ep-1"),
-        (100, 1e4): ("0x1.6cdfec53d34f4p-21", "0x1.1b0b1f537da9cp-1",
+        (100, 1e4): ("0x1.6cdfec53c1936p-21", "0x1.1b0b1f537da9cp-1",
                      "0x1.fffd05d045a11p-1"),
         (1000, 1.0): ("0x1.8b1cb42d2b2c2p-590", "0x1.030b811c9dab4p-1",
                       "0x1.0000000000000p+0"),
