@@ -10,14 +10,16 @@ whose Poisson term does not underflow, only their masses enter (the total
 is 1, Kotz, Johnson and Boyd 1967).  The a_k come from their generating
 function G on N points, N rounded up by at most 25% to a length the FFT
 handles fast, and G is kept at its M points above 1e-16/N
-(``_Generating``).  A cost estimate (``_band_cost``, ``_peel``) picks one
-of three ways to the window: one inverse FFT of all N; a chirp
-z-transform of the window alone from the M points, with the masses in
-closed form (``_Generating.arc``); or, when the reach is far below N, the
-few largest weights peeled off G as closed-form negative-binomial factors
-and multiplied into the rest's coefficients (``_reach_coefficients``).
-The arc rounds about twice as coarsely as the full circle, so a tail that
-it makes below 1e-4 is made again as if there were no arc (``_ARC_LEAST``).
+(``_Generating``).  One cost rule (``_paths``), in units of a real FFT's
+L log2 L, picks the cheapest of three ways to the window: one inverse FFT
+of all N; a chirp z-transform of the window alone from the M points, with
+the masses in closed form (``_Generating.arc``); or, when the reach is
+below N, the m largest weights peeled off G as closed-form
+negative-binomial factors and multiplied into the rest's coefficients
+(``_reach_coefficients``).  The arc rounds about twice as coarsely as the
+full circle, so a tail that it makes below 1e-4 (``_ARC_LEAST``) is made
+again by the next cheapest way, and so is a tail whose rest is out of
+regime.
 
 Every input reaches the mixture in one form (``_tail_by_run``): its
 distinct positive weights ascending, with their counts (``model.runs_of``).
@@ -65,19 +67,12 @@ _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 # Divisors for which x/d - fl(x/d) is exact wherever erfc(sqrt(x/d)) needs it.
 _EXACT_LO, _EXACT_HI = 2.0**-800, 2.0**800
 _ANCHOR = 16  # Poisson terms per anchor made by the saddle-point form
-# The cost estimate of ``_peel``, in seconds as measured on one core
-# (BENCH_ruben_reach.json, "cost_constants"): a real FFT of L points takes
-# _FFT_CALL + _FFT_POINT L log2 L; ln G and its exp at P points of d weights
-# (_FILL_POINT + _FILL_WEIGHT d) P; a peeled factor of K coefficients
-# _FACTOR_CALL + _FACTOR_TERM K; a rest's Chernoff grid over d weights
-# _GRID_CALL + _GRID_WEIGHT d, and its ``kept`` search _KEPT_STEP log2 N; an
-# arc of L points over M kept points _ARC_CALL + 3 _CFFT_POINT L log2 L +
-# _CHIRP_POINT L + _MASS_POINT M (BENCH_band_arc.json, "cost_constants").
-_FFT_CALL, _FFT_POINT = 1e-5, 1.33e-9
-_FILL_POINT, _FILL_WEIGHT = 5e-8, 1.16e-8
-_FACTOR_CALL, _FACTOR_TERM = 2e-5, 2.5e-8
-_GRID_CALL, _GRID_WEIGHT, _KEPT_STEP = 4e-5, 2.6e-7, 4.4e-6
-_ARC_CALL, _CFFT_POINT, _CHIRP_POINT, _MASS_POINT = 5e-5, 1.05e-9, 4e-8, 1.6e-7
+# ``_paths`` prices each way to a tail's coefficients in W(L) = L log2 L,
+# the work of one real FFT of L points, with four counts:
+_FILL = 8.0  # ln G and its exp at a point of one weight: 1.16e-8 s over W's 1.33e-9 s
+_ARC = 8.0  # W(L)s of an arc of L: three complex FFTs, about six real ones, and the chirp
+_FACTOR = 4.0  # W(2 reach)s of a peeled factor: three real FFTs, and its coefficients
+_SLACK = 2.0  # a rest's term count over its lower bound: 1.6-2.9 on the rests built
 
 # stirlerr(s) = ln Gamma(s + 1) - (s + 1/2) ln s + s - ln(2 pi)/2 for
 # s = 1/2, 1, ..., 15, each the double nearest the 40-digit value.
@@ -100,6 +95,15 @@ def _fast_length(need: int) -> int:
     and a length the FFT handles fast."""
     scale = max(need.bit_length() - 3, 0)  # need / 2^scale is in [4, 8)
     return -(-need >> scale) << scale
+
+
+def _turn(phase: np.ndarray) -> np.ndarray:
+    """e^(i phase) for real phases: cos and sin into one complex array, the
+    bits of np.exp(1j phase) at about half its cost."""
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
 
 
 class _Generating:
@@ -231,9 +235,9 @@ class _Generating:
         size, count = g.size, stop - start
         length = _fast_length(max(1, count + size - 1))
         t = np.arange(max(count, size))
-        chirp = np.exp((1j * math.pi / self.terms) * (t * t % n2))  # W^(t^2/2)
+        chirp = _turn((math.pi / self.terms) * (t * t % n2))  # W^(t^2/2)
         j = t[:size]
-        u = g * np.exp((1j * math.pi / self.terms) * (j * (j + 2 * start) % n2))
+        u = g * _turn((math.pi / self.terms) * (j * (j + 2 * start) % n2))
         u[1:self.terms // 2] *= 2.0
         v = np.zeros(length, dtype=complex)
         v[:count] = chirp[:count].conj()
@@ -251,94 +255,63 @@ class _Generating:
         g, j = self.band, np.arange(1, self.kept)
         m = np.asarray(m)[:, None]
         angle = math.pi / self.terms
-        terms = (g[1:] * np.exp((1j * angle) * (j * (m - 1) % (2 * self.terms)))).real
+        terms = (g[1:] * _turn(angle * (j * (m - 1) % (2 * self.terms)))).real
         half_turns, rest = np.divmod(j * m, self.terms)  # sin(pi j m/N), exactly 0 at m = N
         terms *= (1 - 2 * (half_turns % 2)) * np.sin(angle * rest) / np.sin(angle * j)
         terms[:, self.terms // 2 - 1:] *= 0.5  # the point j = N/2 is taken once
         return (g[0].real * m[:, 0] + 2.0 * terms.sum(axis=1)) / self.terms
 
 
-def _fft_cost(length):
-    return _FFT_CALL + _FFT_POINT * length * np.log2(length)
+def _work(length):
+    """W(L) = L log2 L, the unit of ``_paths``."""
+    return length * np.log2(length)
 
 
-def _fill_cost(weights, points):
-    return (_FILL_POINT + _FILL_WEIGHT * weights) * points
+def _paths(mixture: _Generating, start: int, reach: int) -> list:
+    """The ways to a tail's coefficients, cheapest first by their estimates
+    in W(L) = L log2 L: "full", one inverse FFT of all N from G's M kept
+    points over d distinct weights, W(N) + F M d; "arc", the window
+    [start, reach) alone (``_Generating.arc``), A W(L) + F M d for the arc's
+    L = _fast_length(reach - start + M - 1); and m, the m largest distinct
+    weights peeled off (``_reach_coefficients``), W(N_m) +
+    F (N_m/2 + 1)(d - m) + m P W(_fast_length(2 reach - 1)) for the rest's
+    term count N_m, with F = ``_FILL``, A = ``_ARC`` and P = ``_FACTOR``.
+    Only the m of least estimate is offered, and its rest is built only if
+    it is taken.
 
-
-def _band_cost(mixture: _Generating, start: int, reach: int):
-    """(full, arc): the estimated costs of a tail's coefficients from G's M
-    kept points, by the full circle's inverse FFT of N and by the arc
-    [start, reach) (three complex FFTs and a chirp of its length)."""
-    if mixture.terms == 1:
-        return _fft_cost(1), math.inf
-    kept = mixture.kept
-    fill = _fill_cost(mixture.w.size, kept)
-    length = _fast_length(max(1, reach - start + kept - 1))
-    arc = (_ARC_CALL + (3.0 * _CFFT_POINT * math.log2(length) + _CHIRP_POINT) * length
-           + _MASS_POINT * kept)
-    return _fft_cost(mixture.terms) + fill, arc + fill
-
-
-def _peel(mixture: _Generating, reach: int, best: float):
-    """(rest, factors) for ``_reach_coefficients``, or None to make the
-    coefficients from G's band at the estimated cost ``best``
-    (``_band_cost``).
-
-    Peeling the m largest distinct weights, the last m of the ascending
-    run form, leaves a rest whose own term count N_m falls fast with m when
-    a few weights stand far above the others.  The estimate of its cost:
-    the rest's Chernoff grid, its ln G at up to N_m/2 + 1 points and its
-    inverse FFT, and per peeled weight ``reach`` factor coefficients and
-    three real FFTs of about 2 reach points.  Each m is first priced at a
-    lower bound of N_m, and its grid is made only if that is below the best
-    cost found.  N_m
-    is at least the rest's mean sum c_i (w_i/beta - 1)/2, and at least the
-    count at which the factor of the rest's largest weight, p = beta/w,
-    still has a term above 1e-16: its tail past N_m is at most that of the
-    rest, and at least its term b_N >= sqrt(p/(pi (N + 1))) (1 - p)^N
-    (Gautschi's inequality), N < 2^20.  Only weights that occur at most
-    twice are peeled: a factor's rounding grows with c.
+    N_m is priced as _fast_length(R least_m), R = ``_SLACK``, from a lower
+    bound: the rest's mean sum c_i (w_i/beta - 1)/2, and the count at which
+    the factor of the rest's largest weight, p = beta/w, still has a term
+    above 1e-16: its tail past N_m is at most that of the rest, and at least
+    its term b_N >= sqrt(p/(pi (N + 1))) (1 - p)^N (Gautschi's inequality),
+    N < 2^20.  Only weights that occur at most twice are peeled, as a
+    factor's rounding grows with c, never all of them, and only when the
+    reach is below N.
     """
-    w, counts, terms = mixture.w, mixture.counts, mixture.terms
-    if not 0 < reach < terms:
-        return None
+    if mixture.terms == 1:
+        return ["full"]
+    w, counts, terms, kept = mixture.w, mixture.counts, mixture.terms, mixture.kept
     d = w.size
-    per_factor = (_FACTOR_CALL + _FACTOR_TERM * reach
-                  + 3.0 * _fft_cost(_fast_length(2 * reach - 1)))
+    fill = _FILL * kept * d
+    arc = _fast_length(max(1, reach - start + kept - 1))
+    estimates = {"full": _work(terms) + fill, "arc": _ARC * _work(arc) + fill}
     c = np.ones(d) if counts is None else counts
     # the m largest may be peeled, m < d, while each occurs at most twice
-    repeated = c[::-1][:d - 1] > 2.0
-    peelable = int(np.argmax(np.append(repeated, True)))
-    m = np.arange(1, peelable + 1)
-    # each N_m is at least the rest's mean and its largest weight's own count
-    mean = np.cumsum(0.5 * c * (w / mixture.beta - 1.0))[d - 1 - m]
-    p = np.minimum(mixture.beta / w[d - 1 - m], 1.0 - 2.0**-53)
-    own = ((0.5 * np.log(p) - math.log(_MASS_TOL * math.sqrt(math.pi * 2.0**20)))
-           / -np.log1p(-p))
-    least = np.maximum(np.maximum(mean, own), 2.0)
-    fixed = m * per_factor + _GRID_CALL + _GRID_WEIGHT * (d - m)
-    bound = (fixed + _KEPT_STEP * np.log2(least) + _fft_cost(least)
-             + _fill_cost(d - m, 0.5 * least + 1.0))
-    choice = None
-    for i in range(peelable):
-        if fixed[i] >= best:
-            break
-        if bound[i] >= best:
-            continue
-        k = d - m[i]
-        try:
-            rest = _Generating(w[:k], None if counts is None else counts[:k])
-        except OutOfRegime:  # its own grid may miss the z at which the full one passed
-            continue
-        cost = (fixed[i] + _KEPT_STEP * math.log2(rest.terms) + _fft_cost(rest.terms)
-                + _fill_cost(k, rest.terms // 2 + 1))
-        if cost < best:
-            best, choice = cost, (rest, k)
-    if choice is None:
-        return None
-    rest, k = choice
-    return rest, list(zip((mixture.beta / w[k:]).tolist(), (0.5 * c[k:]).tolist()))
+    peelable = int(np.argmax(np.append(c[::-1][:d - 1] > 2.0, True))) if 0 < reach < terms else 0
+    if peelable:
+        m = np.arange(1, peelable + 1)
+        mean = np.cumsum(0.5 * c * (w / mixture.beta - 1.0))[d - 1 - m]
+        p = np.minimum(mixture.beta / w[d - 1 - m], 1.0 - 2.0**-53)
+        own = ((0.5 * np.log(p) - math.log(_MASS_TOL * math.sqrt(math.pi * 2.0**20)))
+               / -np.log1p(-p))
+        need = np.ceil(_SLACK * np.maximum(np.maximum(mean, own), 2.0))
+        scale = np.exp2(np.maximum(np.frexp(need)[1] - 3, 0))  # as _fast_length
+        rest = np.ceil(need / scale) * scale
+        cost = (_work(rest) + _FILL * (0.5 * rest + 1.0) * (d - m)
+                + m * _FACTOR * _work(_fast_length(2 * reach - 1)))
+        i = int(np.argmin(cost))
+        estimates[i + 1] = float(cost[i])
+    return sorted(estimates, key=estimates.get)
 
 
 def _negative_binomial(p: float, half_count: float, size: int) -> np.ndarray:
@@ -644,8 +617,9 @@ def _weighted_chi2(weights, x: float, upper: bool) -> float:
     and of a huge x are exactly 0 and 1.  When only the coefficients below
     the ladder's reach are made (``_reach_coefficients``), the upper
     tail's mass past the split is 1 minus the mass below it; beside an arc
-    they are closed-form sums (``_Generating.mass_below``).  A tail below
-    ``_ARC_LEAST`` on the arc is made again by a peel or the full circle.
+    they are closed-form sums (``_Generating.mass_below``).  ``_paths``
+    orders the ways to the coefficients; a tail below ``_ARC_LEAST`` on
+    the arc is made again by the next.
     """
     w, x = _as_vector(weights, "weights"), _as_number(x, "x")
     if np.any(w < 0):
@@ -719,17 +693,25 @@ def _mixture_tail(w: np.ndarray, counts, x: float, upper: bool) -> float:
             total = p + (mass - q)
         return min(1.0, max(0.0, total))
 
-    full, arc = _band_cost(mixture, start, reach)
-    peeled = _peel(mixture, reach, min(full, arc))
-    if peeled is None and arc < full:
-        below, made = mixture.mass_below(np.array([start, reach])).tolist()
-        total = tail(mixture.arc(start, reach), start, below, 1.0 - made)
-        if total >= _ARC_LEAST:
-            return total
-        peeled = _peel(mixture, reach, full)  # a small tail: as if there were no arc
-    if peeled is not None:
-        return tail(_reach_coefficients(*peeled, reach), past=None)
-    return tail(mixture.coefficients())
+    # The cheapest way first; a rest out of regime and an arc's tail below
+    # _ARC_LEAST pass to the next, and the full circle always serves.
+    for path in _paths(mixture, start, reach):
+        if path == "full":
+            return tail(mixture.coefficients())
+        if path == "arc":
+            below, made = mixture.mass_below(np.array([start, reach])).tolist()
+            total = tail(mixture.arc(start, reach), start, below, 1.0 - made)
+            if total >= _ARC_LEAST:
+                return total
+            continue
+        k = w.size - path
+        try:  # its own grid may miss the z at which the full one passed
+            rest = _Generating(w[:k], None if counts is None else counts[:k])
+        except OutOfRegime:
+            continue
+        c = np.ones(path) if counts is None else counts[k:]
+        factors = list(zip((mixture.beta / w[k:]).tolist(), (0.5 * c).tolist()))
+        return tail(_reach_coefficients(rest, factors, reach), past=None)
 
 
 def weighted_chi2_cdf(weights, x: float) -> float:
@@ -755,17 +737,18 @@ def weighted_chi2_cdf(weights, x: float) -> float:
     last shape whose Poisson term does not underflow, less n/2: the a_k
     past it multiply incomplete gammas that are 0, so only their mass
     enters, as below the first shape whose term does not underflow: a tail
-    needs the a_k of one window [start, K) and two masses.  Where a cost
-    estimate says it pays, the window is made from G's M points above
-    1e-16/N alone by Bluestein's chirp z-transform (three complex FFTs of
-    about K - start + M points) and the masses by closed-form sums over
-    them; a tail below 1e-4 is then made again by one of the other ways,
-    so the arc serves only tails of 1e-4 and above.  When K is far below
-    N, the few largest distinct weights (each occurring at most twice) may
-    instead be peeled off as closed-form negative-binomial factors, the
-    rest keeps its own Chernoff count on its own circle, and the products
-    are cut at K; the estimate picks how many, and none where that does
-    not beat both other ways.
+    needs the a_k of one window [start, K) and two masses.  One cost rule
+    prices three ways to them in units of a real FFT's L log2 L and takes
+    the cheapest (``_paths``): all N by one inverse FFT; the window alone
+    from G's M points above 1e-16/N by Bluestein's chirp z-transform (three
+    complex FFTs of about K - start + M points) with the masses as
+    closed-form sums over them; or, when K is below N, the m largest
+    distinct weights (each occurring at most twice) peeled off as
+    closed-form negative-binomial factors, the rest on its own shorter
+    circle and the products cut at K, with m the one of least estimate.  A
+    tail below 1e-4 on the arc, or one whose rest is out of regime, is made
+    by the next cheapest way, so the arc serves only tails of 1e-4 and
+    above.
     The incomplete gammas are sums of Poisson terms (``_ladder_sums``),
     and every term that does not underflow is made.  The absolute error is
     below 5e-15: at most 3e-16 from the truncation, aliasing and cutoff of

@@ -1,7 +1,8 @@
 """Mixture coefficients cut at the ladder's reach (``oracle._reach_coefficients``)
 and made on an arc of G's circle (``oracle._Generating.arc``): both tails
 against an independent long-double run of Ruben's per-weight recurrence,
-against the full circle, and the lengths of their transforms."""
+against the full circle, the lengths of their transforms, and the path the
+cost rule (``oracle._paths``) takes."""
 
 import math
 from bisect import bisect_left
@@ -90,24 +91,13 @@ def np_cell(n, spread):
 
 def peel_counts(call):
     """call() and the number of weights peeled in each tail it takes."""
-    counts = []
-
-    def spy(mixture, reach, best):
-        peeled = peel(mixture, reach, best)
-        counts.append(0 if peeled is None else len(peeled[1]))
-        return peeled
-
-    peel = oracle._peel
-    with mock.patch.object(oracle, "_peel", spy):
-        return call(), counts
+    value, paths = paths_taken(call)
+    return value, [int(path[5:]) if path.startswith("peel") else 0 for path in paths]
 
 
 def full_circle(call):
     """call() with every coefficient made on the full circle: no peel, no arc."""
-    band_cost = oracle._band_cost
-    with mock.patch.object(oracle, "_peel", lambda mixture, reach, best: None), \
-            mock.patch.object(oracle, "_band_cost",
-                              lambda *args: (band_cost(*args)[0], math.inf)):
+    with mock.patch.object(oracle, "_paths", lambda *args: ["full"]):
         return call()
 
 
@@ -248,44 +238,60 @@ def test_wide_cells_make_no_transform_past_four_reaches(cell):
     assert lengths and max(lengths) <= 4.0
 
 
-def paths_taken(call):
-    """call() and, for each tail it takes, how the coefficients it used were
-    made: "arc", "full" (the full circle) or "peel"."""
-    made, paths = [], []
+def tails_taken(call):
+    """call() and, for each tail it takes, (path, built): how the
+    coefficients it used were made, "arc", "full" (the full circle) or
+    "peel m" (m weights peeled), and how many generating functions it built."""
+    made, built, tails = [], [], []
+    mixture_tail, generating = oracle._mixture_tail, oracle._Generating
 
     def spy(name, make):
         def call(*args):
             value = make(*args)
-            made.append(name)  # after make: a peel makes its rest's circle first
+            # after make: a peel makes its rest's circle first
+            made.append(f"peel {len(args[1])}" if name == "peel" else name)
             return value
         return call
 
+    class Counted(generating):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
     def tail(*args):
         made.clear()
+        built.clear()
         value = mixture_tail(*args)
-        paths.append(made[-1])
+        tails.append((made[-1], len(built)))
         return value
 
-    mixture_tail, generating = oracle._mixture_tail, oracle._Generating
     with mock.patch.object(oracle, "_mixture_tail", tail), \
+            mock.patch.object(oracle, "_Generating", Counted), \
             mock.patch.object(generating, "arc", spy("arc", generating.arc)), \
             mock.patch.object(generating, "coefficients",
                               spy("full", generating.coefficients)), \
             mock.patch.object(oracle, "_reach_coefficients",
                               spy("peel", oracle._reach_coefficients)):
-        return call(), paths
+        return call(), tails
+
+
+def paths_taken(call):
+    """call() and, for each tail it takes, its path as ``tails_taken`` names it."""
+    value, tails = tails_taken(call)
+    return value, [path for path, _ in tails]
 
 
 @needs_long_double
 @pytest.mark.parametrize("f, paths", [
-    (0.01, ["full", "arc"]), (0.2, ["full", "arc"]),
+    (0.01, ["peel 45", "arc"]), (0.2, ["full", "arc"]),
     (1.0, ["arc", "arc"]), (3.0, ["arc", "full"]),
 ])
 def test_arc_tails_match_the_recurrence(f, paths):
     # The n = 100, spread 1e4 profile: N = 524,288 points, G kept at 542.
-    # Every tail is priced on the arc; one below 1e-4 (the cdf at 0.01 and
-    # 0.2 sum w, 7e-19 and 7e-7, the upper tail at 3 sum w, 2e-5) is made
-    # again on the full circle, whose bits it had before the arc.
+    # Every tail is priced cheapest on the arc; one below 1e-4 (the cdf at
+    # 0.01 and 0.2 sum w, 2e-39 and 7e-7, the upper tail at 3 sum w, 2e-5)
+    # is made again by the next cheapest way: at 0.01 sum w, whose reach is
+    # 1650, 45 weights peeled off; else the full circle.
     w = profile(100, 1e4)
     x = f * float(w.sum())
     want_cdf, want_upper = reference_tails(w, x)
@@ -306,6 +312,63 @@ def test_arc_np_cell_matches_the_recurrence():
     assert taken == ["arc", "arc"]
     assert abs(alpha - reference_tails(sigma.r_squared, test.threshold)[1]) <= BOUND
     assert abs(beta - reference_tails(sigma.squared, test.threshold)[0]) <= BOUND
+
+
+# The path of each tail of perfbench's ``exact`` grid: the cdf at sum w,
+# then the NP cell's alpha and beta.  n = 1000, spread 1e4 is out of regime.
+GRID_PATHS = {
+    (10, 1.0): ("full", "full", "full"),
+    (10, 2.0): ("full", "full", "full"),
+    (10, 1e2): ("full", "full", "peel 2"),
+    (10, 1e4): ("peel 3", "peel 3", "peel 3"),
+    (100, 1.0): ("full", "full", "full"),
+    (100, 2.0): ("full", "full", "full"),
+    (100, 1e2): ("full", "full", "full"),
+    (100, 1e4): ("arc", "arc", "arc"),
+    (1000, 1.0): ("full", "full", "full"),
+    (1000, 2.0): ("full", "full", "full"),
+    (1000, 1e2): ("full", "full", "full"),
+}
+
+
+@pytest.mark.parametrize("n, spread", sorted(GRID_PATHS))
+def test_grid_tails_take_their_paths(n, spread):
+    # Each tail builds its mixture's generating function, and a peel the one
+    # rest it peels to: no rest is built to be priced.
+    w = profile(n, spread) if spread > 1 else np.ones(n)
+    test = np_cell(n, spread)
+    _, tails = tails_taken(
+        lambda: (oracle.weighted_chi2_cdf(w, float(w.sum())), oracle.np_test_exact_probs(test)))
+    assert tuple(path for path, _ in tails) == GRID_PATHS[n, spread]
+    assert [built for _, built in tails] == [1 + path.startswith("peel") for path, _ in tails]
+
+
+@pytest.mark.parametrize("upper", [False, True])
+def test_a_rest_out_of_regime_takes_the_full_circle(upper):
+    # The n = 10, spread 1e4 tails at sum w peel 3 weights.  If the rest's own
+    # Chernoff grid raises OutOfRegime, the tail takes the cheaper way from
+    # G's band, here the full circle, with its bits.
+    w = profile(10, 1e4)
+    x = float(w.sum())
+
+    def tail():
+        return oracle._weighted_chi2(w, x, upper)
+
+    def refused():
+        generating = oracle._Generating
+
+        def build(v, counts=None):
+            if v.size < w.size:
+                raise OutOfRegime("the rest's own grid")
+            return generating(v, counts)
+
+        with mock.patch.object(oracle, "_Generating", build):
+            return tail()
+
+    assert paths_taken(tail)[1] == ["peel 3"]
+    got, taken = paths_taken(refused)
+    assert taken == ["full"]
+    assert got.hex() == full_circle(tail).hex()
 
 
 def test_arc_coefficients_match_the_full_circle():
@@ -339,11 +402,11 @@ def test_arc_cells_make_no_transform_past_the_arc(cell):
     # The n = 100, spread 1e4 cells: every FFT is at most the arc's length,
     # _fast_length(window + kept - 1), never the 524,288-point full circle.
     bounds, lengths = [], []
-    band_cost, fft = oracle._band_cost, np.fft
+    paths, fft = oracle._paths, np.fft
 
-    def spy_cost(mixture, start, reach):
+    def spy_paths(mixture, start, reach):
         bounds.append(oracle._fast_length(reach - start + mixture.kept - 1))
-        return band_cost(mixture, start, reach)
+        return paths(mixture, start, reach)
 
     def spy(transform):
         def call(a, n=None, *args, **kwargs):
@@ -352,7 +415,7 @@ def test_arc_cells_make_no_transform_past_the_arc(cell):
         return call
 
     w = profile(100, 1e4)
-    with mock.patch.object(oracle, "_band_cost", spy_cost), \
+    with mock.patch.object(oracle, "_paths", spy_paths), \
             mock.patch.object(np.fft, "fft", spy(fft.fft)), \
             mock.patch.object(np.fft, "ifft", spy(fft.ifft)), \
             mock.patch.object(np.fft, "irfft", spy(fft.irfft)):
