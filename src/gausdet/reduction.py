@@ -13,7 +13,7 @@ extreme points).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -28,6 +28,7 @@ from .model import (
     _as_integer,
     check_same_length,
 )
+from .simulate import _COLUMN_ROWS
 
 DOMINATES = "dominates"
 INCOMPARABLE = "incomparable"
@@ -40,6 +41,8 @@ MAX_PARTITION_SEARCH_N = 8
 # Rounding slack of a computed geometric mean, in ulps per group member.
 GEO_MEAN_ULPS = 4
 _EPS = float(np.finfo(float).eps)
+
+_SLAB_BOOLS = 1 << 20  # booleans one compare of reduce_to_minimal may hold
 
 
 @dataclass(frozen=True)
@@ -62,34 +65,79 @@ def dominance_check(sigma: IntensityVector, lam: IntensityVector) -> str:
     return DOMINATES if bool(np.all(sigma.values <= lam.values)) else INCOMPARABLE
 
 
+def _each_pair(holds, X: np.ndarray, rows, width: int, by_columns: bool) -> np.ndarray:
+    """(len(rows), m) booleans: holds(x_j[k], x_i[k]) at every coordinate k,
+    for each point i in ``rows`` (a slice or an index array) and every j.
+
+    X holds the m points as rows, (m, n), or as columns, (n, m), when
+    ``by_columns``; either way the reduction over k runs along X's
+    contiguous axis.  Coordinates are taken ``width`` at a time, so no
+    compare holds more than len(rows) * m * width booleans.
+    """
+    n = X.shape[0] if by_columns else X.shape[1]
+    slab = None
+    for k in range(0, n, width):
+        if by_columns:
+            c = X[k:k + width]
+            part = np.logical_and.reduce(holds(c[:, None, :], c[:, rows, None]))
+        else:
+            c = X[:, k:k + width]
+            part = np.all(holds(c[None, :, :], c[rows, None, :]), axis=-1)
+        slab = part if slab is None else slab & part
+    return slab
+
+
 def reduce_to_minimal(candidates: FinitePoints) -> ReductionResult:
     """Componentwise-minimal subset of a finite candidate set.
 
-    Exact duplicates collapse to their first occurrence.  Each point is
-    compared with all m points in one array operation, O(m^2 n) in all.
+    A point is removed when another lies componentwise below it; an exact
+    duplicate counts only if it comes first, so duplicates collapse to
+    their first occurrence.  Its witness is the first dominating input
+    point, followed to the kept point it reaches.
+
+    The points are compared in blocks of rows: one boolean (rows, m) slab
+    marks every j below each i of the block.  It is reduced over the
+    coordinates with the coordinates outermost when the block compares at
+    least 2048 pairs per coordinate (``simulate._COLUMN_ROWS``, the rule of
+    the Monte Carlo kernels), and row-wise otherwise.  Blocks and coordinate
+    chunks are sized so that no compare holds more than ``_SLAB_BOOLS``
+    (1M) booleans, whatever n, unless m alone exceeds it; the compares
+    number O(m^2 n) in all.  Witness chains are followed by pointer
+    doubling, O(m log m).
     """
     pts = candidates.points
     P = np.stack([p.values for p in pts])
-    m = len(pts)
-    kept_in: list[int] = []  # input indices of kept points
-    witness: dict[int, int] = {}
-    for i in range(m):
-        below = np.all(P <= P[i], axis=1)
-        below[i:] &= ~np.all(P[i:] == P[i], axis=1)  # a duplicate counts before i
-        if below.any():
-            witness[i] = int(np.argmax(below))  # the first dominating point
-        else:
-            kept_in.append(i)
-    # Re-point witnesses at kept points (follow chains through removed ones).
-    pos = {i: k for k, i in enumerate(kept_in)}
-    out_witness: dict[int, int] = {}
-    for i, j in witness.items():
-        while j not in pos:
-            j = witness[j]
-        out_witness[i] = pos[j]
-    reduced = FinitePoints(tuple(pts[i] for i in kept_in))
+    m, n = P.shape
+    rows = min(m, max(1, _SLAB_BOOLS // (m * n)))
+    width = max(1, _SLAB_BOOLS // (rows * m))
+    by_columns = rows * m >= _COLUMN_ROWS * n
+    X = np.ascontiguousarray(P.T) if by_columns else P
+    first = np.arange(m)  # each point's first dominating point; itself if kept
+    for a in range(0, m, rows):
+        i = np.arange(a, min(a + rows, m))
+        below = _each_pair(np.less_equal, X, slice(a, a + rows), width, by_columns)
+        below[i - a, i] = False  # never its own witness
+        j = below.argmax(axis=1)
+        # A first dominator after i that equals it is a later duplicate, which
+        # does not count; such a row has none before i, so every equal point
+        # is cleared from it.
+        late = np.flatnonzero(below[i - a, j] & (j > i))
+        dup = late[np.all(P[j[late]] == P[i[late]], axis=1)]
+        if dup.size:
+            below[dup] &= ~_each_pair(np.equal, X, i[dup], width, by_columns)
+            j[dup] = below[dup].argmax(axis=1)
+        hit = below[i - a, j]
+        first[i[hit]] = j[hit]
+    kept = first == np.arange(m)
+    root = first
+    while not np.array_equal(hop := root[root], root):
+        root = hop
+    removed = np.flatnonzero(~kept)
+    witness = (np.cumsum(kept) - 1)[root[removed]]
     return ReductionResult(
-        reduced=reduced, removed_count=m - len(kept_in), witness_map=out_witness
+        reduced=FinitePoints(tuple(compress(pts, kept.tolist()))),
+        removed_count=len(removed),
+        witness_map=dict(zip(removed.tolist(), witness.tolist())),
     )
 
 

@@ -1,6 +1,7 @@
 """Unit tests for candidate-set reduction and domination certificates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,12 +19,76 @@ from gausdet import (
     lemma2_certificate,
     reduce_to_minimal,
 )
+from gausdet import reduction
 from gausdet.errors import DimensionMismatch, InvalidInput
 from gausdet.reduction import ASYMPTOTIC, DOMINATES, EXACT, INCOMPARABLE
 
 
 def finite(*rows):
     return FinitePoints(tuple(IntensityVector(np.asarray(r, float)) for r in rows))
+
+
+def reference_reduce(candidates):
+    """The per-point loop reduce_to_minimal used before it compared blocks
+    of points: (kept points, removed count, witness map)."""
+    pts = candidates.points
+    P = np.stack([p.values for p in pts])
+    m = len(pts)
+    kept_in = []
+    witness = {}
+    for i in range(m):
+        below = np.all(P <= P[i], axis=1)
+        below[i:] &= ~np.all(P[i:] == P[i], axis=1)  # a duplicate counts before i
+        if below.any():
+            witness[i] = int(np.argmax(below))  # the first dominating point
+        else:
+            kept_in.append(i)
+    pos = {i: k for k, i in enumerate(kept_in)}
+    out_witness = {}
+    for i, j in witness.items():
+        while j not in pos:
+            j = witness[j]
+        out_witness[i] = pos[j]
+    return tuple(pts[i] for i in kept_in), m - len(kept_in), out_witness
+
+
+def assert_matches_reference(cand):
+    """reduce_to_minimal gives the loop's kept objects in order, its removed
+    count, and its witness map in the same order, in Python ints."""
+    kept, removed_count, witness = reference_reduce(cand)
+    res = reduce_to_minimal(cand)
+    assert len(res.reduced.points) == len(kept)
+    assert all(a is b for a, b in zip(res.reduced.points, kept))
+    assert res.removed_count == removed_count
+    assert list(res.witness_map.items()) == list(witness.items())
+    assert {type(v) for kv in res.witness_map.items() for v in kv} <= {int}
+
+
+def descending_chain(m, n):
+    """m points, each strictly above the next in every coordinate."""
+    return np.repeat(np.arange(m, 0, -1.0)[:, None], n, axis=1)
+
+
+def grid_points(m):
+    """m 3-D integer points near the plane x + y + z = 14: many minimal
+    points, and ties, duplicates and chains among the rest."""
+    rng = np.random.default_rng(36)
+    xy = rng.integers(0, 8, (m, 2))
+    z = 14 - xy.sum(axis=1) + rng.integers(0, 3, m)
+    return np.column_stack([xy, z]).astype(float)
+
+
+def long_points(m, n, seed):
+    """m random points of length n: a duplicate, a dominated point and, from
+    m = 5, two that are above the first but in their first or last
+    coordinate."""
+    P = np.random.default_rng(seed).uniform(0.5, 1.5, (m, n))
+    P[m - 1] = P[0]
+    P[1] = P[0] + 0.25
+    if m >= 5:
+        P[2:4] = P[0] + 0.25
+        P[2, 0] = P[3, -1] = 0.25
+    return P
 
 
 class TestDominance:
@@ -123,6 +188,56 @@ class TestReduceToMinimal:
         assert [p.values.tolist() for p in twice.reduced.points] == [
             p.values.tolist() for p in once.reduced.points
         ]
+
+
+class TestBlockedReduction:
+    """reduce_to_minimal against the per-point loop, on shapes that cross
+    block boundaries and take both layouts of the all-pairs compare."""
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: grid_points(1500), id="grid-1500x3"),
+        pytest.param(lambda: descending_chain(3000, 3), id="chain-3000x3"),
+        pytest.param(lambda: long_points(3, 200_000, 1), id="3x200000"),
+        pytest.param(lambda: long_points(5, 400_000, 2), id="5x400000-coordinate-chunks"),
+        pytest.param(lambda: long_points(40, 5_000, 3), id="40x5000"),
+    ])
+    def test_matches_per_point_loop(self, make):
+        assert_matches_reference(finite(*make()))
+
+    @pytest.mark.parametrize("column_rows", [0, 10**9], ids=["by-coordinate", "row-wise"])
+    @pytest.mark.parametrize("budget", [7, 1 << 20], ids=["tiny-blocks", "default-blocks"])
+    @pytest.mark.parametrize("P", [
+        pytest.param(grid_points(300), id="grid-300x3"),
+        pytest.param(long_points(6, 50, 4), id="6x50"),
+    ])
+    def test_each_layout_and_block_size(self, P, column_rows, budget, monkeypatch):
+        monkeypatch.setattr(reduction, "_COLUMN_ROWS", column_rows)
+        monkeypatch.setattr(reduction, "_SLAB_BOOLS", budget)
+        assert_matches_reference(finite(*P))
+
+    def test_grid_has_ties_duplicates_and_chains(self):
+        P = grid_points(1500)
+        res = reduce_to_minimal(finite(*P))
+        assert 10 < len(res.reduced) < 1500 - 10
+        assert len(np.unique(P, axis=0)) < 1500
+
+    def test_descending_chain_keeps_its_last_point(self):
+        res = reduce_to_minimal(finite(*descending_chain(3000, 3)))
+        assert len(res.reduced) == 1 and res.removed_count == 2999
+        assert res.reduced.points[0].values.tolist() == [1.0, 1.0, 1.0]
+        assert res.witness_map == dict.fromkeys(range(2999), 0)
+
+    def test_peak_memory_is_bounded(self):
+        # An (m, m) boolean mask of this chain alone would take 25 MB.
+        cand = finite(*descending_chain(5000, 2))
+        tracemalloc.start()
+        try:
+            res = reduce_to_minimal(cand)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.removed_count == 4999
+        assert peak < 16 * 2**20, peak
 
 
 class TestLemma2Certificate:
