@@ -1,25 +1,21 @@
 """The exact oracle for the weighted chi-square probabilities behind alpha and beta.
 
 It has one method for every weight vector: the chi-square mixture
-sum_k a_k P(n/2 + k, y) of Ruben (1962).  Both tails are sums over the
-same coefficients, with an absolute error below 5e-15; a weight spread
-whose Chernoff term count N is above 2^19 raises OutOfRegime.  A tail
-reads the a_k one by one only in its ladder's window [start, reach)
-(``_ladder_window``); outside it, past the last and below the first shape
-whose Poisson term does not underflow, only their masses enter (the total
-is 1, Kotz, Johnson and Boyd 1967).  The a_k come from their generating
-function G on N points, N rounded up by at most 25% to a length the FFT
-handles fast, and G is kept at its M points above 1e-16/N
-(``_Generating``).  One cost rule (``_paths``), in units of a real FFT's
-L log2 L, picks the cheapest of three ways to the window: one inverse FFT
-of all N; a chirp z-transform of the window alone from the M points, with
-the masses in closed form (``_Generating.arc``); or, when the reach is
-below N, the m largest weights peeled off G as closed-form
-negative-binomial factors and multiplied into the rest's coefficients
-(``_reach_coefficients``).  The arc rounds about twice as coarsely as the
-full circle, so a tail that it makes below 1e-4 (``_ARC_LEAST``) is made
-again by the next cheapest way, and so is a tail whose rest is out of
-regime.
+sum_k a_k P(n/2 + k, y) of Ruben (1962), y = x / (2 min w), with an
+absolute error below 5e-15.  K, P(K = k) = a_k, has the generating
+function G (``_Generating``), and for even n the cdf is P(T - K >= n/2),
+T Poisson of mean y.  One cost rule (``_paths``) orders the ways to a tail
+that fit the term cap of 2^19; a spread that fits none is OutOfRegime.
+The lattice (``_Generating.lattice``) inverts the characteristic function
+of T - K from G at J points of a circle (Abate and Whitt 1992): no
+coefficient, no FFT and no Poisson term.  It serves tails of 1e-2 and up
+(``_LATTICE_LEAST``) whose Chernoff bound (``_chernoff``) is not below,
+and odd n from y = 40.  The other ways sum coefficients against the
+ladder's incomplete gammas: all N of the Chernoff count by one inverse
+FFT, or, when the ladder's reach is below N, the m largest weights peeled
+off as negative-binomial factors (``_reach_coefficients``).  The ladder
+reads the a_k only in its window [start, reach) (``_ladder_window``);
+outside it only their masses enter (Kotz, Johnson and Boyd 1967).
 
 Every input reaches the mixture in one form (``_tail_by_run``): its
 distinct positive weights ascending, with their counts (``model.runs_of``).
@@ -28,16 +24,13 @@ incomplete gamma at any n, and a tail's bits do not depend on the order of
 the weights.  Only the exponents and D sum all-distinct arrays in the
 order they are given.
 
-The mixture's incomplete gammas P(n/2 + k, y) and Q(n/2 + k, y) need no
-special function.  P(s + 1, y) = P(s, y) - tau_s with the Poisson term
-tau_s = e^-y y^s / Gamma(s + 1), so on the lattice s = n/2 + Z each P is
-the sum of the terms at and above its shape, and each Q the sum of those
-below it, plus Q(1, y) = e^-y or Q(1/2, y) = erfc(sqrt y) (``_ladder_sums``).
-Each term comes from Loader's saddle-point form (2000, "Fast and accurate
-computation of binomial probabilities"), and only the terms that do not
-underflow are made, so a call costs at most min(N + n/2, about 80 sqrt y)
-of them for N mixture terms.  The module needs numpy and the standard
-library only.
+The ladder's incomplete gammas need no special function.  P(s + 1, y) =
+P(s, y) - tau_s with the Poisson term tau_s = e^-y y^s / Gamma(s + 1), so
+each P is the sum of the terms at and above its shape, and each Q the sum
+of those below it, plus Q(1, y) = e^-y or Q(1/2, y) = erfc(sqrt y)
+(``_ladder_sums``).  Each term comes from Loader's saddle-point form
+(2000), and only the terms that do not underflow are made.  The module
+needs numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -52,11 +45,13 @@ from .errors import InvalidInput, OutOfRegime
 from .model import NpTest, _as_number, _as_vector, _null_weights, runs_of, sum_by_run
 
 _MASS_TOL = 1e-16  # mass each of the three truncations below may move
-_MAX_TERMS = 2**19  # 4 MB of coefficients; wider spreads are out of regime
-# A tail below this is made as if there were no arc: against the full
-# circle, the arc's coarser rounding moved the smaller tails of the tests
-# by 1e-5 to 0.6 of themselves, and none at or above it by 1e-13.
-_ARC_LEAST = 1e-4
+_MAX_TERMS = 2**19  # 4 MB of coefficients, or of a lattice's points: what a way may make
+_MAX_CIRCLE = 2**30  # past it, the lattice's phases j k mod 2L, k < 2L, leave int64
+# A tail below this is made as if there were no lattice, whose error, up to
+# 3e-15 absolute, is 3e-12 of a tail of 1e-3: the ladder keeps 1e-12 relative.
+_LATTICE_LEAST = 1e-2
+_LN_SPAN = math.log(1e17)  # e^-this of T's mass is left off each end of the lattice's circle
+_ODD_LEAST = 40.0  # odd n takes the lattice from y = 40: erfc(sqrt 40) is 5e-19
 # Below this, ln tau_s leaves the term under the least subnormal, 2^-1074.
 _LN_UNDERFLOW = -746.0
 _DEKKER = 134217729.0  # 2^27 + 1 splits a double into two 26-bit halves
@@ -70,7 +65,8 @@ _ANCHOR = 16  # Poisson terms per anchor made by the saddle-point form
 # ``_paths`` prices each way to a tail's coefficients in W(L) = L log2 L,
 # the work of one real FFT of L points, with four counts:
 _FILL = 8.0  # ln G and its exp at a point of one weight: 1.16e-8 s over W's 1.33e-9 s
-_ARC = 8.0  # W(L)s of an arc of L: three complex FFTs, about six real ones, and the chirp
+_LADDER = 75000.0  # the ladder's fixed part, mostly _bd0 and _poisson_terms' calls: 0.1 ms
+_TERM = 20.0  # the ladder's work per Poisson term: 28-33 ns
 _FACTOR = 4.0  # W(2 reach)s of a peeled factor: three real FFTs, and its coefficients
 _SLACK = 2.0  # a rest's term count over its lower bound: 1.6-2.9 on the rests built
 
@@ -97,15 +93,6 @@ def _fast_length(need: int) -> int:
     return -(-need >> scale) << scale
 
 
-def _turn(phase: np.ndarray) -> np.ndarray:
-    """e^(i phase) for real phases: cos and sin into one complex array, the
-    bits of np.exp(1j phase) at about half its cost."""
-    out = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
-    return out
-
-
 class _Generating:
     """G(z) = prod (p_i / (1 - r_i z))^(c_i/2) of ascending positive weights w
     in run form, with counts c (1 each when counts is None).
@@ -120,11 +107,9 @@ class _Generating:
     G(z) z^-N, N terms leave at most 1e-16 of K's mass at or past N once
     ln G(z) + (n/2 + N) ln(1/z) <= ln 1e-16 at some z of a grid in
     (1, 1/max r); ``need``, the least such N (at least 64), is solved for
-    directly.  N is the least m 2^e >= need with m in {4, ..., 8}: at most
-    25% above ``need``, and a length the FFT handles fast.  A ``need``
-    above 2^19 raises OutOfRegime.  Equal weights give N = 1 and a = [1].
-    ``coefficients`` makes all N from the ``band``, G at its M ``kept``
-    points; ``arc`` and ``mass_below`` make a window and the masses beside it.
+    directly, and rounded up by ``_fast_length``; one above 2^30 raises
+    OutOfRegime.  Equal weights give N = 1 and a = [1].  ``coefficients``
+    makes all N from G at its M ``kept`` points; ``lattice`` makes a tail.
     """
 
     def __init__(self, w: np.ndarray, counts=None):
@@ -145,10 +130,10 @@ class _Generating:
         ])
         ln_step = np.log1p(-v * (beta / top))
         need = float(np.min((math.log(_MASS_TOL) - ln_g) / ln_step)) - 0.5 * n
-        if need > _MAX_TERMS:
+        if need > _MAX_CIRCLE:
             raise OutOfRegime(
                 f"weight spread {top / beta:.3g} over {n:.0f} weights needs "
-                f"more than {_MAX_TERMS} mixture terms"
+                f"more than {_MAX_CIRCLE} mixture terms"
             )
         return _fast_length(max(64, math.ceil(need)))
 
@@ -198,15 +183,10 @@ class _Generating:
                  else lo + (hi - lo) * np.arange(1, q + 1) // (q + 1))
         return hi
 
-    @functools.cached_property
-    def band(self) -> np.ndarray:
-        """g_j = G(e^(-i theta_j)) at the M kept points j < M."""
-        kept, cols = self.kept, self.cols
-        g = np.empty(kept, dtype=complex)
-        for lo in range(0, kept, cols):
-            hi = min(kept, lo + cols)
-            g[lo:hi] = np.exp(self.ln_gf(np.arange(lo, hi)))
-        return g
+    def _ln_points(self, j) -> np.ndarray:
+        """``ln_gf`` at the points j, ``cols`` of them at a time."""
+        return np.concatenate([np.empty(0, dtype=complex)] + [
+            self.ln_gf(j[i:i + self.cols]) for i in range(0, j.size, self.cols)])
 
     def coefficients(self) -> np.ndarray:
         """The N mixture coefficients a_k, on the full circle.
@@ -220,46 +200,72 @@ class _Generating:
         if self.terms == 1:
             return np.ones(1)
         g = np.zeros(self.terms // 2 + 1, dtype=complex)
-        g[:self.kept] = self.band
+        g[:self.kept] = np.exp(self._ln_points(np.arange(self.kept)))
         return np.fft.irfft(g, self.terms)
 
-    def arc(self, start: int, stop: int) -> np.ndarray:
-        """a_k = (1/N) Re[g_0 + 2 sum_(0<j<M) g_j W^(jk)], W = e^(2 pi i/N),
-        for start <= k < stop: the inverse FFT's sum (j = N/2 taken once) on
-        an arc.  Bluestein's chirp z-transform: jk = (k^2 + j^2 - (k - j)^2)/2
-        makes it one convolution with the chirp W^(-t^2/2), by three complex
-        FFTs of about stop - start + M points.  The phases are reduced mod 2N
-        in integers, so only rounding differs from the inverse FFT: about
-        1e-15 of the largest a_k."""
-        n2, g = 2 * self.terms, self.band
-        size, count = g.size, stop - start
-        length = _fast_length(max(1, count + size - 1))
-        t = np.arange(max(count, size))
-        chirp = _turn((math.pi / self.terms) * (t * t % n2))  # W^(t^2/2)
-        j = t[:size]
-        u = g * _turn((math.pi / self.terms) * (j * (j + 2 * start) % n2))
-        u[1:self.terms // 2] *= 2.0
-        v = np.zeros(length, dtype=complex)
-        v[:count] = chirp[:count].conj()
-        v[length - size + 1:] = chirp[size - 1:0:-1].conj()
-        x = np.fft.ifft(np.fft.fft(u, length) * np.fft.fft(v))[:count]
-        x *= chirp[:count]
-        return x.real / self.terms
+    def circle(self, y: float, odd: bool):
+        """(bottom, L, J): the L points from bottom hold D = T - K, T Poisson
+        of mean y, but for 1.2e-16 of its mass, and the lattice takes the
+        points 0 < j < J.  K is below N but for 1e-16, and T within
+        sqrt(2 y l) + l/3 above y and sqrt(2 y l) below it but for e^-l =
+        1e-17 each side (Bernstein; for odd n below y - 40, erfc(sqrt 40) =
+        5e-19 of U past 40).  L is odd: no point sits at pi.  Past J, |G| is
+        below 1e-16/N (past M L/N, M = ``kept``) or the Poisson factor
+        e^(-2 y sin^2(pi j/L)) below e^-l."""
+        top = math.ceil(y + math.sqrt(2.0 * _LN_SPAN * y) + _LN_SPAN / 3.0)
+        low = y - _ODD_LEAST if odd else y
+        bottom = max(0, math.floor(low - math.sqrt(2.0 * _LN_SPAN * low))) - self.terms + 1
+        length = (top - bottom + 1) | 1  # one more if even
+        stop = self.kept * length / self.terms
+        if _LN_SPAN < 2.0 * y:
+            stop = min(stop, length / math.pi * math.asin(math.sqrt(_LN_SPAN / (2.0 * y))))
+        return bottom, length, min(math.ceil(stop), (length + 1) // 2)
 
-    def mass_below(self, m) -> np.ndarray:
-        """S(m) = sum_(k<m) a_k for integers 0 <= m <= N, in closed form:
-        (1/N)[g_0 m + 2 Re sum_(0<j<M) g_j e^(i pi j (m-1)/N) sin(pi j m/N) /
-        sin(pi j/N)], the geometric sum of W^(jk) over k < m, its phases
-        reduced in integers.  Its terms, about |g_j|/(pi j), leave it within
-        a few 1e-16 of the inverse FFT's prefix sums; S(0) = 0, S(N) = 1."""
-        g, j = self.band, np.arange(1, self.kept)
-        m = np.asarray(m)[:, None]
-        angle = math.pi / self.terms
-        terms = (g[1:] * _turn(angle * (j * (m - 1) % (2 * self.terms)))).real
-        half_turns, rest = np.divmod(j * m, self.terms)  # sin(pi j m/N), exactly 0 at m = N
-        terms *= (1 - 2 * (half_turns % 2)) * np.sin(angle * rest) / np.sin(angle * j)
-        terms[:, self.terms // 2 - 1:] *= 0.5  # the point j = N/2 is taken once
-        return (g[0].real * m[:, 0] + 2.0 * terms.sum(axis=1)) / self.terms
+    def lattice(self, circle, y: float, h: float, upper: bool) -> float:
+        """P(D < floor h) if upper, else P(D >= floor h), for D on ``circle``.
+
+        The cdf sum_k a_k P(h + k, y) is P(T >= h + K) = P(D >= h) for even
+        n.  For odd n, chi2_(n+2k) = chi2_1 + chi2_(n-1+2k) gives T the mean
+        y - U, U of shape 1/2, and D's characteristic function a factor
+        e^(-i w/2) erf(sqrt(y e^(i w))), whose erf is 1 within 1e-17 of the
+        sum for y >= 40.  D's mass on m residues [lo, lo + m) is then
+        (1/L)[m + 2 sum_(0<j<J) |G_j| e^(-2 y sin^2(w_j/2)) cos(phi_j)
+        sin(w_j m/2) / sin(w_j/2)], w_j = 2 pi j/L (Abate and Whitt 1992),
+        phi_j the phase of G_j (``ln_gf`` at j N/L) plus y sin w_j less w_j
+        times the window's centre (plus 1/2 for odd n).  With y = Y + f, Y an
+        integer, Y w_j less the centre's part is reduced mod 2 pi in integers,
+        then Y (w_j - sin w_j) (``_less_sin``) and f sin w_j are added."""
+        bottom, length, stop = circle
+        cut = math.floor(h)
+        lo = bottom if upper else max(cut, bottom)
+        m = max(0, (min(cut, bottom + length) if upper else bottom + length) - lo)
+        j = np.arange(1, stop)
+        ln_g = self._ln_points(j * (self.terms / length))
+        angle = math.pi / length
+        omega, half = (2.0 * angle) * j, np.sin(angle * j)
+        ln_g.imag += (y - math.floor(y)) * np.sin(omega) - _less_sin(omega, math.floor(y))
+        turns = (2 * math.floor(y) - 2 * lo - m + 1 - (cut != h)) % (2 * length)
+        ln_g.imag += angle * (j * turns % (2 * length))
+        terms = np.exp(ln_g.real - (2.0 * y) * half**2) * np.cos(ln_g.imag)
+        terms *= np.sin(angle * (j * m % (2 * length))) / half
+        return min(1.0, max(0.0, (m + 2.0 * float(terms.sum())) / length))
+
+
+def _less_sin(x: np.ndarray, scale: int) -> np.ndarray:
+    """scale (x - sin x) for ascending 0 < x <= pi: its series x^3/3! -
+    x^5/5! + ..., cut once a term at the largest x is below 1e-17, with no
+    cancellation at small x, where x - sin x would lose scale x ulps."""
+    x2 = x * x
+    top = float(x2[-1]) if x2.size else 0.0
+    count, term = 1, scale * top**1.5 / 6.0
+    while term > 1e-17:
+        count += 1
+        term *= top / ((2 * count) * (2 * count + 1))
+    series = np.ones_like(x)
+    for k in range(count, 1, -1):
+        series *= x2 * (-1.0 / ((2 * k) * (2 * k + 1)))
+        series += 1.0
+    return series * x2 * x * (scale / 6.0)
 
 
 def _work(length):
@@ -267,17 +273,17 @@ def _work(length):
     return length * np.log2(length)
 
 
-def _paths(mixture: _Generating, start: int, reach: int) -> list:
-    """The ways to a tail's coefficients, cheapest first by their estimates
-    in W(L) = L log2 L: "full", one inverse FFT of all N from G's M kept
-    points over d distinct weights, W(N) + F M d; "arc", the window
-    [start, reach) alone (``_Generating.arc``), A W(L) + F M d for the arc's
-    L = _fast_length(reach - start + M - 1); and m, the m largest distinct
-    weights peeled off (``_reach_coefficients``), W(N_m) +
+def _paths(mixture: _Generating, window, points: int) -> list:
+    """The ways to a tail that fit, cheapest first by their estimates in
+    W(L) = L log2 L, over d distinct weights: "lattice", G at J = points
+    points, F J d, when points > 0; "full", one inverse FFT of all N from
+    G's M kept points, W(N) + F M d, when N is at most 2^19; and m, the m
+    largest weights peeled off (``_reach_coefficients``), W(N_m) +
     F (N_m/2 + 1)(d - m) + m P W(_fast_length(2 reach - 1)) for the rest's
-    term count N_m, with F = ``_FILL``, A = ``_ARC`` and P = ``_FACTOR``.
-    Only the m of least estimate is offered, and its rest is built only if
-    it is taken.
+    term count N_m, when N_m and the reach are.  The last two add the
+    ladder of ``window``, B + T (hi - lo) for its Poisson terms; F, P, B
+    and T are ``_FILL``, ``_FACTOR``, ``_LADDER`` and ``_TERM``.  Only the m
+    of least estimate is offered, and its rest is built only if taken.
 
     N_m is priced as _fast_length(R least_m), R = ``_SLACK``, from a lower
     bound: the rest's mean sum c_i (w_i/beta - 1)/2, and the count at which
@@ -291,13 +297,15 @@ def _paths(mixture: _Generating, start: int, reach: int) -> list:
     if mixture.terms == 1:
         return ["full"]
     w, counts, terms, kept = mixture.w, mixture.counts, mixture.terms, mixture.kept
-    d = w.size
-    fill = _FILL * kept * d
-    arc = _fast_length(max(1, reach - start + kept - 1))
-    estimates = {"full": _work(terms) + fill, "arc": _ARC * _work(arc) + fill}
+    d, reach = w.size, window[3]
+    ladder = _LADDER + _TERM * (window[2] - window[1])
+    estimates = {"lattice": _FILL * points * d} if points else {}
+    if terms <= _MAX_TERMS:
+        estimates["full"] = _work(terms) + _FILL * kept * d + ladder
     c = np.ones(d) if counts is None else counts
     # the m largest may be peeled, m < d, while each occurs at most twice
-    peelable = int(np.argmax(np.append(c[::-1][:d - 1] > 2.0, True))) if 0 < reach < terms else 0
+    peelable = (int(np.argmax(np.append(c[::-1][:d - 1] > 2.0, True)))
+                if 0 < reach < min(terms, _MAX_TERMS) else 0)
     if peelable:
         m = np.arange(1, peelable + 1)
         mean = np.cumsum(0.5 * c * (w / mixture.beta - 1.0))[d - 1 - m]
@@ -309,8 +317,10 @@ def _paths(mixture: _Generating, start: int, reach: int) -> list:
         rest = np.ceil(need / scale) * scale
         cost = (_work(rest) + _FILL * (0.5 * rest + 1.0) * (d - m)
                 + m * _FACTOR * _work(_fast_length(2 * reach - 1)))
+        cost[rest > _MAX_TERMS] = math.inf
         i = int(np.argmin(cost))
-        estimates[i + 1] = float(cost[i])
+        if cost[i] < math.inf:
+            estimates[i + 1] = float(cost[i]) + ladder
     return sorted(estimates, key=estimates.get)
 
 
@@ -571,22 +581,20 @@ def _ladder_window(h: float, y: float, size: int):
     return split, lo, hi, min(size, max(split, hi - first)), min(max(0, lo - first), split)
 
 
-def _ladder_sums(h: float, y: float, a: np.ndarray, window, skip: int):
+def _ladder_sums(h: float, y: float, a: np.ndarray, window):
     """(split, q, p): the a_k sums of Q(h + k, y) below split, of P from it.
 
     q = sum_(k < split) a_k Q(h + k, y) and p = sum_(k >= split) a_k P(h + k, y).
     h is a positive multiple of 1/2 and y >= 0 is finite.  split is the
     first k with h + k >= y, so each incomplete gamma taken is the smaller
     of P and Q, up to the median's offset.  window is ``_ladder_window``
-    of the N coefficients; a holds a_k from k = skip on (0 or the window's
-    start), all N or up to ``reach``.  Below a start past 0 every Poisson
-    term underflows, and so does Q(t_0, y) < tau_(t_0): those a_k add
-    nothing to q.  Q(h + k, y) is Q(t_0, y), which is e^-y or erfc(sqrt y)
-    (``_erfc_sqrt``), plus the Poisson terms tau_t below h + k, and
-    P(h + k, y) the sum of those at and above it; only the terms of the
-    window are made.  Each side's terms are summed smallest
-    first, compensated, and each incomplete gamma is one of those sums,
-    never a sum over the a_k.
+    of the N coefficients; a holds a_k, all N or up to ``reach``.  Below a
+    start past 0 every Poisson term underflows, and so does Q(t_0, y) <
+    tau_(t_0): those a_k add nothing to q.  Q(h + k, y) is Q(t_0, y), e^-y
+    or erfc(sqrt y) (``_erfc_sqrt``), plus the Poisson terms tau_t below
+    h + k, and P(h + k, y) the sum of those at and above it; only the
+    window's terms are made.  Each side's terms are summed smallest first,
+    compensated, and each incomplete gamma is one of those sums.
     """
     split, lo, hi = window[:3]
     if y == 0.0:
@@ -600,26 +608,20 @@ def _ladder_sums(h: float, y: float, a: np.ndarray, window, skip: int):
     bottom = math.exp(-y) if base == 1.0 else _erfc_sqrt(y)
     bottoms = _prefix_sums(np.concatenate(([bottom], tau[:cut])))
     above = np.append(_prefix_sums(tau[cut:][::-1])[::-1], 0.0)
-    q = _clamped_dot(a[:split - skip], bottoms, first + skip - lo)
-    p = _clamped_dot(a[split - skip:], above, first + split - lo - cut)
+    q = _clamped_dot(a[:split], bottoms, first - lo)
+    p = _clamped_dot(a[split:], above, first + split - lo - cut)
     return split, q, p
 
 
 def _weighted_chi2(weights, x: float, upper: bool) -> float:
     """P(sum w_i xi_i^2 > x) if upper, else the cdf of ``weighted_chi2_cdf``.
 
-    Both tails are sums over the same mixture coefficients a_k, so the upper
-    tail is never formed as 1 - cdf.  ``_ladder_sums`` takes the smaller of
-    Q(n/2 + k, y) and P(n/2 + k, y) for each k, so the terms of a small
-    tail are all made directly; on the other side of the split the tail's
-    incomplete gamma is 1 minus the one made.  When every k is on one side,
-    the coefficients' mass there is taken as 1, so the far tails of x = 0
-    and of a huge x are exactly 0 and 1.  When only the coefficients below
-    the ladder's reach are made (``_reach_coefficients``), the upper
-    tail's mass past the split is 1 minus the mass below it; beside an arc
-    they are closed-form sums (``_Generating.mass_below``).  ``_paths``
-    orders the ways to the coefficients; a tail below ``_ARC_LEAST`` on
-    the arc is made again by the next.
+    The upper tail is never formed as 1 - cdf.  The lattice makes either
+    tail on its own; on the ladder both are sums over the same a_k, and
+    ``_ladder_sums`` takes the smaller of Q(n/2 + k, y) and P(n/2 + k, y)
+    for each k, so a small tail's terms are all made directly.  When every
+    k is on one side of the split, the a_k's mass there is taken as 1, so
+    the far tails of x = 0 and of a huge x are exactly 0 and 1.
     """
     w, x = _as_vector(weights, "weights"), _as_number(x, "x")
     if np.any(w < 0):
@@ -672,105 +674,103 @@ def _mixture_tail(w: np.ndarray, counts, x: float, upper: bool) -> float:
         return 1.0 if upper else 0.0
     h = 0.5 * n
     window = _ladder_window(h, y, mixture.terms)
-    reach, start = window[3:]
+    points = 0  # the lattice's, when it is offered
+    if (mixture.terms > 1 and (h == math.floor(h) or y >= _ODD_LEAST) and y < _MAX_CIRCLE
+            and _chernoff(w, counts, x, upper) >= math.log(_LATTICE_LEAST)):
+        circle = mixture.circle(y, h != math.floor(h))
+        if circle[1] <= 2 * _MAX_CIRCLE and circle[2] <= _MAX_TERMS:
+            points = circle[2] - 1
 
-    def tail(a, skip=0, below=0.0, past=0.0):
-        """The tail from a_k for k >= skip, the mass below skip and the
-        mass past the end of a (None: a ends at the reach and that mass is
-        not made, so the upper tail's mass past the split is 1 minus the
-        mass below it)."""
-        split, q, p = _ladder_sums(h, y, a, window, skip)
+    def tail(a, cut=False):
+        """The tail from a_k, all N, or those below the reach if cut: then
+        the upper tail's mass past the split is 1 minus the mass below it."""
+        split, q, p = _ladder_sums(h, y, a, window)
         if upper:
             if not split:
                 mass = 1.0
-            elif past is None:
+            elif cut:
                 mass = 1.0 - float(a[:split].sum())
             else:
-                mass = float(a[split - skip:].sum()) + past
+                mass = float(a[split:].sum())
             total = q + (mass - p)
         else:
-            mass = below + float(a[:split - skip].sum()) if split < mixture.terms else 1.0
+            mass = float(a[:split].sum()) if split < mixture.terms else 1.0
             total = p + (mass - q)
         return min(1.0, max(0.0, total))
 
-    # The cheapest way first; a rest out of regime and an arc's tail below
-    # _ARC_LEAST pass to the next, and the full circle always serves.
-    for path in _paths(mixture, start, reach):
-        if path == "full":
-            return tail(mixture.coefficients())
-        if path == "arc":
-            below, made = mixture.mass_below(np.array([start, reach])).tolist()
-            total = tail(mixture.arc(start, reach), start, below, 1.0 - made)
-            if total >= _ARC_LEAST:
+    # The cheapest first; a small lattice tail or a rest past the cap passes on.
+    for path in _paths(mixture, window, points):
+        if path == "lattice":
+            total = mixture.lattice(circle, y, h, upper)
+            if total >= _LATTICE_LEAST:
                 return total
             continue
+        if path == "full":
+            return tail(mixture.coefficients())
         k = w.size - path
-        try:  # its own grid may miss the z at which the full one passed
-            rest = _Generating(w[:k], None if counts is None else counts[:k])
-        except OutOfRegime:
+        rest = _Generating(w[:k], None if counts is None else counts[:k])
+        if rest.terms > _MAX_TERMS:
             continue
         c = np.ones(path) if counts is None else counts[k:]
         factors = list(zip((mixture.beta / w[k:]).tolist(), (0.5 * c).tolist()))
-        return tail(_reach_coefficients(rest, factors, reach), past=None)
+        return tail(_reach_coefficients(rest, factors, window[3]), cut=True)
+    raise OutOfRegime(
+        f"weight spread {w[-1] / w[0]:.3g} over {n:.0f} weights: no way to the "
+        f"tail makes at most {_MAX_TERMS} terms or points")
+
+
+def _chernoff(w: np.ndarray, counts, x: float, upper: bool) -> float:
+    """ln of a Chernoff bound e^(-t x) prod (1 - 2 t w_i)^(-c_i/2) on the
+    tail, or 0.  Any t of the tail's sign serves: the saddle point of the
+    gamma law of X's mean and variance, mean (x - mean) / (variance x), in
+    units of max w, where it is kept in [-1e300, 0.45].  No root solve."""
+    c = 1.0 if counts is None else counts
+    v, z = w / w[-1], x / float(w[-1])
+    mean, var = float(np.sum(c * v)), 2.0 * float(np.sum(c * v * v))
+    t = min(max(mean * (z - mean) / (var * z), -1e300), 0.45) if var * z else 0.0
+    if (t > 0.0) != upper:
+        return 0.0
+    return -t * z - 0.5 * float(np.sum(c * np.log1p(-2.0 * t * v)))
 
 
 def weighted_chi2_cdf(weights, x: float) -> float:
     """P(sum w_i xi_i^2 <= x) for finite nonnegative weights and x >= 0.
 
     One method for every weight vector: the chi-square mixture
-    sum_k a_k P(n/2 + k, x / (2 min w)) of Ruben (1962), with the a_k from
-    one inverse FFT of their generating function (``_Generating``), or
-    just the window the ladder reads (``_Generating.arc``), or just those
-    below its reach (``_reach_coefficients``).
-    Its sums take the run form of the weights (``model.runs_of``): the
-    distinct positive weights ascending, count times one row each, so the
-    result is the same, bit for bit, for every order of the weights.  Equal
-    weights give a = [1], the incomplete gamma itself.  A single
-    weight is its shape-1/2 case, erf(sqrt(x / 2w)), taken from ``math.erf``
-    and, for the upper tail, ``math.erfc`` with the roundings of x / 2w and
-    of the square root added back (``_erfc_sqrt``): within 2e-16 relative
-    of mpmath at w = 1/2 for x from 2 to 700, where the tail is 2e-306.
-    The term count is the least of two.  The Chernoff count N is the least
-    count ``need`` at which the Chernoff bound leaves at most 1e-16 of the
-    mixture's mass past N, rounded up to the least m 2^e with m in
-    {4, ..., 8} (at most 25% above ``need``).  The ladder's reach K is the
-    last shape whose Poisson term does not underflow, less n/2: the a_k
-    past it multiply incomplete gammas that are 0, so only their mass
-    enters, as below the first shape whose term does not underflow: a tail
-    needs the a_k of one window [start, K) and two masses.  One cost rule
-    prices three ways to them in units of a real FFT's L log2 L and takes
-    the cheapest (``_paths``): all N by one inverse FFT; the window alone
-    from G's M points above 1e-16/N by Bluestein's chirp z-transform (three
-    complex FFTs of about K - start + M points) with the masses as
-    closed-form sums over them; or, when K is below N, the m largest
-    distinct weights (each occurring at most twice) peeled off as
-    closed-form negative-binomial factors, the rest on its own shorter
-    circle and the products cut at K, with m the one of least estimate.  A
-    tail below 1e-4 on the arc, or one whose rest is out of regime, is made
-    by the next cheapest way, so the arc serves only tails of 1e-4 and
-    above.
-    The incomplete gammas are sums of Poisson terms (``_ladder_sums``),
-    and every term that does not underflow is made.  The absolute error is
-    below 5e-15: at most 3e-16 from the truncation, aliasing and cutoff of
-    the a_k, and the rest is rounding: each Poisson term is within about
-    1e-14 of itself (Loader's saddle-point form with its deviance in two
-    doubles, then at most 15 steps of a recurrence; ``_poisson_terms``),
-    each sum of them within about two roundings (compensated), and the
-    complement and the a_k products within one each.  The arc's a_k
-    differ from the full circle's by about 1e-15 of the largest, its masses
-    by a few 1e-16; the tails it serves moved by less than 1e-13 of
-    themselves in the tests (at n = 100, spread 1e4 both tails are within
-    2.1e-16 of a long-double reference).  A peeled factor's coefficients are each within
-    a few 1e-16 of themselves (their logarithms are prefix sums kept in two
-    doubles), and each FFT product adds about 1e-16 of the largest
-    coefficient, at most 1e-15 of mass in all; its leading coefficients
-    below 2^-5 of the largest are direct sums of positive products.  So a
-    small incomplete gamma keeps its relative accuracy, down to the
-    subnormals, and a small cdf keeps its own where its coefficients are
-    direct sums; a tail made of a_k near the FFTs' rounding keeps only the
-    absolute bound.
-    A spread max w / min w that needs more than 2^19 terms (about 1e4 at
-    n = 1000) raises OutOfRegime; non-finite input raises InvalidInput.
+    sum_k a_k P(n/2 + k, y), y = x / (2 min w), of Ruben (1962), K with
+    P(K = k) = a_k having the generating function G (``_Generating``).  Its
+    sums take the run form of the weights (``model.runs_of``), so the result
+    is the same, bit for bit, for every order of the weights.  Equal weights
+    give a = [1], the incomplete gamma itself.  A single weight is
+    erf(sqrt(x / 2w)) from ``math.erf``, and its upper tail ``math.erfc``
+    with the roundings of x / 2w and of the square root added back
+    (``_erfc_sqrt``): within 2e-16 relative of mpmath at w = 1/2 for x from
+    2 to 700, where the tail is 2e-306.
+    One cost rule (``_paths``) orders three ways.  The lattice inverts the
+    law of D = T - K, T Poisson of mean y: the cdf is P(D >= n/2), from G
+    at J points of a circle that holds D's span (``_Generating.lattice``),
+    with J where |G| or the Poisson factor falls below the truncation.  For
+    odd n, T's mean is y - U with U of shape 1/2, and the lattice is offered
+    only from y = 40, where that is exact within 1e-17.  It serves tails of
+    1e-2 and above; a tail whose Chernoff bound (``_chernoff``) is below
+    1e-2 skips it, and one it makes below 1e-2 is made by the next way.
+    The others make the a_k and sum them against incomplete gammas of
+    Poisson terms (``_ladder_sums``): all N of the Chernoff count (the least
+    count leaving at most 1e-16 of K's mass past it, rounded up by at most
+    25%) by one inverse FFT, when N is at most 2^19; or, when the ladder's
+    reach is below N, the m largest distinct weights peeled off as
+    closed-form negative-binomial factors and the products cut at the reach.
+    The absolute error is below 5e-15: at most 3e-16 from truncation and
+    aliasing, the rest rounding.  On the ladder each Poisson term is within
+    about 1e-14 of itself (``_poisson_terms``), each sum of them within
+    about two roundings, and a peeled factor's coefficients within a few
+    1e-16, each FFT product adding about 1e-16 of the largest coefficient.
+    So a small incomplete gamma keeps its relative accuracy down to the
+    subnormals, and so does a small cdf whose coefficients are direct sums
+    (a peel's below 2^-5 of the largest).  The lattice's error is absolute,
+    up to 3e-15 in the tests, hence its 1e-2 floor.  A spread that no way
+    fits (2^19 terms or points, 2^30 Chernoff terms) raises OutOfRegime;
+    non-finite input raises InvalidInput.
     """
     return _weighted_chi2(weights, x, upper=False)
 

@@ -19,7 +19,7 @@ SHAPES = (0.5, 1.0, 1.5, 7.5, 50.0, 500.5, 5e3, 5e4)
 
 def ladder_pq(s, y):
     """(P(s, y), Q(s, y)) from the ladder: the smaller made, the other 1 minus it."""
-    split, q, p = oracle._ladder_sums(s, y, np.ones(1), oracle._ladder_window(s, y, 1), 0)
+    split, q, p = oracle._ladder_sums(s, y, np.ones(1), oracle._ladder_window(s, y, 1))
     return (1.0 - q, q) if split else (p, 1.0 - p)
 
 
@@ -128,7 +128,7 @@ def test_single_weight_upper_tail_keeps_the_rounding_of_x_over_2w(w):
 def test_ladder_bottom_at_shape_one_half(y):
     # y >= 1: Q(1/2, y) is the side made, and with no terms below shape 1/2
     # it is the ladder's bottom alone.
-    split, q, _ = oracle._ladder_sums(0.5, y, np.ones(1), oracle._ladder_window(0.5, y, 1), 0)
+    split, q, _ = oracle._ladder_sums(0.5, y, np.ones(1), oracle._ladder_window(0.5, y, 1))
     assert split == 1
     with mpmath.workdps(40):
         want = mpmath.erfc(mpmath.sqrt(mpmath.mpf(y)))

@@ -597,8 +597,10 @@ class TestWeightedChi2Cdf:
         assert abs(p - got) <= 4.0 * math.sqrt(p * (1.0 - p) / samples)
 
     def test_too_wide_spread_out_of_regime(self):
-        w = np.geomspace(1.0, 1e4, 1000)
-        with pytest.raises(OutOfRegime):
+        # Spread 1e8 over 1000 weights needs more than the 2^30 terms whose
+        # phases the lattice reduces in int64 (spread 1e4 is served).
+        w = np.geomspace(1.0, 1e8, 1000)
+        with pytest.raises(OutOfRegime, match="more than 1073741824 mixture terms"):
             weighted_chi2_cdf(w, float(w.sum()))
         s2 = w * 3.0 * math.sqrt(1000) / w.sum()
         with pytest.raises(OutOfRegime):
@@ -733,17 +735,19 @@ class TestOracleWindow:
 
     @pytest.mark.parametrize("f", [0.3, 0.5, 1.0, 2.0])
     def test_arc_equals_the_all_terms_sum(self, f):
-        # The n = 100, spread 1e4 tails at or above 1e-4 take the arc: a
-        # window of at most 18k of the 524,288 coefficients, and the masses
-        # below and past it in closed form.  No full circle is made.
+        # The n = 100, spread 1e4 tails at or above 1e-2 take the lattice,
+        # G on an arc of about 550 points of its circle, and make no
+        # coefficient; the smaller ones (the cdf at 0.3 sum w, 1.4e-4, and
+        # the upper tail at 2 sum w, 5.6e-3) make their own.
         w = np.geomspace(1.0, 1e4, 100)
         x = f * float(w.sum())
         for upper in (False, True):
-            with mock.patch.object(oracle._Generating, "coefficients",
-                                   side_effect=AssertionError("a full circle")):
+            coefficients = oracle._Generating.coefficients
+            with mock.patch.object(oracle._Generating, "coefficients", autospec=True,
+                                   side_effect=coefficients) as made:
                 got = oracle._weighted_chi2(w, x, upper)
             want = self.all_terms(w, x, upper)
-            assert got >= oracle._ARC_LEAST
+            assert (got >= oracle._LATTICE_LEAST) == (not made.called)
             assert abs(got - want) <= self.BOUND
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -791,9 +795,15 @@ class TestOracleWindow:
 
     @pytest.mark.parametrize("n, spread", [(1000, 1e4), (2, 1e5)])
     def test_out_of_regime(self, n, spread):
+        # These need 1,310,720 and 4,194,304 terms, past the full circle's
+        # 2^19, and the lattice serves both tails.  OutOfRegime is raised
+        # when no way fits the term cap: here with the cap at 16.
         w = np.geomspace(1.0, spread, n)
+        cdf, upper = (oracle._weighted_chi2(w, float(w.sum()), upper) for upper in (False, True))
+        assert 0.3 < cdf < 0.7 and abs(cdf + upper - 1.0) <= self.BOUND
         for upper in (False, True):
-            with pytest.raises(OutOfRegime, match="more than 524288 mixture terms"):
+            with mock.patch.object(oracle, "_MAX_TERMS", 16), \
+                    pytest.raises(OutOfRegime, match="no way to the tail makes at most 16"):
                 oracle._weighted_chi2(w, float(w.sum()), upper)
 
 
@@ -1382,53 +1392,54 @@ class TestPinnedOracle:
         (2, 1.0): ("0x1.733d4a7a67a9bp-3", "0x1.43a54e4e98864p-1",
                    "0x1.e6824f33314f5p-1"),
         (2, 2.0): ("0x1.853638a7afde3p-3", "0x1.48d2aa2cba50cp-1",
-                   "0x1.e459ac247ee4cp-1"),
-        (2, 1e2): ("0x1.5a92aff7977d7p-2", "0x1.5d863d39dc1ecp-1",
-                   "0x1.d5e3bccda1cfap-1"),
-        (2, 1e4): ("0x1.617fec2c02a10p-2", "0x1.5d897a0f50610p-1",
-                   "0x1.d55fb34c75bf4p-1"),
+                   "0x1.e459ac247ee4ap-1"),
+        (2, 100.0): ("0x1.5a92aff7977d1p-2", "0x1.5d863d39dc1ebp-1",
+                     "0x1.d5e3bccda1cfbp-1"),
+        (2, 10000.0): ("0x1.617fec2c02a0fp-2", "0x1.5d897a0f50612p-1",
+                       "0x1.d55fb34c75bf3p-1"),
         (10, 1.0): ("0x1.dfb414dd16478p-9", "0x1.1e77aa051319fp-1",
                     "0x1.ff8fb7e407d74p-1"),
-        (10, 2.0): ("0x1.04f0a5003dd40p-8", "0x1.2036e7ac05904p-1",
-                    "0x1.ff5eb1181e086p-1"),
-        (10, 1e2): ("0x1.01d7960afe7e9p-5", "0x1.3a45b19a17388p-1",
-                    "0x1.f57fcf133cc6cp-1"),
-        (10, 1e4): ("0x1.d0ff7b7de5fa1p-4", "0x1.4b7ab1471de88p-1",
-                    "0x1.e86c83eebac86p-1"),
+        (10, 2.0): ("0x1.04f0a5003dd40p-8", "0x1.2036e7ac05900p-1",
+                    "0x1.ff5eb1181e085p-1"),
+        (10, 100.0): ("0x1.01d7960afe7eep-5", "0x1.3a45b19a17387p-1",
+                      "0x1.f57fcf133cc69p-1"),
+        (10, 10000.0): ("0x1.d0ff7b7de5f9fp-4", "0x1.4b7ab1471de87p-1",
+                        "0x1.e86c83eebac84p-1"),
         (100, 1.0): ("0x1.b5ef5c64bd967p-63", "0x1.09a13e57b0c81p-1",
                      "0x1.0000000000000p+0"),
-        (100, 2.0): ("0x1.a48f6ac415960p-62", "0x1.0a2e8f32ac4bep-1",
+        (100, 2.0): ("0x1.a48f6ac415960p-62", "0x1.0a2e8f32ac4bcp-1",
                      "0x1.0000000000000p+0"),
-        (100, 1e2): ("0x1.00e7ce7f59a4ap-37", "0x1.1357f35cb6ec0p-1",
-                     "0x1.ffffffa61e78ep-1"),
-        (100, 1e4): ("0x1.6cdfec53c1936p-21", "0x1.1b0b1f537da9cp-1",
-                     "0x1.fffd05d045a11p-1"),
+        (100, 100.0): ("0x1.00e7ce7f59a4ap-37", "0x1.1357f35cb6ebfp-1",
+                       "0x1.ffffffa61e793p-1"),
+        (100, 10000.0): ("0x1.6cdfec53c1936p-21", "0x1.1b0b1f537da9cp-1",
+                         "0x1.fffd05d045a11p-1"),
         (1000, 1.0): ("0x1.8b1cb42d2b2c2p-590", "0x1.030b811c9dab4p-1",
                       "0x1.0000000000000p+0"),
-        (1000, 2.0): ("0x1.8adba1d36b1e4p-446", "0x1.03384384ce970p-1",
+        (1000, 2.0): ("0x1.8adba1d36b1e4p-446", "0x1.03384384ce972p-1",
                       "0x1.0000000000000p+0"),
-        (1000, 1e2): ("0x0.0p+0", "0x1.062820064ce6bp-1",
-                      "0x1.0000000000000p+0"),
-        (1000, 1e4): None,  # OutOfRegime
+        (1000, 100.0): ("0x0.0p+0", "0x1.062820064ce73p-1",
+                        "0x1.0000000000000p+0"),
+        (1000, 10000.0): ("0x0.0p+0", "0x1.08b1da227c050p-1",
+                          "0x1.0000000000000p+0"),
     }
     # (n, spread): (alpha, beta).
     NP = {
         (2, 1.0): ("0x1.04da7cb53b54fp-3", "0x1.eed813d414f8cp-2"),
-        (2, 2.0): ("0x1.f53575e89ffbep-4", "0x1.fa09bb52185ddp-2"),
-        (2, 1e2): ("0x1.40c2091743690p-4", "0x1.1ea02bfc9d4c6p-1"),
-        (2, 1e4): ("0x1.3c8e5dd24f217p-4", "0x1.1e8aea09ca850p-1"),
+        (2, 2.0): ("0x1.f53575e89ffbap-4", "0x1.fa09bb52185d1p-2"),
+        (2, 100.0): ("0x1.40c209174369ap-4", "0x1.1ea02bfc9d4c7p-1"),
+        (2, 10000.0): ("0x1.3c8e5dd24f230p-4", "0x1.1e8aea09ca84fp-1"),
         (10, 1.0): ("0x1.2233b7618c331p-3", "0x1.50badc06d9e97p-2"),
-        (10, 2.0): ("0x1.1ab711ebf3648p-3", "0x1.544ca957a2636p-2"),
-        (10, 1e2): ("0x1.311b797401992p-4", "0x1.979e38c13ce05p-2"),
-        (10, 1e4): ("0x1.60e7983adaefap-5", "0x1.d1a873bab2fb8p-2"),
+        (10, 2.0): ("0x1.1ab711ebf3648p-3", "0x1.544ca957a2633p-2"),
+        (10, 100.0): ("0x1.311b79740199dp-4", "0x1.979e38c13ce07p-2"),
+        (10, 10000.0): ("0x1.60e7983adaf31p-5", "0x1.d1a873bab2fb5p-2"),
         (100, 1.0): ("0x1.28d07f9e24af9p-3", "0x1.b0bb08830fea0p-3"),
-        (100, 2.0): ("0x1.203ee3b1c808fp-3", "0x1.aefaf3c661081p-3"),
-        (100, 1e2): ("0x1.0ad7bbc428cd8p-4", "0x1.8c86cc452b73cp-3"),
-        (100, 1e4): ("0x1.b6df76178fa83p-6", "0x1.92caa57e03ae6p-3"),
+        (100, 2.0): ("0x1.203ee3b1c8093p-3", "0x1.aefaf3c66107dp-3"),
+        (100, 100.0): ("0x1.0ad7bbc428cdap-4", "0x1.8c86cc452b735p-3"),
+        (100, 10000.0): ("0x1.b6df76178f9f6p-6", "0x1.92caa57e03ae4p-3"),
         (1000, 1.0): ("0x1.287651797e75bp-3", "0x1.54f62c8f18731p-3"),
-        (1000, 2.0): ("0x1.1f35a168aee55p-3", "0x1.4e4982d359b13p-3"),
-        (1000, 1e2): ("0x1.d2bedff559647p-5", "0x1.95e1852369cd0p-4"),
-        (1000, 1e4): None,  # OutOfRegime
+        (1000, 2.0): ("0x1.1f35a168aedffp-3", "0x1.4e4982d359b5bp-3"),
+        (1000, 100.0): ("0x1.d2bedff5596aep-5", "0x1.95e1852369d44p-4"),
+        (1000, 10000.0): ("0x1.12e7175728522p-6", "0x1.040322712a428p-4"),
     }
 
     @staticmethod
@@ -1439,10 +1450,6 @@ class TestPinnedOracle:
     def test_cdf(self, n, spread):
         w = self.profile(n, spread)
         xs = [f * float(w.sum()) for f in (0.2, 1.0, 3.0)]
-        if self.CDF[n, spread] is None:
-            with pytest.raises(OutOfRegime):
-                weighted_chi2_cdf(w, xs[0])
-            return
         assert tuple(weighted_chi2_cdf(w, x).hex() for x in xs) == self.CDF[n, spread]
 
     @pytest.mark.parametrize("n, spread", sorted(NP))
@@ -1451,10 +1458,6 @@ class TestPinnedOracle:
         sigma = IntensityVector(np.sqrt(w * 3.0 * math.sqrt(n) / w.sum()))
         lo, hi = signal_statistics(sigma).window
         test = NpTest(sigma, 0.5 * (lo + hi))
-        if self.NP[n, spread] is None:
-            with pytest.raises(OutOfRegime):
-                np_test_exact_probs(test)
-            return
         got = tuple(p.hex() for p in np_test_exact_probs(test))
         assert got == self.NP[n, spread]
 
